@@ -1,9 +1,10 @@
 /**
  * @file
- * Cross-controller parity: the uncompressed, LCP and Compresso back
- * ends must be functionally indistinguishable — identical write/read
- * semantics on identical access sequences — no matter how differently
- * they store the data. Parameterized over the three controllers.
+ * Cross-controller parity: the uncompressed, LCP, RMC, DMC and
+ * Compresso back ends must be functionally indistinguishable —
+ * identical write/read semantics on identical access sequences — no
+ * matter how differently they store the data. Parameterized over the
+ * five controllers.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <unordered_map>
 
 #include "core/compresso_controller.h"
+#include "core/dmc_controller.h"
 #include "core/lcp_controller.h"
 #include "core/rmc_controller.h"
 #include "core/uncompressed_controller.h"
@@ -35,6 +37,11 @@ makeController(const std::string &kind)
         RmcConfig cfg;
         cfg.installed_bytes = uint64_t(64) << 20;
         return std::make_unique<RmcController>(cfg);
+    }
+    if (kind == "dmc") {
+        DmcConfig cfg;
+        cfg.installed_bytes = uint64_t(64) << 20;
+        return std::make_unique<DmcController>(cfg);
     }
     CompressoConfig cfg;
     cfg.installed_bytes = uint64_t(64) << 20;
@@ -169,5 +176,5 @@ TEST_P(ControllerParity, TracesAreWellFormed)
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ControllerParity,
                          ::testing::Values("uncompressed", "lcp", "rmc",
-                                           "compresso"),
+                                           "dmc", "compresso"),
                          [](const auto &info) { return info.param; });
