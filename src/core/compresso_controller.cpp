@@ -32,7 +32,6 @@ CompressoController::CompressoController(const CompressoConfig &cfg)
                           : (cfg.alignment_friendly ? &compressoBins()
                                                     : &legacyBins())),
       codec_(makeCompressor(cfg.compressor)),
-      chunks_(cfg.installed_bytes),
       mdcache_(cfg.mdcache),
       offsets_(*bins_)
 {
@@ -46,6 +45,7 @@ CompressoController::attachObserver(Observer *obs)
 {
     obs_ = obs;
     mdcache_.attachObserver(obs);
+    store_.attachObserver(obs);
     h_line_bytes_ =
         obs ? obs->histogram("mc.compressed_line_bytes") : nullptr;
     h_page_alloc_ = obs ? obs->histogram("mc.page_alloc_bytes") : nullptr;
@@ -174,135 +174,6 @@ CompressoController::inflateSlot(const MetadataEntry &m, LineIdx idx) const
 }
 
 // ---------------------------------------------------------------------
-// Functional store
-// ---------------------------------------------------------------------
-
-Addr
-CompressoController::mpaOf(const MetadataEntry &m, uint32_t off) const
-{
-    unsigned ci = off / kChunkBytes;
-    assert(ci < m.chunks);
-    // Scatter chunks across the physical space (bijective odd-multiplier
-    // hash mod 2^26): free-list allocation does not hand out DRAM-row-
-    // adjacent chunks in a long-running system, and modeling it as if
-    // it did would overstate compressed row-buffer locality.
-    Addr scattered = ((Addr(m.mpfn[ci]) >> 3) * 0x9e3779b1ULL * 8 + (Addr(m.mpfn[ci]) & 7)) &
-        ((1u << 26) - 1);
-    return scattered * kChunkBytes + off % kChunkBytes;
-}
-
-void
-CompressoController::storeBytes(const MetadataEntry &m, uint32_t off,
-                                const uint8_t *src, size_t len)
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < m.chunks && m.mpfn[ci] != kNoChunk);
-        std::copy(src, src + n, chunks_.data(m.mpfn[ci]).begin() + co);
-        src += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-void
-CompressoController::loadBytes(const MetadataEntry &m, uint32_t off,
-                               uint8_t *dst, size_t len) const
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < m.chunks && m.mpfn[ci] != kNoChunk);
-        const auto &chunk = chunks_.data(m.mpfn[ci]);
-        std::copy(chunk.begin() + co, chunk.begin() + co + n, dst);
-        dst += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-unsigned
-CompressoController::deviceOps(const MetadataEntry &m, uint32_t off,
-                               size_t len, bool write, bool critical,
-                               McTrace &trace, AttribComp comp)
-{
-    if (len == 0)
-        return 0;
-    unsigned first = off / kLineBytes;
-    unsigned last = unsigned((off + len - 1) / kLineBytes);
-    unsigned issued = 0;
-    for (unsigned b = first; b <= last; ++b) {
-        Addr block = mpaOf(m, b * uint32_t(kLineBytes));
-        // Split-access attribution: the first issued block of a
-        // critical access carries the caller's component; the rest are
-        // the split penalty.
-        AttribComp op_comp =
-            critical && issued > 0 ? AttribComp::kDeviceExtra : comp;
-        if (write) {
-            streamBufferInvalidate(block);
-            trace.add(block, true, critical, op_comp);
-            ++st_data_write_ops_;
-            fault_.onWrite(block);
-            ++issued;
-        } else {
-            if (critical && cfg_.stream_buffer && streamBufferHit(block)) {
-                ++st_prefetch_hits_;
-                continue;
-            }
-            trace.add(block, false, critical, op_comp);
-            ++st_data_read_ops_;
-            // Only demand-critical reads are architecturally exposed
-            // to stored faults; background traffic rewrites blocks.
-            if (critical)
-                fault_.onCriticalRead(block);
-            if (critical && cfg_.stream_buffer)
-                streamBufferInsert(block);
-            ++issued;
-        }
-    }
-    return last - first + 1;
-}
-
-bool
-CompressoController::resizeAlloc(MetadataEntry &m, unsigned target)
-{
-    assert(target <= kChunksPerPage);
-    while (m.chunks < target) {
-        ChunkNum c = chunks_.allocate();
-        if (c == kNoChunk && pressure_ != nullptr &&
-            busy_depth_ <= kBusyDepth) {
-            // Machine OOM: ask the governor for emergency ballooning
-            // (most-compressible cold pages first) and retry once.
-            // The busy-page stack keeps the reclaim away from every
-            // metadata entry live on this call stack.
-            PageNum busy = busy_depth_ > 0 ? busy_pages_[busy_depth_ - 1]
-                                           : kNoPage;
-            if (pressure_->onMachineOom(busy)) {
-                c = chunks_.allocate();
-                if (c != kNoChunk) {
-                    ++st_oom_rescues_;
-                    CPR_OBS_EVENT(obs_, ObsEvent::kOomRescue, busy, 1);
-                }
-            }
-        }
-        if (c == kNoChunk) {
-            ++stats_["machine_oom"];
-            return false;
-        }
-        m.mpfn[m.chunks++] = uint32_t(c);
-    }
-    while (m.chunks > target) {
-        --m.chunks;
-        chunks_.release(m.mpfn[m.chunks]);
-        m.mpfn[m.chunks] = kNoChunk;
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------
 // Compression helpers
 // ---------------------------------------------------------------------
 
@@ -325,11 +196,11 @@ CompressoController::decodeSlot(const MetadataEntry &m, uint32_t off,
     uint16_t sz = bins_->binSize(bin);
     if (sz == kLineBytes) {
         // Top-bin slots always store the line raw.
-        loadBytes(m, off, out.data(), kLineBytes);
+        store_.loadBytes(m.mpfn, off, out.data(), kLineBytes);
         return;
     }
     uint8_t buf[kLineBytes];
-    loadBytes(m, off, buf, sz);
+    store_.loadBytes(m.mpfn, off, buf, sz);
     BitReader r(buf, size_t(sz) * 8);
     bool ok = codec_->decompress(r, out);
     assert(ok && "corrupt compressed slot");
@@ -377,12 +248,7 @@ CompressoController::writeToSlot(PageNum page, MetadataEntry &m,
     size_t len = bins_->binSize(code) == kLineBytes
                      ? kLineBytes
                      : std::max<size_t>(enc.bytes.size(), 1);
-    unsigned blocks = deviceOps(m, off, len, true, false, trace);
-    if (blocks > 1) {
-        ++st_split_wb_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, page, blocks);
-    }
+    store_.lineAccess(m.mpfn, page, off, len, true, trace, st_split_wb_lines_);
     if (bins_->binSize(code) == kLineBytes) {
         // Raw-slot convention: reconstruct raw bytes from the encoding.
         // (The caller passes raw data through handleLineOverflow /
@@ -392,9 +258,9 @@ CompressoController::writeToSlot(PageNum page, MetadataEntry &m,
         bool ok = codec_->decompress(r, raw);
         assert(ok);
         (void)ok;
-        storeBytes(m, off, raw.data(), kLineBytes);
+        store_.storeBytes(m.mpfn, off, raw.data(), kLineBytes);
     } else {
-        storeBytes(m, off, enc.bytes.data(), enc.bytes.size());
+        store_.storeBytes(m.mpfn, off, enc.bytes.data(), enc.bytes.size());
     }
 }
 
@@ -432,18 +298,19 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
                 unsigned blocks =
                     unsigned((moved + kLineBytes - 1) / kLineBytes);
                 st_overflow_move_ops_ += 2ull * blocks;
-                deviceOps(m, 0, moved, false, false, trace,
-                          AttribComp::kOverflowRelayout);
+                store_.deviceOps(m.mpfn, 0, moved, false, false, trace,
+                                 AttribComp::kOverflowRelayout);
             }
-            if (!resizeAlloc(m, unsigned((new_alloc + kChunkBytes - 1) /
-                                         kChunkBytes))) {
+            unsigned want =
+                unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes);
+            if (!store_.resize(m.chunks, m.mpfn, want, oomRescue())) {
                 m.line_code[idx] = 0; // OOM: drop the write
                 return;
             }
             if (cfg_.page_sizing == PageSizing::kVariable4) {
                 uint32_t moved = offsets_.offset(m.line_code, idx);
-                deviceOps(m, 0, moved, true, false, trace,
-                          AttribComp::kOverflowRelayout);
+                store_.deviceOps(m.mpfn, 0, moved, true, false, trace,
+                                 AttribComp::kOverflowRelayout);
             }
         }
         writeToSlot(page, m, idx, enc, trace);
@@ -465,9 +332,9 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
             uint32_t off = base +
                 uint32_t(m.inflate_count) * uint32_t(kLineBytes);
             m.inflate_line[m.inflate_count++] = uint8_t(idx);
-            deviceOps(m, off, kLineBytes, true, false, trace,
-                      AttribComp::kOverflowRelayout);
-            storeBytes(m, off, raw.data(), kLineBytes);
+            store_.deviceOps(m.mpfn, off, kLineBytes, true, false, trace,
+                             AttribComp::kOverflowRelayout);
+            store_.storeBytes(m.mpfn, off, raw.data(), kLineBytes);
             ++st_ir_placements_;
             return;
         }
@@ -489,9 +356,9 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
             if (!m.compressed) {
                 shadow(page).predictor_inflated = true;
                 uint32_t off = idx * uint32_t(kLineBytes);
-                deviceOps(m, off, kLineBytes, true, false, trace,
-                          AttribComp::kOverflowRelayout);
-                storeBytes(m, off, raw.data(), kLineBytes);
+                store_.deviceOps(m.mpfn, off, kLineBytes, true, false, trace,
+                                 AttribComp::kOverflowRelayout);
+                store_.storeBytes(m.mpfn, off, raw.data(), kLineBytes);
                 return;
             }
             // Machine OOM left the page compressed; the identity
@@ -509,7 +376,8 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
     if (cfg_.inflation_room && cfg_.dynamic_ir_expansion &&
         cfg_.page_sizing == PageSizing::kChunked512 &&
         m.inflate_count < kMaxInflatedLines &&
-        m.chunks < kChunksPerPage && resizeAlloc(m, m.chunks + 1)) {
+        m.chunks < kChunksPerPage &&
+        store_.resize(m.chunks, m.mpfn, m.chunks + 1, oomRescue())) {
         ++st_dyn_ir_expansions_;
         // The page did outgrow its allocation; the expansion just made
         // the overflow cheap (1 write, no moves).
@@ -520,9 +388,9 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
         uint32_t off =
             base + uint32_t(m.inflate_count) * uint32_t(kLineBytes);
         m.inflate_line[m.inflate_count++] = uint8_t(idx);
-        deviceOps(m, off, kLineBytes, true, false, trace,
-                  AttribComp::kOverflowRelayout);
-        storeBytes(m, off, raw.data(), kLineBytes);
+        store_.deviceOps(m.mpfn, off, kLineBytes, true, false, trace,
+                         AttribComp::kOverflowRelayout);
+        store_.storeBytes(m.mpfn, off, raw.data(), kLineBytes);
         ++st_ir_placements_;
         return;
     }
@@ -548,9 +416,9 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
             if (!m.compressed) {
                 shadow(page).predictor_inflated = true;
                 uint32_t off = idx * uint32_t(kLineBytes);
-                deviceOps(m, off, kLineBytes, true, false, trace,
-                          AttribComp::kPressureStall);
-                storeBytes(m, off, raw.data(), kLineBytes);
+                store_.deviceOps(m.mpfn, off, kLineBytes, true, false, trace,
+                                 AttribComp::kPressureStall);
+                store_.storeBytes(m.mpfn, off, raw.data(), kLineBytes);
                 return;
             }
             // OOM during escalation: in-place growth below is the
@@ -573,8 +441,9 @@ CompressoController::growSlotInPlace(PageNum page, MetadataEntry &m,
     for (LineIdx i = 0; i < kLinesPerPage; ++i) {
         int s = inflateSlot(m, i);
         if (s >= 0) {
-            loadBytes(m, irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
-                      buf[i].data(), kLineBytes);
+            store_.loadBytes(m.mpfn,
+                             irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
+                             buf[i].data(), kLineBytes);
             present[i] = true;
         } else if (m.line_code[i] != 0) {
             decodeSlot(m, offsets_.offset(m.line_code, i), m.line_code[i],
@@ -626,12 +495,13 @@ CompressoController::growSlotInPlace(PageNum page, MetadataEntry &m,
         pressure_->onOpCost(PressureOp::kRelocation, 2ull * move_blocks);
     // Enqueue bandwidth for the move (reads then writes, background).
     if (m.chunks > 0) {
-        deviceOps(m, move_from, moved, false, false, trace,
-                  AttribComp::kOverflowRelayout);
+        store_.deviceOps(m.mpfn, move_from, moved, false, false, trace,
+                         AttribComp::kOverflowRelayout);
     }
 
-    if (!resizeAlloc(m, unsigned((new_alloc + kChunkBytes - 1) /
-                                 kChunkBytes))) {
+    if (!store_.resize(m.chunks, m.mpfn,
+                       unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes),
+                       oomRescue())) {
         return; // machine OOM: drop the resize, data unchanged
     }
 
@@ -654,17 +524,17 @@ CompressoController::growSlotInPlace(PageNum page, MetadataEntry &m,
         if (off + bins_->binSize(m.line_code[i]) <= move_from)
             continue; // untouched prefix
         if (bins_->binSize(m.line_code[i]) == kLineBytes) {
-            storeBytes(m, off, buf[i].data(), kLineBytes);
+            store_.storeBytes(m.mpfn, off, buf[i].data(), kLineBytes);
         } else {
             BitWriter w;
             codec_->compress(buf[i], w);
-            storeBytes(m, off, w.bytes().data(), w.bytes().size());
+            store_.storeBytes(m.mpfn, off, w.bytes().data(), w.bytes().size());
         }
     }
     uint32_t rewrite_end = uint32_t(roundUp(new_pack, kLineBytes));
     if (rewrite_end > move_from)
-        deviceOps(m, move_from, rewrite_end - move_from, true, false,
-                  trace, AttribComp::kOverflowRelayout);
+        store_.deviceOps(m.mpfn, move_from, rewrite_end - move_from, true,
+                         false, trace, AttribComp::kOverflowRelayout);
 }
 
 void
@@ -677,8 +547,9 @@ CompressoController::inflateToUncompressed(PageNum page, MetadataEntry &m,
     for (LineIdx i = 0; i < kLinesPerPage; ++i) {
         int s = inflateSlot(m, i);
         if (s >= 0) {
-            loadBytes(m, irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
-                      buf[i].data(), kLineBytes);
+            store_.loadBytes(m.mpfn,
+                             irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
+                             buf[i].data(), kLineBytes);
         } else if (m.line_code[i] != 0) {
             decodeSlot(m, offsets_.offset(m.line_code, i), m.line_code[i],
                        buf[i]);
@@ -690,21 +561,23 @@ CompressoController::inflateToUncompressed(PageNum page, MetadataEntry &m,
         ? irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes)
         : uint32_t(kPageBytes);
     if (m.chunks > 0)
-        deviceOps(m, 0, old_used, false, false, trace, comp);
+        store_.deviceOps(m.mpfn, 0, old_used, false, false, trace, comp);
     uint64_t inflate_cost =
         (old_used + kLineBytes - 1) / kLineBytes + kLinesPerPage;
     st_overflow_move_ops_ += inflate_cost;
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kInflation, inflate_cost);
 
-    if (!resizeAlloc(m, unsigned(kChunksPerPage)))
+    if (!store_.resize(m.chunks, m.mpfn, unsigned(kChunksPerPage),
+                       oomRescue()))
         return;
     m.compressed = false;
     m.inflate_count = 0;
     m.line_code.fill(uint8_t(bins_->count() - 1));
     for (LineIdx i = 0; i < kLinesPerPage; ++i)
-        storeBytes(m, i * uint32_t(kLineBytes), buf[i].data(), kLineBytes);
-    deviceOps(m, 0, kPageBytes, true, false, trace, comp);
+        store_.storeBytes(m.mpfn, i * uint32_t(kLineBytes), buf[i].data(),
+                          kLineBytes);
+    store_.deviceOps(m.mpfn, 0, kPageBytes, true, false, trace, comp);
     mdcache_.reshape(pageOf(Addr(page) * kPageBytes), m.halfCacheable());
 }
 
@@ -741,11 +614,12 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
     for (LineIdx i = 0; i < kLinesPerPage; ++i) {
         int s = inflateSlot(m, i);
         if (!m.compressed) {
-            loadBytes(m, i * uint32_t(kLineBytes), buf[i].data(),
-                      kLineBytes);
+            store_.loadBytes(m.mpfn, i * uint32_t(kLineBytes), buf[i].data(),
+                             kLineBytes);
         } else if (s >= 0) {
-            loadBytes(m, irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
-                      buf[i].data(), kLineBytes);
+            store_.loadBytes(m.mpfn,
+                             irBase(m) + uint32_t(s) * uint32_t(kLineBytes),
+                             buf[i].data(), kLineBytes);
         } else if (m.line_code[i] != 0) {
             decodeSlot(m, offsets_.offset(m.line_code, i), m.line_code[i],
                        buf[i]);
@@ -769,11 +643,12 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
     ++st_repacks_;
     unsigned read_blocks = unsigned((old_used + kLineBytes - 1) / kLineBytes);
     st_repack_read_ops_ += read_blocks;
-    deviceOps(m, 0, old_used, false, false, trace, AttribComp::kRepack);
+    store_.deviceOps(m.mpfn, 0, old_used, false, false, trace,
+                     AttribComp::kRepack);
     CPR_OBS_HIST(h_page_free_, m.free_space);
 
     if (all_zero) {
-        resizeAlloc(m, 0);
+        store_.resize(m.chunks, m.mpfn, 0);
         m.zero = true;
         m.compressed = false;
         m.inflate_count = 0;
@@ -796,18 +671,18 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
         // Compression saves nothing: store the page raw. Raw pages
         // skip decompression on fills and only need the first half of
         // their metadata entry (Sec. IV-B5).
-        resizeAlloc(m, unsigned(kChunksPerPage));
+        store_.resize(m.chunks, m.mpfn, unsigned(kChunksPerPage), oomRescue());
         m.line_code.fill(uint8_t(bins_->count() - 1));
         m.inflate_count = 0;
         m.compressed = false;
         m.free_space = 0;
         sh.predictor_inflated = false;
         for (LineIdx i = 0; i < kLinesPerPage; ++i)
-            storeBytes(m, i * uint32_t(kLineBytes), buf[i].data(),
-                       kLineBytes);
+            store_.storeBytes(m.mpfn, i * uint32_t(kLineBytes), buf[i].data(),
+                              kLineBytes);
         st_repack_write_ops_ += kLinesPerPage;
-        deviceOps(m, 0, kPageBytes, true, false, trace,
-                  AttribComp::kRepack);
+        store_.deviceOps(m.mpfn, 0, kPageBytes, true, false, trace,
+                         AttribComp::kRepack);
         mdcache_.reshape(page, m.halfCacheable());
         CPR_OBS_EVENT(obs_, ObsEvent::kRepack, page,
                       read_blocks + unsigned(kLinesPerPage));
@@ -820,7 +695,9 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
         return;
     }
 
-    resizeAlloc(m, unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes));
+    store_.resize(m.chunks, m.mpfn,
+                  unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes),
+                  oomRescue());
     m.line_code = sh.actual_bin;
     m.inflate_count = 0;
     m.compressed = true;
@@ -832,17 +709,18 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
             continue;
         uint32_t off = offsets_.offset(m.line_code, i);
         if (bins_->binSize(m.line_code[i]) == kLineBytes) {
-            storeBytes(m, off, buf[i].data(), kLineBytes);
+            store_.storeBytes(m.mpfn, off, buf[i].data(), kLineBytes);
         } else {
             BitWriter w;
             codec_->compress(buf[i], w);
             assert(w.bytes().size() <= bins_->binSize(m.line_code[i]));
-            storeBytes(m, off, w.bytes().data(), w.bytes().size());
+            store_.storeBytes(m.mpfn, off, w.bytes().data(), w.bytes().size());
         }
     }
     unsigned write_blocks = unsigned((new_used + kLineBytes - 1) / kLineBytes);
     st_repack_write_ops_ += write_blocks;
-    deviceOps(m, 0, new_used, true, false, trace, AttribComp::kRepack);
+    store_.deviceOps(m.mpfn, 0, new_used, true, false, trace,
+                     AttribComp::kRepack);
     predictorPageShrink(page);
     CPR_OBS_EVENT(obs_, ObsEvent::kRepack, page,
                   read_blocks + write_blocks);
@@ -930,8 +808,8 @@ CompressoController::recoverMetadataFault(PageNum page, McTrace &trace)
                     ? irBase(m) +
                           uint32_t(m.inflate_count) * uint32_t(kLineBytes)
                     : uint32_t(kPageBytes);
-                deviceOps(m, 0, used, false, false, trace,
-                          AttribComp::kFaultRecovery);
+                store_.deviceOps(m.mpfn, 0, used, false, false, trace,
+                                 AttribComp::kFaultRecovery);
             }
             trace.add(metadataAddr(page), true, false,
                       AttribComp::kFaultRecovery);
@@ -972,30 +850,6 @@ CompressoController::recoverMetadataFault(PageNum page, McTrace &trace)
     stats_["fault_recovery_ops"] += ops;
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
-}
-
-void
-CompressoController::poisonDataFault(Addr ospa_line, const MetadataEntry &m,
-                                     uint32_t off, size_t len,
-                                     McTrace &trace)
-{
-    // The stored data is gone (DUE); ECC flagged it, so the failure is
-    // contained: poison the OSPA line and rewrite the slot's blocks
-    // with the poison pattern so the fault does not re-fire. The
-    // rewrite scrubs the accumulated fault bits (deviceOps write hook).
-    fault_.poisonLine(ospa_line);
-    ++stats_["fault_lines_poisoned"];
-    CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pageOf(ospa_line),
-                  uint32_t(FaultRung::kLinePoison));
-    size_t before = trace.ops.size();
-    // retry read, then the poison rewrite
-    deviceOps(m, off, len, false, false, trace,
-              AttribComp::kFaultRecovery);
-    deviceOps(m, off, len, true, false, trace,
-              AttribComp::kFaultRecovery);
-    uint64_t ops = trace.ops.size() - before;
-    fault_.injector()->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
 }
 
 bool
@@ -1042,7 +896,7 @@ CompressoController::recoverCorruptPage(PageNum page)
     // Step 2: the layout itself is untrustworthy. Every mapped chunk
     // is live (checked above), so releasing them is safe; retire the
     // page to a poisoned zero state and surface the loss.
-    resizeAlloc(m, 0);
+    store_.resize(m.chunks, m.mpfn, 0);
     m = MetadataEntry{};
     m.valid = true;
     m.zero = true;
@@ -1055,33 +909,6 @@ CompressoController::recoverCorruptPage(PageNum page)
                       uint32_t(FaultRung::kPagePoison));
     }
     return auditPage(page).clean();
-}
-
-// ---------------------------------------------------------------------
-// Stream buffer (free prefetch, Sec. VII-A)
-// ---------------------------------------------------------------------
-
-bool
-CompressoController::streamBufferHit(Addr block) const
-{
-    return std::find(stream_buf_.begin(), stream_buf_.end(), block) !=
-           stream_buf_.end();
-}
-
-void
-CompressoController::streamBufferInsert(Addr block)
-{
-    stream_buf_.push_back(block);
-    while (stream_buf_.size() > cfg_.stream_buffer_blocks)
-        stream_buf_.pop_front();
-}
-
-void
-CompressoController::streamBufferInvalidate(Addr block)
-{
-    auto it = std::find(stream_buf_.begin(), stream_buf_.end(), block);
-    if (it != stream_buf_.end())
-        stream_buf_.erase(it);
 }
 
 // ---------------------------------------------------------------------
@@ -1119,14 +946,14 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
 
     if (!m.compressed) {
         uint32_t off = idx * uint32_t(kLineBytes);
-        deviceOps(m, off, kLineBytes, false, true, trace);
+        store_.deviceOps(m.mpfn, off, kLineBytes, false, true, trace);
         if (fault_.takePending() == FaultOutcome::kDetected) {
-            poisonDataFault(lineAddr(addr), m, off, kLineBytes, trace);
+            store_.poisonLine(lineAddr(addr), m.mpfn, off, kLineBytes, trace);
             data.fill(0);
             cur_trace_ = nullptr;
             return;
         }
-        loadBytes(m, off, data.data(), kLineBytes);
+        store_.loadBytes(m.mpfn, off, data.data(), kLineBytes);
         cur_trace_ = nullptr;
         return;
     }
@@ -1134,14 +961,14 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
     int slot = inflateSlot(m, idx);
     if (slot >= 0) {
         uint32_t off = irBase(m) + uint32_t(slot) * uint32_t(kLineBytes);
-        deviceOps(m, off, kLineBytes, false, true, trace);
+        store_.deviceOps(m.mpfn, off, kLineBytes, false, true, trace);
         if (fault_.takePending() == FaultOutcome::kDetected) {
-            poisonDataFault(lineAddr(addr), m, off, kLineBytes, trace);
+            store_.poisonLine(lineAddr(addr), m.mpfn, off, kLineBytes, trace);
             data.fill(0);
             cur_trace_ = nullptr;
             return;
         }
-        loadBytes(m, off, data.data(), kLineBytes);
+        store_.loadBytes(m.mpfn, off, data.data(), kLineBytes);
         cur_trace_ = nullptr;
         return;
     }
@@ -1159,14 +986,10 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
     trace.addFixed(AttribComp::kMdcacheHit, offsets_.extraCycles());
     uint32_t off = offsets_.offset(m.line_code, idx);
     uint16_t sz = bins_->binSize(code);
-    unsigned blocks = deviceOps(m, off, sz, false, true, trace);
-    if (blocks > 1) {
-        ++st_split_fill_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, page, blocks);
-    }
+    store_.lineAccess(m.mpfn, page, off, sz, false, trace,
+                      st_split_fill_lines_);
     if (fault_.takePending() == FaultOutcome::kDetected) {
-        poisonDataFault(lineAddr(addr), m, off, sz, trace);
+        store_.poisonLine(lineAddr(addr), m.mpfn, off, sz, trace);
         data.fill(0);
         cur_trace_ = nullptr;
         return;
@@ -1242,15 +1065,17 @@ CompressoController::writebackLine(Addr addr, const Line &data,
         uint32_t pack = uint32_t(roundUp(bins_->binSize(enc.bin),
                                          kLineBytes));
         uint32_t alloc = pageBinBytes(pack, cfg_.page_sizing);
-        resizeAlloc(m, unsigned((alloc + kChunkBytes - 1) / kChunkBytes));
+        store_.resize(m.chunks, m.mpfn,
+                      unsigned((alloc + kChunkBytes - 1) / kChunkBytes),
+                      oomRescue());
     }
 
     trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
 
     if (!m.compressed) {
         uint32_t off = idx * uint32_t(kLineBytes);
-        deviceOps(m, off, kLineBytes, true, false, trace);
-        storeBytes(m, off, data.data(), kLineBytes);
+        store_.deviceOps(m.mpfn, off, kLineBytes, true, false, trace);
+        store_.storeBytes(m.mpfn, off, data.data(), kLineBytes);
         if (enc.bin < sh.actual_bin[idx]) {
             ++st_line_underflows_;
             predictor_.onLineUnderflow(mdcache_.predictorCounter(page));
@@ -1265,8 +1090,8 @@ CompressoController::writebackLine(Addr addr, const Line &data,
     int slot = inflateSlot(m, idx);
     if (slot >= 0) {
         uint32_t off = irBase(m) + uint32_t(slot) * uint32_t(kLineBytes);
-        deviceOps(m, off, kLineBytes, true, false, trace);
-        storeBytes(m, off, data.data(), kLineBytes);
+        store_.deviceOps(m.mpfn, off, kLineBytes, true, false, trace);
+        store_.storeBytes(m.mpfn, off, data.data(), kLineBytes);
         if (enc.bin < sh.actual_bin[idx]) {
             ++st_line_underflows_;
             predictor_.onLineUnderflow(mdcache_.predictorCounter(page));
@@ -1307,37 +1132,13 @@ CompressoController::writebackLine(Addr addr, const Line &data,
 // Accounting & maintenance
 // ---------------------------------------------------------------------
 
-uint64_t
-CompressoController::ospaBytes() const
-{
-    uint64_t n = 0;
-    for (const auto &[page, m] : meta_)
-        n += m.valid ? kPageBytes : 0;
-    return n;
-}
-
-uint64_t
-CompressoController::mpaDataBytes() const
-{
-    return chunks_.usedBytes();
-}
-
-uint64_t
-CompressoController::mpaMetadataBytes() const
-{
-    uint64_t valid = 0;
-    for (const auto &[page, m] : meta_)
-        valid += m.valid ? 1 : 0;
-    return valid * kMetadataEntryBytes;
-}
-
 void
 CompressoController::freePage(PageNum page)
 {
     auto mit = meta_.find(page);
     if (mit == meta_.end() || !mit->second.valid)
         return;
-    resizeAlloc(mit->second, 0);
+    store_.resize(mit->second.chunks, mit->second.mpfn, 0);
     mit->second = MetadataEntry{};
     shadow_.erase(page);
     mdcache_.invalidate(page);
@@ -1378,14 +1179,15 @@ CompressoController::audit() const
             sit != shadow_.end() && m.valid && !m.zero
                 ? sit->second.actual_bin.data()
                 : nullptr;
-        auditor.checkCompressoPage(page, m, actual_bin, chunks_, rep);
+        auditor.checkCompressoPage(page, m, actual_bin, store_.allocator(),
+                                   rep);
         if (m.valid && !m.zero)
             for (unsigned c = 0; c < m.chunks && c < kChunksPerPage;
                  ++c)
                 if (m.mpfn[c] != kNoChunk)
                     xcheck.mapChunk(page, m.mpfn[c], rep);
     }
-    xcheck.finish(chunks_, rep);
+    xcheck.finish(store_.allocator(), rep);
     return rep;
 }
 
@@ -1403,9 +1205,9 @@ CompressoController::auditPage(PageNum page) const
                 ? sit->second.actual_bin.data()
                 : nullptr;
         auditor.checkCompressoPage(page, mit->second, actual_bin,
-                                   chunks_, rep);
+                                   store_.allocator(), rep);
     }
-    if (chunks_.usedChunks() > chunks_.totalChunks())
+    if (store_.allocator().usedChunks() > store_.allocator().totalChunks())
         rep.add(ViolationKind::kChunkCountBad, kNoPage, kNoChunk,
                 "allocator used > total");
     return rep;

@@ -21,13 +21,12 @@
 #ifndef COMPRESSO_CORE_COMPRESSO_CONTROLLER_H
 #define COMPRESSO_CORE_COMPRESSO_CONTROLLER_H
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_allocator.h"
+#include "core/chunk_store.h"
 #include "core/memory_controller.h"
 #include "core/offset_circuit.h"
 #include "core/predictor.h"
@@ -81,9 +80,15 @@ class CompressoController : public MemoryController
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override;
-    uint64_t mpaDataBytes() const override;
-    uint64_t mpaMetadataBytes() const override;
+    uint64_t ospaBytes() const override
+    {
+        return validPages(meta_) * kPageBytes;
+    }
+    uint64_t mpaDataBytes() const override { return store_.usedBytes(); }
+    uint64_t mpaMetadataBytes() const override
+    {
+        return validPages(meta_) * kMetadataEntryBytes;
+    }
 
     void freePage(PageNum page) override;
 
@@ -115,10 +120,7 @@ class CompressoController : public MemoryController
      *  governor's most-compressible-first emergency ballooning. */
     uint64_t pageCompressedBytes(PageNum page) const override
     {
-        auto it = meta_.find(page);
-        if (it == meta_.end() || !it->second.valid)
-            return 0;
-        return uint64_t(it->second.chunks) * kChunkBytes;
+        return pageChunkBytes(meta_, page);
     }
 
     /** Pages with a live metadata reference on the call stack
@@ -170,7 +172,7 @@ class CompressoController : public MemoryController
     MetadataEntry &pageMetaForTest(PageNum page) { return meta_[page]; }
 
     /** Chunk-allocator access for the same fault-injection tests. */
-    ChunkAllocator &chunkAllocatorForTest() { return chunks_; }
+    ChunkAllocator &chunkAllocatorForTest() { return store_.allocator(); }
 
   private:
     struct PageShadow
@@ -200,11 +202,6 @@ class CompressoController : public MemoryController
      *  inflating the page to uncompressed 4 KB (the paper's safe
      *  state). Without recovery, retire (poison) the page. */
     void recoverMetadataFault(PageNum page, McTrace &trace);
-    /** Detected-uncorrectable data fault on a demand fill: poison the
-     *  OSPA line and charge the recovery trace (retry read + poison-
-     *  pattern rewrite, which scrubs the faulty blocks). */
-    void poisonDataFault(Addr ospa_line, const MetadataEntry &m,
-                         uint32_t off, size_t len, McTrace &trace);
     /** Best-effort local repair of an audit-caught corrupt page:
      *  recompute derived fields, else retire the page to a poisoned
      *  zero state. Returns false if the damage is cross-structure
@@ -228,24 +225,17 @@ class CompressoController : public MemoryController
     /** IR slot index of line @p idx, or -1 if not inflated. */
     int inflateSlot(const MetadataEntry &m, LineIdx idx) const;
 
-    // --- functional store ---
-    void storeBytes(const MetadataEntry &m, uint32_t off,
-                    const uint8_t *src, size_t len);
-    void loadBytes(const MetadataEntry &m, uint32_t off, uint8_t *dst,
-                   size_t len) const;
-    Addr mpaOf(const MetadataEntry &m, uint32_t off) const;
-
-    /** Enqueue the device ops covering bytes [off, off+len) of a page;
-     *  returns the number of 64 B blocks touched. Ops are attributed
-     *  to @p comp; the blocks of a critical read beyond the first are
-     *  retagged device_extra (split-access cost, DESIGN.md §15). */
-    unsigned deviceOps(const MetadataEntry &m, uint32_t off, size_t len,
-                       bool write, bool critical, McTrace &trace,
-                       AttribComp comp = AttribComp::kDeviceData);
-
-    /** Grow/shrink a page's chunk allocation to @p chunks. Returns
-     *  false if machine memory is exhausted. */
-    bool resizeAlloc(MetadataEntry &m, unsigned chunks);
+    /** Who an allocation asks on machine OOM: the listener with the
+     *  innermost busy page. Nested deeper than kBusyDepth, pageBusy()
+     *  no longer covers every live entry, so no rescue is tried. */
+    OomRescue
+    oomRescue() const
+    {
+        if (busy_depth_ > kBusyDepth)
+            return {};
+        return {pressure_,
+                busy_depth_ > 0 ? busy_pages_[busy_depth_ - 1] : kNoPage};
+    }
 
     // --- compression helpers ---
     struct Encoded
@@ -275,11 +265,6 @@ class CompressoController : public MemoryController
     void repackPage(PageNum page, McTrace &trace);
     void updateFreeSpace(MetadataEntry &m, const PageShadow &sh);
 
-    // --- stream buffer (free prefetch) ---
-    bool streamBufferHit(Addr block) const;
-    void streamBufferInsert(Addr block);
-    void streamBufferInvalidate(Addr block);
-
     // --- predictor wrappers (flip detection for the event trace) ---
     void predictorPageOverflow(PageNum page);
     void predictorPageShrink(PageNum page);
@@ -287,14 +272,12 @@ class CompressoController : public MemoryController
     CompressoConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    ChunkAllocator chunks_;
     MetadataCache mdcache_;
     PageOverflowPredictor predictor_;
     OffsetCircuit offsets_;
 
     std::unordered_map<PageNum, MetadataEntry> meta_;
     std::unordered_map<PageNum, PageShadow> shadow_;
-    std::deque<Addr> stream_buf_;
     McTrace *cur_trace_ = nullptr; ///< active trace for evict hooks
 
     FaultHooks fault_;
@@ -333,12 +316,8 @@ class CompressoController : public MemoryController
     uint64_t &st_writebacks_ = stats_.stat("writebacks");
     uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
     uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_data_read_ops_ = stats_.stat("data_read_ops");
-    uint64_t &st_data_write_ops_ = stats_.stat("data_write_ops");
-    uint64_t &st_prefetch_hits_ = stats_.stat("prefetch_hits");
     uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
     uint64_t &st_md_write_ops_ = stats_.stat("md_write_ops");
-    uint64_t &st_split_extra_ops_ = stats_.stat("split_extra_ops");
     uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_line_underflows_ = stats_.stat("line_underflows");
@@ -356,12 +335,16 @@ class CompressoController : public MemoryController
     uint64_t &st_repack_write_ops_ = stats_.stat("repack_write_ops");
     uint64_t &st_fault_poison_fills_ = stats_.stat("fault_poison_fills");
     uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
-    uint64_t &st_oom_rescues_ = stats_.stat("oom_rescues");
     uint64_t &st_repacks_throttled_ = stats_.stat("repacks_throttled");
     uint64_t &st_inflations_throttled_ =
         stats_.stat("inflations_throttled");
     uint64_t &st_overflow_escalations_ =
         stats_.stat("overflow_escalations");
+
+    /** Chunk lists, device ops and the stream buffer; counts into
+     *  stats_ (declared after it and fault_ for that reason). */
+    ChunkStore store_{cfg_.installed_bytes, stats_, fault_,
+                      cfg_.stream_buffer ? cfg_.stream_buffer_blocks : 0};
 
     // Observability (src/obs): null when disabled.
     Observer *obs_ = nullptr;

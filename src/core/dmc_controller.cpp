@@ -19,7 +19,6 @@ DmcController::DmcController(const DmcConfig &cfg)
     : cfg_(cfg),
       hot_codec_(makeCompressor(cfg.hot_compressor)),
       cold_codec_(makeCompressor(cfg.cold_compressor)),
-      chunks_(cfg.installed_bytes),
       mdcache_(cfg.mdcache)
 {
     assert(hot_codec_ && cold_codec_ && "unknown compressor name");
@@ -38,6 +37,7 @@ DmcController::attachObserver(Observer *obs)
 {
     obs_ = obs;
     mdcache_.attachObserver(obs);
+    store_.attachObserver(obs);
     h_line_bytes_ =
         obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
                        : nullptr;
@@ -85,109 +85,6 @@ DmcController::hotOffset(const Page &p, LineIdx idx) const
     return off;
 }
 
-Addr
-DmcController::mpaOf(const Page &p, uint32_t off) const
-{
-    unsigned ci = off / kChunkBytes;
-    assert(ci < p.chunks);
-    Addr scattered = ((Addr(p.chunk_id[ci]) >> 3) * 0x9e3779b1ULL * 8 +
-                      (Addr(p.chunk_id[ci]) & 7)) &
-                     ((1u << 26) - 1);
-    return scattered * kChunkBytes + off % kChunkBytes;
-}
-
-void
-DmcController::storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                          size_t len)
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < p.chunks);
-        std::copy(src, src + n, chunks_.data(p.chunk_id[ci]).begin() + co);
-        src += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-void
-DmcController::loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                         size_t len) const
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < p.chunks);
-        const auto &chunk = chunks_.data(p.chunk_id[ci]);
-        std::copy(chunk.begin() + co, chunk.begin() + co + n, dst);
-        dst += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-unsigned
-DmcController::deviceOps(const Page &p, uint32_t off, size_t len,
-                         bool write, bool critical, McTrace &trace,
-                         AttribComp comp)
-{
-    if (len == 0)
-        return 0;
-    unsigned first = off / kLineBytes;
-    unsigned last = unsigned((off + len - 1) / kLineBytes);
-    for (unsigned b = first; b <= last; ++b) {
-        Addr block = mpaOf(p, b * uint32_t(kLineBytes));
-        // First critical block is the demand word; further critical
-        // blocks are split-access overhead (kDeviceExtra).
-        AttribComp op_comp = critical && b > first
-                                 ? AttribComp::kDeviceExtra
-                                 : comp;
-        trace.add(block, write, critical, op_comp);
-        ++(write ? st_data_write_ops_ : st_data_read_ops_);
-        if (write)
-            fault_.onWrite(block);
-        else if (critical)
-            fault_.onCriticalRead(block);
-    }
-    return last - first + 1;
-}
-
-bool
-DmcController::resizeAlloc(Page &p, unsigned target)
-{
-    assert(target <= kChunksPerPage);
-    while (p.chunks < target) {
-        ChunkNum c = chunks_.allocate();
-        if (c == kNoChunk && pressure_ != nullptr) {
-            // Machine OOM: emergency ballooning (governor), then one
-            // retry; pageBusy() protects the in-flight page and the
-            // epoch-decay migration target.
-            if (pressure_->onMachineOom(busy_page_)) {
-                c = chunks_.allocate();
-                if (c != kNoChunk) {
-                    ++st_oom_rescues_;
-                    CPR_OBS_EVENT(obs_, ObsEvent::kOomRescue, busy_page_,
-                                  1);
-                }
-            }
-        }
-        if (c == kNoChunk) {
-            ++stats_["machine_oom"];
-            return false;
-        }
-        p.chunk_id[p.chunks++] = uint32_t(c);
-    }
-    while (p.chunks > target) {
-        --p.chunks;
-        chunks_.release(p.chunk_id[p.chunks]);
-        p.chunk_id[p.chunks] = kNoChunk;
-    }
-    return true;
-}
-
 void
 DmcController::readHotLine(const Page &p, LineIdx idx, Line &out) const
 {
@@ -198,11 +95,11 @@ DmcController::readHotLine(const Page &p, LineIdx idx, Line &out) const
     uint16_t sz = compressoBins().binSize(p.code[idx]);
     uint32_t off = hotOffset(p, idx);
     if (sz == kLineBytes) {
-        loadBytes(p, off, out.data(), kLineBytes);
+        store_.loadBytes(p.chunk_id, off, out.data(), kLineBytes);
         return;
     }
     uint8_t buf[kLineBytes];
-    loadBytes(p, off, buf, sz);
+    store_.loadBytes(p.chunk_id, off, buf, sz);
     BitReader r(buf, size_t(sz) * 8);
     bool ok = hot_codec_->decompress(r, out);
     assert(ok && "corrupt DMC hot slot");
@@ -223,7 +120,7 @@ DmcController::gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
             readHotLine(p, l, buf[l]);
         if (trace) {
             uint32_t used = hotPack(p);
-            deviceOps(p, 0, used, false, false, *trace, comp);
+            store_.deviceOps(p.chunk_id, 0, used, false, false, *trace, comp);
         }
         return;
     }
@@ -231,7 +128,7 @@ DmcController::gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
     uint32_t off = 0;
     for (unsigned b = 0; b < kColdBlocks; ++b) {
         std::vector<uint8_t> raw(p.cold_bytes[b]);
-        loadBytes(p, off, raw.data(), raw.size());
+        store_.loadBytes(p.chunk_id, off, raw.data(), raw.size());
         BitReader r(raw.data(), raw.size() * 8);
         for (unsigned l = 0; l < kLinesPerColdBlock; ++l) {
             bool ok = cold_codec_->decompress(
@@ -240,8 +137,8 @@ DmcController::gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
             (void)ok;
         }
         if (trace)
-            deviceOps(p, off, p.cold_bytes[b], false, false, *trace,
-                      comp);
+            store_.deviceOps(p.chunk_id, off, p.cold_bytes[b], false, false,
+                             *trace, comp);
         off += p.cold_bytes[b];
     }
 }
@@ -270,26 +167,27 @@ DmcController::layoutHot(Page &p,
     if (all_zero) {
         p.zero = true;
         p.code.fill(0);
-        resizeAlloc(p, 0);
+        store_.resize(p.chunks, p.chunk_id, 0);
         return;
     }
     for (uint8_t c : p.code)
         pack += compressoBins().binSize(c);
     uint32_t alloc = pageBinBytes(uint32_t(roundUp(pack, kLineBytes)),
                                   PageSizing::kVariable4);
-    resizeAlloc(p, (alloc + uint32_t(kChunkBytes) - 1) /
-                       uint32_t(kChunkBytes));
+    store_.resize(p.chunks, p.chunk_id,
+                  (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
+                  {pressure_, busy_page_});
     for (LineIdx l = 0; l < kLinesPerPage; ++l) {
         if (p.code[l] == 0)
             continue;
         uint32_t off = hotOffset(p, l);
         if (compressoBins().binSize(p.code[l]) == kLineBytes)
-            storeBytes(p, off, buf[l].data(), kLineBytes);
+            store_.storeBytes(p.chunk_id, off, buf[l].data(), kLineBytes);
         else
-            storeBytes(p, off, enc[l].data(), enc[l].size());
+            store_.storeBytes(p.chunk_id, off, enc[l].data(), enc[l].size());
     }
-    deviceOps(p, 0, uint32_t(roundUp(pack, kLineBytes)), true, false,
-              trace, comp);
+    store_.deviceOps(p.chunk_id, 0, uint32_t(roundUp(pack, kLineBytes)), true,
+                     false, trace, comp);
 }
 
 void
@@ -324,15 +222,17 @@ DmcController::demoteToCold(PageNum pn, Page &p, McTrace &trace)
                                 trace.ops.size() - ops_before);
         return;
     }
-    resizeAlloc(p, (alloc + uint32_t(kChunkBytes) - 1) /
-                       uint32_t(kChunkBytes));
+    store_.resize(p.chunks, p.chunk_id,
+                  (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
+                  {pressure_, busy_page_});
     p.cold = true;
     uint32_t off = 0;
     for (unsigned b = 0; b < kColdBlocks; ++b) {
-        storeBytes(p, off, blocks[b].data(), blocks[b].size());
+        store_.storeBytes(p.chunk_id, off, blocks[b].data(), blocks[b].size());
         off += p.cold_bytes[b];
     }
-    deviceOps(p, 0, total, true, false, trace, AttribComp::kRepack);
+    store_.deviceOps(p.chunk_id, 0, total, true, false, trace,
+                     AttribComp::kRepack);
     ++st_demotions_;
     CPR_OBS_EVENT(obs_, ObsEvent::kRepack, pn, 0);
     if (pressure_ != nullptr)
@@ -441,8 +341,8 @@ DmcController::recoverMetadataFault(PageNum pn, McTrace &trace)
             } else {
                 used = hotPack(p);
             }
-            deviceOps(p, 0, used, false, false, trace,
-                      AttribComp::kFaultRecovery);
+            store_.deviceOps(p.chunk_id, 0, used, false, false, trace,
+                             AttribComp::kFaultRecovery);
         }
         trace.add(metadataAddr(pn), true, false,
                   AttribComp::kFaultRecovery);
@@ -472,12 +372,13 @@ DmcController::recoverMetadataFault(PageNum pn, McTrace &trace)
             p.cold_bytes.fill(0);
             for (LineIdx l = 0; l < kLinesPerPage; ++l)
                 p.code[l] = uint8_t(compressoBins().count() - 1);
-            resizeAlloc(p, unsigned(kChunksPerPage));
+            store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
+                          {pressure_, busy_page_});
             for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                storeBytes(p, hotOffset(p, l), buf[l].data(),
-                           kLineBytes);
-            deviceOps(p, 0, kPageBytes, true, false, trace,
-                      AttribComp::kFaultRecovery);
+                store_.storeBytes(p.chunk_id, hotOffset(p, l), buf[l].data(),
+                                  kLineBytes);
+            store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
+                             AttribComp::kFaultRecovery);
             meta_rebuilds_.erase(pn);
         }
     }
@@ -487,24 +388,6 @@ DmcController::recoverMetadataFault(PageNum pn, McTrace &trace)
     stats_["fault_recovery_ops"] += ops;
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
-}
-
-void
-DmcController::poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                               size_t len, McTrace &trace)
-{
-    fault_.poisonLine(ospa_line);
-    ++stats_["fault_lines_poisoned"];
-    CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pageOf(ospa_line),
-                  uint32_t(FaultRung::kLinePoison));
-    size_t before = trace.ops.size();
-    deviceOps(p, off, len, false, false, trace,
-              AttribComp::kFaultRecovery); // retry read
-    deviceOps(p, off, len, true, false, trace,
-              AttribComp::kFaultRecovery); // poison rewrite
-    uint64_t ops = trace.ops.size() - before;
-    fault_.injector()->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
 }
 
 void
@@ -542,19 +425,19 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
         uint32_t off = 0;
         for (unsigned i = 0; i < b; ++i)
             off += p.cold_bytes[i];
-        deviceOps(p, off, p.cold_bytes[b], false, true, trace);
+        store_.deviceOps(p.chunk_id, off, p.cold_bytes[b], false, true, trace);
         trace.addFixed(AttribComp::kDecompress, cfg_.cold_latency);
         ++st_cold_block_reads_;
         if (fault_.takePending() == FaultOutcome::kDetected) {
-            poisonDataFault(lineAddr(addr), p, off, p.cold_bytes[b],
-                            trace);
+            store_.poisonLine(lineAddr(addr), p.chunk_id, off, p.cold_bytes[b],
+                              trace);
             data.fill(0);
             cur_trace_ = nullptr;
             return;
         }
 
         std::vector<uint8_t> raw(p.cold_bytes[b]);
-        loadBytes(p, off, raw.data(), raw.size());
+        store_.loadBytes(p.chunk_id, off, raw.data(), raw.size());
         BitReader r(raw.data(), raw.size() * 8);
         Line tmp;
         for (unsigned l = 0; l <= idx % kLinesPerColdBlock; ++l) {
@@ -578,14 +461,10 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     // Offset adder, folded into the metadata component like
     // Compresso's offset circuit (DESIGN.md §15).
     trace.addFixed(AttribComp::kMdcacheHit, 1);
-    unsigned blocks = deviceOps(p, off, sz, false, true, trace);
-    if (blocks > 1) {
-        ++st_split_fill_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-    }
+    store_.lineAccess(p.chunk_id, pn, off, sz, false, trace,
+                      st_split_fill_lines_);
     if (fault_.takePending() == FaultOutcome::kDetected) {
-        poisonDataFault(lineAddr(addr), p, off, sz, trace);
+        store_.poisonLine(lineAddr(addr), p.chunk_id, off, sz, trace);
         data.fill(0);
         cur_trace_ = nullptr;
         return;
@@ -658,11 +537,12 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
                                  kLineBytes
                              ? kLineBytes
                              : std::max<size_t>(w.bytes().size(), 1);
-            deviceOps(p, off, len, true, false, trace);
+            store_.deviceOps(p.chunk_id, off, len, true, false, trace);
             if (compressoBins().binSize(p.code[idx]) == kLineBytes)
-                storeBytes(p, off, data.data(), kLineBytes);
+                store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
             else
-                storeBytes(p, off, w.bytes().data(), w.bytes().size());
+                store_.storeBytes(p.chunk_id, off, w.bytes().data(),
+                                  w.bytes().size());
         }
     } else {
         // No inflation room in DMC: every overflow re-lays the page
@@ -684,37 +564,13 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     cur_trace_ = nullptr;
 }
 
-uint64_t
-DmcController::ospaBytes() const
-{
-    uint64_t n = 0;
-    for (const auto &[pn, p] : pages_)
-        n += p.valid ? kPageBytes : 0;
-    return n;
-}
-
-uint64_t
-DmcController::mpaDataBytes() const
-{
-    return chunks_.usedBytes();
-}
-
-uint64_t
-DmcController::mpaMetadataBytes() const
-{
-    uint64_t valid = 0;
-    for (const auto &[pn, p] : pages_)
-        valid += p.valid ? 1 : 0;
-    return valid * kMetadataEntryBytes;
-}
-
 void
 DmcController::freePage(PageNum pn)
 {
     auto it = pages_.find(pn);
     if (it == pages_.end() || !it->second.valid)
         return;
-    resizeAlloc(it->second, 0);
+    store_.resize(it->second.chunks, it->second.chunk_id, 0);
     it->second = Page{};
     mdcache_.invalidate(pn);
     fault_.clearPagePoison(pn);
@@ -725,7 +581,7 @@ DmcController::freePage(PageNum pn)
 AuditReport
 DmcController::audit() const
 {
-    return InvariantAuditor::auditChunkMap(pages_, chunks_);
+    return InvariantAuditor::auditChunkMap(pages_, store_.allocator());
 }
 
 } // namespace compresso

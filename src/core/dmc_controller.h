@@ -30,7 +30,7 @@
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_allocator.h"
+#include "core/chunk_store.h"
 #include "core/memory_controller.h"
 #include "core/pressure_hooks.h"
 #include "fault/fault_hooks.h"
@@ -64,9 +64,15 @@ class DmcController : public MemoryController
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override;
-    uint64_t mpaDataBytes() const override;
-    uint64_t mpaMetadataBytes() const override;
+    uint64_t ospaBytes() const override
+    {
+        return validPages(pages_) * kPageBytes;
+    }
+    uint64_t mpaDataBytes() const override { return store_.usedBytes(); }
+    uint64_t mpaMetadataBytes() const override
+    {
+        return validPages(pages_) * kMetadataEntryBytes;
+    }
 
     void freePage(PageNum page) override;
 
@@ -96,10 +102,7 @@ class DmcController : public MemoryController
      *  governor reclaim-ranking input. */
     uint64_t pageCompressedBytes(PageNum pn) const override
     {
-        auto it = pages_.find(pn);
-        if (it == pages_.end() || !it->second.valid)
-            return 0;
-        return uint64_t(it->second.chunks) * kChunkBytes;
+        return pageChunkBytes(pages_, pn);
     }
 
     /** Pages with live references on the call stack (the op's page
@@ -153,16 +156,6 @@ class DmcController : public MemoryController
         return uint32_t(p.chunks) * uint32_t(kChunkBytes);
     }
 
-    Addr mpaOf(const Page &p, uint32_t off) const;
-    void storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                    size_t len);
-    void loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                   size_t len) const;
-    unsigned deviceOps(const Page &p, uint32_t off, size_t len,
-                       bool write, bool critical, McTrace &trace,
-                       AttribComp comp = AttribComp::kDeviceData);
-    bool resizeAlloc(Page &p, unsigned chunks);
-
     void readHotLine(const Page &p, LineIdx idx, Line &out) const;
     /** Rewrite the page in hot representation with the given data. */
     void layoutHot(Page &p, const std::array<Line, kLinesPerPage> &buf,
@@ -183,15 +176,10 @@ class DmcController : public MemoryController
      *  re-lay the page out raw/hot so slot lookups no longer depend on
      *  the entry. Without recovery, retire the page. */
     void recoverMetadataFault(PageNum pn, McTrace &trace);
-    /** Data DUE on a demand fill: poison the line, charge retry +
-     *  poison-pattern rewrite (which scrubs the blocks). */
-    void poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                         size_t len, McTrace &trace);
 
     DmcConfig cfg_;
     std::unique_ptr<Compressor> hot_codec_;
     std::unique_ptr<Compressor> cold_codec_;
-    ChunkAllocator chunks_;
     MetadataCache mdcache_;
     std::unordered_map<PageNum, Page> pages_;
     uint64_t epoch_wbs_ = 0;
@@ -206,11 +194,8 @@ class DmcController : public MemoryController
     uint64_t &st_writebacks_ = stats_.stat("writebacks");
     uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
     uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_data_read_ops_ = stats_.stat("data_read_ops");
-    uint64_t &st_data_write_ops_ = stats_.stat("data_write_ops");
     uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
     uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
-    uint64_t &st_split_extra_ops_ = stats_.stat("split_extra_ops");
     uint64_t &st_migration_ops_ = stats_.stat("migration_ops");
     uint64_t &st_demotions_ = stats_.stat("demotions");
     uint64_t &st_promotions_ = stats_.stat("promotions");
@@ -219,9 +204,12 @@ class DmcController : public MemoryController
     uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
     uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
-    uint64_t &st_oom_rescues_ = stats_.stat("oom_rescues");
     uint64_t &st_demotions_throttled_ =
         stats_.stat("demotions_throttled");
+
+    /** Chunk lists and device ops; counts into stats_ (declared after
+     *  it and fault_ for that reason). */
+    ChunkStore store_{cfg_.installed_bytes, stats_, fault_};
 
     PressureListener *pressure_ = nullptr;
     PageNum busy_page_ = kNoPage;      ///< valid while cur_trace_ set

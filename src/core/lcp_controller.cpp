@@ -21,7 +21,6 @@ LcpController::LcpController(const LcpConfig &cfg)
     : cfg_(cfg),
       bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
       codec_(makeCompressor(cfg.compressor)),
-      chunks_(cfg.installed_bytes),
       mdcache_(cfg.mdcache)
 {
     assert(codec_ && "unknown compressor name");
@@ -40,6 +39,7 @@ LcpController::attachObserver(Observer *obs)
 {
     obs_ = obs;
     mdcache_.attachObserver(obs);
+    store_.attachObserver(obs);
     h_line_bytes_ =
         obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
                        : nullptr;
@@ -82,125 +82,6 @@ LcpController::excCapacity(const Page &p) const
                               kMaxExceptionPtrs);
 }
 
-Addr
-LcpController::mpaOf(const Page &p, uint32_t off) const
-{
-    unsigned ci = off / kChunkBytes;
-    assert(ci < p.chunks);
-    // Same chunk scattering as the Compresso controller (see there):
-    // avoids overstating compressed-side DRAM row locality.
-    Addr scattered =
-        ((Addr(p.chunk_id[ci]) >> 3) * 0x9e3779b1ULL * 8 + (Addr(p.chunk_id[ci]) & 7)) &
-        ((1u << 26) - 1);
-    return scattered * kChunkBytes + off % kChunkBytes;
-}
-
-void
-LcpController::storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                          size_t len)
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        std::copy(src, src + n, chunks_.data(p.chunk_id[ci]).begin() + co);
-        src += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-void
-LcpController::loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                         size_t len) const
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        const auto &chunk = chunks_.data(p.chunk_id[ci]);
-        std::copy(chunk.begin() + co, chunk.begin() + co + n, dst);
-        dst += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-unsigned
-LcpController::deviceOps(const Page &p, uint32_t off, size_t len,
-                         bool write, bool critical, McTrace &trace,
-                         AttribComp comp)
-{
-    if (len == 0)
-        return 0;
-    unsigned first = off / kLineBytes;
-    unsigned last = unsigned((off + len - 1) / kLineBytes);
-    unsigned issued = 0;
-    for (unsigned b = first; b <= last; ++b) {
-        Addr block = mpaOf(p, b * uint32_t(kLineBytes));
-        // First critical block is the demand word; further critical
-        // blocks are split-access overhead (kDeviceExtra).
-        AttribComp op_comp = critical && issued > 0
-                                 ? AttribComp::kDeviceExtra
-                                 : comp;
-        if (write) {
-            streamBufferInvalidate(block);
-            trace.add(block, true, critical, op_comp);
-            ++issued;
-            ++st_data_write_ops_;
-            fault_.onWrite(block);
-        } else {
-            if (critical && cfg_.stream_buffer && streamBufferHit(block)) {
-                ++st_prefetch_hits_;
-                continue;
-            }
-            trace.add(block, false, critical, op_comp);
-            ++issued;
-            ++st_data_read_ops_;
-            // Demand-critical reads are the architecturally exposed
-            // ones; background traffic rewrites and scrubs.
-            if (critical)
-                fault_.onCriticalRead(block);
-            if (critical && cfg_.stream_buffer)
-                streamBufferInsert(block);
-        }
-    }
-    return last - first + 1;
-}
-
-bool
-LcpController::resizeAlloc(Page &p, unsigned target)
-{
-    assert(target <= kChunksPerPage);
-    while (p.chunks < target) {
-        ChunkNum c = chunks_.allocate();
-        if (c == kNoChunk && pressure_ != nullptr) {
-            // Machine OOM: emergency ballooning (governor), then one
-            // retry. pageBusy() keeps the reclaim off the page whose
-            // operation is in flight.
-            if (pressure_->onMachineOom(busy_page_)) {
-                c = chunks_.allocate();
-                if (c != kNoChunk) {
-                    ++st_oom_rescues_;
-                    CPR_OBS_EVENT(obs_, ObsEvent::kOomRescue, busy_page_,
-                                  1);
-                }
-            }
-        }
-        if (c == kNoChunk) {
-            ++stats_["machine_oom"];
-            return false;
-        }
-        p.chunk_id[p.chunks++] = uint32_t(c);
-    }
-    while (p.chunks > target) {
-        --p.chunks;
-        chunks_.release(p.chunk_id[p.chunks]);
-        p.chunk_id[p.chunks] = kNoChunk;
-    }
-    return true;
-}
-
 LcpController::Encoded
 LcpController::encodeLine(const Line &data) const
 {
@@ -220,15 +101,17 @@ LcpController::readStored(const Page &p, LineIdx idx, Line &out) const
         return;
     }
     if (p.exc_slot[idx] != 0xff) {
-        loadBytes(p, excOffset(p, p.exc_slot[idx]), out.data(), kLineBytes);
+        store_.loadBytes(p.chunk_id, excOffset(p, p.exc_slot[idx]), out.data(),
+                         kLineBytes);
         return;
     }
     if (p.target == kLineBytes) {
-        loadBytes(p, slotOffset(p, idx), out.data(), kLineBytes);
+        store_.loadBytes(p.chunk_id, slotOffset(p, idx), out.data(),
+                         kLineBytes);
         return;
     }
     uint8_t buf[kLineBytes];
-    loadBytes(p, slotOffset(p, idx), buf, p.target);
+    store_.loadBytes(p.chunk_id, slotOffset(p, idx), buf, p.target);
     BitReader r(buf, size_t(p.target) * 8);
     bool ok = codec_->decompress(r, out);
     assert(ok && "corrupt LCP slot");
@@ -254,7 +137,8 @@ LcpController::initialAllocate(Page &p, const Encoded &enc)
     uint32_t want = uint32_t(kLinesPerPage) * target;
     uint32_t alloc = pageBinBytes(std::min<uint32_t>(want, kPageBytes),
                                   PageSizing::kVariable4);
-    resizeAlloc(p, unsigned(alloc / kChunkBytes));
+    store_.resize(p.chunks, p.chunk_id, unsigned(alloc / kChunkBytes),
+                  {pressure_, busy_page_});
     p.zero = false;
     p.zero_line.set(); // all lines are zero until written
 }
@@ -267,18 +151,14 @@ LcpController::writeStored(PageNum pn, Page &p, LineIdx idx,
     // Caller guarantees the line fits its slot.
     uint32_t off = slotOffset(p, idx);
     if (p.target == kLineBytes) {
-        deviceOps(p, off, kLineBytes, true, false, trace);
-        storeBytes(p, off, raw.data(), kLineBytes);
+        store_.deviceOps(p.chunk_id, off, kLineBytes, true, false, trace);
+        store_.storeBytes(p.chunk_id, off, raw.data(), kLineBytes);
         return;
     }
     size_t len = std::max<size_t>(enc.bytes.size(), 1);
-    unsigned blocks = deviceOps(p, off, len, true, false, trace);
-    if (blocks > 1) {
-        ++st_split_wb_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-    }
-    storeBytes(p, off, enc.bytes.data(), enc.bytes.size());
+    store_.lineAccess(p.chunk_id, pn, off, len, true, trace,
+                      st_split_wb_lines_);
+    store_.storeBytes(p.chunk_id, off, enc.bytes.data(), enc.bytes.size());
 }
 
 void
@@ -331,7 +211,8 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
 
     uint32_t old_used = allocBytes(p);
     st_overflow_move_ops_ += old_used / kLineBytes;
-    deviceOps(p, 0, old_used, false, false, trace, relayout_comp);
+    store_.deviceOps(p.chunk_id, 0, old_used, false, false, trace,
+                     relayout_comp);
 
     // Re-layout with the best target for the actual sizes.
     std::array<LineSize, kLinesPerPage> sizes;
@@ -354,7 +235,8 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
                     layout.exception_count * uint32_t(kLineBytes);
     uint32_t alloc = pageBinBytes(std::min<uint32_t>(want, kPageBytes),
                                   PageSizing::kVariable4);
-    resizeAlloc(p, unsigned(alloc / kChunkBytes));
+    store_.resize(p.chunks, p.chunk_id, unsigned(alloc / kChunkBytes),
+                  {pressure_, busy_page_});
 
     p.exc_slot.fill(0xff);
     p.exc_map.reset();
@@ -366,21 +248,23 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
             p.exc_slot[i] = next_exc;
             p.exc_map.set(next_exc);
             ++next_exc;
-            storeBytes(p, excOffset(p, p.exc_slot[i]), buf[i].data(),
-                       kLineBytes);
+            store_.storeBytes(p.chunk_id, excOffset(p, p.exc_slot[i]),
+                              buf[i].data(), kLineBytes);
         } else if (p.target == kLineBytes) {
-            storeBytes(p, slotOffset(p, i), buf[i].data(), kLineBytes);
+            store_.storeBytes(p.chunk_id, slotOffset(p, i), buf[i].data(),
+                              kLineBytes);
         } else {
             BitWriter w;
             codec_->compress(buf[i], w);
-            storeBytes(p, slotOffset(p, i), w.bytes().data(),
-                       w.bytes().size());
+            store_.storeBytes(p.chunk_id, slotOffset(p, i), w.bytes().data(),
+                              w.bytes().size());
         }
     }
     uint32_t new_used = uint32_t(kLinesPerPage) * p.target +
                         uint32_t(next_exc) * uint32_t(kLineBytes);
     st_overflow_move_ops_ += (new_used + kLineBytes - 1) / kLineBytes;
-    deviceOps(p, 0, new_used, true, false, trace, relayout_comp);
+    store_.deviceOps(p.chunk_id, 0, new_used, true, false, trace,
+                     relayout_comp);
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kRelocation,
                             uint64_t(old_used / kLineBytes) +
@@ -448,19 +332,20 @@ LcpController::recoverMetadataFault(PageNum pn, McTrace &trace)
             std::array<Line, kLinesPerPage> buf;
             for (LineIdx i = 0; i < kLinesPerPage; ++i)
                 readStored(p, i, buf[i]);
-            deviceOps(p, 0, allocBytes(p), false, false, trace,
-                      AttribComp::kFaultRecovery);
-            resizeAlloc(p, unsigned(kChunksPerPage));
+            store_.deviceOps(p.chunk_id, 0, allocBytes(p), false, false, trace,
+                             AttribComp::kFaultRecovery);
+            store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
+                          {pressure_, busy_page_});
             p.target = uint16_t(kLineBytes);
             p.exc_slot.fill(0xff);
             p.exc_map.reset();
             for (LineIdx i = 0; i < kLinesPerPage; ++i) {
                 if (!p.zero_line[i])
-                    storeBytes(p, slotOffset(p, i), buf[i].data(),
-                               kLineBytes);
+                    store_.storeBytes(p.chunk_id, slotOffset(p, i),
+                                      buf[i].data(), kLineBytes);
             }
-            deviceOps(p, 0, kPageBytes, true, false, trace,
-                      AttribComp::kFaultRecovery);
+            store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
+                             AttribComp::kFaultRecovery);
             meta_rebuilds_.erase(pn);
         }
     }
@@ -470,24 +355,6 @@ LcpController::recoverMetadataFault(PageNum pn, McTrace &trace)
     stats_["fault_recovery_ops"] += ops;
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
-}
-
-void
-LcpController::poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                               size_t len, McTrace &trace)
-{
-    fault_.poisonLine(ospa_line);
-    ++stats_["fault_lines_poisoned"];
-    CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pageOf(ospa_line),
-                  uint32_t(FaultRung::kLinePoison));
-    size_t before = trace.ops.size();
-    deviceOps(p, off, len, false, false, trace,
-              AttribComp::kFaultRecovery); // retry read
-    deviceOps(p, off, len, true, false, trace,
-              AttribComp::kFaultRecovery); // poison rewrite
-    uint64_t ops = trace.ops.size() - before;
-    fault_.injector()->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
 }
 
 void
@@ -522,35 +389,31 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
     // the target size in the OS-aware design).
     trace.speculative_parallel = cfg_.speculative_access;
     uint32_t off = slotOffset(p, idx);
-    unsigned blocks = deviceOps(p, off, p.target, false, true, trace);
-    if (blocks > 1) {
-        ++st_split_fill_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-    }
+    unsigned blocks = store_.lineAccess(p.chunk_id, pn, off, p.target, false,
+                                        trace, st_split_fill_lines_);
 
     if (p.exc_slot[idx] != 0xff) {
         // Speculation failed: serialized exception access.
         ++st_exception_accesses_;
         st_exception_extra_ops_ += blocks; // the wasted slot read
-        deviceOps(p, excOffset(p, p.exc_slot[idx]), kLineBytes, false,
-                  true, trace, AttribComp::kDeviceExtra);
+        store_.deviceOps(p.chunk_id, excOffset(p, p.exc_slot[idx]), kLineBytes,
+                         false, true, trace, AttribComp::kDeviceExtra);
         if (fault_.takePending() == FaultOutcome::kDetected) {
-            poisonDataFault(lineAddr(addr), p,
-                            excOffset(p, p.exc_slot[idx]), kLineBytes,
-                            trace);
+            store_.poisonLine(lineAddr(addr), p.chunk_id,
+                              excOffset(p, p.exc_slot[idx]), kLineBytes,
+                              trace);
             data.fill(0);
             cur_trace_ = nullptr;
             return;
         }
-        loadBytes(p, excOffset(p, p.exc_slot[idx]), data.data(),
-                  kLineBytes);
+        store_.loadBytes(p.chunk_id, excOffset(p, p.exc_slot[idx]),
+                         data.data(), kLineBytes);
         cur_trace_ = nullptr;
         return;
     }
 
     if (fault_.takePending() == FaultOutcome::kDetected) {
-        poisonDataFault(lineAddr(addr), p, off, p.target, trace);
+        store_.poisonLine(lineAddr(addr), p.chunk_id, off, p.target, trace);
         data.fill(0);
         cur_trace_ = nullptr;
         return;
@@ -653,8 +516,8 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     if (p.exc_slot[idx] != 0xff) {
         // Already an exception: overwrite in place.
         uint32_t off = excOffset(p, p.exc_slot[idx]);
-        deviceOps(p, off, kLineBytes, true, false, trace);
-        storeBytes(p, off, data.data(), kLineBytes);
+        store_.deviceOps(p.chunk_id, off, kLineBytes, true, false, trace);
+        store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
         cur_trace_ = nullptr;
         return;
     }
@@ -670,9 +533,9 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         p.exc_slot[idx] = uint8_t(free_slot);
         p.exc_map.set(free_slot);
         uint32_t off = excOffset(p, p.exc_slot[idx]);
-        deviceOps(p, off, kLineBytes, true, false, trace,
-                  AttribComp::kOverflowRelayout);
-        storeBytes(p, off, data.data(), kLineBytes);
+        store_.deviceOps(p.chunk_id, off, kLineBytes, true, false, trace,
+                         AttribComp::kOverflowRelayout);
+        store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
         ++st_ir_placements_;
         cur_trace_ = nullptr;
         return;
@@ -682,37 +545,13 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     cur_trace_ = nullptr;
 }
 
-uint64_t
-LcpController::ospaBytes() const
-{
-    uint64_t n = 0;
-    for (const auto &[pn, p] : pages_)
-        n += p.valid ? kPageBytes : 0;
-    return n;
-}
-
-uint64_t
-LcpController::mpaDataBytes() const
-{
-    return chunks_.usedBytes();
-}
-
-uint64_t
-LcpController::mpaMetadataBytes() const
-{
-    uint64_t valid = 0;
-    for (const auto &[pn, p] : pages_)
-        valid += p.valid ? 1 : 0;
-    return valid * kMetadataEntryBytes;
-}
-
 void
 LcpController::freePage(PageNum pn)
 {
     auto it = pages_.find(pn);
     if (it == pages_.end() || !it->second.valid)
         return;
-    resizeAlloc(it->second, 0);
+    store_.resize(it->second.chunks, it->second.chunk_id, 0);
     it->second = Page{};
     mdcache_.invalidate(pn);
     fault_.clearPagePoison(pn);
@@ -723,30 +562,7 @@ LcpController::freePage(PageNum pn)
 AuditReport
 LcpController::audit() const
 {
-    return InvariantAuditor::auditChunkMap(pages_, chunks_);
-}
-
-bool
-LcpController::streamBufferHit(Addr block) const
-{
-    return std::find(stream_buf_.begin(), stream_buf_.end(), block) !=
-           stream_buf_.end();
-}
-
-void
-LcpController::streamBufferInsert(Addr block)
-{
-    stream_buf_.push_back(block);
-    while (stream_buf_.size() > cfg_.stream_buffer_blocks)
-        stream_buf_.pop_front();
-}
-
-void
-LcpController::streamBufferInvalidate(Addr block)
-{
-    auto it = std::find(stream_buf_.begin(), stream_buf_.end(), block);
-    if (it != stream_buf_.end())
-        stream_buf_.erase(it);
+    return InvariantAuditor::auditChunkMap(pages_, store_.allocator());
 }
 
 } // namespace compresso

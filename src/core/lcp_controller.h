@@ -25,13 +25,12 @@
 #define COMPRESSO_CORE_LCP_CONTROLLER_H
 
 #include <bitset>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_allocator.h"
+#include "core/chunk_store.h"
 #include "core/memory_controller.h"
 #include "core/pressure_hooks.h"
 #include "fault/fault_hooks.h"
@@ -73,9 +72,15 @@ class LcpController : public MemoryController
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override;
-    uint64_t mpaDataBytes() const override;
-    uint64_t mpaMetadataBytes() const override;
+    uint64_t ospaBytes() const override
+    {
+        return validPages(pages_) * kPageBytes;
+    }
+    uint64_t mpaDataBytes() const override { return store_.usedBytes(); }
+    uint64_t mpaMetadataBytes() const override
+    {
+        return validPages(pages_) * kMetadataEntryBytes;
+    }
 
     void freePage(PageNum page) override;
 
@@ -106,10 +111,7 @@ class LcpController : public MemoryController
      *  governor reclaim-ranking input. */
     uint64_t pageCompressedBytes(PageNum pn) const override
     {
-        auto it = pages_.find(pn);
-        if (it == pages_.end() || !it->second.valid)
-            return 0;
-        return uint64_t(it->second.chunks) * kChunkBytes;
+        return pageChunkBytes(pages_, pn);
     }
 
     /** The page of the in-flight operation must not be reclaimed. */
@@ -173,16 +175,6 @@ class LcpController : public MemoryController
                slot * uint32_t(kLineBytes);
     }
 
-    Addr mpaOf(const Page &p, uint32_t off) const;
-    void storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                    size_t len);
-    void loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                   size_t len) const;
-    unsigned deviceOps(const Page &p, uint32_t off, size_t len, bool write,
-                       bool critical, McTrace &trace,
-                       AttribComp comp = AttribComp::kDeviceData);
-    bool resizeAlloc(Page &p, unsigned chunks);
-
     struct Encoded
     {
         std::vector<uint8_t> bytes;
@@ -206,22 +198,12 @@ class LcpController : public MemoryController
      *  page uncompressed (target 64 B). Without recovery, retire the
      *  page. */
     void recoverMetadataFault(PageNum pn, McTrace &trace);
-    /** Data DUE on a demand fill: poison the line, charge retry +
-     *  poison-pattern rewrite (which scrubs the blocks). */
-    void poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                         size_t len, McTrace &trace);
-
-    bool streamBufferHit(Addr block) const;
-    void streamBufferInsert(Addr block);
-    void streamBufferInvalidate(Addr block);
 
     LcpConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    ChunkAllocator chunks_;
     MetadataCache mdcache_;
     std::unordered_map<PageNum, Page> pages_;
-    std::deque<Addr> stream_buf_;
     McTrace *cur_trace_ = nullptr;
 
     FaultHooks fault_;
@@ -236,13 +218,9 @@ class LcpController : public MemoryController
     uint64_t &st_writebacks_ = stats_.stat("writebacks");
     uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
     uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_data_read_ops_ = stats_.stat("data_read_ops");
-    uint64_t &st_data_write_ops_ = stats_.stat("data_write_ops");
     uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
-    uint64_t &st_prefetch_hits_ = stats_.stat("prefetch_hits");
     uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
-    uint64_t &st_split_extra_ops_ = stats_.stat("split_extra_ops");
     uint64_t &st_co_fetched_lines_ = stats_.stat("co_fetched_lines");
     uint64_t &st_page_overflows_ = stats_.stat("page_overflows");
     uint64_t &st_page_faults_ = stats_.stat("page_faults");
@@ -255,9 +233,13 @@ class LcpController : public MemoryController
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
     uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_ir_placements_ = stats_.stat("ir_placements");
-    uint64_t &st_oom_rescues_ = stats_.stat("oom_rescues");
     uint64_t &st_overflow_escalations_ =
         stats_.stat("overflow_escalations");
+
+    /** Chunk lists, device ops and the stream buffer; counts into
+     *  stats_ (declared after it and fault_ for that reason). */
+    ChunkStore store_{cfg_.installed_bytes, stats_, fault_,
+                      cfg_.stream_buffer ? cfg_.stream_buffer_blocks : 0};
 
     Observer *obs_ = nullptr;
     Histogram *h_line_bytes_ = nullptr; ///< owned by the Observer

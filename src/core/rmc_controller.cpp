@@ -19,7 +19,6 @@ RmcController::RmcController(const RmcConfig &cfg)
     : cfg_(cfg),
       bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
       codec_(makeCompressor(cfg.compressor)),
-      chunks_(cfg.installed_bytes),
       bst_(cfg.bst)
 {
     assert(codec_ && "unknown compressor name");
@@ -38,6 +37,7 @@ RmcController::attachObserver(Observer *obs)
 {
     obs_ = obs;
     bst_.attachObserver(obs);
+    store_.attachObserver(obs);
     h_line_bytes_ =
         obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
                        : nullptr;
@@ -96,108 +96,6 @@ RmcController::lineOffset(const Page &p, LineIdx idx) const
     return off;
 }
 
-Addr
-RmcController::mpaOf(const Page &p, uint32_t off) const
-{
-    unsigned ci = off / kChunkBytes;
-    assert(ci < p.chunks);
-    Addr scattered =
-        ((Addr(p.chunk_id[ci]) >> 3) * 0x9e3779b1ULL * 8 + (Addr(p.chunk_id[ci]) & 7)) &
-        ((1u << 26) - 1);
-    return scattered * kChunkBytes + off % kChunkBytes;
-}
-
-void
-RmcController::storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                          size_t len)
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < p.chunks);
-        std::copy(src, src + n, chunks_.data(p.chunk_id[ci]).begin() + co);
-        src += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-void
-RmcController::loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                         size_t len) const
-{
-    while (len > 0) {
-        unsigned ci = off / kChunkBytes;
-        unsigned co = off % kChunkBytes;
-        size_t n = std::min(len, kChunkBytes - co);
-        assert(ci < p.chunks);
-        const auto &chunk = chunks_.data(p.chunk_id[ci]);
-        std::copy(chunk.begin() + co, chunk.begin() + co + n, dst);
-        dst += n;
-        off += uint32_t(n);
-        len -= n;
-    }
-}
-
-unsigned
-RmcController::deviceOps(const Page &p, uint32_t off, size_t len,
-                         bool write, bool critical, McTrace &trace,
-                         AttribComp comp)
-{
-    if (len == 0)
-        return 0;
-    unsigned first = off / kLineBytes;
-    unsigned last = unsigned((off + len - 1) / kLineBytes);
-    for (unsigned b = first; b <= last; ++b) {
-        Addr block = mpaOf(p, b * uint32_t(kLineBytes));
-        // First critical block is the demand word; further critical
-        // blocks are split-access overhead (kDeviceExtra).
-        AttribComp op_comp = critical && b > first
-                                 ? AttribComp::kDeviceExtra
-                                 : comp;
-        trace.add(block, write, critical, op_comp);
-        ++(write ? st_data_write_ops_ : st_data_read_ops_);
-        if (write)
-            fault_.onWrite(block);
-        else if (critical)
-            fault_.onCriticalRead(block);
-    }
-    return last - first + 1;
-}
-
-bool
-RmcController::resizeAlloc(Page &p, unsigned target)
-{
-    assert(target <= kChunksPerPage);
-    while (p.chunks < target) {
-        ChunkNum c = chunks_.allocate();
-        if (c == kNoChunk && pressure_ != nullptr) {
-            // Machine OOM: emergency ballooning (governor), then one
-            // retry; pageBusy() protects the in-flight page.
-            if (pressure_->onMachineOom(busy_page_)) {
-                c = chunks_.allocate();
-                if (c != kNoChunk) {
-                    ++st_oom_rescues_;
-                    CPR_OBS_EVENT(obs_, ObsEvent::kOomRescue, busy_page_,
-                                  1);
-                }
-            }
-        }
-        if (c == kNoChunk) {
-            ++stats_["machine_oom"];
-            return false;
-        }
-        p.chunk_id[p.chunks++] = uint32_t(c);
-    }
-    while (p.chunks > target) {
-        --p.chunks;
-        chunks_.release(p.chunk_id[p.chunks]);
-        p.chunk_id[p.chunks] = kNoChunk;
-    }
-    return true;
-}
-
 void
 RmcController::readStored(const Page &p, LineIdx idx, Line &out) const
 {
@@ -208,11 +106,11 @@ RmcController::readStored(const Page &p, LineIdx idx, Line &out) const
     uint16_t sz = bins_->binSize(p.code[idx]);
     uint32_t off = lineOffset(p, idx);
     if (sz == kLineBytes) {
-        loadBytes(p, off, out.data(), kLineBytes);
+        store_.loadBytes(p.chunk_id, off, out.data(), kLineBytes);
         return;
     }
     uint8_t buf[kLineBytes];
-    loadBytes(p, off, buf, sz);
+    store_.loadBytes(p.chunk_id, off, buf, sz);
     BitReader r(buf, size_t(sz) * 8);
     bool ok = codec_->decompress(r, out);
     assert(ok && "corrupt RMC slot");
@@ -257,7 +155,8 @@ RmcController::relayout(PageNum pn, Page &p,
     for (unsigned sp = 0; sp < kSubpages; ++sp)
         old_used += p.sub_alloc[sp];
     if (p.chunks > 0)
-        deviceOps(p, 0, old_used, false, false, trace, relayout_comp);
+        store_.deviceOps(p.chunk_id, 0, old_used, false, false, trace,
+                         relayout_comp);
     st_overflow_move_ops_ += (old_used + kLineBytes - 1) /
                                    kLineBytes;
 
@@ -277,8 +176,9 @@ RmcController::relayout(PageNum pn, Page &p,
             p.code[l] = uint8_t(bins_->count() - 1);
         alloc = uint32_t(kPageBytes);
     }
-    resizeAlloc(p, (alloc + uint32_t(kChunkBytes) - 1) /
-                       uint32_t(kChunkBytes));
+    store_.resize(p.chunks, p.chunk_id,
+                  (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
+                  {pressure_, busy_page_});
 
     if (os_fault) {
         ++st_page_overflows_;
@@ -300,14 +200,16 @@ RmcController::relayout(PageNum pn, Page &p,
             continue;
         uint32_t off = lineOffset(p, l);
         if (bins_->binSize(p.code[l]) == kLineBytes) {
-            storeBytes(p, off, buf[l].data(), kLineBytes);
+            store_.storeBytes(p.chunk_id, off, buf[l].data(), kLineBytes);
         } else {
             BitWriter w;
             codec_->compress(buf[l], w);
-            storeBytes(p, off, w.bytes().data(), w.bytes().size());
+            store_.storeBytes(p.chunk_id, off, w.bytes().data(),
+                              w.bytes().size());
         }
     }
-    deviceOps(p, 0, new_used, true, false, trace, relayout_comp);
+    store_.deviceOps(p.chunk_id, 0, new_used, true, false, trace,
+                     relayout_comp);
     st_overflow_move_ops_ += (new_used + kLineBytes - 1) /
                                    kLineBytes;
     if (pressure_ != nullptr)
@@ -386,18 +288,19 @@ RmcController::recoverMetadataFault(PageNum pn, McTrace &trace)
             uint32_t old_used = 0;
             for (unsigned sp = 0; sp < kSubpages; ++sp)
                 old_used += p.sub_alloc[sp];
-            deviceOps(p, 0, old_used, false, false, trace,
-                      AttribComp::kFaultRecovery);
+            store_.deviceOps(p.chunk_id, 0, old_used, false, false, trace,
+                             AttribComp::kFaultRecovery);
             for (unsigned sp = 0; sp < kSubpages; ++sp)
                 p.sub_alloc[sp] = uint32_t(kPageBytes / kSubpages);
             for (LineIdx l = 0; l < kLinesPerPage; ++l)
                 p.code[l] = uint8_t(bins_->count() - 1);
-            resizeAlloc(p, unsigned(kChunksPerPage));
+            store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
+                          {pressure_, busy_page_});
             for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                storeBytes(p, lineOffset(p, l), buf[l].data(),
-                           kLineBytes);
-            deviceOps(p, 0, kPageBytes, true, false, trace,
-                      AttribComp::kFaultRecovery);
+                store_.storeBytes(p.chunk_id, lineOffset(p, l), buf[l].data(),
+                                  kLineBytes);
+            store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
+                             AttribComp::kFaultRecovery);
             meta_rebuilds_.erase(pn);
         }
     }
@@ -407,24 +310,6 @@ RmcController::recoverMetadataFault(PageNum pn, McTrace &trace)
     stats_["fault_recovery_ops"] += ops;
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
-}
-
-void
-RmcController::poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                               size_t len, McTrace &trace)
-{
-    fault_.poisonLine(ospa_line);
-    ++stats_["fault_lines_poisoned"];
-    CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pageOf(ospa_line),
-                  uint32_t(FaultRung::kLinePoison));
-    size_t before = trace.ops.size();
-    deviceOps(p, off, len, false, false, trace,
-              AttribComp::kFaultRecovery); // retry read
-    deviceOps(p, off, len, true, false, trace,
-              AttribComp::kFaultRecovery); // poison rewrite
-    uint64_t ops = trace.ops.size() - before;
-    fault_.injector()->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
 }
 
 void
@@ -458,14 +343,10 @@ RmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     uint16_t sz = bins_->binSize(p.code[idx]);
     uint32_t off = lineOffset(p, idx);
     trace.addFixed(AttribComp::kBstWalk, 1); // BST-side offset adder
-    unsigned blocks = deviceOps(p, off, sz, false, true, trace);
-    if (blocks > 1) {
-        ++st_split_fill_lines_;
-        st_split_extra_ops_ += blocks - 1;
-        CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-    }
+    store_.lineAccess(p.chunk_id, pn, off, sz, false, trace,
+                      st_split_fill_lines_);
     if (fault_.takePending() == FaultOutcome::kDetected) {
-        poisonDataFault(lineAddr(addr), p, off, sz, trace);
+        store_.poisonLine(lineAddr(addr), p.chunk_id, off, sz, trace);
         data.fill(0);
         cur_trace_ = nullptr;
         return;
@@ -543,16 +424,13 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
             size_t len = sz == kLineBytes
                              ? kLineBytes
                              : std::max<size_t>(w.bytes().size(), 1);
-            unsigned blocks = deviceOps(p, off, len, true, false, trace);
-            if (blocks > 1) {
-                ++st_split_wb_lines_;
-                st_split_extra_ops_ += blocks - 1;
-                CPR_OBS_EVENT(obs_, ObsEvent::kSplitAccess, pn, blocks);
-            }
+            store_.lineAccess(p.chunk_id, pn, off, len, true, trace,
+                              st_split_wb_lines_);
             if (sz == kLineBytes)
-                storeBytes(p, off, data.data(), kLineBytes);
+                store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
             else
-                storeBytes(p, off, w.bytes().data(), w.bytes().size());
+                store_.storeBytes(p.chunk_id, off, w.bytes().data(),
+                                  w.bytes().size());
         }
         cur_trace_ = nullptr;
         return;
@@ -578,14 +456,15 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
             readStored(p, LineIdx(l), buf[l - sp * kLinesPerSubpage]);
         uint32_t moved_from = lineOffset(p, idx);
         uint32_t sub_end = subBase(p, sp) + p.sub_alloc[sp];
-        deviceOps(p, moved_from, sub_end - moved_from, false, false,
-                  trace, AttribComp::kOverflowRelayout);
+        store_.deviceOps(p.chunk_id, moved_from, sub_end - moved_from, false,
+                         false, trace, AttribComp::kOverflowRelayout);
         p.code = codes;
         uint32_t off = lineOffset(p, idx);
         if (bins_->binSize(bin) == kLineBytes)
-            storeBytes(p, off, data.data(), kLineBytes);
+            store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
         else
-            storeBytes(p, off, w.bytes().data(), w.bytes().size());
+            store_.storeBytes(p.chunk_id, off, w.bytes().data(),
+                              w.bytes().size());
         for (unsigned l = idx + 1; l < (sp + 1) * kLinesPerSubpage;
              ++l) {
             const Line &src = buf[l - sp * kLinesPerSubpage];
@@ -593,16 +472,16 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
                 continue;
             uint32_t loff = lineOffset(p, LineIdx(l));
             if (bins_->binSize(p.code[l]) == kLineBytes) {
-                storeBytes(p, loff, src.data(), kLineBytes);
+                store_.storeBytes(p.chunk_id, loff, src.data(), kLineBytes);
             } else {
                 BitWriter lw;
                 codec_->compress(src, lw);
-                storeBytes(p, loff, lw.bytes().data(),
-                           lw.bytes().size());
+                store_.storeBytes(p.chunk_id, loff, lw.bytes().data(),
+                                  lw.bytes().size());
             }
         }
-        deviceOps(p, moved_from, sub_end - moved_from, true, false,
-                  trace, AttribComp::kOverflowRelayout);
+        store_.deviceOps(p.chunk_id, moved_from, sub_end - moved_from, true,
+                         false, trace, AttribComp::kOverflowRelayout);
         st_overflow_move_ops_ +=
             2ull * ((sub_end - moved_from + kLineBytes - 1) /
                     kLineBytes);
@@ -630,37 +509,13 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     cur_trace_ = nullptr;
 }
 
-uint64_t
-RmcController::ospaBytes() const
-{
-    uint64_t n = 0;
-    for (const auto &[pn, p] : pages_)
-        n += p.valid ? kPageBytes : 0;
-    return n;
-}
-
-uint64_t
-RmcController::mpaDataBytes() const
-{
-    return chunks_.usedBytes();
-}
-
-uint64_t
-RmcController::mpaMetadataBytes() const
-{
-    uint64_t valid = 0;
-    for (const auto &[pn, p] : pages_)
-        valid += p.valid ? 1 : 0;
-    return valid * kMetadataEntryBytes;
-}
-
 void
 RmcController::freePage(PageNum pn)
 {
     auto it = pages_.find(pn);
     if (it == pages_.end() || !it->second.valid)
         return;
-    resizeAlloc(it->second, 0);
+    store_.resize(it->second.chunks, it->second.chunk_id, 0);
     it->second = Page{};
     bst_.invalidate(pn);
     fault_.clearPagePoison(pn);
@@ -671,7 +526,7 @@ RmcController::freePage(PageNum pn)
 AuditReport
 RmcController::audit() const
 {
-    return InvariantAuditor::auditChunkMap(pages_, chunks_);
+    return InvariantAuditor::auditChunkMap(pages_, store_.allocator());
 }
 
 } // namespace compresso

@@ -26,7 +26,7 @@
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_allocator.h"
+#include "core/chunk_store.h"
 #include "core/memory_controller.h"
 #include "core/pressure_hooks.h"
 #include "fault/fault_hooks.h"
@@ -61,9 +61,15 @@ class RmcController : public MemoryController
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override;
-    uint64_t mpaDataBytes() const override;
-    uint64_t mpaMetadataBytes() const override;
+    uint64_t ospaBytes() const override
+    {
+        return validPages(pages_) * kPageBytes;
+    }
+    uint64_t mpaDataBytes() const override { return store_.usedBytes(); }
+    uint64_t mpaMetadataBytes() const override
+    {
+        return validPages(pages_) * kMetadataEntryBytes;
+    }
 
     void freePage(PageNum page) override;
 
@@ -94,10 +100,7 @@ class RmcController : public MemoryController
      *  governor reclaim-ranking input. */
     uint64_t pageCompressedBytes(PageNum pn) const override
     {
-        auto it = pages_.find(pn);
-        if (it == pages_.end() || !it->second.valid)
-            return 0;
-        return uint64_t(it->second.chunks) * kChunkBytes;
+        return pageChunkBytes(pages_, pn);
     }
 
     /** The page of the in-flight operation must not be reclaimed. */
@@ -149,16 +152,6 @@ class RmcController : public MemoryController
         return uint32_t(p.chunks) * uint32_t(kChunkBytes);
     }
 
-    Addr mpaOf(const Page &p, uint32_t off) const;
-    void storeBytes(const Page &p, uint32_t off, const uint8_t *src,
-                    size_t len);
-    void loadBytes(const Page &p, uint32_t off, uint8_t *dst,
-                   size_t len) const;
-    unsigned deviceOps(const Page &p, uint32_t off, size_t len,
-                       bool write, bool critical, McTrace &trace,
-                       AttribComp comp = AttribComp::kDeviceData);
-    bool resizeAlloc(Page &p, unsigned chunks);
-
     void readStored(const Page &p, LineIdx idx, Line &out) const;
     /** Re-lay out the whole page for new codes (subpage shift or OS
      *  page overflow), preserving data. */
@@ -173,15 +166,10 @@ class RmcController : public MemoryController
      *  page raw so slot lookups no longer depend on the entry.
      *  Without recovery, retire the page. */
     void recoverMetadataFault(PageNum pn, McTrace &trace);
-    /** Data DUE on a demand fill: poison the line, charge retry +
-     *  poison-pattern rewrite (which scrubs the blocks). */
-    void poisonDataFault(Addr ospa_line, const Page &p, uint32_t off,
-                         size_t len, McTrace &trace);
 
     RmcConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    ChunkAllocator chunks_;
     MetadataCache bst_;
     std::unordered_map<PageNum, Page> pages_;
     McTrace *cur_trace_ = nullptr;
@@ -195,12 +183,9 @@ class RmcController : public MemoryController
     uint64_t &st_writebacks_ = stats_.stat("writebacks");
     uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
     uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_data_read_ops_ = stats_.stat("data_read_ops");
-    uint64_t &st_data_write_ops_ = stats_.stat("data_write_ops");
     uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
     uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
-    uint64_t &st_split_extra_ops_ = stats_.stat("split_extra_ops");
     uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
     uint64_t &st_page_overflows_ = stats_.stat("page_overflows");
     uint64_t &st_page_faults_ = stats_.stat("page_faults");
@@ -211,9 +196,12 @@ class RmcController : public MemoryController
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
     uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_hysteresis_absorbs_ = stats_.stat("hysteresis_absorbs");
-    uint64_t &st_oom_rescues_ = stats_.stat("oom_rescues");
     uint64_t &st_overflow_escalations_ =
         stats_.stat("overflow_escalations");
+
+    /** Chunk lists and device ops; counts into stats_ (declared after
+     *  it and fault_ for that reason). */
+    ChunkStore store_{cfg_.installed_bytes, stats_, fault_};
 
     PressureListener *pressure_ = nullptr;
     PageNum busy_page_ = kNoPage; ///< valid while cur_trace_ is set

@@ -7,9 +7,9 @@
  *
  *  - exposure: demand-critical data reads and metadata fetches are
  *    adjudicated through the injector; writes scrub. Data-read
- *    outcomes are *latched* (deviceOps helpers only return op counts)
- *    and the controller collects the worst pending outcome after the
- *    burst via takePending().
+ *    outcomes are *latched* (ChunkStore::deviceOps only returns op
+ *    counts) and the controller collects the worst pending outcome
+ *    after the burst via takePending().
  *  - suppression: recovery traffic (metadata re-walks, safety
  *    inflation) must not recursively inject faults into its own
  *    repair ops; a SuppressScope masks exposure for its extent.
