@@ -1,9 +1,9 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark): compressor throughput per
- * algorithm and data class, offset-circuit computation, and metadata
- * entry codec — the Sec. VII-C/D/E hardware-cost discussion's software
- * counterpart.
+ * algorithm and data class (encode, size-only and decode),
+ * offset-circuit computation, and metadata entry codec — the
+ * Sec. VII-C/D/E hardware-cost discussion's software counterpart.
  */
 
 #include <benchmark/benchmark.h>
@@ -37,6 +37,17 @@ BM_Compress(benchmark::State &state, const std::string &algo,
         BitWriter w;
         benchmark::DoNotOptimize(codec->compress(line, w));
     }
+    state.SetBytesProcessed(int64_t(state.iterations()) * kLineBytes);
+}
+
+/** The size-only path (compressedBits) the ratio experiments use. */
+void
+BM_Size(benchmark::State &state, const std::string &algo, DataClass cls)
+{
+    auto codec = makeCompressor(algo);
+    Line line = lineFor(cls);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(codec->compressedBits(line));
     state.SetBytesProcessed(int64_t(state.iterations()) * kLineBytes);
 }
 
@@ -154,6 +165,11 @@ main(int argc, char **argv)
                 ("compress/" + algo + "/" + cls_name).c_str(),
                 [algo, cls = cls](benchmark::State &s) {
                     BM_Compress(s, algo, cls);
+                });
+            benchmark::RegisterBenchmark(
+                ("size/" + algo + "/" + cls_name).c_str(),
+                [algo, cls = cls](benchmark::State &s) {
+                    BM_Size(s, algo, cls);
                 });
             benchmark::RegisterBenchmark(
                 ("decompress/" + algo + "/" + cls_name).c_str(),

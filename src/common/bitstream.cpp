@@ -1,48 +1,35 @@
 #include "common/bitstream.h"
 
-#include <cassert>
-
 namespace compresso {
 
-void
-BitWriter::put(uint64_t value, unsigned nbits)
+uint64_t
+BitReader::getTail(unsigned nbits)
 {
     assert(nbits <= 64);
     if (nbits == 0)
-        return;
-    if (nbits < 64)
-        value &= (uint64_t(1) << nbits) - 1;
-
-    // Emit MSB-first.
-    for (int shift = int(nbits) - 1; shift >= 0; ) {
-        unsigned bit_in_byte = bits_ % 8;
-        if (bit_in_byte == 0)
-            buf_.push_back(0);
-        unsigned room = 8 - bit_in_byte;
-        unsigned take = room < unsigned(shift) + 1 ? room : unsigned(shift) + 1;
-        uint8_t chunk = uint8_t((value >> (shift + 1 - int(take))) &
-                                ((1u << take) - 1));
-        buf_.back() |= uint8_t(chunk << (room - take));
-        bits_ += take;
-        shift -= int(take);
-    }
-}
-
-uint64_t
-BitReader::get(unsigned nbits)
-{
-    assert(nbits <= 64);
+        return 0;
+    size_t avail = remaining();
+    unsigned take = avail < nbits ? unsigned(avail) : nbits;
     uint64_t v = 0;
-    for (unsigned i = 0; i < nbits; ++i) {
-        uint64_t bit = 0;
-        if (pos_ < size_) {
-            bit = (data_[pos_ / 8] >> (7 - pos_ % 8)) & 1;
-        } else {
-            overrun_ = true;
-        }
-        v = (v << 1) | bit;
-        ++pos_;
+    if (take != 0) {
+        // Gather the (at most 9) bytes holding bits [pos_, pos_ + take),
+        // all of them below size_bytes_.
+        size_t first = pos_ / 8;
+        size_t last = (pos_ + take - 1) / 8;
+        unsigned off = unsigned(pos_ % 8);
+        uint64_t w = 0;
+        for (size_t i = first; i <= last && i < first + 8; ++i)
+            w |= uint64_t(data_[i]) << (56 - 8 * (i - first));
+        w <<= off;
+        if (last == first + 8)
+            w |= uint64_t(data_[last]) >> (8 - off);
+        v = w >> (64 - take);
     }
+    if (take < nbits) {
+        overrun_ = true;
+        v = take == 0 ? 0 : v << (nbits - take);
+    }
+    pos_ += nbits;
     return v;
 }
 

@@ -34,19 +34,43 @@ constexpr Shape kShapes[] = {
     {kB2D1, 2, 1}, {kB4D2, 4, 2}, {kB8D4, 8, 4},
 };
 
-/** Load a little-endian value of @p nbytes from @p src. */
+template <class T>
 uint64_t
-loadLE(const uint8_t *src, unsigned nbytes)
+loadAs(const uint8_t *src)
 {
-    uint64_t v = 0;
-    std::memcpy(&v, src, nbytes);
+    T v;
+    std::memcpy(&v, src, sizeof(T));
     return v;
 }
 
+template <class T>
+void
+storeAs(uint8_t *dst, uint64_t v)
+{
+    T w = T(v);
+    std::memcpy(dst, &w, sizeof(T));
+}
+
+/** Load a little-endian value of @p nbytes (2, 4 or 8) from @p src.
+ *  Each branch copies a constant size, which compiles to one load. */
+uint64_t
+loadLE(const uint8_t *src, unsigned nbytes)
+{
+    return nbytes == 2   ? loadAs<uint16_t>(src)
+           : nbytes == 4 ? loadAs<uint32_t>(src)
+                         : loadAs<uint64_t>(src);
+}
+
+/** Store the low @p nbytes (2, 4 or 8) of @p v little-endian. */
 void
 storeLE(uint8_t *dst, uint64_t v, unsigned nbytes)
 {
-    std::memcpy(dst, &v, nbytes);
+    if (nbytes == 2)
+        storeAs<uint16_t>(dst, v);
+    else if (nbytes == 4)
+        storeAs<uint32_t>(dst, v);
+    else
+        storeAs<uint64_t>(dst, v);
 }
 
 /** Sign-extend the low @p nbytes of @p v. */
@@ -65,16 +89,25 @@ fitsSigned(int64_t v, unsigned nbytes)
     return v >= lo && v <= hi;
 }
 
+/** A shape's fit to a line: the base and, per element, the zero-base
+ *  mask bit and the delta. */
+struct ShapeFit
+{
+    uint64_t base = 0;
+    uint8_t use_zero[32] = {};
+    uint64_t deltas[32] = {};
+};
+
 /**
  * Try a (base, delta) shape. Each element uses either the line base
  * (first non-immediate value) or the implicit zero base, indicated by a
  * per-element mask bit.
  *
- * @return the payload size in bits if the shape fits, or 0 otherwise.
+ * @return the payload size in bits if the shape fits, or 0 otherwise;
+ * when it fits and @p fit is given, the payload is stored there.
  */
 size_t
-tryShape(const Line &line, const Shape &sh, uint64_t &base_out,
-         uint64_t *deltas, uint8_t *use_zero)
+tryShape(const Line &line, const Shape &sh, ShapeFit *fit)
 {
     unsigned n = unsigned(kLineBytes / sh.base_bytes);
     bool have_base = false;
@@ -82,99 +115,97 @@ tryShape(const Line &line, const Shape &sh, uint64_t &base_out,
     for (unsigned i = 0; i < n; ++i) {
         uint64_t v = loadLE(line.data() + i * sh.base_bytes, sh.base_bytes);
         int64_t dz = signExtend(v, sh.base_bytes); // delta from zero base
-        if (fitsSigned(dz, sh.delta_bytes)) {
-            use_zero[i] = 1;
-            deltas[i] = uint64_t(dz);
-            continue;
+        bool zero_base = fitsSigned(dz, sh.delta_bytes);
+        int64_t d = dz;
+        if (!zero_base) {
+            if (!have_base) {
+                base = v;
+                have_base = true;
+            }
+            d = signExtend(v - base, sh.base_bytes);
+            if (!fitsSigned(d, sh.delta_bytes))
+                return 0;
         }
-        if (!have_base) {
-            base = v;
-            have_base = true;
+        if (fit) {
+            fit->use_zero[i] = zero_base;
+            fit->deltas[i] = uint64_t(d);
         }
-        int64_t db = signExtend(v - base, sh.base_bytes);
-        if (!fitsSigned(db, sh.delta_bytes))
-            return 0;
-        use_zero[i] = 0;
-        deltas[i] = uint64_t(db);
     }
-    base_out = base;
+    if (fit)
+        fit->base = base;
     // base + per-element mask + deltas
     return sh.base_bytes * 8 + n + n * sh.delta_bytes * 8;
 }
 
-} // namespace
-
-size_t
-BdiCompressor::compress(const Line &line, BitWriter &out) const
+/** The encoding of a line: its selector, its shape (null for zero,
+ *  repeated and raw lines) and its size in bits, selector included. */
+struct Choice
 {
-    CPR_PROF_SCOPE(ProfPhase::kBdiCompress);
-    size_t start = out.bitSize();
+    unsigned sel;
+    const Shape *shape;
+    size_t bits;
+};
 
-    if (isZeroLine(line)) {
-        out.put(kZero, 4);
-        return out.bitSize() - start;
-    }
+/** Pick a line's encoding; compress() and compressedBits() both go
+ *  through here. */
+Choice
+chooseEncoding(const Line &line)
+{
+    if (isZeroLine(line))
+        return {kZero, nullptr, 4};
 
     // Repeated 8-byte value?
     uint64_t w0 = lineWord64(line, 0);
     bool repeated = true;
     for (size_t i = 1; i < 8 && repeated; ++i)
         repeated = lineWord64(line, i) == w0;
-    if (repeated) {
-        out.put(kRep8, 4);
-        out.put(w0 >> 32, 32);
-        out.put(w0 & 0xffffffffu, 32);
-        return out.bitSize() - start;
-    }
+    if (repeated)
+        return {kRep8, nullptr, 4 + 64};
 
-    // Pick the smallest fitting (base, delta) shape.
-    const Shape *best = nullptr;
-    size_t best_bits = kLineBytes * 8;
-    uint64_t best_base = 0;
-    uint64_t best_deltas[32];
-    uint8_t best_mask[32];
+    // The smallest fitting (base, delta) shape, if it beats raw.
+    Choice best{kRaw, nullptr, 4 + kLineBytes * 8};
     for (const Shape &sh : kShapes) {
-        uint64_t base;
-        uint64_t deltas[32];
-        uint8_t mask[32];
-        size_t bits = tryShape(line, sh, base, deltas, mask);
-        if (bits != 0 && bits < best_bits) {
-            best = &sh;
-            best_bits = bits;
-            best_base = base;
-            std::memcpy(best_deltas, deltas, sizeof(deltas));
-            std::memcpy(best_mask, mask, sizeof(mask));
-        }
+        size_t bits = tryShape(line, sh, nullptr);
+        if (bits != 0 && 4 + bits < best.bits)
+            best = {sh.sel, &sh, 4 + bits};
     }
+    return best;
+}
 
-    if (!best) {
-        out.put(kRaw, 4);
-        for (size_t i = 0; i < 8; ++i) {
-            uint64_t w = lineWord64(line, i);
-            out.put(w >> 32, 32);
-            out.put(w & 0xffffffffu, 32);
-        }
-        return out.bitSize() - start;
-    }
+} // namespace
 
-    unsigned n = unsigned(kLineBytes / best->base_bytes);
-    out.put(best->sel, 4);
-    if (best->base_bytes == 8) {
-        out.put(best_base >> 32, 32);
-        out.put(best_base & 0xffffffffu, 32);
-    } else {
-        out.put(best_base, best->base_bytes * 8);
-    }
-    for (unsigned i = 0; i < n; ++i)
-        out.put(best_mask[i], 1);
-    for (unsigned i = 0; i < n; ++i) {
-        uint64_t d = best_deltas[i];
-        if (best->delta_bytes == 8) {
-            out.put(d >> 32, 32);
-            out.put(d & 0xffffffffu, 32);
-        } else {
-            out.put(d, best->delta_bytes * 8);
-        }
+size_t
+BdiCompressor::compressedBits(const Line &line) const
+{
+    CPR_PROF_SCOPE(ProfPhase::kBdiCompress);
+    return chooseEncoding(line).bits;
+}
+
+size_t
+BdiCompressor::compress(const Line &line, BitWriter &out) const
+{
+    CPR_PROF_SCOPE(ProfPhase::kBdiCompress);
+    size_t start = out.bitSize();
+    Choice c = chooseEncoding(line);
+    out.put(c.sel, 4);
+
+    if (c.sel == kRep8) {
+        out.put(lineWord64(line, 0), 64);
+    } else if (c.sel == kRaw) {
+        for (size_t i = 0; i < 8; ++i)
+            out.put(lineWord64(line, i), 64);
+    } else if (c.shape) {
+        const Shape &sh = *c.shape;
+        ShapeFit fit;
+        tryShape(line, sh, &fit);
+        unsigned n = unsigned(kLineBytes / sh.base_bytes);
+        out.put(fit.base, sh.base_bytes * 8);
+        uint32_t mask = 0;
+        for (unsigned i = 0; i < n; ++i)
+            mask = (mask << 1) | fit.use_zero[i];
+        out.put(mask, n);
+        for (unsigned i = 0; i < n; ++i)
+            out.put(fit.deltas[i], sh.delta_bytes * 8);
     }
     return out.bitSize() - start;
 }
@@ -192,18 +223,14 @@ BdiCompressor::decompress(BitReader &in, Line &out) const
         return true;
     }
     if (sel == kRep8) {
-        uint64_t v = in.get(32) << 32;
-        v |= in.get(32);
+        uint64_t v = in.get(64);
         for (size_t i = 0; i < 8; ++i)
             setLineWord64(out, i, v);
         return !in.overrun();
     }
     if (sel == kRaw) {
-        for (size_t i = 0; i < 8; ++i) {
-            uint64_t v = in.get(32) << 32;
-            v |= in.get(32);
-            setLineWord64(out, i, v);
-        }
+        for (size_t i = 0; i < 8; ++i)
+            setLineWord64(out, i, in.get(64));
         return !in.overrun();
     }
 
@@ -218,30 +245,14 @@ BdiCompressor::decompress(BitReader &in, Line &out) const
         return false;
 
     unsigned n = unsigned(kLineBytes / sh->base_bytes);
-    uint64_t base;
-    if (sh->base_bytes == 8) {
-        base = in.get(32) << 32;
-        base |= in.get(32);
-    } else {
-        base = in.get(sh->base_bytes * 8);
-    }
-    uint8_t mask[32];
-    for (unsigned i = 0; i < n; ++i)
-        mask[i] = uint8_t(in.get(1));
-    uint64_t keep = sh->base_bytes == 8
-                        ? ~uint64_t(0)
-                        : (uint64_t(1) << (sh->base_bytes * 8)) - 1;
+    uint64_t base = in.get(sh->base_bytes * 8);
+    uint32_t mask = uint32_t(in.get(n)); // element 0 in the MSB
     for (unsigned i = 0; i < n; ++i) {
-        uint64_t d;
-        if (sh->delta_bytes == 8) {
-            d = in.get(32) << 32;
-            d |= in.get(32);
-        } else {
-            d = in.get(sh->delta_bytes * 8);
-        }
-        int64_t sd = signExtend(d, sh->delta_bytes);
-        uint64_t v = mask[i] ? uint64_t(sd) : base + uint64_t(sd);
-        storeLE(out.data() + i * sh->base_bytes, v & keep, sh->base_bytes);
+        uint64_t d = in.get(sh->delta_bytes * 8);
+        uint64_t v = uint64_t(signExtend(d, sh->delta_bytes));
+        if (!((mask >> (n - 1 - i)) & 1))
+            v += base;
+        storeLE(out.data() + i * sh->base_bytes, v, sh->base_bytes);
     }
     return !in.overrun();
 }

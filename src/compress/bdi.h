@@ -33,6 +33,9 @@ class BdiCompressor : public Compressor
 
     size_t compress(const Line &line, BitWriter &out) const override;
     bool decompress(BitReader &in, Line &out) const override;
+
+    /** Sizes the chosen encoding arithmetically; writes no stream. */
+    size_t compressedBits(const Line &line) const override;
 };
 
 } // namespace compresso

@@ -1,5 +1,7 @@
 #include "compress/bpc.h"
 
+#include <algorithm>
+
 #include "prof/profiler.h"
 
 namespace compresso {
@@ -20,6 +22,70 @@ struct Planes
     unsigned width;
 };
 
+/**
+ * One Hacker's Delight (Sec. 7-3) transpose round on 16 rows: swap the
+ * off-diagonal S x S blocks of every 2S x 2S block, M selecting the low
+ * S bits of each 2S-bit group in both 16-bit halves of a word.
+ */
+template <unsigned S, uint32_t M>
+void
+transposeRound(uint32_t a[16])
+{
+    for (unsigned k = 0; k < 16; k += 2 * S) {
+        for (unsigned i = k; i < k + S; ++i) {
+            uint32_t t = ((a[i] >> S) ^ a[i + S]) & M;
+            a[i] ^= t << S;
+            a[i + S] ^= t;
+        }
+    }
+}
+
+/**
+ * Transpose the low and the high 16 x 16 bit matrices held in the two
+ * halves of 16 words, side by side (bit 0 is column 0): afterwards bit
+ * j of half h of a[k] is what bit k of half h of a[j] was. Its own
+ * inverse.
+ */
+void
+transposeHalves(uint32_t a[16])
+{
+    transposeRound<8, 0x00ff00ffu>(a);
+    transposeRound<4, 0x0f0f0f0fu>(a);
+    transposeRound<2, 0x33333333u>(a);
+    transposeRound<1, 0x55555555u>(a);
+}
+
+/** The 32 bit-planes of 16 words: bit j of plane k is bit k of
+ *  rows[j]. Clobbers @p rows. */
+void
+toPlanes(uint32_t rows[16], uint32_t planes[32])
+{
+    transposeHalves(rows);
+    for (unsigned k = 0; k < 16; ++k) {
+        planes[k] = rows[k] & 0xffffu;
+        planes[k + 16] = rows[k] >> 16;
+    }
+}
+
+/** Inverse of toPlanes; bits 16..31 of each plane are ignored. */
+void
+fromPlanes(const uint32_t planes[32], uint32_t rows[16])
+{
+    for (unsigned k = 0; k < 16; ++k)
+        rows[k] = (planes[k] & 0xffffu) | (planes[k + 16] << 16);
+    transposeHalves(rows);
+}
+
+/** Fill dbx[k] = dbp[k] ^ dbp[k + 1], with an implicit zero plane above
+ *  the MSB plane. */
+void
+xorChain(Planes &p)
+{
+    for (unsigned k = 0; k + 1 < p.count; ++k)
+        p.dbx[k] = p.dbp[k] ^ p.dbp[k + 1];
+    p.dbx[p.count - 1] = p.dbp[p.count - 1];
+}
+
 /** Build the Delta-BitPlane planes from a line; returns the base word. */
 uint32_t
 buildTransformed(const Line &line, Planes &p)
@@ -28,26 +94,20 @@ buildTransformed(const Line &line, Planes &p)
     for (size_t i = 0; i < 16; ++i)
         words[i] = lineWord32(line, i);
 
-    // 33-bit two's-complement deltas between adjacent words.
-    uint64_t deltas[kXformWidth];
-    for (unsigned i = 0; i < kXformWidth; ++i) {
-        int64_t d = int64_t(words[i + 1]) - int64_t(words[i]);
-        deltas[i] = uint64_t(d) & 0x1ffffffffULL;
+    // 33-bit two's-complement deltas between adjacent words: their low
+    // 32 bits transpose into planes 0..31, and bit 32, the sign of the
+    // difference, is gathered into plane 32.
+    uint32_t rows[16] = {};
+    uint32_t sign = 0;
+    for (unsigned j = 0; j < kXformWidth; ++j) {
+        rows[j] = words[j + 1] - words[j];
+        sign |= uint32_t(words[j + 1] < words[j]) << j;
     }
-
     p.count = kXformPlanes;
     p.width = kXformWidth;
-    for (unsigned k = 0; k < kXformPlanes; ++k) {
-        uint32_t plane = 0;
-        for (unsigned j = 0; j < kXformWidth; ++j)
-            plane |= uint32_t((deltas[j] >> k) & 1) << j;
-        p.dbp[k] = plane;
-    }
-    // XOR chain with an implicit zero plane above the MSB plane.
-    for (unsigned k = 0; k < kXformPlanes; ++k) {
-        uint32_t above = (k + 1 < kXformPlanes) ? p.dbp[k + 1] : 0;
-        p.dbx[k] = p.dbp[k] ^ above;
-    }
+    toPlanes(rows, p.dbp);
+    p.dbp[32] = sign;
+    xorChain(p);
     return words[0];
 }
 
@@ -55,19 +115,14 @@ buildTransformed(const Line &line, Planes &p)
 void
 unbuildTransformed(const Planes &p, uint32_t base, Line &line)
 {
-    uint64_t deltas[kXformWidth];
-    for (unsigned j = 0; j < kXformWidth; ++j) {
-        uint64_t d = 0;
-        for (unsigned k = 0; k < kXformPlanes; ++k)
-            d |= uint64_t((p.dbp[k] >> j) & 1) << k;
-        deltas[j] = d;
-    }
+    // Adding the sign-extended 33-bit delta wraps to the same 32-bit
+    // word as adding its low 32 bits, so plane 32 is not needed.
+    uint32_t deltas[16];
+    fromPlanes(p.dbp, deltas);
     uint32_t w = base;
     setLineWord32(line, 0, w);
     for (unsigned j = 0; j < kXformWidth; ++j) {
-        // Sign-extend the 33-bit delta and wrap to 32 bits.
-        int64_t d = int64_t(deltas[j] << 31) >> 31;
-        w = uint32_t(int64_t(w) + d);
+        w += deltas[j];
         setLineWord32(line, j + 1, w);
     }
 }
@@ -76,38 +131,28 @@ unbuildTransformed(const Planes &p, uint32_t base, Line &line)
 void
 buildDirect(const Line &line, Planes &p)
 {
-    uint32_t words[kDirectWidth];
+    uint32_t rows[kDirectWidth];
     for (size_t i = 0; i < kDirectWidth; ++i)
-        words[i] = lineWord32(line, i);
-
+        rows[i] = lineWord32(line, i);
     p.count = kDirectPlanes;
     p.width = kDirectWidth;
-    for (unsigned k = 0; k < kDirectPlanes; ++k) {
-        uint32_t plane = 0;
-        for (unsigned j = 0; j < kDirectWidth; ++j)
-            plane |= ((words[j] >> k) & 1u) << j;
-        p.dbp[k] = plane;
-    }
-    for (unsigned k = 0; k < kDirectPlanes; ++k) {
-        uint32_t above = (k + 1 < kDirectPlanes) ? p.dbp[k + 1] : 0;
-        p.dbx[k] = p.dbp[k] ^ above;
-    }
+    toPlanes(rows, p.dbp);
+    xorChain(p);
 }
 
 void
 unbuildDirect(const Planes &p, Line &line)
 {
-    for (unsigned j = 0; j < kDirectWidth; ++j) {
-        uint32_t w = 0;
-        for (unsigned k = 0; k < kDirectPlanes; ++k)
-            w |= ((p.dbp[k] >> j) & 1u) << k;
-        setLineWord32(line, j, w);
-    }
+    uint32_t words[kDirectWidth];
+    fromPlanes(p.dbp, words);
+    for (unsigned j = 0; j < kDirectWidth; ++j)
+        setLineWord32(line, j, words[j]);
 }
 
 /** Encode the base word with a small-magnitude code. */
+template <class Sink>
 void
-encodeBase(uint32_t base, BitWriter &out)
+encodeBase(uint32_t base, Sink &out)
 {
     int32_t s = int32_t(base);
     if (base == 0) {
@@ -167,8 +212,9 @@ isTwoConsecutiveOnes(uint32_t v, unsigned &pos)
 }
 
 /** Encode planes MSB-plane first; see the symbol table in bpc.h. */
+template <class Sink>
 void
-encodePlanes(const Planes &p, BitWriter &out)
+encodePlanes(const Planes &p, Sink &out)
 {
     uint32_t ones = (1u << p.width) - 1;
     int k = int(p.count) - 1;
@@ -273,10 +319,11 @@ BpcCompressor::transformedBits(const Line &line) const
 {
     Planes p;
     uint32_t base = buildTransformed(line, p);
-    BitWriter w;
-    encodeBase(base, w);
-    encodePlanes(p, w);
-    return 1 + w.bitSize(); // +1 mode bit
+    BitCounter c;
+    c.put(0, 1); // mode bit
+    encodeBase(base, c);
+    encodePlanes(p, c);
+    return c.bitSize();
 }
 
 size_t
@@ -284,9 +331,18 @@ BpcCompressor::directBits(const Line &line) const
 {
     Planes p;
     buildDirect(line, p);
-    BitWriter w;
-    encodePlanes(p, w);
-    return 1 + w.bitSize();
+    BitCounter c;
+    c.put(1, 1); // mode bit
+    encodePlanes(p, c);
+    return c.bitSize();
+}
+
+size_t
+BpcCompressor::compressedBits(const Line &line) const
+{
+    CPR_PROF_SCOPE(ProfPhase::kBpcCompress);
+    size_t bits = transformedBits(line);
+    return adaptive_ ? std::min(bits, directBits(line)) : bits;
 }
 
 size_t
@@ -297,31 +353,24 @@ BpcCompressor::compress(const Line &line, BitWriter &out) const
 
     Planes xf;
     uint32_t base = buildTransformed(line, xf);
-    BitWriter xw;
-    encodeBase(base, xw);
-    encodePlanes(xf, xw);
-
-    bool use_direct = false;
-    BitWriter dw;
     if (adaptive_) {
+        // Size both modes, then encode only the winner (the transformed
+        // one on a tie).
         Planes dp;
         buildDirect(line, dp);
-        encodePlanes(dp, dw);
-        use_direct = dw.bitSize() < xw.bitSize();
+        BitCounter xc, dc;
+        encodeBase(base, xc);
+        encodePlanes(xf, xc);
+        encodePlanes(dp, dc);
+        if (dc.bitSize() < xc.bitSize()) {
+            out.put(1, 1);
+            encodePlanes(dp, out);
+            return out.bitSize() - start;
+        }
     }
-
-    const BitWriter &best = use_direct ? dw : xw;
-    out.put(use_direct ? 1 : 0, 1);
-    // Re-append the winning stream bit by bit (streams are short).
-    BitReader rd(best.bytes().data(), best.bitSize());
-    size_t rem = best.bitSize();
-    while (rem >= 32) {
-        out.put(rd.get(32), 32);
-        rem -= 32;
-    }
-    if (rem > 0)
-        out.put(rd.get(unsigned(rem)), unsigned(rem));
-
+    out.put(0, 1);
+    encodeBase(base, out);
+    encodePlanes(xf, out);
     return out.bitSize() - start;
 }
 

@@ -51,10 +51,14 @@ class BpcCompressor : public Compressor
     size_t compress(const Line &line, BitWriter &out) const override;
     bool decompress(BitReader &in, Line &out) const override;
 
-    /** Size in bits of the transformed-only encoding (for the ablation
-     *  of the adaptive-mode benefit). */
+    /** Sizes both modes with a counting sink; writes no stream. */
+    size_t compressedBits(const Line &line) const override;
+
+    /** Size in bits of the transformed-only encoding, mode bit included
+     *  (for the ablation of the adaptive-mode benefit). */
     size_t transformedBits(const Line &line) const;
-    /** Size in bits of the direct (untransformed) encoding. */
+    /** Size in bits of the direct (untransformed) encoding, mode bit
+     *  included. */
     size_t directBits(const Line &line) const;
 
   private:

@@ -5,8 +5,8 @@
  * All algorithms operate at the 64 B cache-line granularity chosen by
  * Compresso (Sec. II-A). Compressors are functional: they produce a
  * decodable bitstream, and every algorithm is round-trip tested. The
- * timing model mostly needs compressedBits(), which is provided as a
- * convenience wrapper.
+ * timing model mostly needs compressedBits(), which encodes and counts
+ * by default and which the codecs on the hot path size directly.
  */
 
 #ifndef COMPRESSO_COMPRESS_COMPRESSOR_H
@@ -86,8 +86,12 @@ class Compressor
      */
     virtual bool decompress(BitReader &in, Line &out) const = 0;
 
-    /** Compressed size in bits without keeping the bitstream. */
-    size_t
+    /**
+     * Compressed size in bits without keeping the bitstream; always
+     * equal to what compress() appends. The default encodes into a
+     * scratch writer; BPC and BDI override it with a size-only path.
+     */
+    virtual size_t
     compressedBits(const Line &line) const
     {
         BitWriter w;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bitstream.h"
 #include "common/rng.h"
 
@@ -128,5 +131,180 @@ TEST(BitStream, RandomRoundTrip)
         for (auto [value, width] : items)
             ASSERT_EQ(r.get(width), value);
         EXPECT_FALSE(r.overrun());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Word-level reader edge cases. Every buffer below is a heap vector of
+// exactly ceil(size_bits / 8) bytes, so that a read past its end is an
+// out-of-bounds load the asan-ubsan preset reports.
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::vector<uint8_t>
+randomBytes(Rng &rng, size_t n)
+{
+    std::vector<uint8_t> b(n);
+    for (auto &x : b)
+        x = uint8_t(rng.next());
+    return b;
+}
+
+/** Bit-at-a-time model of get(): bits at or past @p size read as 0. */
+uint64_t
+refBits(const std::vector<uint8_t> &b, size_t size, size_t pos, unsigned n)
+{
+    uint64_t v = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        size_t p = pos + i;
+        uint64_t bit = p < size ? (b[p / 8] >> (7 - p % 8)) & 1 : 0;
+        v = (v << 1) | bit;
+    }
+    return v;
+}
+
+/** Advance @p r by @p bits in reads of at most 64 bits. */
+void
+skip(BitReader &r, size_t bits)
+{
+    while (bits > 0) {
+        unsigned step = unsigned(std::min<size_t>(64, bits));
+        r.get(step);
+        bits -= step;
+    }
+}
+
+} // namespace
+
+TEST(BitReader, EveryWidthAtEveryOffset)
+{
+    Rng rng(7);
+    std::vector<uint8_t> b = randomBytes(rng, 24);
+    size_t size = b.size() * 8;
+    for (unsigned off = 0; off < 8; ++off) {
+        for (unsigned n = 1; n <= 64; ++n) {
+            BitReader r(b.data(), size);
+            r.get(off);
+            ASSERT_EQ(r.get(n), refBits(b, size, off, n))
+                << "off " << off << " n " << n;
+            ASSERT_EQ(r.pos(), off + n);
+            ASSERT_FALSE(r.overrun());
+        }
+    }
+}
+
+TEST(BitReader, ReadsEndingExactlyAtTheEnd)
+{
+    // Byte lengths that are not multiples of 8, and bit lengths that
+    // end inside the last byte (its pad bits are set and must read as
+    // zero).
+    Rng rng(11);
+    for (size_t bytes = 1; bytes <= 19; ++bytes) {
+        std::vector<uint8_t> b = randomBytes(rng, bytes);
+        b.back() |= 0x01;
+        for (size_t size = bytes * 8 - 7; size <= bytes * 8; ++size) {
+            for (unsigned n = 1; n <= 64 && n <= size; ++n) {
+                BitReader r(b.data(), size);
+                size_t pos = size - n;
+                skip(r, pos);
+                ASSERT_EQ(r.get(n), refBits(b, size, pos, n))
+                    << "bytes " << bytes << " size " << size << " n " << n;
+                ASSERT_FALSE(r.overrun());
+                ASSERT_EQ(r.remaining(), 0u);
+            }
+        }
+    }
+}
+
+TEST(BitReader, StraddlingReadReturnsInRangeBitsThenZeros)
+{
+    Rng rng(13);
+    for (size_t bytes = 1; bytes <= 11; ++bytes) {
+        std::vector<uint8_t> b = randomBytes(rng, bytes);
+        for (size_t size = bytes * 8 - 7; size <= bytes * 8; ++size) {
+            for (size_t pos = size > 64 ? size - 64 : 0; pos <= size;
+                 ++pos) {
+                for (unsigned n = unsigned(size - pos) + 1; n <= 64; ++n) {
+                    BitReader r(b.data(), size);
+                    skip(r, pos);
+                    ASSERT_FALSE(r.overrun());
+                    uint64_t want = refBits(b, size, pos, n);
+                    ASSERT_EQ(r.get(n), want)
+                        << "size " << size << " pos " << pos << " n " << n;
+                    ASSERT_TRUE(r.overrun());
+                    ASSERT_EQ(r.pos(), pos + n);
+                    ASSERT_EQ(r.remaining(), 0u);
+                    // Once past the end every read is zero.
+                    ASSERT_EQ(r.get(n), 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(BitReader, EmptyBufferReadsZeroAndOverruns)
+{
+    BitReader r(nullptr, 0);
+    EXPECT_EQ(r.get(0), 0u);
+    EXPECT_FALSE(r.overrun());
+    EXPECT_EQ(r.get(64), 0u);
+    EXPECT_TRUE(r.overrun());
+    EXPECT_EQ(r.pos(), 64u);
+}
+
+TEST(BitReader, PeekAtTheTailLeavesStateUnchanged)
+{
+    Rng rng(17);
+    std::vector<uint8_t> b = randomBytes(rng, 9);
+    size_t size = 70;
+    for (size_t pos = 40; pos <= size; ++pos) {
+        for (unsigned n = 1; n <= 64; ++n) {
+            BitReader r(b.data(), size);
+            skip(r, pos);
+            ASSERT_EQ(r.peek(n), refBits(b, size, pos, n));
+            ASSERT_EQ(r.pos(), pos);
+            ASSERT_FALSE(r.overrun());
+            // Peeking from an already overrun reader keeps the flag.
+            BitReader o(b.data(), size);
+            skip(o, 128);
+            ASSERT_TRUE(o.overrun());
+            size_t opos = o.pos();
+            ASSERT_EQ(o.peek(n), 0u);
+            ASSERT_EQ(o.pos(), opos);
+            ASSERT_TRUE(o.overrun());
+        }
+    }
+}
+
+TEST(BitWriter, MatchesBitAtATimeModel)
+{
+    // Every width at every starting offset, against a model that
+    // appends one bit at a time.
+    Rng rng(19);
+    for (unsigned off = 0; off < 8; ++off) {
+        for (unsigned n = 1; n <= 64; ++n) {
+            BitWriter w;
+            std::vector<uint8_t> model;
+            size_t bits = 0;
+            auto modelPut = [&](uint64_t v, unsigned k) {
+                for (unsigned i = k; i-- > 0;) {
+                    if (bits % 8 == 0)
+                        model.push_back(0);
+                    model.back() |= uint8_t(((v >> i) & 1) << (7 - bits % 8));
+                    ++bits;
+                }
+            };
+            uint64_t lead = rng.next(), v = rng.next();
+            w.put(lead, off);
+            modelPut(lead, off);
+            w.put(v, n);
+            modelPut(v, n);
+            w.put(v, 3);
+            modelPut(v, 3);
+            ASSERT_EQ(w.bytes(), model) << "off " << off << " n " << n;
+            ASSERT_EQ(w.bitSize(), bits);
+            ASSERT_EQ(w.byteSize(), model.size());
+        }
     }
 }

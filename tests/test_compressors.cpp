@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "codec_inputs.h"
 #include "compress/bdi.h"
 #include "compress/bpc.h"
 #include "compress/cpack.h"
@@ -126,12 +129,17 @@ TEST_P(CompressorRoundTrip, BackToBackStreams)
 
 TEST_P(CompressorRoundTrip, CompressedBitsMatchesStream)
 {
-    Line line;
-    generateLine(DataClass::kFloat, 99, line);
-    BitWriter w;
-    size_t bits = codec_->compress(line, w);
-    EXPECT_EQ(bits, w.bitSize());
-    EXPECT_EQ(codec_->compressedBits(line), bits);
+    // The size path must agree with the stream on every input, and
+    // compress() must report what it appended to a stream that does
+    // not start on a byte boundary.
+    for (const Line &line : codecTestLines()) {
+        BitWriter w;
+        w.put(0b10110, 5);
+        size_t bits = codec_->compress(line, w);
+        ASSERT_EQ(bits, w.bitSize() - 5);
+        ASSERT_EQ(codec_->compressedBits(line), bits);
+        ASSERT_EQ(codec_->compressedBytes(line), (bits + 7) / 8);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CompressorRoundTrip,
@@ -176,6 +184,25 @@ TEST(Bpc, AdaptiveModeNeverWorseThanTransform)
         generateLine(cls, rng.next(), line);
         EXPECT_LE(adaptive.compressedBits(line),
                   adaptive.transformedBits(line));
+    }
+}
+
+TEST(Bpc, SizeQueriesMatchAdaptiveChoice)
+{
+    // transformedBits and directBits each count the mode bit, so the
+    // adaptive size is the smaller of the two, and the stream's mode
+    // bit names the winner (transformed on a tie).
+    BpcCompressor adaptive(true), xform(false);
+    for (const Line &line : codecTestLines()) {
+        size_t t = adaptive.transformedBits(line);
+        size_t d = adaptive.directBits(line);
+        ASSERT_EQ(adaptive.compressedBits(line), std::min(t, d));
+        ASSERT_EQ(xform.compressedBits(line), t);
+        ASSERT_EQ(xform.transformedBits(line), t);
+        BitWriter w;
+        adaptive.compress(line, w);
+        BitReader r(w.bytes().data(), w.bitSize());
+        ASSERT_EQ(r.get(1), d < t ? 1u : 0u);
     }
 }
 

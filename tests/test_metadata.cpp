@@ -5,33 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "codec_inputs.h"
 #include "common/rng.h"
 #include "meta/metadata_entry.h"
 
 using namespace compresso;
-
-namespace {
-
-MetadataEntry
-randomEntry(Rng &rng)
-{
-    MetadataEntry m;
-    m.valid = rng.chance(0.9);
-    m.zero = rng.chance(0.2);
-    m.compressed = rng.chance(0.7);
-    m.chunks = uint8_t(rng.below(kChunksPerPage + 1));
-    m.free_space = uint16_t(rng.below(4096));
-    m.inflate_count = uint8_t(rng.below(kMaxInflatedLines + 1));
-    for (auto &f : m.mpfn)
-        f = uint32_t(rng.below(1u << 28));
-    for (auto &c : m.line_code)
-        c = uint8_t(rng.below(4));
-    for (auto &l : m.inflate_line)
-        l = uint8_t(rng.below(kLinesPerPage));
-    return m;
-}
-
-} // namespace
 
 TEST(MetadataEntry, DefaultIsInvalid)
 {
@@ -62,7 +40,7 @@ TEST(MetadataEntry, RoundTripRandom)
 {
     Rng rng(77);
     for (int iter = 0; iter < 300; ++iter) {
-        MetadataEntry m = randomEntry(rng);
+        MetadataEntry m = randomMetadataEntry(rng);
         MetadataEntry out;
         ASSERT_TRUE(MetadataEntry::unpack(m.pack(), out));
         EXPECT_EQ(out.valid, m.valid);
@@ -82,7 +60,7 @@ TEST(MetadataEntry, FirstHalfSufficesForControlAndPointers)
     // The half-entry optimization caches only the first 32 B; control
     // state and MPFNs must decode from it alone.
     Rng rng(78);
-    MetadataEntry m = randomEntry(rng);
+    MetadataEntry m = randomMetadataEntry(rng);
     auto raw = m.pack();
     // Zero the second half and re-decode.
     for (size_t i = 32; i < 64; ++i)
