@@ -5,8 +5,8 @@
  * "compresso-bench-v1" JSON document (BENCH_<suite>.json by default).
  * Each bench records the simulated metrics (which must not move
  * between builds of equal code) next to host-side throughput, so
- * tools/perf_compare.py can gate changes on simulator *speed* without
- * confusing a perf regression with a behaviour change.
+ * `tools/obs_report.py gate` can gate changes on simulator *speed*
+ * and fail any simulated metric that moved.
  *
  * Usage:
  *   bench_runner [--suite quick|full] [--repeat N] [--out PATH] [--list]

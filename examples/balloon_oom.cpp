@@ -31,8 +31,8 @@
  * --postmortem <dir> attaches the anomaly flight recorder (DESIGN.md
  * §16) to every chaos run and writes one compresso-postmortem-v1
  * document per captured bundle — at least one forced bundle per
- * injected storm — for tools/postmortem_report.py. Works in both
- * modes; bundles are byte-identical at any --jobs count.
+ * injected storm — for `tools/obs_report.py check|summary|triage`.
+ * Works in both modes; bundles are byte-identical at any --jobs count.
  */
 
 #include <cstdio>

@@ -23,7 +23,7 @@
  * role across tenants every N rounds. --out writes the merged
  * compresso-service-v1 document (byte-identical at any --jobs count)
  * for tools/obs_report.py; --postmortem writes tenant-tagged
- * compresso-postmortem-v1 bundles for tools/postmortem_report.py.
+ * compresso-postmortem-v1 bundles for `tools/obs_report.py triage`.
  */
 
 #include <cstdio>

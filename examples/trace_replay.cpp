@@ -9,7 +9,7 @@
  *   ./build/examples/trace_replay --demo [backend] [--json out]
  *
  * backend: uncompressed | lcp | lcp+align | compresso (default)
- * --json writes the replay metrics as a compresso-run-v1 document
+ * --json writes the replay metrics as a compresso-run-v3 document
  * (tools/obs_report.py reads it).
  *
  * Trace format (text, '#' comments):

@@ -3,11 +3,12 @@
  * Campaign document export: serializes a CampaignResult into the
  * versioned "compresso-campaign-v1" JSON document. One document holds
  * the whole sweep — per-job results (run jobs embed the same object
- * shape as compresso-run-v2 `results[]`; custom jobs embed their named
+ * shape as a run document's `results[]`; custom jobs embed their named
  * scalars), cross-job aggregates per controller kind, the scheduling
  * summary (ok/failed/timeout/skipped, retries, steals), and the
- * environment stamp. tools/perf_compare.py and tools/obs_report.py
- * consume this format alongside the run/bench documents.
+ * environment stamp. tools/obs_report.py reads this format alongside
+ * the run/bench documents (`check` / `summary` / `diff`, and `gate`
+ * for bench campaigns).
  */
 
 #ifndef COMPRESSO_EXEC_CAMPAIGN_EXPORT_H

@@ -54,8 +54,8 @@
 namespace compresso {
 
 /** Anomaly taxonomy: every source that can demand a post-mortem.
- *  Keep postmortemTriggerName() (and tools/postmortem_report.py's
- *  TRIGGERS vocabulary) in sync. */
+ *  Keep postmortemTriggerName() (and tools/obs_report.py's TRIGGERS
+ *  vocabulary) in sync. */
 enum class PostmortemTrigger : uint8_t
 {
     kWatchdogBreach = 0, ///< op blew its stall budget (detail = op)

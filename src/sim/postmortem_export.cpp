@@ -13,8 +13,8 @@ namespace {
 
 /** Watermark-level names. The obs layer stores the level as a raw
  *  ordinal (it cannot see pressure/governor.h); keep this table in
- *  sync with pressureLevelName() and tools/postmortem_report.py's
- *  LEVELS vocabulary. */
+ *  sync with pressureLevelName() and tools/obs_report.py's LEVELS
+ *  vocabulary. */
 const char *
 levelName(uint32_t level)
 {

@@ -2,7 +2,8 @@
  * @file
  * Post-mortem bundle export: serializes FlightRecorder bundles into
  * versioned "compresso-postmortem-v1" JSON documents, one file per
- * bundle, consumed by tools/postmortem_report.py.
+ * bundle, read by tools/obs_report.py (check / summary / triage /
+ * diff).
  *
  * Document shape (key order is fixed; output is byte-identical for
  * identical bundles):

@@ -171,8 +171,8 @@ writeEnvironmentJson(JsonWriter &w)
     w.field("hardware_concurrency",
             uint64_t(std::thread::hardware_concurrency()));
     // Which CMake preset produced this binary (stamped by the build;
-    // "unknown" for by-hand cmake invocations). tools/perf_compare.py
-    // warns when baseline and candidate presets disagree.
+    // "unknown" for by-hand cmake invocations). `tools/obs_report.py
+    // gate` warns when baseline and candidate presets disagree.
 #ifdef COMPRESSO_PRESET_NAME
     w.field("preset", COMPRESSO_PRESET_NAME);
 #else

@@ -3,10 +3,10 @@
  * Machine-readable experiment export: serializes RunResults into a
  * versioned JSON document ("compresso-run-v3") so figures can be
  * regenerated and runs diffed without re-simulating. tools/obs_report.py
- * consumes this format (and still reads v1/v2 documents). v2 added the
- * per-result `host_profile` object (src/prof digest); v3 adds
- * `latency_breakdown`: the simulated-cycle attribution (DESIGN.md §15)
- * with per-component cycles, percentiles and tail exemplars.
+ * reads this format, current generation only. v2 added the per-result
+ * `host_profile` object (src/prof digest); v3 adds `latency_breakdown`:
+ * the simulated-cycle attribution (DESIGN.md §15) with per-component
+ * cycles, percentiles and tail exemplars.
  *
  * Also provides RunSink, the tiny CLI shim every bench/example binary
  * uses to gain `--json <path>` (plus the observability opt-in flags)
@@ -37,8 +37,8 @@ void writeRunsJson(std::ostream &os, const std::string &tool,
 bool writeRunsJson(const std::string &path, const std::string &tool,
                    const std::vector<RunResult> &results);
 
-/** Write one RunResult as the run-v2 `results[]` object (shared with
- *  the campaign exporter, which embeds the same shape per job). */
+/** Write one RunResult as a `results[]` object (shared with the
+ *  campaign exporter, which embeds the same shape per job). */
 void writeRunResultJson(JsonWriter &w, const RunResult &r);
 
 /** Write the environment stamp object (compiler, build type, gate

@@ -2,11 +2,11 @@
  * @file
  * Single source of truth for every versioned JSON schema identifier
  * the exporters stamp into their documents. One header, one constant
- * per document family, shared by all writers; the Python readers
- * (tools/obs_report.py, tools/perf_compare.py,
- * tools/postmortem_report.py) carry matching vocabularies, and
- * tools/check_schema_versions.py (a ctest) asserts both sides agree
- * and that no exporter re-declares a literal outside this header.
+ * per document family, shared by all writers. tools/obs_report.py
+ * keys its family table by these strings, and
+ * tools/check_schema_versions.py (a ctest) asserts the two name the
+ * same set of schemas and that no exporter re-declares a literal
+ * outside this header.
  *
  * Bump a constant only together with its reader-side update; document
  * history lives with each exporter:

@@ -4,21 +4,13 @@
  * CycleAttributor accounting on scripted traces — conservation
  * enforcement, background split, exemplar retention, reset — plus
  * end-to-end conservation across every controller kind, the
- * no-perturbation guard, and the run-v3 export round-trip through
- * tools/obs_report.py (including v2 back-compat).
+ * no-perturbation guard. The run-v3 export round-trip through
+ * tools/obs_report.py lives in test_report_tool.cpp.
  */
-
-#include <array>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <string>
 
 #include <gtest/gtest.h>
 
 #include "obs/attrib.h"
-#include "sim/run_export.h"
 #include "sim/runner.h"
 
 using namespace compresso;
@@ -258,108 +250,6 @@ TEST(AttribEndToEnd, WarmupResetCoversOnlyTheMeasuredSection)
     EXPECT_LE(r.attrib.refs,
               uint64_t(r.mc_stats.get("fills") +
                        r.mc_stats.get("writebacks")));
-}
-
-// ---------------------------------------------------------------------
-// Export round-trip through tools/obs_report.py
-// ---------------------------------------------------------------------
-
-std::string
-toolPath()
-{
-    // tests/test_attrib.cpp -> <repo>/tools/obs_report.py
-    std::string file = __FILE__;
-    size_t slash = file.rfind('/');
-    std::string dir = slash == std::string::npos
-                          ? std::string(".")
-                          : file.substr(0, slash);
-    return dir + "/../tools/obs_report.py";
-}
-
-bool
-havePython()
-{
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    return std::system("python3 -c 'pass' >/dev/null 2>&1") == 0;
-}
-
-int
-runTool(const std::string &args)
-{
-    std::string cmd =
-        "python3 " + toolPath() + " " + args + " >/dev/null 2>&1";
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    int rc = std::system(cmd.c_str());
-    return rc;
-}
-
-std::string
-writeRunDoc(const std::string &name, bool as_v2)
-{
-#ifdef COMPRESSO_OBS_DISABLED
-    RunSpec spec = smallSpec(McKind::kCompresso);
-#else
-    RunSpec spec = smallSpec(McKind::kCompresso);
-    spec.obs.enabled = true;
-#endif
-    RunResult r = runSystem(spec);
-    std::ostringstream os;
-    writeRunsJson(os, "test_attrib", {r});
-    std::string doc = os.str();
-    if (as_v2) {
-        // A v2 document is the v3 shape minus the latency_breakdown
-        // guarantee; readers must accept it by schema tag alone.
-        // Derive the tag from the canonical constant so the literal
-        // stays confined to sim/schema_versions.h.
-        std::string v3 = kRunJsonSchema;
-        std::string v2 = v3.substr(0, v3.size() - 1) + "2";
-        size_t pos = doc.find(v3);
-        if (pos != std::string::npos)
-            doc.replace(pos, v3.size(), v2);
-    }
-    std::string path = testing::TempDir() + name;
-    std::ofstream out(path);
-    out << doc;
-    return path;
-}
-
-TEST(AttribExport, V3DocumentPassesCheckSummaryAndBreakdown)
-{
-    if (!havePython())
-        GTEST_SKIP() << "python3 unavailable";
-    std::string path = writeRunDoc("attrib_v3.json", /*as_v2=*/false);
-    EXPECT_EQ(runTool("check " + path), 0);
-    EXPECT_EQ(runTool("summary " + path), 0);
-#ifndef COMPRESSO_OBS_DISABLED
-    EXPECT_EQ(runTool("breakdown " + path + " --max-share 100"), 0);
-    EXPECT_EQ(runTool("exemplars " + path), 0);
-#endif
-    std::remove(path.c_str());
-}
-
-TEST(AttribExport, V2DocumentRoundTripsThroughTheV3Reader)
-{
-    if (!havePython())
-        GTEST_SKIP() << "python3 unavailable";
-    std::string path = writeRunDoc("attrib_v2.json", /*as_v2=*/true);
-    EXPECT_EQ(runTool("check " + path), 0);
-    EXPECT_EQ(runTool("summary " + path), 0);
-    std::remove(path.c_str());
-}
-
-TEST(AttribExport, DiffFailsAcrossSchemaGenerations)
-{
-    if (!havePython())
-        GTEST_SKIP() << "python3 unavailable";
-    std::string v3 = writeRunDoc("attrib_d3.json", /*as_v2=*/false);
-    std::string v2 = writeRunDoc("attrib_d2.json", /*as_v2=*/true);
-    EXPECT_EQ(runTool("diff " + v3 + " " + v3), 0);
-    // Mismatched generations: still diffs the shared sections but
-    // exits 2 so automation cannot mistake it for a clean compare.
-    int rc = runTool("diff " + v2 + " " + v3);
-    EXPECT_NE(rc, 0);
-    std::remove(v3.c_str());
-    std::remove(v2.c_str());
 }
 
 } // namespace

@@ -3,12 +3,12 @@
  * Anomaly flight recorder (src/obs/flight_recorder.h, DESIGN.md §16):
  * trigger/chain/rate-limit unit behavior, the Observer record() tap
  * and two-level gate, watermark history, provider sections, the
- * compresso-postmortem-v1 export (round-tripped through
- * tools/postmortem_report.py), and chaos-postmortem determinism.
+ * compresso-postmortem-v1 export (its round-trip through
+ * tools/obs_report.py lives in test_report_tool.cpp), and
+ * chaos-postmortem determinism.
  */
 
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,23 +18,12 @@
 #include "obs/flight_recorder.h"
 #include "obs/observer.h"
 #include "pressure/chaos.h"
+#include "postmortem_samples.h"
 #include "sim/postmortem_export.h"
 
 using namespace compresso;
 
 namespace {
-
-FlightRecorderConfig
-smallConfig()
-{
-    FlightRecorderConfig cfg;
-    cfg.ring_snapshot = 8;
-    cfg.max_bundles = 4;
-    cfg.chain_capacity = 4;
-    cfg.rearm_triggers = 4;
-    cfg.watermark_capacity = 2;
-    return cfg;
-}
 
 // ---------------------------------------------------------------------
 // Unit behavior (recorder standalone, null clock/tracer/attrib)
@@ -90,7 +79,7 @@ TEST(FlightRecorder, ChainMergesRepeatsAndCountsDrops)
     EXPECT_EQ(b.chain[1].kind, PostmortemTrigger::kOomRescue);
     EXPECT_EQ(b.chain[1].count, 2u);
     EXPECT_EQ(b.chain_dropped, 1u);
-    // Invariant checked by postmortem_report.py: entry counts plus
+    // Invariant checked by obs_report.py: entry counts plus
     // drops reproduce the trigger total.
     EXPECT_EQ(b.chain[0].count + b.chain[1].count + b.chain_dropped,
               b.triggers_total);
@@ -276,20 +265,6 @@ TEST(FlightRecorder, RuntimeGateKeepsRecorderOff)
 // Export round-trip
 // ---------------------------------------------------------------------
 
-PostmortemBundle
-sampleBundle()
-{
-    FlightRecorder fr(smallConfig(), nullptr, nullptr, nullptr);
-    fr.setNote("kind", "compresso");
-    fr.setNote("seed", "1");
-    fr.addProvider([](PostmortemBundle &b) {
-        b.sections["governor"]["level"] = 3;
-    });
-    fr.noteLevel(2, 120);
-    fr.trigger(PostmortemTrigger::kSwapFull, 11, 0);
-    return fr.bundles().back();
-}
-
 TEST(PostmortemExport, DocumentNamesTriggerRingAndSections)
 {
     std::ostringstream os;
@@ -307,42 +282,6 @@ TEST(PostmortemExport, DocumentNamesTriggerRingAndSections)
     EXPECT_NE(doc.find("\"governor\""), std::string::npos);
     EXPECT_NE(doc.find("\"notes\""), std::string::npos);
     EXPECT_NE(doc.find("\"environment\""), std::string::npos);
-}
-
-bool
-havePython()
-{
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    return std::system("python3 -c 'pass' >/dev/null 2>&1") == 0;
-}
-
-int
-runReportTool(const std::string &args)
-{
-    // tests/test_flight_recorder.cpp -> <repo>/tools
-    std::string file = __FILE__;
-    std::string dir = file.substr(0, file.rfind('/'));
-    std::string cmd = "python3 " + dir +
-                      "/../tools/postmortem_report.py " + args +
-                      " >/dev/null 2>&1";
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    return std::system(cmd.c_str());
-}
-
-TEST(PostmortemExport, BundlePassesPythonValidator)
-{
-    if (!havePython())
-        GTEST_SKIP() << "python3 unavailable";
-    std::string path =
-        testing::TempDir() + "flight_recorder_bundle.json";
-    ASSERT_TRUE(
-        writePostmortemJson(path, "test_flight_recorder",
-                            sampleBundle()));
-    EXPECT_EQ(runReportTool("check " + path), 0);
-    EXPECT_EQ(runReportTool("summary " + path), 0);
-    EXPECT_EQ(runReportTool("triage " + path), 0);
-    // Identical bundles diff clean (exit 0).
-    EXPECT_EQ(runReportTool("diff " + path + " " + path), 0);
 }
 
 TEST(PostmortemExport, WriteBundlesCreatesNumberedFiles)

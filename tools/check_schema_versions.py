@@ -1,19 +1,9 @@
 #!/usr/bin/env python3
-"""Assert the C++ exporters and the Python readers agree on every
-versioned JSON schema identifier.
+"""Assert src/sim/schema_versions.h (one k*JsonSchema constant per
+document family) and tools/obs_report.py agree on every versioned JSON
+schema. Run as a ctest from the repo root, it enforces two rules:
 
-src/sim/schema_versions.h is the single source of truth (one constant
-per document family). This check, run as a ctest from the repo root,
-enforces two project rules:
-
- 1. Each Python reader's schema constant matches the header:
-      kRunJsonSchema        == obs_report.SCHEMAS[-1]
-      kCampaignJsonSchema   == obs_report.CAMPAIGN_SCHEMA
-                            == perf_compare.CAMPAIGN_SCHEMA
-      kSoakJsonSchema       == obs_report.SOAK_SCHEMA
-      kServiceJsonSchema    == obs_report.SERVICE_SCHEMA
-      kBenchJsonSchema      == perf_compare.SCHEMA
-      kPostmortemJsonSchema == postmortem_report.SCHEMA
+ 1. The header's schema strings are the keys of obs_report.FAMILIES.
  2. No C++ code re-declares a "compresso-*-v*" string literal outside
     the header (doc comments may mention them; code may not).
 
@@ -29,19 +19,10 @@ HEADER = os.path.join(REPO, "src", "sim", "schema_versions.h")
 
 sys.path.insert(0, os.path.join(REPO, "tools"))
 import obs_report  # noqa: E402
-import perf_compare  # noqa: E402
-import postmortem_report  # noqa: E402
 
 LITERAL = re.compile(r'"(compresso-[a-z0-9_]+-v[0-9]+)"')
 CONSTANT = re.compile(
-    r'\bk(\w+)JsonSchema\s*=\s*\n?\s*"(compresso-[a-z0-9_]+-v[0-9]+)"')
-
-
-def parse_header():
-    with open(HEADER, encoding="utf-8") as f:
-        text = f.read()
-    return {f"k{name}JsonSchema": value
-            for name, value in CONSTANT.findall(text)}
+    r'\bk\w+JsonSchema\s*=\s*\n?\s*"(compresso-[a-z0-9_]+-v[0-9]+)"')
 
 
 def strip_comments(text):
@@ -69,46 +50,22 @@ def scan_strays():
 
 
 def main():
-    problems = []
-    header = parse_header()
-    expected_names = ("kRunJsonSchema", "kCampaignJsonSchema",
-                      "kSoakJsonSchema", "kServiceJsonSchema",
-                      "kBenchJsonSchema", "kPostmortemJsonSchema")
-    for name in expected_names:
-        if name not in header:
-            problems.append(f"{HEADER}: constant {name} not found")
-    pairs = (
-        ("kRunJsonSchema", "obs_report.SCHEMAS[-1]",
-         obs_report.SCHEMAS[-1]),
-        ("kCampaignJsonSchema", "obs_report.CAMPAIGN_SCHEMA",
-         obs_report.CAMPAIGN_SCHEMA),
-        ("kCampaignJsonSchema", "perf_compare.CAMPAIGN_SCHEMA",
-         perf_compare.CAMPAIGN_SCHEMA),
-        ("kSoakJsonSchema", "obs_report.SOAK_SCHEMA",
-         obs_report.SOAK_SCHEMA),
-        ("kServiceJsonSchema", "obs_report.SERVICE_SCHEMA",
-         obs_report.SERVICE_SCHEMA),
-        ("kBenchJsonSchema", "perf_compare.SCHEMA",
-         perf_compare.SCHEMA),
-        ("kPostmortemJsonSchema", "postmortem_report.SCHEMA",
-         postmortem_report.SCHEMA),
-    )
-    for cname, pname, pvalue in pairs:
-        cvalue = header.get(cname)
-        if cvalue is not None and cvalue != pvalue:
-            problems.append(f"{cname} is {cvalue!r} but {pname} "
-                            f"is {pvalue!r}")
-    for path, literal in scan_strays():
-        problems.append(f"{path}: stray schema literal {literal!r} — "
-                        "use the constant from "
-                        "src/sim/schema_versions.h")
+    with open(HEADER, encoding="utf-8") as f:
+        header = set(CONSTANT.findall(f.read()))
+    tool = set(obs_report.FAMILIES)
+    problems = [f"{s} is in {HEADER} but not in obs_report.FAMILIES"
+                for s in sorted(header - tool)]
+    problems += [f"{s} is in obs_report.FAMILIES but not in {HEADER}"
+                 for s in sorted(tool - header)]
+    problems += [f"{path}: stray schema literal {literal!r} — use the "
+                 "constant from src/sim/schema_versions.h"
+                 for path, literal in scan_strays()]
     if problems:
         for p in problems:
             print(f"PROBLEM: {p}")
         print(f"\n{len(problems)} schema-version problem(s)")
         return 1
-    print(f"schema versions consistent: "
-          f"{', '.join(sorted(header.values()))}")
+    print(f"schema versions consistent: {', '.join(sorted(header))}")
     return 0
 
 

@@ -1,937 +1,513 @@
 #!/usr/bin/env python3
-"""Summarize, diff, and validate compresso-run JSON documents.
+"""Validate, summarize, diff and gate every compresso JSON document.
 
-Every bench/example binary writes this format via `--json <path>`
-(see src/sim/run_export.h). Stdlib-only, so CI and users need nothing
-beyond python3.
+One tool reads all six document families. Each is keyed by the schema
+string its writer stamps (src/sim/schema_versions.h):
 
-Understands compresso-run-v3 (current: adds the per-result
-`latency_breakdown` object — the simulated-cycle attribution of
-DESIGN.md §15) and still reads v2 (adds `host_profile`) and v1
-documents, which simply lack the newer sections. Also reads
-compresso-campaign-v1 documents (`--campaign-json`, see
-src/exec/campaign_export.h): every subcommand treats the campaign's
-successful run-jobs as the result list, `check` additionally validates
-the campaign envelope (summary counts vs job statuses, per-job status
-vocabulary, aggregates), and `summary` prints the scheduling digest
-(workers, failures, retries, steals) and custom-job values.
+  run         `--json` of every bench/example (src/sim/run_export.h)
+  campaign    `--campaign-json` (src/exec/campaign_export.h)
+  soak        `balloon_oom --soak --out` (src/pressure/soak_export.h)
+  service     `tenant_service --out` (src/service/service_export.h)
+  postmortem  `--postmortem <dir>` bundles (src/sim/postmortem_export.h)
+  bench       `bench_runner` (bench/bench_runner.cpp)
 
-Also reads compresso-soak-v1 documents (src/pressure/soak_export.h,
-written by `balloon_oom --soak --out`): `check` validates the soak
-envelope (per-controller reports, per-phase telemetry, watchdog op
-digests, pass gates vs counted failures), `summary` prints the
-per-controller verdict table and per-phase pressure digest, and
-`diff` compares matching controllers.
+A document is valid when it passes its family's field table (FAMILIES
+below: the type of every field) and then every cross-field rule of the
+family; a campaign's ok run-jobs read as a run document's results.
+Stdlib-only, so CI and users need nothing beyond python3.
 
-Also reads compresso-service-v1 documents (src/service/, written by
-`tenant_service --out`): `check` validates the service envelope
-(pressure/isolation sections, per-tenant counters and attribution,
-cross-totals) and fails on isolation-gate breaches (silent
-corruptions, audit violations), `summary` prints the per-tenant
-table plus the isolation digest, and `diff` compares matching
-tenants by name.
+Subcommands (<path> = a file, or a directory read as its *.json):
+  check <path>...       validate; also fails a soak with a failed
+                        controller and a service run that breached an
+                        isolation gate
+  summary <path>...     per-family digest
+  diff <a> <b>          compare the fields each family lists, pairing
+                        results by label, soak reports by controller,
+                        tenants by name (a directory: its first file)
+  breakdown <run.json>  per-result cycle-attribution table
+  exemplars <run.json>  worst-reference tail exemplars
+  triage <path>...      post-mortem bundles grouped by trigger, with
+                        the tenant behind each storm in service mode
+  gate <base> <cand>    bench (or bench campaign) host-time gate: a
+                        host_ns_per_ref median past --fail-threshold
+                        fails unless within the spread (NOISY), past
+                        --warn-threshold warns; a moved simulated
+                        metric fails
 
-Subcommands:
-  summary <run.json>            per-result metric table + obs digest
-  diff <a.json> <b.json>        metric deltas between matching labels
-  check <run.json>              schema validation; exit 1 on problems
-                                (including attribution conservation
-                                drift)
-  breakdown <run.json>          per-result cycle-attribution table;
-                                flags any component above --max-share
-                                percent of the total, exit 1 on
-                                conservation drift (--strict makes
-                                share anomalies fatal too)
-  exemplars <run.json>          worst-reference tail exemplars with
-                                their per-component splits
-
-Exit codes (the convention shared with tools/postmortem_report.py):
-0 = clean, 1 = findings (schema problems, failed gates, anomalies),
-2 = diff across schema generations or document families — the shared
-sections were still compared, but the comparison is incomplete.
+Exit codes: 0 = clean or identical; 1 = findings (schema problems,
+failed gates, a compared field that differs, a gate regression);
+2 = usage error, or a diff across document families.
 """
 
 import argparse
 import json
+import os
 import sys
+from collections import namedtuple
 
-SCHEMAS = ("compresso-run-v1", "compresso-run-v2", "compresso-run-v3")
-CAMPAIGN_SCHEMA = "compresso-campaign-v1"
-SOAK_SCHEMA = "compresso-soak-v1"
-SERVICE_SCHEMA = "compresso-service-v1"
+# --- Vocabularies, in writer order ---
+
+# Attribution taxonomy (src/obs/attrib.h).
+ATTRIB_COMPS = (
+    "mdcache_hit", "mdcache_miss", "bst_walk", "decompress", "compress",
+    "device_data", "device_extra", "repack", "overflow_relayout",
+    "fault_recovery", "pressure_stall", "swap_io", "os_fault")
+# Post-mortem triggers (postmortemTriggerName, src/obs/flight_recorder.h).
+TRIGGERS = (
+    "watchdog_breach", "op_throttled", "pressure_critical",
+    "pressure_emergency", "oom_rescue", "swap_full", "fault_ladder",
+    "conservation", "audit_violation", "chaos_storm", "cross_partition")
+# Event-ring kinds (obsEventName, src/obs/event_tracer.h).
+EVENTS = (
+    "split_access", "line_overflow", "page_overflow", "inflation",
+    "repack", "md_miss", "md_eviction", "predictor_flip",
+    "fault_recovery", "page_fault", "pressure_level", "watchdog_breach",
+    "op_throttled", "oom_rescue", "swap_full")
+# Pressure levels (pressureLevelName, src/pressure/governor.h).
+LEVELS = ("normal", "elevated", "critical", "emergency")
 JOB_STATUSES = ("ok", "failed", "timeout", "skipped")
-
-SOAK_REPORT_NUMBERS = [
-    "total_refs",
-    "silent_corruptions",
-    "audit_violations",
-    "watchdog_breaches",
-    "watchdog_denials",
-    "throttled",
-    "ladder_steps",
-    "oom_events",
-    "oom_rescued",
-    "oom_unrescued",
-    "stall_p99_max",
-]
-
-SOAK_PHASE_NUMBERS = [
-    "refs",
-    "reads",
-    "writes",
-    "verify_failures",
-    "zero_tolerated",
-    "audit_violations",
-    "max_level",
-    "machine_oom",
-    "oom_rescues",
-    "oom_dropped_writes",
-    "throttled",
-    "ladder_steps",
-    "swap_full",
-    "budget_overruns",
-]
-
-SOAK_OPS = ("repack", "relocation", "meta_rebuild", "inflation")
-
 SOAK_SCENARIOS = ("calm", "collapse_storm", "balloon_thrash",
                   "swap_storm", "metadata_pressure", "fault_burst")
+SOAK_OPS = ("repack", "relocation", "meta_rebuild", "inflation")
 
-SERVICE_PRESSURE_NUMBERS = [
-    "max_level",
-    "oom_events",
-    "oom_rescued",
-    "oom_unrescued",
-]
-
-SERVICE_ISOLATION_NUMBERS = [
-    "rebalances",
-    "rebalance_pages",
-    "cross_partition_attempts",
-    "balloon_partition_rejects",
-    "os_window_rejects",
-    "audit_violations",
-    "partition_audit_violations",
-    "silent_corruptions",
-]
-
-SERVICE_TENANT_NUMBERS = [
-    "refs",
-    "reads",
-    "writes",
-    "shed",
-    "faults",
-    "md_ops",
-    "gov_denied",
-    "inflation_denied",
-    "oom_dropped_writes",
-    "verify_failures",
-    "zero_tolerated",
-    "unverified",
-    "pages_lost",
-    "touched_pages",
-]
-
-# The gates a service run must hold for `check` to exit 0: any
-# corruption or audit breach is an isolation failure, not telemetry.
+RESULT_NUMBERS = (
+    "cycles", "insts", "perf", "comp_ratio", "effective_ratio",
+    "extra_split", "extra_overflow", "extra_repack", "extra_metadata",
+    "extra_total", "md_hit_rate", "zero_access_frac", "audit_violations")
+SOAK_REPORT_NUMBERS = (
+    "total_refs", "silent_corruptions", "audit_violations",
+    "watchdog_breaches", "watchdog_denials", "throttled", "ladder_steps",
+    "oom_events", "oom_rescued", "oom_unrescued", "stall_p99_max")
+SOAK_PHASE_NUMBERS = (
+    "refs", "reads", "writes", "verify_failures", "zero_tolerated",
+    "audit_violations", "max_level", "machine_oom", "oom_rescues",
+    "oom_dropped_writes", "throttled", "ladder_steps", "swap_full",
+    "budget_overruns")
+SERVICE_ISOLATION_NUMBERS = (
+    "rebalances", "rebalance_pages", "cross_partition_attempts",
+    "balloon_partition_rejects", "os_window_rejects", "audit_violations",
+    "partition_audit_violations", "silent_corruptions")
+SERVICE_TENANT_NUMBERS = (
+    "refs", "reads", "writes", "shed", "faults", "md_ops", "gov_denied",
+    "inflation_denied", "oom_dropped_writes", "verify_failures",
+    "zero_tolerated", "unverified", "pages_lost", "touched_pages")
+# Any nonzero isolation counter here fails `check` on a service run.
 SERVICE_GATES = ("silent_corruptions", "audit_violations",
                  "partition_audit_violations")
+BUNDLE_NUMBERS = (
+    "bundle_index", "tick", "triggers_total", "triggers_suppressed",
+    "chain_dropped", "ring_total", "ring_dropped", "watermarks_dropped")
+# Simulated metrics a bench records; `gate` fails when one moves.
+SIM_FIELDS = ("perf", "comp_ratio", "effective_ratio", "extra_total",
+              "md_hit_rate")
+HOST_METRICS = ("wall_ns", "host_ns_per_ref", "refs_per_host_sec")
+# Environment fields that change what a host-time number means.
+ENV_GATES = ("build_type", "obs_disabled", "prof_disabled", "preset")
 
-# Pressure-level vocabulary (pressureLevelName, src/pressure/governor.h).
-PRESSURE_LEVELS = ("normal", "elevated", "critical", "emergency")
+# --- Field types and the walker ---
+#
+# A spec is one of: a leaf type name (INT, NUM, STR, BOOL, ANY); a tuple
+# of allowed strings (an enum); ListOf(spec); MapOf(spec) for an object
+# with free keys, optionally restricted to a key vocabulary (keys=...)
+# or required to hold exactly it (exact=True); or a dict, an object with
+# named fields, where a trailing "?" marks the field optional.
 
-RESULT_NUMBERS = [
-    "cycles",
-    "insts",
-    "perf",
-    "comp_ratio",
-    "effective_ratio",
-    "extra_split",
-    "extra_overflow",
-    "extra_repack",
-    "extra_metadata",
-    "extra_total",
-    "md_hit_rate",
-    "zero_access_frac",
-    "audit_violations",
-]
+INT, NUM, STR, BOOL, ANY = "int", "number", "string", "bool", "any"
+ListOf = namedtuple("ListOf", "item")
+MapOf = namedtuple("MapOf", "value keys exact", defaults=(None, False))
 
-HIST_FIELDS = ["count", "sum", "min", "max", "mean", "p50", "p90", "p99"]
-
-# Fixed attribution taxonomy (src/obs/attrib.h), in writer order.
-ATTRIB_COMPS = (
-    "mdcache_hit",
-    "mdcache_miss",
-    "bst_walk",
-    "decompress",
-    "compress",
-    "device_data",
-    "device_extra",
-    "repack",
-    "overflow_relayout",
-    "fault_recovery",
-    "pressure_stall",
-    "swap_io",
-    "os_fault",
-)
-
-ATTRIB_COMP_FIELDS = ("cycles", "background_cycles", "count", "max",
-                      "p50", "p90", "p99")
+LEAF = {
+    INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    NUM: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    STR: lambda v: isinstance(v, str),
+    BOOL: lambda v: isinstance(v, bool),
+    ANY: lambda v: True,
+}
 
 
-def load(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"error: cannot read {path}: {e}")
+def json_type(v):
+    return {type(None): "null", bool: "bool", int: "int", float: "number",
+            str: "string", list: "list", dict: "object"}.get(type(v), "?")
 
 
-def check_breakdown(lb, where, need):
-    """Validate one latency_breakdown object (run-v3)."""
-    need(isinstance(lb.get("enabled"), bool),
-         f"{where}: enabled must be a bool")
-    for k in ("refs", "total_cycles", "conservation_failures"):
-        need(isinstance(lb.get(k), int),
-             f"{where}: {k} must be an integer")
-    comps = lb.get("components")
-    need(isinstance(comps, dict), f"{where}: missing components")
-    if isinstance(comps, dict):
-        need(sorted(comps) == sorted(ATTRIB_COMPS),
-             f"{where}: components are not the fixed taxonomy "
-             f"(got {sorted(comps)[:3]}...)")
-        for name, c in comps.items():
-            for k in ATTRIB_COMP_FIELDS:
-                need(isinstance((c or {}).get(k), int),
-                     f"{where}: components[{name!r}].{k} must be "
-                     "an integer")
-    # Conservation: component cycles must sum to the attributed total
-    # (per-reference tolerance is 0, so the sums agree globally too),
-    # and any counted per-reference drift fails validation outright.
-    need(lb.get("conservation_failures") == 0,
-         f"{where}: conservation drift "
-         f"({lb.get('conservation_failures')} failing references)")
-    if isinstance(comps, dict) and isinstance(lb.get("total_cycles"),
-                                              int):
-        s = sum(c.get("cycles", 0) for c in comps.values()
-                if isinstance(c, dict))
-        need(s == lb["total_cycles"],
-             f"{where}: component cycles sum to {s}, "
-             f"total_cycles is {lb['total_cycles']}")
-    exemplars = lb.get("exemplars")
-    need(isinstance(exemplars, list), f"{where}: missing exemplars")
-    for i, e in enumerate(exemplars or []):
-        ew = f"{where}.exemplars[{i}]"
-        for k in ("addr", "ref_index", "total"):
-            need(isinstance((e or {}).get(k), int),
-                 f"{ew}: {k} must be an integer")
-        ecomps = (e or {}).get("components")
-        need(isinstance(ecomps, dict), f"{ew}: missing components")
-        if isinstance(ecomps, dict):
-            bad = [k for k in ecomps if k not in ATTRIB_COMPS]
-            need(not bad, f"{ew}: unknown components {bad[:3]}")
-            if isinstance(e.get("total"), int):
-                s = sum(v for v in ecomps.values()
-                        if isinstance(v, int))
-                need(s == e["total"],
-                     f"{ew}: components sum to {s}, total is "
-                     f"{e['total']}")
+def walk(v, spec, where, out):
+    """Append one message to @p out per place @p v breaks @p spec."""
+    def bad(msg):
+        out.append(f"{where}: {msg}" if where else msg)
+
+    if isinstance(spec, str):
+        if not LEAF[spec](v):
+            bad(f"expected {spec}, got {json_type(v)}")
+    elif isinstance(spec, ListOf):
+        if not isinstance(v, list):
+            bad(f"expected list, got {json_type(v)}")
+            return
+        for i, x in enumerate(v):
+            walk(x, spec.item, f"{where}[{i}]", out)
+    elif not isinstance(spec, (MapOf, dict)):
+        if not (isinstance(v, str) and v in spec):
+            bad(f"{v!r} is not one of {', '.join(spec)}")
+    elif not isinstance(v, dict):
+        bad(f"expected object, got {json_type(v)}")
+    elif isinstance(spec, MapOf):
+        if spec.keys is not None:
+            unknown = [k for k in v if k not in spec.keys]
+            missing = [k for k in spec.keys if k not in v]
+            if unknown:
+                bad(f"unknown keys {unknown[:3]}")
+            if spec.exact and missing:
+                bad(f"missing keys {missing[:3]}")
+        for k, x in v.items():
+            walk(x, spec.value, f"{where}[{k!r}]", out)
+    else:
+        for key, sub in spec.items():
+            name = key.rstrip("?")
+            if name in v:
+                walk(v[name], sub, f"{where}.{name}" if where else name,
+                     out)
+            elif not key.endswith("?"):
+                bad(f"missing field {name!r}")
 
 
-def check_result(r, where, need, version):
-    """Validate one run-result object (shared by run and campaign
-    docs); @p version is the run-schema generation (1, 2 or 3)."""
-    need(isinstance(r.get("label"), str), f"{where}: missing label")
-    for k in RESULT_NUMBERS:
-        need(isinstance(r.get(k), (int, float)),
-             f"{where}: missing numeric field {k!r}")
-    for grp in ("mc_stats", "dram_stats"):
-        stats = r.get(grp)
-        need(isinstance(stats, dict), f"{where}: missing {grp}")
-        if isinstance(stats, dict):
-            bad = [k for k, v in stats.items()
-                   if not isinstance(v, int)]
-            need(not bad, f"{where}: non-integer counters "
-                 f"in {grp}: {bad[:3]}")
-    obs = r.get("obs")
-    need(isinstance(obs, dict), f"{where}: missing obs")
-    if isinstance(obs, dict):
-        need(isinstance(obs.get("enabled"), bool),
-             f"{where}: obs.enabled must be a bool")
-        for k in ("events_total", "events_dropped"):
-            need(isinstance(obs.get(k), int),
-                 f"{where}: obs.{k} must be an integer")
-        for name, h in (obs.get("histograms") or {}).items():
-            for f in HIST_FIELDS:
-                need(isinstance(h.get(f), (int, float)),
-                     f"{where}: obs.histograms[{name!r}] "
-                     f"missing {f!r}")
-    if version >= 2:
-        prof = r.get("host_profile")
-        need(isinstance(prof, dict), f"{where}: missing host_profile")
-        if isinstance(prof, dict):
-            need(isinstance(prof.get("enabled"), bool),
-                 f"{where}: host_profile.enabled must be a bool")
-            for k in ("threads", "wall_ns", "sim_refs"):
-                need(isinstance(prof.get(k), int),
-                     f"{where}: host_profile.{k} must be an integer")
-            for k in ("refs_per_host_sec", "host_ns_per_ref"):
-                need(isinstance(prof.get(k), (int, float)),
-                     f"{where}: host_profile.{k} must be numeric")
-            phases = prof.get("phases")
-            need(isinstance(phases, dict),
-                 f"{where}: host_profile.phases must be an object")
-            for name, p in (phases or {}).items():
-                for f in ("calls", "incl_ns", "excl_ns"):
-                    need(isinstance(p.get(f), int),
-                         f"{where}: host_profile.phases[{name!r}] "
-                         f"missing integer {f!r}")
-    if version >= 3:
-        lb = r.get("latency_breakdown")
-        need(isinstance(lb, dict),
-             f"{where}: missing latency_breakdown")
-        if isinstance(lb, dict):
-            check_breakdown(lb, f"{where}.latency_breakdown", need)
+def ints(*names):
+    return dict.fromkeys(names, INT)
 
 
-def check_doc(doc, path):
-    """Return a list of schema problems (empty = valid)."""
-    problems = []
+# --- Field tables ---
 
-    def need(cond, msg):
-        if not cond:
-            problems.append(f"{path}: {msg}")
+OBJECT = MapOf(ANY)
+BREAKDOWN = {
+    "enabled": BOOL,
+    **ints("refs", "total_cycles", "conservation_failures"),
+    "components": MapOf(
+        ints("cycles", "background_cycles", "count", "max", "p50", "p90",
+             "p99"), ATTRIB_COMPS, exact=True),
+    "exemplars": ListOf({**ints("addr", "ref_index", "total"),
+                         "components": MapOf(INT, ATTRIB_COMPS)}),
+}
+RESULT = {
+    "label": STR,
+    **dict.fromkeys(RESULT_NUMBERS, NUM),
+    "mc_stats": MapOf(INT),
+    "dram_stats": MapOf(INT),
+    "obs": {
+        "enabled": BOOL,
+        **ints("events_total", "events_dropped"),
+        "event_counts": MapOf(INT),
+        "histograms?": MapOf(dict.fromkeys(
+            ("count", "sum", "min", "max", "mean", "p50", "p90", "p99"),
+            NUM)),
+    },
+    "host_profile": {
+        "enabled": BOOL,
+        **ints("threads", "wall_ns", "sim_refs"),
+        "refs_per_host_sec": NUM,
+        "host_ns_per_ref": NUM,
+        "phases": MapOf(ints("calls", "incl_ns", "excl_ns")),
+    },
+    "latency_breakdown": BREAKDOWN,
+}
+RUN = {"schema": STR, "tool": STR, "results": ListOf(RESULT)}
 
-    need(isinstance(doc, dict), "top level is not an object")
-    if not isinstance(doc, dict):
-        return problems
-    if doc.get("schema") == CAMPAIGN_SCHEMA:
-        check_campaign_doc(doc, need)
-        return problems
-    if doc.get("schema") == SOAK_SCHEMA:
-        check_soak_doc(doc, need)
-        return problems
-    if doc.get("schema") == SERVICE_SCHEMA:
-        check_service_doc(doc, need)
-        return problems
-    need(doc.get("schema") in SCHEMAS,
-         f"schema is {doc.get('schema')!r}, expected one of "
-         f"{SCHEMAS + (CAMPAIGN_SCHEMA, SOAK_SCHEMA, SERVICE_SCHEMA)}")
-    version = run_version(doc)
-    need(isinstance(doc.get("tool"), str), "missing string field 'tool'")
-    results = doc.get("results")
-    need(isinstance(results, list), "missing array field 'results'")
-    if not isinstance(results, list):
-        return problems
+CAMPAIGN = {
+    "schema": STR, "tool": STR, "campaign": STR,
+    **ints("campaign_seed", "pool_jobs", "wall_ns"),
+    "environment": OBJECT,
+    "summary": ints("total", *JOB_STATUSES, "retries", "steals"),
+    "jobs": ListOf({
+        "label": STR,
+        "index": INT,
+        "status": JOB_STATUSES,
+        **ints("attempts", "seed", "host_ns"),
+        "error?": STR,
+        "result?": RESULT,
+        "values?": MapOf(NUM),
+    }),
+    "aggregates": MapOf({
+        **ints("jobs", "host_ns", "key_mismatches"),
+        "mc_stats": MapOf(INT),
+        "dram_stats": MapOf(INT),
+        "latency_breakdown": {
+            **ints("refs", "total_cycles", "conservation_failures"),
+            "components": MapOf(ints("cycles", "background_cycles"),
+                                ATTRIB_COMPS, exact=True),
+        },
+    }),
+}
 
-    for i, r in enumerate(results):
-        where = f"results[{i}]"
-        need(isinstance(r, dict), f"{where} is not an object")
-        if not isinstance(r, dict):
-            continue
-        check_result(r, where, need, version)
-    return problems
+SOAK = {
+    "schema": STR, "tool": STR, "seed": INT, "all_passed": BOOL,
+    "reports": ListOf({
+        "controller": STR, "seed": INT, "passed": BOOL, "fail_reason": STR,
+        **ints(*SOAK_REPORT_NUMBERS, "postmortems"),
+        "phases": ListOf({
+            "scenario": SOAK_SCENARIOS,
+            **ints(*SOAK_PHASE_NUMBERS),
+            "level_end": LEVELS,
+            "stall": ints("p50", "p99", "max"),
+            "ops": MapOf(ints("count", "p50", "p99", "max", "breaches"),
+                         SOAK_OPS, exact=True),
+        }),
+    }),
+}
 
+SERVICE = {
+    "schema": STR, "tool": STR,
+    **ints("seed", "rounds", "refs_per_round", "total_refs", "postmortems"),
+    "comp_ratio": NUM, "effective_ratio": NUM,
+    "environment": OBJECT,
+    "pressure": {"level_end": LEVELS,
+                 **ints("max_level", "oom_events", "oom_rescued",
+                        "oom_unrescued")},
+    "isolation": ints(*SERVICE_ISOLATION_NUMBERS),
+    "tenants": ListOf({
+        "name": STR, "profile": STR, "adversary": BOOL,
+        "partition": ints("base", "pages"),
+        **ints(*SERVICE_TENANT_NUMBERS),
+        "comp_ratio": NUM, "effective_ratio": NUM,
+        "latency": {"mean": NUM, **ints("p50", "p99", "max")},
+        "latency_breakdown": BREAKDOWN,
+    }),
+}
 
-def check_campaign_doc(doc, need):
-    """Validate the campaign envelope plus each embedded run result."""
-    need(isinstance(doc.get("tool"), str), "missing string field 'tool'")
-    need(isinstance(doc.get("campaign"), str),
-         "missing string field 'campaign'")
-    need(isinstance(doc.get("campaign_seed"), int),
-         "missing integer field 'campaign_seed'")
-    need(isinstance(doc.get("pool_jobs"), int) and
-         doc.get("pool_jobs", 0) >= 1,
-         "pool_jobs must be an integer >= 1")
-    need(isinstance(doc.get("environment"), dict),
-         "missing object field 'environment'")
+POSTMORTEM = {
+    "schema": STR, "tool": STR,
+    **ints(*BUNDLE_NUMBERS),
+    "trigger": {"kind": TRIGGERS, **ints("page", "detail")},
+    "trigger_chain": ListOf({
+        "kind": TRIGGERS,
+        **ints("first_tick", "last_tick", "page", "detail", "count")}),
+    "ring": ListOf({"kind": EVENTS, "comp": ATTRIB_COMPS,
+                    **ints("tick", "page", "detail")}),
+    "latency_breakdown": BREAKDOWN,
+    "watermarks": ListOf({"level": LEVELS,
+                          **ints("tick", "free_permille")}),
+    "sections": MapOf(MapOf(INT)),
+    "notes": MapOf(STR),
+    "environment": OBJECT,
+}
 
-    summary = doc.get("summary")
-    need(isinstance(summary, dict), "missing object field 'summary'")
-    jobs = doc.get("jobs")
-    need(isinstance(jobs, list), "missing array field 'jobs'")
-    if not isinstance(jobs, list):
-        return
+BENCH = {
+    "schema": STR, "tool": STR, "suite": STR,
+    **ints("repeat", "pool_jobs"),
+    "environment": OBJECT,
+    "benches": MapOf({
+        "kind": STR, "workloads": ListOf(STR), "refs_per_core": INT,
+        "simulated": dict.fromkeys(SIM_FIELDS, NUM),
+        "host": dict.fromkeys(HOST_METRICS, {"median": NUM, "spread": NUM}),
+    }),
+}
 
-    counts = dict.fromkeys(JOB_STATUSES, 0)
-    for i, job in enumerate(jobs):
-        where = f"jobs[{i}]"
-        need(isinstance(job, dict), f"{where} is not an object")
-        if not isinstance(job, dict):
-            continue
-        need(isinstance(job.get("label"), str), f"{where}: missing label")
-        need(job.get("index") == i,
-             f"{where}: index {job.get('index')!r} out of order")
-        status = job.get("status")
-        need(status in JOB_STATUSES,
-             f"{where}: status {status!r} not in {JOB_STATUSES}")
-        if status in counts:
-            counts[status] += 1
-        for k in ("attempts", "seed", "host_ns"):
-            need(isinstance(job.get(k), int),
-                 f"{where}: missing integer field {k!r}")
-        if status == "ok":
-            result = job.get("result")
-            values = job.get("values")
-            need(isinstance(result, dict) != isinstance(values, dict),
-                 f"{where}: an ok job carries exactly one of "
-                 "result/values")
-            if isinstance(result, dict):
-                # The campaign schema string stayed v1 across run-v2/v3
-                # bumps; detect the embedded generation per result so
-                # older campaign documents keep validating.
-                version = 3 if "latency_breakdown" in result else 2
-                check_result(result, f"{where}.result", need, version)
-            if isinstance(values, dict):
-                bad = [k for k, v in values.items()
-                       if not isinstance(v, (int, float))]
-                need(not bad,
-                     f"{where}: non-numeric values: {bad[:3]}")
-        else:
-            need("result" not in job,
-                 f"{where}: a {status} job must not carry a result")
-
-    if isinstance(summary, dict):
-        need(summary.get("total") == len(jobs),
-             f"summary.total {summary.get('total')!r} != "
-             f"{len(jobs)} jobs")
-        for status in JOB_STATUSES:
-            need(summary.get(status) == counts[status],
-                 f"summary.{status} {summary.get(status)!r} != "
-                 f"{counts[status]} counted from jobs[]")
-        for k in ("retries", "steals"):
-            need(isinstance(summary.get(k), int),
-                 f"summary.{k} must be an integer")
-
-    aggregates = doc.get("aggregates")
-    need(isinstance(aggregates, dict),
-         "missing object field 'aggregates'")
-    for kind, agg in (aggregates or {}).items():
-        where = f"aggregates[{kind!r}]"
-        for k in ("jobs", "host_ns", "key_mismatches"):
-            need(isinstance(agg.get(k), int),
-                 f"{where}: missing integer field {k!r}")
-        for grp in ("mc_stats", "dram_stats"):
-            stats = agg.get(grp)
-            need(isinstance(stats, dict), f"{where}: missing {grp}")
-        # Merged attribution rode in with run-v3; older campaign
-        # documents simply lack it.
-        lb = agg.get("latency_breakdown")
-        if lb is not None:
-            lw = f"{where}.latency_breakdown"
-            for k in ("refs", "total_cycles", "conservation_failures"):
-                need(isinstance((lb or {}).get(k), int),
-                     f"{lw}: {k} must be an integer")
-            comps = (lb or {}).get("components")
-            need(isinstance(comps, dict), f"{lw}: missing components")
-            if isinstance(comps, dict):
-                need(sorted(comps) == sorted(ATTRIB_COMPS),
-                     f"{lw}: components are not the fixed taxonomy")
-                for name, c in comps.items():
-                    for k in ("cycles", "background_cycles"):
-                        need(isinstance((c or {}).get(k), int),
-                             f"{lw}: components[{name!r}].{k} must "
-                             "be an integer")
+# --- Cross-field rules ---
+# Each runs once the field walk passed and yields one message per
+# violation.
 
 
-def check_soak_phase(ph, where, need):
-    """Validate one chaos-phase object of a soak report."""
-    need(ph.get("scenario") in SOAK_SCENARIOS,
-         f"{where}: scenario {ph.get('scenario')!r} not in "
-         f"{SOAK_SCENARIOS}")
-    for k in SOAK_PHASE_NUMBERS:
-        need(isinstance(ph.get(k), int),
-             f"{where}: missing integer field {k!r}")
-    need(isinstance(ph.get("level_end"), str),
-         f"{where}: missing string field 'level_end'")
-    if isinstance(ph.get("reads"), int) and isinstance(
-            ph.get("writes"), int):
-        need(ph["reads"] + ph["writes"] == ph.get("refs"),
-             f"{where}: reads + writes != refs")
-    stall = ph.get("stall")
-    need(isinstance(stall, dict), f"{where}: missing object 'stall'")
-    for k in ("p50", "p99", "max"):
-        need(isinstance((stall or {}).get(k), int),
-             f"{where}: stall.{k} must be an integer")
-    ops = ph.get("ops")
-    need(isinstance(ops, dict), f"{where}: missing object 'ops'")
-    if isinstance(ops, dict):
-        need(sorted(ops) == sorted(SOAK_OPS),
-             f"{where}: ops classes {sorted(ops)} != "
-             f"{sorted(SOAK_OPS)}")
-        for name, d in ops.items():
-            for k in ("count", "p50", "p99", "max", "breaches"):
-                need(isinstance((d or {}).get(k), int),
-                     f"{where}: ops[{name!r}].{k} must be an integer")
-    # Host timing must never leak into the deterministic document.
-    for k in ("host_ns", "wall_ns"):
-        need(k not in ph, f"{where}: host-timing field {k!r} present")
+def run_results(doc):
+    """(where, result) per result; a campaign's are its ok run-jobs."""
+    if FAMILIES[doc["schema"]].name == "run":
+        return [(f"results[{i}]", r) for i, r in enumerate(doc["results"])]
+    return [(f"jobs[{i}].result", j["result"])
+            for i, j in enumerate(doc["jobs"])
+            if j["status"] == "ok" and "result" in j]
 
 
-def check_soak_doc(doc, need):
-    """Validate the soak envelope plus every controller report."""
-    need(isinstance(doc.get("tool"), str), "missing string field 'tool'")
-    need(isinstance(doc.get("seed"), int),
-         "missing integer field 'seed'")
-    need(isinstance(doc.get("all_passed"), bool),
-         "missing bool field 'all_passed'")
-    reports = doc.get("reports")
-    need(isinstance(reports, list), "missing array field 'reports'")
-    if not isinstance(reports, list):
-        return
+def attribution_rules(breakdowns, exempt=lambda doc: False):
+    """The two rules every latency_breakdown obeys. A post-mortem bundle
+    triggered by conservation drift is exempt from the first: the drift
+    is its payload, not a schema problem."""
+    def attribution_conserved(doc):
+        if exempt(doc):
+            return
+        for where, lb in breakdowns(doc):
+            if lb["conservation_failures"]:
+                yield (f"{where}: conservation drift "
+                       f"({lb['conservation_failures']} failing "
+                       "references)")
+            s = sum(c["cycles"] for c in lb["components"].values())
+            if s != lb["total_cycles"]:
+                yield (f"{where}: component cycles sum to {s}, "
+                       f"total_cycles is {lb['total_cycles']}")
 
-    all_passed = True
-    for i, r in enumerate(reports):
-        where = f"reports[{i}]"
-        need(isinstance(r, dict), f"{where} is not an object")
-        if not isinstance(r, dict):
-            continue
-        need(isinstance(r.get("controller"), str),
-             f"{where}: missing string field 'controller'")
-        need(isinstance(r.get("seed"), int),
-             f"{where}: missing integer field 'seed'")
-        need(isinstance(r.get("passed"), bool),
-             f"{where}: missing bool field 'passed'")
-        need(isinstance(r.get("fail_reason"), str),
-             f"{where}: missing string field 'fail_reason'")
-        for k in SOAK_REPORT_NUMBERS:
-            need(isinstance(r.get(k), int),
-                 f"{where}: missing integer field {k!r}")
-        # The post-mortem bundle count rode in later; older soak
-        # documents simply lack it (the envelope schema never bumped).
-        if "postmortems" in r:
-            need(isinstance(r["postmortems"], int),
-                 f"{where}: postmortems must be an integer")
-        phases = r.get("phases")
-        need(isinstance(phases, list),
-             f"{where}: missing array field 'phases'")
-        if isinstance(phases, list):
-            for j, ph in enumerate(phases):
-                pw = f"{where}.phases[{j}]"
-                need(isinstance(ph, dict), f"{pw} is not an object")
-                if isinstance(ph, dict):
-                    check_soak_phase(ph, pw, need)
-            for total, per_phase in (
-                    ("silent_corruptions", "verify_failures"),
-                    ("audit_violations", "audit_violations"),
-                    ("throttled", "throttled"),
-                    ("ladder_steps", "ladder_steps")):
-                s = sum(ph.get(per_phase, 0) for ph in phases
-                        if isinstance(ph, dict))
-                need(r.get(total) == s,
-                     f"{where}: {total} {r.get(total)!r} != {s} "
-                     f"summed from phases[].{per_phase}")
-            s = sum(ph.get("refs", 0) for ph in phases
-                    if isinstance(ph, dict))
-            need(r.get("total_refs") == s,
-                 f"{where}: total_refs {r.get('total_refs')!r} != "
-                 f"{s} summed from phases[]")
-        # The pass gates: a passing report must be clean, a failing
-        # one must say why.
-        if r.get("passed") is True:
-            need(r.get("silent_corruptions") == 0,
-                 f"{where}: passed with silent corruptions")
-            need(r.get("audit_violations") == 0,
-                 f"{where}: passed with audit violations")
-            need(r.get("fail_reason") == "",
-                 f"{where}: passed with a fail_reason")
-        elif r.get("passed") is False:
-            all_passed = False
-            need(r.get("fail_reason") != "",
-                 f"{where}: failed without a fail_reason")
-    need(doc.get("all_passed") == all_passed,
-         f"all_passed {doc.get('all_passed')!r} != {all_passed} "
-         "derived from reports[]")
+    def exemplar_sums(doc):
+        for where, lb in breakdowns(doc):
+            for i, e in enumerate(lb["exemplars"]):
+                s = sum(e["components"].values())
+                if s != e["total"]:
+                    yield (f"{where}.exemplars[{i}]: components sum to "
+                           f"{s}, total is {e['total']}")
+
+    return [attribution_conserved, exemplar_sums]
 
 
-def check_service_doc(doc, need):
-    """Validate the service envelope plus every tenant report."""
-    need(isinstance(doc.get("tool"), str), "missing string field 'tool'")
-    for k in ("seed", "rounds", "refs_per_round", "total_refs",
-              "postmortems"):
-        need(isinstance(doc.get(k), int),
-             f"missing integer field {k!r}")
-    for k in ("comp_ratio", "effective_ratio"):
-        need(isinstance(doc.get(k), (int, float)),
-             f"missing numeric field {k!r}")
-    need(isinstance(doc.get("environment"), dict),
-         "missing object field 'environment'")
+def result_breakdowns(doc):
+    return [(f"{w}.latency_breakdown", r["latency_breakdown"])
+            for w, r in run_results(doc)]
 
-    pressure = doc.get("pressure")
-    need(isinstance(pressure, dict), "missing object field 'pressure'")
-    if isinstance(pressure, dict):
-        need(pressure.get("level_end") in PRESSURE_LEVELS,
-             f"pressure.level_end {pressure.get('level_end')!r} not "
-             f"in {PRESSURE_LEVELS}")
-        for k in SERVICE_PRESSURE_NUMBERS:
-            need(isinstance(pressure.get(k), int),
-                 f"pressure.{k} must be an integer")
 
-    isolation = doc.get("isolation")
-    need(isinstance(isolation, dict),
-         "missing object field 'isolation'")
-    if isinstance(isolation, dict):
-        for k in SERVICE_ISOLATION_NUMBERS:
-            need(isinstance(isolation.get(k), int),
-                 f"isolation.{k} must be an integer")
+def job_records(doc):
+    """pool_jobs >= 1; jobs are in index order; an ok job carries
+    exactly one of result/values, any other job neither."""
+    if doc["pool_jobs"] < 1:
+        yield f"pool_jobs is {doc['pool_jobs']}, needs >= 1"
+    for i, j in enumerate(doc["jobs"]):
+        if j["index"] != i:
+            yield f"jobs[{i}]: index {j['index']} out of order"
+        n = ("result" in j) + ("values" in j)
+        if j["status"] == "ok" and n != 1:
+            yield f"jobs[{i}]: an ok job carries exactly one of result/values"
+        if j["status"] != "ok" and n:
+            yield f"jobs[{i}]: a {j['status']} job must not carry a payload"
 
-    tenants = doc.get("tenants")
-    need(isinstance(tenants, list), "missing array field 'tenants'")
-    if not isinstance(tenants, list):
-        return
-    need(len(tenants) >= 1, "a service document needs >= 1 tenant")
-    for i, t in enumerate(tenants):
-        where = f"tenants[{i}]"
-        need(isinstance(t, dict), f"{where} is not an object")
-        if not isinstance(t, dict):
-            continue
+
+def summary_counts(doc):
+    s, jobs = doc["summary"], doc["jobs"]
+    if s["total"] != len(jobs):
+        yield f"summary.total {s['total']} != {len(jobs)} jobs"
+    for status in JOB_STATUSES:
+        n = sum(j["status"] == status for j in jobs)
+        if s[status] != n:
+            yield (f"summary.{status} {s[status]} != {n} counted from "
+                   "jobs[]")
+
+
+def report_totals(doc):
+    """Every phase has reads + writes == refs and no host timing (the
+    document is deterministic); every report total equals the sum over
+    its phases."""
+    for i, r in enumerate(doc["reports"]):
+        for j, ph in enumerate(r["phases"]):
+            if ph["reads"] + ph["writes"] != ph["refs"]:
+                yield f"reports[{i}].phases[{j}]: reads + writes != refs"
+            for k in ("host_ns", "wall_ns"):
+                if k in ph:
+                    yield f"reports[{i}].phases[{j}]: host-timing field {k!r}"
+        for total, per_phase in (
+                ("total_refs", "refs"),
+                ("silent_corruptions", "verify_failures"),
+                ("audit_violations", "audit_violations"),
+                ("throttled", "throttled"),
+                ("ladder_steps", "ladder_steps")):
+            s = sum(ph[per_phase] for ph in r["phases"])
+            if r[total] != s:
+                yield (f"reports[{i}]: {total} {r[total]} != {s} summed "
+                       f"from phases[].{per_phase}")
+
+
+def pass_verdicts(doc):
+    """A passing report is clean, a failing one says why, and
+    all_passed agrees with the reports."""
+    for i, r in enumerate(doc["reports"]):
+        if r["passed"]:
+            for k in ("silent_corruptions", "audit_violations"):
+                if r[k]:
+                    yield f"reports[{i}]: passed with {r[k]} {k}"
+            if r["fail_reason"]:
+                yield f"reports[{i}]: passed with a fail_reason"
+        elif not r["fail_reason"]:
+            yield f"reports[{i}]: failed without a fail_reason"
+    derived = all(r["passed"] for r in doc["reports"])
+    if doc["all_passed"] != derived:
+        yield f"all_passed {doc['all_passed']} != {derived} from reports[]"
+
+
+def tenants_named(doc):
+    if not doc["tenants"]:
+        yield "a service document needs >= 1 tenant"
+    for i, t in enumerate(doc["tenants"]):
         for k in ("name", "profile"):
-            need(isinstance(t.get(k), str) and t.get(k),
-                 f"{where}: {k} must be a non-empty string")
-        need(isinstance(t.get("adversary"), bool),
-             f"{where}: adversary must be a bool")
-        part = t.get("partition")
-        need(isinstance(part, dict), f"{where}: missing partition")
-        if isinstance(part, dict):
-            for k in ("base", "pages"):
-                need(isinstance(part.get(k), int),
-                     f"{where}: partition.{k} must be an integer")
-            need(not isinstance(part.get("pages"), int) or
-                 part["pages"] >= 1,
-                 f"{where}: an empty partition serves nothing")
-        for k in SERVICE_TENANT_NUMBERS:
-            need(isinstance(t.get(k), int),
-                 f"{where}: missing integer field {k!r}")
-        for k in ("comp_ratio", "effective_ratio"):
-            need(isinstance(t.get(k), (int, float)),
-                 f"{where}: missing numeric field {k!r}")
-        if isinstance(t.get("reads"), int) and \
-           isinstance(t.get("writes"), int):
-            need(t["reads"] + t["writes"] == t.get("refs"),
-                 f"{where}: reads + writes != refs")
-        lat = t.get("latency")
-        need(isinstance(lat, dict), f"{where}: missing latency")
-        if isinstance(lat, dict):
-            need(isinstance(lat.get("mean"), (int, float)),
-                 f"{where}: latency.mean must be numeric")
-            for k in ("p50", "p99", "max"):
-                need(isinstance(lat.get(k), int),
-                     f"{where}: latency.{k} must be an integer")
-        lb = t.get("latency_breakdown")
-        need(isinstance(lb, dict),
-             f"{where}: missing latency_breakdown")
-        if isinstance(lb, dict):
-            check_breakdown(lb, f"{where}.latency_breakdown", need)
-    # Cross-totals: the envelope aggregates must reproduce the
-    # per-tenant counters exactly (the scheduler applies serially, so
-    # there is no tolerance to hide behind).
-    dict_tenants = [t for t in tenants if isinstance(t, dict)]
-    s = sum(t.get("refs", 0) for t in dict_tenants)
-    need(doc.get("total_refs") == s,
-         f"total_refs {doc.get('total_refs')!r} != {s} summed "
-         "from tenants[]")
-    if isinstance(isolation, dict):
-        s = sum(t.get("verify_failures", 0) for t in dict_tenants)
-        need(isolation.get("silent_corruptions") == s,
-             f"isolation.silent_corruptions "
-             f"{isolation.get('silent_corruptions')!r} != {s} summed "
-             "from tenants[].verify_failures")
+            if not t[k]:
+                yield f"tenants[{i}]: {k} must be a non-empty string"
+        if t["partition"]["pages"] < 1:
+            yield f"tenants[{i}]: an empty partition serves nothing"
+        if t["reads"] + t["writes"] != t["refs"]:
+            yield f"tenants[{i}]: reads + writes != refs"
 
 
-def service_gate_failures(doc):
-    """The isolation-gate counters that are nonzero, as (name, value)
-    pairs; an empty list means the run held its guarantees."""
-    isolation = doc.get("isolation") or {}
-    return [(k, isolation.get(k, 0)) for k in SERVICE_GATES
-            if isolation.get(k, 0) != 0]
+def service_totals(doc):
+    """The envelope reproduces the per-tenant counters exactly."""
+    s = sum(t["refs"] for t in doc["tenants"])
+    if doc["total_refs"] != s:
+        yield f"total_refs {doc['total_refs']} != {s} summed from tenants[]"
+    s = sum(t["verify_failures"] for t in doc["tenants"])
+    if doc["isolation"]["silent_corruptions"] != s:
+        yield (f"isolation.silent_corruptions "
+               f"{doc['isolation']['silent_corruptions']} != {s} summed "
+               "from tenants[].verify_failures")
 
 
-def service_digest(doc):
-    """Print the per-tenant table + the isolation digest."""
-    pressure = doc["pressure"]
-    isolation = doc["isolation"]
-    print(f"service: {doc['tool']}  seed: {doc['seed']}  "
-          f"tenants: {len(doc['tenants'])}  rounds: {doc['rounds']}  "
-          f"refs: {doc['total_refs']}  "
-          f"pressure end: {pressure['level_end']}")
-    hdr = (f"{'tenant':12} {'profile':10} {'adv':>3} {'refs':>9} "
-           f"{'shed':>6} {'denied':>7} {'lost':>5} {'p99':>6} "
-           f"{'ratio':>6} {'eff':>6} {'corrupt':>8}")
-    print(hdr)
-    print("-" * len(hdr))
-    for t in doc["tenants"]:
-        denied = t["gov_denied"] + t["inflation_denied"]
-        print(f"{t['name'][:12]:12} {t['profile'][:10]:10} "
-              f"{'*' if t['adversary'] else '':>3} {t['refs']:>9} "
-              f"{t['shed']:>6} {denied:>7} {t['pages_lost']:>5} "
-              f"{t['latency']['p99']:>6} {t['comp_ratio']:>6.2f} "
-              f"{t['effective_ratio']:>6.2f} "
-              f"{t['verify_failures']:>8}")
-    print(f"\nisolation: rebalances={isolation['rebalances']} "
-          f"(pages={isolation['rebalance_pages']})  "
-          f"cross_partition={isolation['cross_partition_attempts']} "
-          f"(balloon_rejects={isolation['balloon_partition_rejects']},"
-          f" os_rejects={isolation['os_window_rejects']})")
-    print(f"gates: silent_corruptions="
-          f"{isolation['silent_corruptions']} "
-          f"audit={isolation['audit_violations']} "
-          f"partition_audit={isolation['partition_audit_violations']} "
-          f"postmortems={doc['postmortems']}")
-    print()
+def tenant_breakdowns(doc):
+    return [(f"tenants[{i}].latency_breakdown", t["latency_breakdown"])
+            for i, t in enumerate(doc["tenants"])]
 
 
-def service_diff(a, b, path_a, path_b):
-    """Compare matching tenants (by name) of two service documents."""
-    by_a = {t["name"]: t for t in a["tenants"]}
-    by_b = {t["name"]: t for t in b["tenants"]}
-    shared = [n for n in by_a if n in by_b]
-    only_a = [n for n in by_a if n not in by_b]
-    only_b = [n for n in by_b if n not in by_a]
-    if only_a:
-        print(f"only in {path_a}: {', '.join(only_a)}")
-    if only_b:
-        print(f"only in {path_b}: {', '.join(only_b)}")
-    if not shared:
-        print("no shared tenants to compare", file=sys.stderr)
-        return 1
-    changed = 0
-    for n in shared:
-        ta, tb = by_a[n], by_b[n]
-        lines = []
-        for k in SERVICE_TENANT_NUMBERS + ["adversary"]:
-            va, vb = ta.get(k), tb.get(k)
-            if va != vb:
-                lines.append(f"    {k:20} {va} -> {vb}")
-        for k in ("p50", "p99", "max"):
-            va = (ta.get("latency") or {}).get(k)
-            vb = (tb.get("latency") or {}).get(k)
-            if va != vb:
-                lines.append(f"    latency.{k:12} {va} -> {vb}")
-        if lines:
-            changed += 1
-            print(f"  {n}:")
-            print("\n".join(lines))
-    iso_lines = []
-    for k in SERVICE_ISOLATION_NUMBERS:
-        va = (a.get("isolation") or {}).get(k)
-        vb = (b.get("isolation") or {}).get(k)
-        if va != vb:
-            iso_lines.append(f"    {k:26} {va} -> {vb}")
-    if iso_lines:
-        changed += 1
-        print("  isolation:")
-        print("\n".join(iso_lines))
-    if changed == 0:
-        print(f"{len(shared)} shared tenants, "
-              "all service metrics identical")
-    else:
-        print(f"{changed} section(s) differ "
-              f"({len(shared)} shared tenants)")
-    return 0
+def chain_accounts(doc):
+    """Chain entries count >= 1 over an ordered tick range; their
+    counts plus chain_dropped are triggers_total; the snapshotting
+    trigger is the last entry unless the chain dropped entries."""
+    chain = doc["trigger_chain"]
+    for i, e in enumerate(chain):
+        if e["count"] < 1:
+            yield f"trigger_chain[{i}]: count must be >= 1"
+        if e["first_tick"] > e["last_tick"]:
+            yield (f"trigger_chain[{i}]: first_tick {e['first_tick']} "
+                   f"after last_tick {e['last_tick']}")
+    s = sum(e["count"] for e in chain)
+    if s + doc["chain_dropped"] != doc["triggers_total"]:
+        yield (f"chain counts ({s}) + chain_dropped "
+               f"({doc['chain_dropped']}) != triggers_total "
+               f"({doc['triggers_total']})")
+    if chain and doc["chain_dropped"] == 0 and \
+            chain[-1]["kind"] != doc["trigger"]["kind"]:
+        yield (f"last chain entry is {chain[-1]['kind']!r}, trigger is "
+               f"{doc['trigger']['kind']!r}")
 
 
-def soak_digest(doc):
-    """Print the per-controller verdict table + per-phase pressure."""
-    reports = doc["reports"]
-    ok = sum(1 for r in reports if r["passed"])
-    print(f"soak: {doc['tool']}  seed: {doc['seed']}  controllers: "
-          f"{ok}/{len(reports)} passed  all_passed: "
-          f"{str(doc['all_passed']).lower()}")
-    hdr = (f"{'controller':12} {'refs':>10} {'corrupt':>8} "
-           f"{'audit':>6} {'oom r/u':>9} {'thrott':>7} "
-           f"{'ladder':>7} {'p99':>5}  verdict")
-    print(hdr)
-    print("-" * len(hdr))
-    for r in reports:
-        verdict = "PASS" if r["passed"] else f"FAIL ({r['fail_reason']})"
-        oom = f"{r['oom_rescued']}/{r['oom_unrescued']}"
-        print(f"{r['controller'][:12]:12} {r['total_refs']:>10} "
-              f"{r['silent_corruptions']:>8} "
-              f"{r['audit_violations']:>6} {oom:>9} "
-              f"{r['throttled']:>7} {r['ladder_steps']:>7} "
-              f"{r['stall_p99_max']:>5}  {verdict}")
-    print("\nphases (per controller):")
-    for r in reports:
-        print(f"  {r['controller']}:")
-        for ph in r["phases"]:
-            breaches = sum(d["breaches"] for d in ph["ops"].values())
-            print(f"    {ph['scenario']:18} refs={ph['refs']:<7} "
-                  f"end={ph['level_end']:9} "
-                  f"p99={ph['stall']['p99']:<5} "
-                  f"oom={ph['machine_oom']:<4} "
-                  f"thrott={ph['throttled']:<6} "
-                  f"breach={breaches:<3} "
-                  f"swapfull={ph['swap_full']}")
-    print()
+def ring_accounts(doc):
+    """The ring is chronological and holds no more than was traced."""
+    ring = doc["ring"]
+    for i in range(1, len(ring)):
+        if ring[i - 1]["tick"] > ring[i]["tick"]:
+            yield (f"ring[{i}]: not in chronological order "
+                   f"({ring[i - 1]['tick']} then {ring[i]['tick']})")
+    if doc["ring_total"] and \
+            len(ring) + doc["ring_dropped"] > doc["ring_total"]:
+        yield (f"ring holds {len(ring)} events + {doc['ring_dropped']} "
+               f"dropped, but only {doc['ring_total']} were traced")
 
 
-def soak_diff(a, b, path_a, path_b):
-    """Compare matching controllers of two soak documents."""
-    by_a = {r["controller"]: r for r in a["reports"]}
-    by_b = {r["controller"]: r for r in b["reports"]}
-    shared = [c for c in by_a if c in by_b]
-    only_a = [c for c in by_a if c not in by_b]
-    only_b = [c for c in by_b if c not in by_a]
-    if only_a:
-        print(f"only in {path_a}: {', '.join(only_a)}")
-    if only_b:
-        print(f"only in {path_b}: {', '.join(only_b)}")
-    if not shared:
-        print("no shared controllers to compare", file=sys.stderr)
-        return 1
-    changed = 0
-    for c in shared:
-        ra, rb = by_a[c], by_b[c]
-        lines = []
-        for k in SOAK_REPORT_NUMBERS + ["postmortems", "passed"]:
-            va, vb = ra.get(k), rb.get(k)
-            if va == vb:
-                continue
-            lines.append(f"    {k:20} {va} -> {vb}")
-        if lines:
-            changed += 1
-            print(f"  {c}:")
-            print("\n".join(lines))
-    if changed == 0:
-        print(f"{len(shared)} shared controllers, "
-              "all soak metrics identical")
-    else:
-        print(f"{changed}/{len(shared)} shared controllers differ")
-    return 0
+def bundle_bounds(doc):
+    if not doc["tool"]:
+        yield "tool must be a non-empty string"
+    for i, m in enumerate(doc["watermarks"]):
+        if not 0 <= m["free_permille"] <= 1000:
+            yield f"watermarks[{i}]: free_permille outside [0, 1000]"
 
 
-def run_version(doc):
-    """Run-schema generation (1, 2 or 3) of a run or campaign
-    document; campaigns report the generation of their embedded
-    results (their envelope schema never bumped)."""
-    schema = doc.get("schema")
-    if schema == CAMPAIGN_SCHEMA:
-        results = [j.get("result") for j in doc.get("jobs", [])
-                   if j.get("status") == "ok"]
-        results = [r for r in results if isinstance(r, dict)]
-        if any("latency_breakdown" in r for r in results):
-            return 3
-        return 2
-    if schema == "compresso-run-v1":
-        return 1
-    if schema == "compresso-run-v2":
-        return 2
-    return 3
+def conservation_triggered(doc):
+    return doc["trigger"]["kind"] == "conservation" or any(
+        e["kind"] == "conservation" for e in doc["trigger_chain"])
 
 
-def run_view(doc):
-    """Project a document onto run shape: campaign documents expose
-    their successful run-jobs as the result list."""
-    if doc.get("schema") != CAMPAIGN_SCHEMA:
-        return doc
-    results = [j["result"] for j in doc.get("jobs", [])
-               if j.get("status") == "ok" and isinstance(j.get("result"),
-                                                         dict)]
-    return {"schema": f"compresso-run-v{run_version(doc)}",
-            "tool": doc.get("tool", "?"), "results": results}
+# --- Per-family printers, diff records and run gates ---
 
 
-def cmd_check(args):
-    doc = load(args.file)
-    problems = check_doc(doc, args.file)
-    for p in problems:
-        print(p, file=sys.stderr)
-    if problems:
-        return 1
-    if doc["schema"] == CAMPAIGN_SCHEMA:
-        s = doc["summary"]
-        print(f"{args.file}: valid {doc['schema']} "
-              f"({doc['tool']}, campaign {doc['campaign']!r}, "
-              f"{s['total']} jobs: {s['ok']} ok, {s['failed']} failed, "
-              f"{s['timeout']} timeout, {s['skipped']} skipped)")
-        return 0
-    if doc["schema"] == SOAK_SCHEMA:
-        reports = doc["reports"]
-        ok = sum(1 for r in reports if r["passed"])
-        print(f"{args.file}: valid {doc['schema']} "
-              f"({doc['tool']}, {ok}/{len(reports)} controllers "
-              f"passed)")
-        if not doc["all_passed"]:
-            for r in reports:
-                if not r["passed"]:
-                    print(f"{args.file}: {r['controller']} failed: "
-                          f"{r['fail_reason']}", file=sys.stderr)
-            return 1
-        return 0
-    if doc["schema"] == SERVICE_SCHEMA:
-        gates = service_gate_failures(doc)
-        print(f"{args.file}: valid {doc['schema']} "
-              f"({doc['tool']}, {len(doc['tenants'])} tenants, "
-              f"{doc['total_refs']} refs, "
-              f"{'gates held' if not gates else 'GATES BREACHED'})")
-        for k, v in gates:
-            print(f"{args.file}: isolation gate failed: {k} = {v}",
-                  file=sys.stderr)
-        return 1 if gates else 0
-    n = len(doc["results"])
-    print(f"{args.file}: valid {doc['schema']} "
-          f"({doc['tool']}, {n} results)")
-    return 0
-
-
-def campaign_digest(doc):
-    """Print the scheduling digest + custom-job values of a campaign."""
-    s = doc["summary"]
-    print(f"campaign: {doc['campaign']}  workers: {doc['pool_jobs']}  "
-          f"wall: {doc.get('wall_ns', 0) / 1e9:.1f}s  "
-          f"jobs: {s['ok']}/{s['total']} ok "
-          f"({s['failed']} failed, {s['timeout']} timeout, "
-          f"{s['skipped']} skipped)  retries: {s['retries']}  "
-          f"steals: {s['steals']}")
-    bad = [j for j in doc["jobs"] if j["status"] != "ok"]
-    for j in bad[:8]:
-        print(f"  {j['status']:8} {j['label']}: "
-              f"{j.get('error', '?')}")
-    if len(bad) > 8:
-        print(f"  ... and {len(bad) - 8} more")
-    custom = [j for j in doc["jobs"]
-              if j["status"] == "ok" and "values" in j]
-    if custom:
-        print("custom-job values:")
-        for j in custom:
-            vals = "  ".join(f"{k}={v:g}"
-                             for k, v in sorted(j["values"].items()))
-            print(f"  {j['label'][:40]:40} {vals}")
-    print()
-
-
-def cmd_summary(args):
-    full = load(args.file)
-    problems = check_doc(full, args.file)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 1
-    if full.get("schema") == SOAK_SCHEMA:
-        soak_digest(full)
-        return 0
-    if full.get("schema") == SERVICE_SCHEMA:
-        service_digest(full)
-        return 0
-    if full.get("schema") == CAMPAIGN_SCHEMA:
-        campaign_digest(full)
-    doc = run_view(full)
-
-    print(f"tool: {doc['tool']}  results: {len(doc['results'])}")
+def run_table(doc):
+    results = [r for _, r in run_results(doc)]
+    print(f"tool: {doc['tool']}  results: {len(results)}")
     hdr = (f"{'label':32} {'cycles':>12} {'IPC':>7} {'ratio':>7} "
            f"{'extra':>7} {'md-hit':>7} {'events':>9}")
     print(hdr)
     print("-" * len(hdr))
-    for r in doc["results"]:
+    for r in results:
         obs = r["obs"]
         events = str(obs["events_total"]) if obs["enabled"] else "-"
         print(f"{r['label'][:32]:32} {r['cycles']:12.0f} "
               f"{r['perf']:7.3f} {r['comp_ratio']:7.2f} "
               f"{r['extra_total']:7.3f} {r['md_hit_rate']:7.3f} "
               f"{events:>9}")
-
     hists = {}
-    for r in doc["results"]:
+    for r in results:
         for name, h in r["obs"].get("histograms", {}).items():
             agg = hists.setdefault(name, {"count": 0, "max": 0})
             agg["count"] += h["count"]
@@ -941,139 +517,383 @@ def cmd_summary(args):
         for name, agg in sorted(hists.items()):
             print(f"  {name:32} count={agg['count']:<12} "
                   f"max={agg['max']}")
-
-    profiled = [r for r in doc["results"]
-                if r.get("host_profile", {}).get("enabled")]
+    profiled = [r for r in results if r["host_profile"]["enabled"]]
     if profiled:
         print("\nhost profile (top phases by exclusive time):")
-        for r in profiled:
-            hp = r["host_profile"]
-            print(f"  {r['label'][:32]:32} "
-                  f"{hp['host_ns_per_ref']:.0f} ns/ref  "
-                  f"{hp['refs_per_host_sec'] / 1e6:.2f} Mref/s")
-            top = sorted(hp.get("phases", {}).items(),
-                         key=lambda kv: -kv[1]["excl_ns"])[:5]
-            for name, p in top:
-                print(f"      {name:20} excl "
-                      f"{p['excl_ns'] / 1e6:9.1f} ms  "
-                      f"calls {p['calls']}")
+    for r in profiled:
+        hp = r["host_profile"]
+        print(f"  {r['label'][:32]:32} {hp['host_ns_per_ref']:.0f} ns/ref  "
+              f"{hp['refs_per_host_sec'] / 1e6:.2f} Mref/s")
+        top = sorted(hp["phases"].items(),
+                     key=lambda kv: -kv[1]["excl_ns"])[:5]
+        for name, p in top:
+            print(f"      {name:20} excl {p['excl_ns'] / 1e6:9.1f} ms  "
+                  f"calls {p['calls']}")
+
+
+def summarize_runs(docs):
+    """The run table; a campaign's scheduling digest first."""
+    for d in docs:
+        if d.family.name == "campaign":
+            campaign_digest(d.doc)
+        run_table(d.doc)
+        print()
+
+
+def campaign_digest(doc):
+    s = doc["summary"]
+    print(f"campaign: {doc['campaign']}  workers: {doc['pool_jobs']}  "
+          f"wall: {doc['wall_ns'] / 1e9:.1f}s  "
+          f"jobs: {s['ok']}/{s['total']} ok ({s['failed']} failed, "
+          f"{s['timeout']} timeout, {s['skipped']} skipped)  "
+          f"retries: {s['retries']}  steals: {s['steals']}")
+    bad = [j for j in doc["jobs"] if j["status"] != "ok"]
+    for j in bad[:8]:
+        print(f"  {j['status']:8} {j['label']}: {j.get('error', '?')}")
+    if len(bad) > 8:
+        print(f"  ... and {len(bad) - 8} more")
+    custom = [j for j in doc["jobs"] if "values" in j]
+    if custom:
+        print("custom-job values:")
+    for j in custom:
+        vals = "  ".join(f"{k}={v:g}"
+                         for k, v in sorted(j["values"].items()))
+        print(f"  {j['label'][:40]:40} {vals}")
+    print()
+
+
+def summarize_soaks(docs):
+    for d in docs:
+        doc, reports = d.doc, d.doc["reports"]
+        ok = sum(r["passed"] for r in reports)
+        print(f"soak: {doc['tool']}  seed: {doc['seed']}  controllers: "
+              f"{ok}/{len(reports)} passed  all_passed: "
+              f"{str(doc['all_passed']).lower()}")
+        hdr = (f"{'controller':12} {'refs':>10} {'corrupt':>8} "
+               f"{'audit':>6} {'oom r/u':>9} {'thrott':>7} "
+               f"{'ladder':>7} {'p99':>5}  verdict")
+        print(hdr)
+        print("-" * len(hdr))
+        for r in reports:
+            verdict = "PASS" if r["passed"] else f"FAIL ({r['fail_reason']})"
+            oom = f"{r['oom_rescued']}/{r['oom_unrescued']}"
+            print(f"{r['controller'][:12]:12} {r['total_refs']:>10} "
+                  f"{r['silent_corruptions']:>8} "
+                  f"{r['audit_violations']:>6} {oom:>9} "
+                  f"{r['throttled']:>7} {r['ladder_steps']:>7} "
+                  f"{r['stall_p99_max']:>5}  {verdict}")
+        print("\nphases (per controller):")
+        for r in reports:
+            print(f"  {r['controller']}:")
+            for ph in r["phases"]:
+                breaches = sum(o["breaches"] for o in ph["ops"].values())
+                print(f"    {ph['scenario']:18} refs={ph['refs']:<7} "
+                      f"end={ph['level_end']:9} "
+                      f"p99={ph['stall']['p99']:<5} "
+                      f"oom={ph['machine_oom']:<4} "
+                      f"thrott={ph['throttled']:<6} "
+                      f"breach={breaches:<3} swapfull={ph['swap_full']}")
+        print()
+
+
+def summarize_services(docs):
+    for d in docs:
+        doc, iso = d.doc, d.doc["isolation"]
+        print(f"service: {doc['tool']}  seed: {doc['seed']}  "
+              f"tenants: {len(doc['tenants'])}  rounds: {doc['rounds']}  "
+              f"refs: {doc['total_refs']}  "
+              f"pressure end: {doc['pressure']['level_end']}")
+        hdr = (f"{'tenant':12} {'profile':10} {'adv':>3} {'refs':>9} "
+               f"{'shed':>6} {'denied':>7} {'lost':>5} {'p99':>6} "
+               f"{'ratio':>6} {'eff':>6} {'corrupt':>8}")
+        print(hdr)
+        print("-" * len(hdr))
+        for t in doc["tenants"]:
+            denied = t["gov_denied"] + t["inflation_denied"]
+            print(f"{t['name'][:12]:12} {t['profile'][:10]:10} "
+                  f"{'*' if t['adversary'] else '':>3} {t['refs']:>9} "
+                  f"{t['shed']:>6} {denied:>7} {t['pages_lost']:>5} "
+                  f"{t['latency']['p99']:>6} {t['comp_ratio']:>6.2f} "
+                  f"{t['effective_ratio']:>6.2f} "
+                  f"{t['verify_failures']:>8}")
+        print(f"\nisolation: rebalances={iso['rebalances']} "
+              f"(pages={iso['rebalance_pages']})  "
+              f"cross_partition={iso['cross_partition_attempts']} "
+              f"(balloon_rejects={iso['balloon_partition_rejects']}, "
+              f"os_rejects={iso['os_window_rejects']})")
+        print(f"gates: silent_corruptions={iso['silent_corruptions']} "
+              f"audit={iso['audit_violations']} "
+              f"partition_audit={iso['partition_audit_violations']} "
+              f"postmortems={doc['postmortems']}")
+        print()
+
+
+def summarize_bundles(docs):
+    print(f"{'bundle':40s} {'tick':>10s} {'trigger':18s} "
+          f"{'chain':>5s} {'ring':>5s} {'suppr':>6s} notes")
+    for d in docs:
+        doc, notes = d.doc, d.doc["notes"]
+        tag = ",".join(f"{k}={notes[k]}"
+                       for k in ("kind", "storm", "seed", "tenant")
+                       if notes.get(k))
+        print(f"{os.path.basename(d.path):40s} {doc['tick']:>10d} "
+              f"{doc['trigger']['kind']:18s} "
+              f"{len(doc['trigger_chain']):>5d} {len(doc['ring']):>5d} "
+              f"{doc['triggers_suppressed']:>6d} {tag}")
+
+
+def run_records(doc):
+    """Diff fields per result: the run numbers plus every attribution
+    component's cycles."""
+    recs = {}
+    for _, r in run_results(doc):
+        fields = {k: r[k] for k in RESULT_NUMBERS}
+        comps = r["latency_breakdown"]["components"]
+        for c in ATTRIB_COMPS:
+            fields[f"cycles[{c}]"] = comps[c]["cycles"]
+        recs[r["label"]] = fields
+    return recs
+
+
+def soak_records(doc):
+    return {r["controller"]: {k: r[k] for k in SOAK_REPORT_NUMBERS +
+                              ("postmortems", "passed")}
+            for r in doc["reports"]}
+
+
+def service_records(doc):
+    recs = {}
+    for t in doc["tenants"]:
+        fields = {k: t[k] for k in SERVICE_TENANT_NUMBERS + ("adversary",)}
+        for k in ("p50", "p99", "max"):
+            fields[f"latency.{k}"] = t["latency"][k]
+        recs[t["name"]] = fields
+    recs["(isolation)"] = dict(doc["isolation"])
+    return recs
+
+
+def bundle_records(doc):
+    fields = {k: doc[k] for k in BUNDLE_NUMBERS}
+    fields["trigger.kind"] = doc["trigger"]["kind"]
+    for name in ("trigger_chain", "ring", "watermarks"):
+        fields[f"len({name})"] = len(doc[name])
+    for kind in EVENTS:
+        fields[f"ring[{kind}]"] = sum(e["kind"] == kind for e in doc["ring"])
+    return {"bundle": fields}
+
+
+def soak_gate(doc):
+    return [f"{r['controller']} failed: {r['fail_reason']}"
+            for r in doc["reports"] if not r["passed"]]
+
+
+def service_gate(doc):
+    return [f"isolation gate failed: {k} = {doc['isolation'][k]}"
+            for k in SERVICE_GATES if doc["isolation"][k]]
+
+
+# --- The family table ---
+# Keyed by the schema strings of src/sim/schema_versions.h;
+# tools/check_schema_versions.py keeps the two in lockstep.
+
+Family = namedtuple("Family", "name spec rules line summary records gate",
+                    defaults=(None, None, lambda doc: []))
+
+FAMILIES = {
+    "compresso-run-v3": Family(
+        "run", RUN, attribution_rules(result_breakdowns),
+        lambda doc: f"{doc['tool']}, {len(doc['results'])} results",
+        summarize_runs, run_records),
+    "compresso-campaign-v1": Family(
+        "campaign", CAMPAIGN,
+        [job_records, summary_counts, *attribution_rules(result_breakdowns)],
+        lambda doc: (f"{doc['tool']}, campaign {doc['campaign']!r}, " +
+                     ", ".join(f"{doc['summary'][k]} {k}"
+                               for k in ("total",) + JOB_STATUSES)),
+        summarize_runs, run_records),
+    "compresso-soak-v1": Family(
+        "soak", SOAK,
+        [report_totals, pass_verdicts],
+        lambda doc: (f"{doc['tool']}, "
+                     f"{sum(r['passed'] for r in doc['reports'])}/"
+                     f"{len(doc['reports'])} controllers passed"),
+        summarize_soaks, soak_records, soak_gate),
+    "compresso-service-v1": Family(
+        "service", SERVICE,
+        [tenants_named, service_totals,
+         *attribution_rules(tenant_breakdowns)],
+        lambda doc: (f"{doc['tool']}, {len(doc['tenants'])} tenants, "
+                     f"{doc['total_refs']} refs, gates "
+                     f"{'BREACHED' if service_gate(doc) else 'held'}"),
+        summarize_services, service_records, service_gate),
+    "compresso-postmortem-v1": Family(
+        "postmortem", POSTMORTEM,
+        [bundle_bounds, chain_accounts, ring_accounts,
+         *attribution_rules(
+             lambda doc: [("latency_breakdown", doc["latency_breakdown"])],
+             exempt=conservation_triggered)],
+        lambda doc: (f"trigger={doc['trigger']['kind']} "
+                     f"chain={len(doc['trigger_chain'])} "
+                     f"ring={len(doc['ring'])}"),
+        summarize_bundles, bundle_records),
+    "compresso-bench-v1": Family(
+        "bench", BENCH, [],
+        lambda doc: (f"{doc['tool']}, suite {doc['suite']}, "
+                     f"{len(doc['benches'])} benches")),
+}
+
+# --- Loader and exit-code convention ---
+
+
+class Usage(Exception):
+    """Exit 2: a usage error or an incomparable pair of documents."""
+
+
+class Finding(Exception):
+    """Exit 1: the documents have problems or failed a gate."""
+
+
+Doc = namedtuple("Doc", "path family doc problems")
+
+
+def expand(paths):
+    files = []
+    for p in paths:
+        if os.path.isdir(p):
+            files += sorted(os.path.join(p, n) for n in os.listdir(p)
+                            if n.endswith(".json"))
+        elif os.path.exists(p):
+            files.append(p)
+        else:
+            raise Usage(f"no such file or directory: {p}")
+    return files
+
+
+def load(path):
+    """Read and validate one document: its family's field walk, then,
+    if that passed, the family's cross-field rules."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as e:
+        return Doc(path, None, None, [f"cannot read: {e}"])
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    fam = FAMILIES.get(schema) if isinstance(schema, str) else None
+    if fam is None:
+        return Doc(path, None, doc, [
+            f"schema {schema!r} is not one of the supported schemas: "
+            f"{', '.join(sorted(FAMILIES))}"])
+    problems = []
+    walk(doc, fam.spec, "", problems)
+    for rule in fam.rules if not problems else ():
+        problems += [f"{m} [{rule.__name__}]" for m in rule(doc)]
+    return Doc(path, fam, doc, problems)
+
+
+def load_valid(paths, families=None, verb=None):
+    """Load every document under @p paths; any schema problem is a
+    finding, a family outside @p families a usage error."""
+    docs = [load(p) for p in expand(paths)]
+    if not docs:
+        raise Finding(f"no documents found under {' '.join(paths)}")
+    for d in docs:
+        for p in d.problems:
+            print(f"{d.path}: {p}", file=sys.stderr)
+    if any(d.problems for d in docs):
+        raise Finding(f"{sum(len(d.problems) for d in docs)} problem(s)")
+    for d in docs:
+        if families is not None and d.family.name not in families:
+            raise Usage(f"{verb} reads {' or '.join(families)} documents, "
+                        f"not {d.path} ({d.doc['schema']})")
+    return docs
+
+
+# --- Subcommands ---
+
+
+def cmd_check(args):
+    docs = [load(p) for p in expand(args.paths)]
+    if not docs:
+        raise Finding(f"no documents found under {' '.join(args.paths)}")
+    failed = 0
+    for d in docs:
+        findings = d.problems or d.family.gate(d.doc)
+        for p in findings:
+            print(f"{d.path}: {p}", file=sys.stderr)
+        if not d.problems:
+            print(f"{d.path}: valid {d.doc['schema']} "
+                  f"({d.family.line(d.doc)})")
+        failed += bool(findings)
+    if len(docs) > 1:
+        print(f"{len(docs)} document(s) checked, {failed} with findings")
+    return 1 if failed else 0
+
+
+def cmd_summary(args):
+    docs = load_valid(args.paths)
+    groups = {}
+    for d in docs:
+        groups.setdefault(d.family.name, []).append(d)
+    for name in [n for n, g in groups.items() if not g[0].family.summary]:
+        raise Usage(f"no summary for {name} documents; try `gate`")
+    for group in groups.values():
+        group[0].family.summary(group)
     return 0
 
 
 def cmd_diff(args):
-    a, b = load(args.a), load(args.b)
-    problems = check_doc(a, args.a) + check_doc(b, args.b)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 1
-    def family(doc):
-        if doc.get("schema") == SOAK_SCHEMA:
-            return "soak"
-        if doc.get("schema") == SERVICE_SCHEMA:
-            return "service"
-        return "run"
-
-    fam_a, fam_b = family(a), family(b)
-    if fam_a != fam_b:
-        # Document-family mismatch: nothing shared to compare — the
-        # "incomplete comparison" exit code, not a finding.
-        print(f"cannot diff a {fam_a} document against a {fam_b} "
-              "document", file=sys.stderr)
-        return 2
-    if fam_a == "soak":
-        return soak_diff(a, b, args.a, args.b)
-    if fam_a == "service":
-        return service_diff(a, b, args.a, args.b)
-    # Mismatched schema generations still diff the shared sections,
-    # but loudly and with a failing exit code: the newer document's
-    # extra sections are silently absent from the comparison, and a
-    # comparison that quietly ignored them has misled before.
-    ver_a, ver_b = run_version(a), run_version(b)
-    mismatch = ver_a != ver_b
-    if mismatch:
-        skipped = [name for gen, name in
-                   ((2, "host_profile"), (3, "latency_breakdown"))
-                   if gen > min(ver_a, ver_b)]
-        print(f"schema mismatch: {args.a} is run-v{ver_a}, "
-              f"{args.b} is run-v{ver_b}; skipped sections: "
-              f"{', '.join(skipped)}", file=sys.stderr)
-    a, b = run_view(a), run_view(b)
-
-    by_label_a = {r["label"]: r for r in a["results"]}
-    by_label_b = {r["label"]: r for r in b["results"]}
-    shared = [l for l in by_label_a if l in by_label_b]
-    only_a = [l for l in by_label_a if l not in by_label_b]
-    only_b = [l for l in by_label_b if l not in by_label_a]
-    if only_a:
-        print(f"only in {args.a}: {', '.join(only_a[:8])}")
-    if only_b:
-        print(f"only in {args.b}: {', '.join(only_b[:8])}")
+    a, b = (load_valid(expand([p])[:1] or [p])[0] for p in (args.a, args.b))
+    if a.family.records is None:
+        raise Usage(f"no diff for {a.family.name} documents; try `gate`")
+    if a.family.records is not b.family.records:
+        raise Usage(f"cannot diff a {a.family.name} document against a "
+                    f"{b.family.name} document")
+    ra, rb = a.family.records(a.doc), b.family.records(b.doc)
+    shared = [k for k in ra if k in rb]
+    only = [(p, [k for k in x if k not in y])
+            for p, x, y in ((a.path, ra, rb), (b.path, rb, ra))]
+    for path, keys in only:
+        if keys:
+            print(f"only in {path}: {', '.join(keys[:8])}")
     if not shared:
-        print("no shared labels to compare", file=sys.stderr)
-        return 1
-
+        raise Finding("no shared records to compare")
     changed = 0
-    for label in shared:
-        ra, rb = by_label_a[label], by_label_b[label]
+    for key in shared:
         lines = []
-        for k in RESULT_NUMBERS:
-            va, vb = ra[k], rb[k]
+        for field in dict.fromkeys([*ra[key], *rb[key]]):
+            va, vb = ra[key].get(field), rb[key].get(field)
             if va == vb:
                 continue
-            rel = f" ({100 * (vb - va) / va:+.1f}%)" if va else ""
-            lines.append(f"    {k:18} {va:g} -> {vb:g}{rel}")
-        if not mismatch and ver_a >= 3:
-            ca = ra["latency_breakdown"]["components"]
-            cb = rb["latency_breakdown"]["components"]
-            for comp in ATTRIB_COMPS:
-                va = ca.get(comp, {}).get("cycles", 0)
-                vb = cb.get(comp, {}).get("cycles", 0)
-                if va != vb:
-                    rel = (f" ({100 * (vb - va) / va:+.1f}%)"
-                           if va else "")
-                    key = f"cycles[{comp}]"
-                    lines.append(f"    {key:18} {va:g} -> {vb:g}{rel}")
+            rel = (f" ({100 * (vb - va) / va:+.1f}%)" if va and
+                   LEAF[NUM](va) and LEAF[NUM](vb) else "")
+            lines.append(f"    {field:24} {va} -> {vb}{rel}")
         if lines:
             changed += 1
-            print(f"  {label}:")
+            print(f"  {key}:")
             print("\n".join(lines))
-    if changed == 0:
-        print(f"{len(shared)} shared results, all metrics identical")
+    if changed:
+        print(f"{changed}/{len(shared)} shared records differ")
     else:
-        print(f"{changed}/{len(shared)} shared results differ")
-    return 2 if mismatch else 0
+        print(f"{len(shared)} shared records, all compared fields "
+              "identical")
+    return 1 if changed or only[0][1] or only[1][1] else 0
 
 
 def cmd_breakdown(args):
-    full = load(args.file)
-    problems = check_doc(full, args.file)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 1
-    if run_version(full) < 3:
-        print(f"{args.file}: run-v{run_version(full)} has no "
-              "latency_breakdown section", file=sys.stderr)
-        return 1
-    doc = run_view(full)
-
-    anomalies = 0
-    drift = 0
-    for r in doc["results"]:
+    (d,) = load_valid([args.file], ("run", "campaign"), "breakdown")
+    for _, r in run_results(d.doc):
         lb = r["latency_breakdown"]
         if not lb["enabled"]:
             print(f"{r['label']}: attribution disabled")
             continue
         total = lb["total_cycles"]
         per_ref = total / lb["refs"] if lb["refs"] else 0.0
-        print(f"{r['label']}: {lb['refs']} refs, "
-              f"{total} attributed cycles ({per_ref:.2f}/ref), "
-              f"{lb['conservation_failures']} conservation failures")
-        hdr = (f"  {'component':18} {'cycles':>12} {'share':>7} "
-               f"{'bg cycles':>10} {'count':>10} {'p50':>6} "
-               f"{'p90':>6} {'p99':>6} {'max':>8}")
-        print(hdr)
+        print(f"{r['label']}: {lb['refs']} refs, {total} attributed cycles "
+              f"({per_ref:.2f}/ref), {lb['conservation_failures']} "
+              "conservation failures")
+        print(f"  {'component':18} {'cycles':>12} {'share':>7} "
+              f"{'bg cycles':>10} {'count':>10} {'p50':>6} "
+              f"{'p90':>6} {'p99':>6} {'max':>8}")
         for comp in ATTRIB_COMPS:
             c = lb["components"][comp]
             if c["cycles"] == 0 and c["background_cycles"] == 0:
@@ -1084,90 +904,222 @@ def cmd_breakdown(args):
                   f"{c['p50']:>6} {c['p90']:>6} {c['p99']:>6} "
                   f"{c['max']:>8}")
             if share > args.max_share:
-                anomalies += 1
                 print(f"  anomaly: {comp} is {share:.1f}% of "
                       f"{r['label']}'s attributed cycles "
                       f"(> {args.max_share:g}%)", file=sys.stderr)
-        if lb["conservation_failures"] > 0:
-            drift += 1
         print()
-    if drift:
-        print(f"anomaly: conservation drift in {drift} result(s)",
-              file=sys.stderr)
-        return 1
-    if anomalies and args.strict:
-        return 1
     return 0
 
 
 def cmd_exemplars(args):
-    full = load(args.file)
-    problems = check_doc(full, args.file)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 1
-    if run_version(full) < 3:
-        print(f"{args.file}: run-v{run_version(full)} has no "
-              "latency_breakdown section", file=sys.stderr)
-        return 1
-    doc = run_view(full)
-
-    for r in doc["results"]:
-        lb = r["latency_breakdown"]
-        exemplars = lb["exemplars"][:args.top] if args.top else \
-            lb["exemplars"]
+    (d,) = load_valid([args.file], ("run", "campaign"), "exemplars")
+    for _, r in run_results(d.doc):
+        exemplars = r["latency_breakdown"]["exemplars"]
+        if args.top:
+            exemplars = exemplars[:args.top]
         print(f"{r['label']}: {len(exemplars)} tail exemplars "
-              f"(worst-N per epoch, globally worst retained)")
+              "(worst-N per epoch, globally worst retained)")
         for e in exemplars:
-            comps = "  ".join(
-                f"{k}={v}" for k, v in sorted(
-                    e["components"].items(),
-                    key=lambda kv: (-kv[1], kv[0])))
+            comps = "  ".join(f"{k}={v}" for k, v in sorted(
+                e["components"].items(), key=lambda kv: (-kv[1], kv[0])))
             print(f"  ref {e['ref_index']:<10} addr {e['addr']:#014x} "
                   f"total {e['total']:<6} {comps}")
         print()
     return 0
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+def service_tenant(doc, kind):
+    """The tenant a service-mode bundle is attributed to (None outside
+    service mode): the one whose batch was applying, or the offender a
+    cross_partition trigger names; untagged = between batches."""
+    notes, svc = doc["notes"], doc["sections"].get("service")
+    if "tenant" not in notes and svc is None:
+        return None
+    t = notes.get("tenant") or None
+    ct = (svc or {}).get("current_tenant")
+    if t is None and ct is not None and 0 <= ct < 2**63:
+        t = f"tenant {ct}"  # kNoTenant exports as 2^64-1
+    if kind == "cross_partition":
+        t = f"tenant {doc['trigger']['detail']}"
+    return t or "(round boundary)"
+
+
+def cmd_triage(args):
+    docs = load_valid(args.paths, ("postmortem",), "triage")
+    by_kind = {}
+    for d in docs:
+        by_kind.setdefault(d.doc["trigger"]["kind"], []).append(d)
+    print(f"{len(docs)} bundle(s), {len(by_kind)} trigger kind(s)\n")
+    for kind in sorted(by_kind, key=lambda k: -len(by_kind[k])):
+        group = by_kind[kind]
+        print(f"== {kind} ({len(group)} bundle(s)) ==")
+        chain, ring, tenants = {}, {}, {}
+        for d in group:
+            for e in d.doc["trigger_chain"]:
+                key = (e["kind"], e["detail"])
+                chain[key] = chain.get(key, 0) + e["count"]
+            for e in d.doc["ring"]:
+                ring[e["kind"]] = ring.get(e["kind"], 0) + 1
+            t = service_tenant(d.doc, kind)
+            if t is not None:
+                tenants[t] = tenants.get(t, 0) + 1
+        for (ck, detail), n in sorted(chain.items(),
+                                      key=lambda kv: -kv[1])[:5]:
+            print(f"  chain  {ck} (detail {detail}): x{n}")
+        for ek, n in sorted(ring.items(), key=lambda kv: -kv[1])[:5]:
+            print(f"  ring   {ek}: {n} event(s)")
+        if tenants:
+            top = sorted(tenants.items(), key=lambda kv: (-kv[1], kv[0]))
+            print("  tenant " +
+                  ", ".join(f"{t}: {n} bundle(s)" for t, n in top))
+            if top[0][0] != "(round boundary)" and \
+                    top[0][1] * 2 > len(group):
+                print(f"  => storm attributed to {top[0][0]} "
+                      f"({top[0][1]}/{len(group)} bundle(s))")
+        for d in group:
+            gov = d.doc["sections"].get("governor")
+            line = f"  {os.path.basename(d.path)}: tick {d.doc['tick']}"
+            if gov is not None:
+                line += (f", governor level {gov.get('level')}, "
+                         f"free {gov.get('free_permille')}‰")
+            if d.doc["watermarks"]:
+                last = d.doc["watermarks"][-1]
+                line += (f", last watermark {last['level']} at tick "
+                         f"{last['tick']}")
+            print(line)
+        print()
+    return 0
+
+
+def spread_summary(xs):
+    """median + (max-min)/median over repeats, like bench_runner."""
+    xs, n = sorted(xs), len(xs)
+    median = xs[n // 2] if n % 2 else 0.5 * (xs[n // 2 - 1] + xs[n // 2])
+    return {"median": median,
+            "spread": (xs[-1] - xs[0]) / median if median > 0 else 0.0}
+
+
+def bench_view(d):
+    """{bench: {simulated, host}}. A campaign groups its ok run-jobs by
+    bench name (the label minus any '#rN' repeat suffix)."""
+    if d.family.name == "bench":
+        return d.doc["benches"]
+    groups = {}
+    for i, j in enumerate(d.doc["jobs"]):
+        if j["status"] != "ok" or "result" not in j:
+            continue
+        if not j["result"]["host_profile"]["enabled"]:
+            raise Finding(f"{d.path}: jobs[{i}]: gate needs an enabled "
+                          "host_profile (bench_runner's --prof semantics)")
+        groups.setdefault(j["label"].rsplit("#r", 1)[0], []).append(
+            j["result"])
+    return {name: {
+        "simulated": {k: rs[0][k] for k in SIM_FIELDS},
+        "host": {m: spread_summary([r["host_profile"][m] for r in rs])
+                 for m in HOST_METRICS}} for name, rs in groups.items()}
+
+
+def cmd_gate(args):
+    if args.warn_threshold > args.fail_threshold:
+        raise Usage("--warn-threshold exceeds --fail-threshold")
+    base, cand = (load_valid([p], ("bench", "campaign"), "gate")[0]
+                  for p in (args.baseline, args.candidate))
+    warnings = 0
+    eb, ec = base.doc["environment"], cand.doc["environment"]
+    for k in ENV_GATES:
+        if eb.get(k) != ec.get(k):
+            print(f"warning: environment.{k} differs: baseline "
+                  f"{eb.get(k)!r} vs candidate {ec.get(k)!r} — host "
+                  "timings were measured under different gate states")
+            warnings += 1
+    bb, cb = bench_view(base), bench_view(cand)
+    for name, side in [(n, "baseline") for n in bb if n not in cb] + \
+            [(n, "candidate") for n in cb if n not in bb]:
+        print(f"warning: bench {name!r} only in {side}")
+    shared = [n for n in bb if n in cb]
+    if not shared:
+        raise Finding("no shared benches to compare")
+    hdr = (f"{'bench':24} {'base ns/ref':>12} {'cand ns/ref':>12} "
+           f"{'delta':>8}  verdict")
+    print(hdr)
+    print("-" * len(hdr))
+    failures = 0
+    for name in shared:
+        hb = bb[name]["host"]["host_ns_per_ref"]
+        hc = cb[name]["host"]["host_ns_per_ref"]
+        vb, vc = hb["median"], hc["median"]
+        if vb <= 0:
+            print(f"{name:24} {vb:12.1f} {vc:12.1f} {'-':>8}  "
+                  "no baseline signal")
+        else:
+            delta = (vc - vb) / vb
+            noise = max(hb["spread"], hc["spread"])
+            if delta > args.fail_threshold:
+                verdict = "FAIL" if delta > noise else \
+                    f"NOISY (spread {100 * noise:.0f}%)"
+            else:
+                verdict = "warn" if delta > args.warn_threshold else "ok"
+            failures += verdict == "FAIL"
+            warnings += verdict not in ("ok", "FAIL")
+            print(f"{name:24} {vb:12.1f} {vc:12.1f} {100 * delta:+7.1f}%  "
+                  f"{verdict}")
+        sb, sc = bb[name]["simulated"], cb[name]["simulated"]
+        moved = [f"{k} {sb[k]} -> {sc[k]}"
+                 for k in SIM_FIELDS if sb[k] != sc[k]]
+        if moved:
+            failures += 1
+            print(f"{'':24} FAIL: simulated metrics moved: "
+                  f"{', '.join(moved)}")
+    print(f"\n{len(shared)} benches compared: {failures} failed, "
+          f"{warnings} warned (fail > +{100 * args.fail_threshold:.0f}%, "
+          f"warn > +{100 * args.warn_threshold:.0f}%)")
+    return 1 if failures else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("summary", help="per-result metric table")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_summary)
-
-    p = sub.add_parser("diff", help="compare two run documents")
+    for name, fn, text in (
+            ("check", cmd_check, "validate documents"),
+            ("summary", cmd_summary, "per-family digest"),
+            ("triage", cmd_triage, "group post-mortem bundles")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("paths", nargs="+", help="files or directories")
+        p.set_defaults(fn=fn)
+    p = sub.add_parser("diff", help="compare two documents")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(fn=cmd_diff)
-
-    p = sub.add_parser("check", help="validate the schema")
+    p = sub.add_parser("breakdown", help="cycle-attribution table")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("breakdown",
-                       help="cycle-attribution table + anomaly rules")
-    p.add_argument("file")
-    p.add_argument("--max-share", type=float, default=95.0,
-                   help="flag any component above this percent of a "
-                        "result's attributed cycles (default 95)")
-    p.add_argument("--strict", action="store_true",
-                   help="share anomalies fail the command too "
-                        "(conservation drift always does)")
+    p.add_argument("--max-share", type=float, default=95.0, help="flag "
+                   "components above this percent of the cycles (95)")
     p.set_defaults(fn=cmd_breakdown)
-
-    p = sub.add_parser("exemplars",
-                       help="worst-reference tail exemplars")
+    p = sub.add_parser("exemplars", help="worst-reference tail exemplars")
     p.add_argument("file")
     p.add_argument("--top", type=int, default=0,
-                   help="show only the worst N per result (0 = all)")
+                   help="only the worst N per result (0 = all)")
     p.set_defaults(fn=cmd_exemplars)
-
-    args = parser.parse_args()
-    sys.exit(args.fn(args))
+    p = sub.add_parser("gate", help="bench host-time regression gate")
+    p.add_argument("baseline", help="reference BENCH_*.json")
+    p.add_argument("candidate", help="freshly measured BENCH_*.json")
+    p.add_argument("--fail-threshold", type=float, default=0.50, help=(
+        "relative host_ns_per_ref increase that fails (default 0.50)"))
+    p.add_argument("--warn-threshold", type=float, default=0.15,
+                   help="relative increase that warns (default 0.15)")
+    p.set_defaults(fn=cmd_gate)
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except Usage as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Finding as e:
+        print(e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
