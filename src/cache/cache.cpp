@@ -17,19 +17,19 @@ Cache::access(Addr addr, bool write)
     size_t set = setOf(line);
     Way *base = &array_[set * ways_];
     ++tick_;
-    ++stats_["accesses"];
+    ++st_accesses_;
 
     for (unsigned w = 0; w < ways_; ++w) {
         Way &way = base[w];
         if (way.valid && way.tag == line) {
-            ++stats_["hits"];
+            ++st_hits_;
             way.lru = tick_;
             way.dirty |= write;
             return CacheResult{true, false, 0};
         }
     }
 
-    ++stats_["misses"];
+    ++st_misses_;
 
     // Victim: invalid way if any, else LRU.
     Way *victim = base;
@@ -47,7 +47,7 @@ Cache::access(Addr addr, bool write)
     if (victim->valid && victim->dirty) {
         res.writeback = true;
         res.victim_addr = victim->tag;
-        ++stats_["writebacks"];
+        ++st_writebacks_;
     }
     victim->valid = true;
     victim->tag = line;

@@ -71,6 +71,11 @@ class Cache
     std::vector<Way> array_;
     uint64_t tick_ = 0;
     StatGroup stats_;
+    // Cached hot-path counter handles (stable across reset()).
+    uint64_t &st_accesses_ = stats_.stat("accesses");
+    uint64_t &st_hits_ = stats_.stat("hits");
+    uint64_t &st_misses_ = stats_.stat("misses");
+    uint64_t &st_writebacks_ = stats_.stat("writebacks");
 };
 
 } // namespace compresso

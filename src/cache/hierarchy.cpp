@@ -1,5 +1,7 @@
 #include "cache/hierarchy.h"
 
+#include "prof/profiler.h"
+
 namespace compresso {
 
 Hierarchy::Hierarchy(const HierarchyConfig &cfg) : cfg_(cfg)
@@ -17,6 +19,7 @@ Hierarchy::Hierarchy(const HierarchyConfig &cfg) : cfg_(cfg)
 HierarchyOutcome
 Hierarchy::access(unsigned core, Addr addr, bool write)
 {
+    CPR_PROF_SCOPE(ProfPhase::kCacheHierarchy);
     HierarchyOutcome out;
 
     // L1.

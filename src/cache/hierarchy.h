@@ -8,6 +8,8 @@
 #ifndef COMPRESSO_CACHE_HIERARCHY_H
 #define COMPRESSO_CACHE_HIERARCHY_H
 
+#include <array>
+#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -31,6 +33,31 @@ struct HierarchyConfig
     Cycle l3_latency = 38;
 };
 
+/**
+ * The dirty L3 victims of one access, in eviction order. There are at
+ * most three: one from the L1 victim's cascade through L2 to L3, one
+ * from the L2 fill's victim and one from the L3 fill's victim.
+ */
+class WritebackList
+{
+  public:
+    void
+    push_back(Addr addr)
+    {
+        assert(size_ < addrs_.size());
+        addrs_[size_++] = addr;
+    }
+
+    const Addr *begin() const { return addrs_.data(); }
+    const Addr *end() const { return addrs_.data() + size_; }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+  private:
+    std::array<Addr, 3> addrs_{};
+    size_t size_ = 0;
+};
+
 /** What one core access does at the memory boundary. */
 struct HierarchyOutcome
 {
@@ -38,7 +65,7 @@ struct HierarchyOutcome
     Cycle hit_latency = 0;  ///< latency to the hitting level
     /** Dirty L3 victims that must be written back to memory; the fill
      *  itself (if hit_level == 0) is the caller's job. */
-    std::vector<Addr> memory_writebacks;
+    WritebackList memory_writebacks;
 };
 
 class Hierarchy

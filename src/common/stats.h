@@ -19,7 +19,10 @@ namespace compresso {
 /**
  * A group of named uint64 counters. Components own a StatGroup and
  * bump counters through operator[] or — on hot paths — through a
- * cached handle from stat(); harnesses read them by name.
+ * cached handle from stat(); harnesses read them by name. The
+ * `statgroup-hot-path` rule of tools/compresso_lint.py enforces
+ * handles inside CPR_PROF_SCOPE blocks and in the per-reference files
+ * it lists.
  */
 class StatGroup
 {

@@ -20,7 +20,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <memory>
 #include <vector>
 
 #include "common/stats.h"
@@ -67,7 +67,8 @@ class MetadataCache
     void reshape(PageNum page, bool half);
 
     /** 2-bit local overflow predictor counter for a resident page;
-     *  returns nullptr on miss. */
+     *  returns nullptr on miss. The pointer stays valid until the next
+     *  access to the page's set. */
     uint8_t *predictorCounter(PageNum page);
 
     void setEvictHook(EvictHook hook) { evict_hook_ = std::move(hook); }
@@ -86,23 +87,45 @@ class MetadataCache
     {
         PageNum page;
         bool half;
-        bool dirty = false;
-        uint8_t ovf_counter = 0; ///< 2-bit saturating (Sec. IV-B2)
+        bool dirty;
+        uint8_t ovf_counter; ///< 2-bit saturating (Sec. IV-B2)
     };
 
-    /** MRU-first list; total weight limited to `ways`. */
+    /**
+     * Set i's entries are the first `count` of its slots_per_set_ slots
+     * starting at slots_[i * slots_per_set_], MRU first. Weights count
+     * half ways: a half entry weighs 1, a full one 2, and a miss or
+     * reshape() evicts from the LRU end until the set weighs at most
+     * 2 * ways. A hit that grows an entry does not evict, so a set can
+     * hold 2 * ways entries plus the one a miss inserts before
+     * evicting: 2 * ways + 1 slots.
+     */
     struct Set
     {
-        std::list<Entry> entries;
+        uint32_t count = 0;
+        uint32_t weight = 0;
     };
 
-    double weightOf(const Entry &e) const { return e.half ? 0.5 : 1.0; }
-    double setWeight(const Set &s) const;
-    Set &setFor(PageNum page);
-    const Set &setFor(PageNum page) const;
+    static uint32_t weightOf(bool half) { return half ? 1 : 2; }
+    size_t setIndex(PageNum page) const { return page % sets_.size(); }
+    Entry *
+    slotsOf(size_t set) const
+    {
+        return slots_.get() + set * slots_per_set_;
+    }
+    /** Slot of @p page within its set, or the set's count on miss. */
+    uint32_t find(size_t set, PageNum page) const;
+    /** Move slot @p pos of @p set to the MRU position. */
+    void toFront(size_t set, uint32_t pos);
+    /** Evict LRU entries until @p set is within capacity. */
+    void evictOverCapacity(size_t set);
 
     MetadataCacheConfig cfg_;
+    size_t slots_per_set_;
     std::vector<Set> sets_;
+    /** Every set's slots in one array. Slots past a set's count are
+     *  never read, so construction leaves them uninitialized. */
+    std::unique_ptr<Entry[]> slots_;
     EvictHook evict_hook_;
     Observer *obs_ = nullptr;
     StatGroup stats_{"mdcache"};

@@ -4,6 +4,13 @@
 
 namespace compresso {
 
+namespace {
+
+/** Bits in the first metadata half (the half-entry boundary). */
+constexpr size_t kFirstHalfBits = 32 * 8;
+
+} // namespace
+
 std::array<uint8_t, kMetadataEntryBytes>
 MetadataEntry::pack() const
 {
@@ -18,8 +25,7 @@ MetadataEntry::pack() const
         w.put(m, 28);
     // Pad the first half to exactly 32 B so the half-entry boundary is
     // architectural.
-    while (w.bitSize() < 32 * 8)
-        w.put(0, 1);
+    w.put(0, unsigned(kFirstHalfBits - w.bitSize()));
 
     for (uint8_t c : line_code)
         w.put(c, 2);
@@ -46,8 +52,7 @@ MetadataEntry::unpack(const std::array<uint8_t, kMetadataEntryBytes> &raw,
     out.inflate_count = uint8_t(r.get(6));
     for (auto &m : out.mpfn)
         m = uint32_t(r.get(28));
-    while (r.pos() < 32 * 8)
-        r.get(1);
+    r.get(unsigned(kFirstHalfBits - r.pos()));
 
     for (auto &c : out.line_code)
         c = uint8_t(r.get(2));

@@ -45,8 +45,8 @@ namespace compresso {
 /**
  * Every profiled phase, with its stable report name. One entry per
  * compressor kernel direction plus the controller / metadata-cache /
- * DRAM / sim-loop hot paths. Names are dotted "<component>.<op>" so
- * reports group naturally.
+ * DRAM / cache-hierarchy / access-stream / sim-loop hot paths. Names
+ * are dotted "<component>.<op>" so reports group naturally.
  */
 #define CPR_PROF_PHASE_LIST(X)                                          \
     X(kBdiCompress, "bdi.compress")                                     \
@@ -65,6 +65,8 @@ namespace compresso {
     X(kMcRepack, "mc.repack")                                           \
     X(kMdCacheAccess, "mdcache.access")                                 \
     X(kDramAccess, "dram.access")                                       \
+    X(kCacheHierarchy, "cache.hierarchy")                               \
+    X(kStreamNext, "stream.next")                                       \
     X(kSimPopulate, "sim.populate")                                     \
     X(kSimRun, "sim.run")
 

@@ -1,8 +1,18 @@
 #include "workloads/access_stream.h"
 
 #include <algorithm>
+#include <cassert>
+
+#include "prof/profiler.h"
 
 namespace compresso {
+
+namespace {
+
+/** Initial size of the mutated-line table (a power of two). */
+constexpr size_t kInitialSlots = 1024;
+
+} // namespace
 
 AccessStream::AccessStream(const WorkloadProfile &profile, uint64_t seed,
                            PageNum base_page, uint64_t phase_len)
@@ -13,17 +23,61 @@ AccessStream::AccessStream(const WorkloadProfile &profile, uint64_t seed,
       rng_(Rng::mix(seed, 0xacce55ULL)),
       stream_pos_(Addr(base_page) * kPageBytes)
 {
+    // Slot keys are in-footprint line indices plus one.
+    assert(uint64_t(profile.pages) * kLinesPerPage < UINT32_MAX);
+}
+
+size_t
+AccessStream::probe(uint32_t key) const
+{
+    size_t mask = mutated_.size() - 1;
+    size_t i = size_t((key * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+    while (mutated_[i].key != key && mutated_[i].key != 0)
+        i = (i + 1) & mask;
+    return i;
+}
+
+AccessStream::LineState &
+AccessStream::mutableState(Addr addr)
+{
+    uint32_t key = slotKey(addr);
+    assert(key != 0);
+    if (mutated_.empty())
+        mutated_.resize(kInitialSlots);
+    size_t i = probe(key);
+    if (mutated_[i].key == 0) {
+        if (4 * (mutated_count_ + 1) > 3 * mutated_.size()) {
+            std::vector<Slot> old(2 * mutated_.size());
+            old.swap(mutated_);
+            for (const Slot &s : old)
+                if (s.key != 0)
+                    mutated_[probe(s.key)] = s;
+            i = probe(key);
+        }
+        mutated_[i] = Slot{key, initialState(addr)};
+        ++mutated_count_;
+    }
+    return mutated_[i].state;
+}
+
+AccessStream::LineState
+AccessStream::initialState(Addr addr) const
+{
+    PageNum page = pageOf(addr) - base_page_;
+    unsigned line = lineOf(addr);
+    return LineState{lineClass(profile_, page, line, 0), 0};
 }
 
 AccessStream::LineState
 AccessStream::stateOf(Addr addr) const
 {
-    auto it = mutated_.find(lineKey(addr));
-    if (it != mutated_.end())
-        return it->second;
-    PageNum page = pageOf(addr) - base_page_;
-    unsigned line = lineOf(addr);
-    return LineState{lineClass(profile_, page, line, 0), 0};
+    uint32_t key = slotKey(addr);
+    if (key != 0 && !mutated_.empty()) {
+        const Slot &s = mutated_[probe(key)];
+        if (s.key == key)
+            return s.state;
+    }
+    return initialState(addr);
 }
 
 uint64_t
@@ -42,15 +96,14 @@ AccessStream::lineData(Addr addr, Line &out) const
 void
 AccessStream::initialLineData(Addr addr, Line &out) const
 {
-    PageNum page = pageOf(addr) - base_page_;
-    unsigned line = lineOf(addr);
-    LineState s{lineClass(profile_, page, line, 0), 0};
+    LineState s = initialState(addr);
     generateLine(s.cls, contentSeed(addr, s), out);
 }
 
 MemRef
 AccessStream::next()
 {
+    CPR_PROF_SCOPE(ProfPhase::kStreamNext);
     MemRef ref;
 
     // Continue an in-page burst if one is active. Strides span several
@@ -112,7 +165,7 @@ AccessStream::finishRef(MemRef &ref, bool streaming)
     ref.inst_gap = profile_.inst_per_mem * (0.5 + rng_.uniform());
 
     if (ref.write) {
-        LineState s = stateOf(ref.addr);
+        LineState &s = mutableState(ref.addr);
         ++s.version;
         if (rng_.chance(profile_.churn)) {
             if (streaming && rng_.chance(profile_.stream_fill_random)) {
@@ -137,7 +190,6 @@ AccessStream::finishRef(MemRef &ref, bool streaming)
                                                : DataClass::kRandom;
             }
         }
-        mutated_[lineKey(ref.addr)] = s;
     }
 
     ++refs_;

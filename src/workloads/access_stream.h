@@ -15,7 +15,7 @@
 #ifndef COMPRESSO_WORKLOADS_ACCESS_STREAM_H
 #define COMPRESSO_WORKLOADS_ACCESS_STREAM_H
 
-#include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -77,11 +77,35 @@ class AccessStream
         uint32_t version;
     };
 
+    /** One slot of the mutated-line table: @c key is the line's index
+     *  inside this stream's footprint plus one; 0 marks an empty
+     *  slot. */
+    struct Slot
+    {
+        uint32_t key = 0;
+        LineState state{};
+    };
+    static_assert(sizeof(Slot) == 12);
+
     uint64_t lineKey(Addr addr) const
     {
         return addr / kLineBytes;
     }
+    /** Table key of @p addr, or 0 outside [baseAddr(), endAddr()). */
+    uint32_t slotKey(Addr addr) const
+    {
+        if (addr < baseAddr() || addr >= endAddr())
+            return 0;
+        return uint32_t((addr - baseAddr()) / kLineBytes) + 1;
+    }
+    /** Linear-probe position of @p key: its slot, or the empty slot
+     *  that ends its probe run. */
+    size_t probe(uint32_t key) const;
+    /** State of the in-footprint line @p addr, inserted with the
+     *  line's initial state if it was never written. */
+    LineState &mutableState(Addr addr);
     void finishRef(MemRef &ref, bool streaming);
+    LineState initialState(Addr addr) const;
     LineState stateOf(Addr addr) const;
     uint64_t contentSeed(Addr addr, const LineState &s) const;
 
@@ -98,7 +122,10 @@ class AccessStream
     PageNum burst_page_ = 0;
     unsigned burst_left_ = 0;
     unsigned burst_line_ = 0;
-    std::unordered_map<uint64_t, LineState> mutated_;
+    /** Lines written so far, open addressing with linear probing:
+     *  1,024 slots from the first write on, doubled at 3/4 load. */
+    std::vector<Slot> mutated_;
+    size_t mutated_count_ = 0;
 };
 
 } // namespace compresso

@@ -33,7 +33,7 @@ MARKER_RE = re.compile(r"//\s*LINT(-SUPPRESSED)?:\s*([\w-]+)")
 
 def expected_markers():
     live, suppressed = set(), set()
-    for path in sorted(FIXTURE_DIR.glob("*.cpp")):
+    for path in sorted(FIXTURE_DIR.rglob("*.cpp")):
         rel = path.relative_to(REPO_ROOT).as_posix()
         for lineno, ln in enumerate(path.read_text().splitlines(), 1):
             for m in MARKER_RE.finditer(ln):

@@ -334,6 +334,34 @@ TEST(ProfIntegration, ProfiledRunReportsPhasesAndGauges)
 #endif
 }
 
+TEST(ProfIntegration, HierarchyAndStreamPhasesCountEveryRef)
+{
+    RunSpec spec = smallSpec();
+    spec.prof.enabled = true;
+    RunResult r = runSystem(spec);
+
+#ifndef COMPRESSO_PROF_DISABLED
+    // One stream.next and one cache.hierarchy per simulated reference,
+    // warmup included, both nested in sim.run.
+    uint64_t refs = spec.warmup_refs + spec.refs_per_core;
+    const auto &hier = r.prof.phases.at("cache.hierarchy");
+    const auto &stream = r.prof.phases.at("stream.next");
+    EXPECT_EQ(hier.calls, refs);
+    EXPECT_EQ(stream.calls, refs);
+    const auto &run = r.prof.phases.at("sim.run");
+    EXPECT_GE(run.incl_ns - run.excl_ns, hier.incl_ns + stream.incl_ns);
+    // Fills run after the hierarchy lookup, not inside it, and the
+    // metadata cache is still reached from the controller.
+    EXPECT_EQ(hier.incl_ns, hier.excl_ns);
+    EXPECT_EQ(stream.incl_ns, stream.excl_ns);
+    const auto &fill = r.prof.phases.at("mc.fill");
+    EXPECT_GT(fill.incl_ns - fill.excl_ns, 0u);
+    EXPECT_GT(r.prof.phases.at("mdcache.access").calls, 0u);
+#else
+    EXPECT_TRUE(r.prof.phases.empty());
+#endif
+}
+
 TEST(ProfIntegration, DisabledProfilerLeavesResultEmpty)
 {
     RunResult r = runSystem(smallSpec());

@@ -28,6 +28,7 @@ Rules (ids are stable; suppressions and reports use them):
 
   statgroup-hot-path
       Inside a profiled hot block (one containing CPR_PROF_SCOPE),
+      and anywhere in the per-reference files of HOT_PATH_FILES,
       StatGroup counters may only be bumped through cached uint64_t&
       handles (the `st_*_ = stats_.stat("...")` member-initializer
       idiom). Name-based lookups — `stats_["key"]` or `.stat("key")`
@@ -65,7 +66,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 SCHEMA = "compresso-lint-v1"
 
@@ -125,6 +126,16 @@ STAT_LOOKUP_RES = [
 ]
 
 PROF_SCOPE_RE = re.compile(r"\bCPR_PROF_SCOPE\s*\(")
+
+# Files every function of which runs once or more per simulated
+# reference; statgroup-hot-path covers them whole. Glob patterns
+# matched against the end of the path.
+HOT_PATH_FILES = (
+    "src/cache/*.cpp",
+    "src/meta/metadata_cache.cpp",
+    "src/dram/dram_model.cpp",
+    "src/workloads/access_stream.cpp",
+)
 
 NEW_RE = re.compile(r"\bnew\b")
 DELETE_RE = re.compile(r"\bdelete\b(?!\s*;)")
@@ -459,15 +470,18 @@ def rule_nondeterminism(model: FileModel, findings: list[Finding]) -> None:
 
 
 def rule_statgroup_hot_path(model: FileModel, findings: list[Finding]) -> None:
+    hot_file = any(PurePosixPath(model.rel).match(p) for p in HOT_PATH_FILES)
     scopes = list(PROF_SCOPE_RE.finditer(model.code))
-    if not scopes:
+    if not scopes and not hot_file:
         return
     pairs = brace_pairs(model.code)
     starts = line_start_offsets(model.code)
     # Union of profiled block spans (a CPR_PROF_SCOPE covers the rest
     # of its enclosing block, and hot helpers are inlined into it —
-    # conservatively take the whole block).
-    spans = []
+    # conservatively take the whole block); a hot file is one span.
+    spans = [(-1, len(model.code))] if hot_file else []
+    where = ("in a per-reference hot file" if hot_file
+             else "inside a CPR_PROF_SCOPE block")
     for s in scopes:
         blk = enclosing_block(pairs, s.start())
         if blk:
@@ -491,7 +505,7 @@ def rule_statgroup_hot_path(model: FileModel, findings: list[Finding]) -> None:
                         model.rel,
                         lineno,
                         m.start() + 1,
-                        f"{what} inside a CPR_PROF_SCOPE block: hot-path "
+                        f"{what} {where}: hot-path "
                         f"counters must use a cached handle "
                         f"(`uint64_t &st_x_ = stats_.stat(\"x\")` member "
                         f"initializer)",
