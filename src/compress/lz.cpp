@@ -1,6 +1,8 @@
 #include "compress/lz.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "prof/profiler.h"
 
@@ -12,32 +14,74 @@ constexpr unsigned kMinMatch = 3;
 constexpr unsigned kMaxMatch = 34;   // 5-bit length field: 3 + 31
 constexpr unsigned kMaxLiteral = 8;  // 3-bit length field: 1 + 7
 
-/** Longest match for position @p pos looking back into the line.
- *  @param ops accumulates byte comparisons (energy proxy). */
-unsigned
-longestMatch(const Line &line, size_t pos, unsigned &dist, size_t *ops)
+/** Match search over one line from per-byte position masks: only the
+ *  starts whose first bytes match are compared, 8 bytes at a time. */
+struct Matcher
 {
-    unsigned best = 0;
-    dist = 0;
-    for (size_t start = pos > 63 ? pos - 63 : 0; start < pos; ++start) {
-        unsigned len = 0;
-        // Matches may overlap the current position (classic LZ77 run
-        // encoding), so compare against the sliding source.
-        while (pos + len < kLineBytes && len < kMaxMatch &&
-               line[start + len] == line[pos + len]) {
-            ++len;
-            if (ops)
-                ++*ops;
+    uint64_t occ[256] = {};           // bit i of occ[b]: line[i] == b
+    uint8_t buf[kLineBytes + 8] = {}; // the line, zero-padded for loads
+
+    explicit Matcher(const Line &line)
+    {
+        std::memcpy(buf, line.data(), kLineBytes);
+        for (size_t i = 0; i < kLineBytes; ++i)
+            occ[line[i]] |= uint64_t(1) << i;
+    }
+
+    /** buf[i, i + 8) as a little-endian value. */
+    uint64_t
+    load(size_t i) const
+    {
+        uint64_t v;
+        std::memcpy(&v, buf + i, 8);
+        if constexpr (std::endian::native == std::endian::big)
+            v = __builtin_bswap64(v);
+        return v;
+    }
+
+    /**
+     * Longest match for @p pos looking back into the line (overlapping
+     * pos, as in LZ77 run encoding), farthest start first: a nearer one
+     * wins only if strictly longer. With @p ops, never stops early and
+     * adds the comparisons a byte-serial matcher makes over every
+     * start: the common prefix up to the cap plus the failing one.
+     */
+    unsigned
+    longest(size_t pos, unsigned &dist, size_t *ops) const
+    {
+        unsigned cap = unsigned(std::min<size_t>(kMaxMatch, kLineBytes - pos));
+        unsigned known = std::min(cap, kMinMatch), k = 0, best = dist = 0;
+        // Bit s stays set while line[s, s + k) == line[pos, pos + k).
+        uint64_t starts = (uint64_t(1) << pos) - 1;
+        size_t compares = pos;
+        for (; k < known; ++k) {
+            starts &= occ[buf[pos + k]] >> k;
+            compares += size_t(std::popcount(starts));
         }
-        if (ops)
-            ++*ops; // the failing comparison
-        if (len > best) {
+        while (starts) {
+            unsigned start = unsigned(std::countr_zero(starts)), len = 0;
+            starts &= starts - 1;
+            // Common prefix up to the cap; pos + cap <= 64 bounds loads.
+            uint64_t x = 0;
+            while (!(x = load(start + len) ^ load(pos + len)) && len + 8 < cap)
+                len += 8;
+            len = std::min(cap, len + unsigned(std::countr_zero(x)) / 8);
+            compares += len - known;
+            if (len <= best)
+                continue;
             best = len;
             dist = unsigned(pos - start);
+            if (best == cap && !ops)
+                break;
+            // Only a nearer start that also matches byte best is longer.
+            for (; !ops && k <= best; ++k)
+                starts &= occ[buf[pos + k]] >> k;
         }
+        if (ops)
+            *ops += compares;
+        return best;
     }
-    return best;
-}
+};
 
 } // namespace
 
@@ -46,28 +90,24 @@ LzCompressor::compress(const Line &line, BitWriter &out) const
 {
     CPR_PROF_SCOPE(ProfPhase::kLzCompress);
     size_t start_bits = out.bitSize();
-    size_t pos = 0;
+    const Matcher matcher(line);
     size_t lit_start = 0;
 
     auto flushLiterals = [&](size_t end) {
-        while (lit_start < end) {
-            size_t n = std::min<size_t>(kMaxLiteral, end - lit_start);
-            out.put(0, 1);
-            out.put(uint64_t(n - 1), 3);
-            for (size_t i = 0; i < n; ++i)
-                out.put(line[lit_start + i], 8);
-            lit_start += n;
+        for (unsigned n = 0; lit_start < end; lit_start += n) {
+            n = unsigned(std::min<size_t>(kMaxLiteral, end - lit_start));
+            uint64_t msb_first = __builtin_bswap64(matcher.load(lit_start));
+            out.put(n - 1, 4); // flag 0 + len(3)
+            out.put(msb_first >> (64 - 8 * n), 8 * n);
         }
     };
 
-    while (pos < kLineBytes) {
+    for (size_t pos = 0; pos < kLineBytes;) {
         unsigned dist = 0;
-        unsigned len = longestMatch(line, pos, dist, nullptr);
+        unsigned len = matcher.longest(pos, dist, nullptr);
         if (len >= kMinMatch) {
             flushLiterals(pos);
-            out.put(1, 1);
-            out.put(dist, 6);
-            out.put(len - kMinMatch, 5);
+            out.put((uint64_t(1) << 11) | (dist << 5) | (len - kMinMatch), 12);
             pos += len;
             lit_start = pos;
         } else {
@@ -95,8 +135,8 @@ LzCompressor::decompress(BitReader &in, Line &out) const
             unsigned n = unsigned(in.get(3)) + 1;
             if (pos + n > kLineBytes)
                 return false;
-            for (unsigned i = 0; i < n; ++i, ++pos)
-                out[pos] = uint8_t(in.get(8));
+            for (uint64_t bytes = in.get(8 * n); n-- > 0; ++pos)
+                out[pos] = uint8_t(bytes >> (8 * n));
         }
         if (in.overrun())
             return false;
@@ -107,11 +147,11 @@ LzCompressor::decompress(BitReader &in, Line &out) const
 size_t
 LzCompressor::matchSearchOps(const Line &line) const
 {
+    const Matcher matcher(line);
     size_t ops = 0;
-    size_t pos = 0;
-    while (pos < kLineBytes) {
+    for (size_t pos = 0; pos < kLineBytes;) {
         unsigned dist = 0;
-        unsigned len = longestMatch(line, pos, dist, &ops);
+        unsigned len = matcher.longest(pos, dist, &ops);
         pos += len >= kMinMatch ? len : 1;
     }
     return ops;

@@ -6,11 +6,14 @@
  * input set (tests/codec_inputs.h) is folded into one FNV-1a digest:
  * the stream's bit length as 8 little-endian bytes, then its bytes,
  * and last the one stream of all of them written back to back.
- * A second digest covers MetadataEntry::pack() over seeded entries.
+ * A second digest covers MetadataEntry::pack() over seeded entries,
+ * and a third LzCompressor::matchSearchOps() over the shared lines.
  *
- * The constants were recorded from the codecs as they stood before
- * the bit I/O moved to word-level reads and writes and BPC to a
- * bit-matrix transpose; any change to a codec's output moves one.
+ * The codec constants were recorded from the codecs as they stood
+ * before the bit I/O moved to word-level reads and writes and BPC to a
+ * bit-matrix transpose, the matchSearchOps one from LZ's byte-serial
+ * matcher before the position-mask matcher replaced it; any change to
+ * a codec's output or to LZ's comparison count moves one.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 
 #include "codec_inputs.h"
 #include "compress/factory.h"
+#include "compress/lz.h"
 
 using namespace compresso;
 
@@ -100,6 +104,8 @@ constexpr Golden kGolden[] = {
 
 constexpr uint64_t kMetadataGolden = 0xc1ad0995bc738fccULL;
 
+constexpr uint64_t kLzMatchSearchOpsGolden = 0x9bbe1297119bb7cfULL;
+
 } // namespace
 
 TEST(CodecGolden, EveryCodecBitstream)
@@ -133,4 +139,17 @@ TEST(CodecGolden, MetadataEntryPack)
         for (uint8_t b : m.pack())
             h.byte(b);
     EXPECT_EQ(hex(h.value()), hex(kMetadataGolden));
+}
+
+TEST(CodecGolden, LzMatchSearchOps)
+{
+    // The Sec. II-A energy proxy: the byte comparisons of LZ's greedy
+    // parse, as 8 little-endian bytes per line. Lz.FastParseMatchesReference
+    // checks the same counts against an in-test reference matcher; this
+    // digest is the anchor that does not move if that reference is edited.
+    LzCompressor lz;
+    Fnv1a h;
+    for (const Line &line : codecTestLines())
+        h.u64(lz.matchSearchOps(line));
+    EXPECT_EQ(hex(h.value()), hex(kLzMatchSearchOpsGolden));
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "codec_inputs.h"
 #include "compress/bdi.h"
@@ -335,6 +336,145 @@ TEST(Lz, MatchSearchOpsAreExpensive)
     Line line;
     generateLine(DataClass::kText, 4, line);
     EXPECT_GT(lz.matchSearchOps(line), 500u);
+}
+
+namespace {
+
+/**
+ * Reference LZ encoder with a byte-serial matcher, the ground truth for
+ * the position-mask matcher of src/compress/lz.cpp. At each position it
+ * tries every earlier start, farthest first, keeps a strictly longer
+ * match only, and counts one comparison per matching byte plus one per
+ * start. Returns that count for the greedy parse it writes to @p out.
+ */
+size_t
+referenceLzParse(const Line &line, BitWriter &out)
+{
+    constexpr unsigned kMinMatch = 3, kMaxMatch = 34, kMaxLiteral = 8;
+    size_t ops = 0;
+    size_t pos = 0;
+    size_t lit_start = 0;
+    auto flushLiterals = [&](size_t end) {
+        while (lit_start < end) {
+            size_t n = std::min<size_t>(kMaxLiteral, end - lit_start);
+            out.put(0, 1);
+            out.put(uint64_t(n - 1), 3);
+            for (size_t i = 0; i < n; ++i)
+                out.put(line[lit_start + i], 8);
+            lit_start += n;
+        }
+    };
+    while (pos < kLineBytes) {
+        unsigned best = 0, dist = 0;
+        for (size_t start = 0; start < pos; ++start) {
+            unsigned len = 0;
+            while (pos + len < kLineBytes && len < kMaxMatch &&
+                   line[start + len] == line[pos + len]) {
+                ++len;
+                ++ops;
+            }
+            ++ops; // the failing (or capping) comparison
+            if (len > best) {
+                best = len;
+                dist = unsigned(pos - start);
+            }
+        }
+        if (best >= kMinMatch) {
+            flushLiterals(pos);
+            out.put(1, 1);
+            out.put(dist, 6);
+            out.put(best - kMinMatch, 5);
+            pos += best;
+            lit_start = pos;
+        } else {
+            ++pos;
+        }
+    }
+    flushLiterals(kLineBytes);
+    return ops;
+}
+
+/** Lines that stress the matcher's edges, plus codecTestLines(). */
+std::vector<Line>
+lzParseTestLines()
+{
+    std::vector<Line> lines = codecTestLines();
+    Line line;
+    // Bytes 0..63 all distinct: no byte starts a match by accident.
+    auto distinct = [&] {
+        for (size_t i = 0; i < kLineBytes; ++i)
+            line[i] = uint8_t(0x80 + i);
+    };
+    // Period-k patterns, of distinct and of random bytes.
+    Rng rng(0x6c7a);
+    for (size_t k = 1; k < kLineBytes; ++k) {
+        for (size_t i = 0; i < kLineBytes; ++i)
+            line[i] = uint8_t(i % k);
+        lines.push_back(line);
+        for (size_t i = 0; i < kLineBytes; ++i)
+            line[i] = i < k ? uint8_t(rng.below(4)) : line[i - k];
+        lines.push_back(line);
+    }
+    // Equal-length matches at several distances: "abcd" at 0, 10, 20
+    // and 30, each followed by a different byte, then "abcd" again.
+    for (size_t tail = 34; tail < 60; ++tail) {
+        distinct();
+        for (size_t at : {size_t(0), size_t(10), size_t(20), size_t(30), tail})
+            for (size_t j = 0; j < 4; ++j)
+                line[at + j] = uint8_t('a' + j);
+        lines.push_back(line);
+    }
+    // Matches that reach the 34-byte cap, with and without overlap.
+    for (size_t len = 30; len <= 40; ++len) {
+        distinct();
+        for (size_t i = 64 - len; i < kLineBytes; ++i)
+            line[i] = line[i - (64 - len)];
+        lines.push_back(line);
+        line.fill(0x5a);
+        line[len] = 0;
+        lines.push_back(line);
+    }
+    // Matches that end exactly at byte 63, 1 to 13 bytes long.
+    for (size_t len = 1; len <= 13; ++len) {
+        distinct();
+        for (size_t i = 0; i < len; ++i)
+            line[64 - len + i] = line[7 + i];
+        lines.push_back(line);
+    }
+    // Lines that differ only in byte 63.
+    for (const Line &base : std::vector<Line>(lines.end() - 40, lines.end())) {
+        line = base;
+        for (size_t from : {size_t(0), size_t(31), size_t(61), size_t(62)}) {
+            line[63] = line[from];
+            lines.push_back(line);
+            line[63] = uint8_t(line[from] + 1);
+            lines.push_back(line);
+        }
+    }
+    // Random lines over alphabets of 2..4 bytes: many candidate starts.
+    for (int i = 0; i < 600; ++i) {
+        uint64_t symbols = 2 + uint64_t(i % 3);
+        for (auto &b : line)
+            b = uint8_t(rng.below(symbols));
+        lines.push_back(line);
+    }
+    return lines;
+}
+
+} // namespace
+
+TEST(Lz, FastParseMatchesReference)
+{
+    LzCompressor lz;
+    std::vector<Line> lines = lzParseTestLines();
+    for (size_t i = 0; i < lines.size(); ++i) {
+        BitWriter want, got;
+        size_t want_ops = referenceLzParse(lines[i], want);
+        ASSERT_EQ(lz.compress(lines[i], got), want.bitSize()) << "line " << i;
+        ASSERT_EQ(got.bytes(), want.bytes()) << "line " << i;
+        ASSERT_EQ(lz.matchSearchOps(lines[i]), want_ops) << "line " << i;
+        expectRoundTrip(lz, lines[i], "LZ parse test line");
+    }
 }
 
 TEST(Factory, KnownNames)
