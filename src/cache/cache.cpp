@@ -1,58 +1,76 @@
 #include "cache/cache.h"
 
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
+
 namespace compresso {
 
 Cache::Cache(const CacheConfig &cfg)
     : ways_(cfg.ways), stats_(cfg.name)
 {
-    size_t lines = cfg.size_bytes / kLineBytes;
-    sets_ = lines / cfg.ways;
-    array_.resize(sets_ * ways_);
+    size_t set_bytes = size_t(cfg.ways) * kLineBytes;
+    size_t sets = set_bytes == 0 ? 0 : cfg.size_bytes / set_bytes;
+    if (!std::has_single_bit(sets) || sets * set_bytes != cfg.size_bytes) {
+        std::fprintf(stderr,
+                     "Cache %s: %zu B in %u ways is not a power-of-two "
+                     "number of sets of 64 B lines\n",
+                     cfg.name, cfg.size_bytes, cfg.ways);
+        std::abort();
+    }
+    set_mask_ = sets - 1;
+    tags_.assign(sets * ways_, 0);
+    stamps_.assign(sets * ways_, 0);
+}
+
+unsigned
+Cache::find(const Addr *tags, Addr line) const
+{
+    // At most one way matches, so scan them all without an early exit.
+    Addr want = line | kValid;
+    unsigned hit = ways_;
+    for (unsigned w = 0; w < ways_; ++w)
+        hit = (tags[w] & ~kDirty) == want ? w : hit;
+    return hit;
 }
 
 CacheResult
 Cache::access(Addr addr, bool write)
 {
     Addr line = lineAddr(addr);
-    size_t set = setOf(line);
-    Way *base = &array_[set * ways_];
+    size_t base = setOf(line) * ways_;
+    Addr *tags = &tags_[base];
+    uint64_t *stamps = &stamps_[base];
     ++tick_;
     ++st_accesses_;
 
-    for (unsigned w = 0; w < ways_; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == line) {
-            ++st_hits_;
-            way.lru = tick_;
-            way.dirty |= write;
-            return CacheResult{true, false, 0};
-        }
+    unsigned hit = find(tags, line);
+    if (hit != ways_) {
+        ++st_hits_;
+        stamps[hit] = tick_;
+        tags[hit] |= write ? kDirty : 0;
+        return CacheResult{true, false, 0};
     }
 
     ++st_misses_;
 
-    // Victim: invalid way if any, else LRU.
-    Way *victim = base;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Way &way = base[w];
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (way.lru < victim->lru)
-            victim = &way;
+    // Victim: the first minimum stamp (first invalid way, else LRU).
+    unsigned victim = 0;
+    uint64_t oldest = stamps[0];
+    for (unsigned w = 1; w < ways_; ++w) {
+        bool older = stamps[w] < oldest;
+        victim = older ? w : victim;
+        oldest = older ? stamps[w] : oldest;
     }
 
     CacheResult res;
-    if (victim->valid && victim->dirty) {
+    if (tags[victim] & kDirty) {
         res.writeback = true;
-        res.victim_addr = victim->tag;
+        res.victim_addr = tags[victim] & ~(kValid | kDirty);
         ++st_writebacks_;
     }
-    victim->valid = true;
-    victim->tag = line;
-    victim->dirty = write;
-    victim->lru = tick_;
+    tags[victim] = line | kValid | (write ? kDirty : 0);
+    stamps[victim] = tick_;
     return res;
 }
 
@@ -60,29 +78,21 @@ bool
 Cache::contains(Addr addr) const
 {
     Addr line = lineAddr(addr);
-    const Way *base = &array_[setOf(line) * ways_];
-    for (unsigned w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].tag == line)
-            return true;
-    return false;
+    return find(&tags_[setOf(line) * ways_], line) != ways_;
 }
 
 bool
 Cache::invalidate(Addr addr, bool &was_dirty)
 {
     Addr line = lineAddr(addr);
-    Way *base = &array_[setOf(line) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == line) {
-            was_dirty = way.dirty;
-            way.valid = false;
-            way.dirty = false;
-            return true;
-        }
-    }
-    was_dirty = false;
-    return false;
+    size_t base = setOf(line) * ways_;
+    unsigned w = find(&tags_[base], line);
+    was_dirty = w != ways_ && (tags_[base + w] & kDirty) != 0;
+    if (w == ways_)
+        return false;
+    tags_[base + w] = 0;
+    stamps_[base + w] = 0;
+    return true;
 }
 
 } // namespace compresso

@@ -5,7 +5,7 @@
  *
  * Geometry per Tab. III: 64 KB L1D, 512 KB L2, 2 MB (1-core) or 8 MB
  * shared (4-core) L3, all with 64 B lines, LRU replacement,
- * write-allocate.
+ * write-allocate. The set count must be a power of two.
  */
 
 #ifndef COMPRESSO_CACHE_CACHE_H
@@ -37,6 +37,8 @@ struct CacheResult
 class Cache
 {
   public:
+    /** Aborts unless @p cfg holds a power-of-two number of sets of
+     *  cfg.ways 64 B lines exactly. */
     explicit Cache(const CacheConfig &cfg);
 
     /**
@@ -56,19 +58,22 @@ class Cache
     const StatGroup &stats() const { return stats_; }
 
   private:
-    struct Way
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t lru = 0;
-    };
+    /** Tag-word flags; a line address has its low six bits clear. */
+    static constexpr Addr kValid = 1;
+    static constexpr Addr kDirty = 2;
 
-    size_t setOf(Addr line) const { return (line / kLineBytes) % sets_; }
+    size_t setOf(Addr line) const { return (line / kLineBytes) & set_mask_; }
 
-    size_t sets_;
+    /** Way of @p tags holding @p line, or ways_ if none does. */
+    unsigned find(const Addr *tags, Addr line) const;
+
+    size_t set_mask_; ///< sets - 1
     unsigned ways_;
-    std::vector<Way> array_;
+    /// Per way, set-major: line | kValid | kDirty, 0 when invalid.
+    std::vector<Addr> tags_;
+    /// Per way: tick of its last access, 0 when invalid. Valid stamps are
+    /// unique and >= 1: a set's first minimum is its first invalid way.
+    std::vector<uint64_t> stamps_;
     uint64_t tick_ = 0;
     StatGroup stats_;
     // Cached hot-path counter handles (stable across reset()).

@@ -1,5 +1,7 @@
 #include "meta/metadata_entry.h"
 
+#include <cassert>
+
 #include "common/bitstream.h"
 
 namespace compresso {
@@ -8,6 +10,12 @@ namespace {
 
 /** Bits in the first metadata half (the half-entry boundary). */
 constexpr size_t kFirstHalfBits = 32 * 8;
+
+/** Header bits (flags, chunks, free_space, inflate_count, MPFNs) and
+ *  the pad to the boundary; a constant pad width bounds its put(). */
+constexpr size_t kHeaderBits = 1 + 1 + 1 + 4 + 12 + 6 + kChunksPerPage * 28;
+constexpr unsigned kPadBits = unsigned(kFirstHalfBits - kHeaderBits);
+static_assert(kHeaderBits <= kFirstHalfBits && kPadBits <= 64);
 
 } // namespace
 
@@ -25,7 +33,8 @@ MetadataEntry::pack() const
         w.put(m, 28);
     // Pad the first half to exactly 32 B so the half-entry boundary is
     // architectural.
-    w.put(0, unsigned(kFirstHalfBits - w.bitSize()));
+    assert(w.bitSize() == kHeaderBits);
+    w.put(0, kPadBits);
 
     for (uint8_t c : line_code)
         w.put(c, 2);
@@ -52,7 +61,7 @@ MetadataEntry::unpack(const std::array<uint8_t, kMetadataEntryBytes> &raw,
     out.inflate_count = uint8_t(r.get(6));
     for (auto &m : out.mpfn)
         m = uint32_t(r.get(28));
-    r.get(unsigned(kFirstHalfBits - r.pos()));
+    r.get(kPadBits);
 
     for (auto &c : out.line_code)
         c = uint8_t(r.get(2));

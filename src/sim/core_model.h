@@ -12,12 +12,15 @@
  * preserves the paper's relative effects: extra critical-path memory
  * latency (metadata misses, split accesses, decompression) hurts
  * memory-bound workloads in proportion to their MLP and intensity.
+ *
+ * Outstanding misses sit in a fixed ring of max_outstanding + 1 slots:
+ * drain() leaves at most max_outstanding, so no push overflows it.
  */
 
 #ifndef COMPRESSO_SIM_CORE_MODEL_H
 #define COMPRESSO_SIM_CORE_MODEL_H
 
-#include <deque>
+#include <vector>
 
 #include "common/types.h"
 
@@ -33,7 +36,8 @@ struct CoreConfig
 class CoreModel
 {
   public:
-    explicit CoreModel(const CoreConfig &cfg = CoreConfig()) : cfg_(cfg) {}
+    explicit CoreModel(const CoreConfig &cfg = CoreConfig())
+        : cfg_(cfg), ring_(size_t(cfg.max_outstanding) + 1) {}
 
     Cycle now() const { return Cycle(cycle_); }
     uint64_t instsRetired() const { return uint64_t(insts_); }
@@ -56,7 +60,10 @@ class CoreModel
     {
         insts_ += 1;
         cycle_ += 1.0 / cfg_.issue_width;
-        outstanding_.push_back(Pending{double(done), insts_});
+        size_t tail = head_ + count_;
+        ring_[tail < ring_.size() ? tail : tail - ring_.size()] =
+            Pending{double(done), insts_};
+        ++count_;
         drain();
     }
 
@@ -79,9 +86,9 @@ class CoreModel
     void
     drainAll()
     {
-        while (!outstanding_.empty()) {
-            cycle_ = std::max(cycle_, outstanding_.front().done);
-            outstanding_.pop_front();
+        while (count_ != 0) {
+            cycle_ = std::max(cycle_, ring_[head_].done);
+            popFront();
         }
     }
 
@@ -93,28 +100,36 @@ class CoreModel
     };
 
     void
+    popFront()
+    {
+        head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+        --count_;
+    }
+
+    void
     drain()
     {
         // Completed misses leave the window for free.
-        while (!outstanding_.empty() &&
-               outstanding_.front().done <= cycle_) {
-            outstanding_.pop_front();
-        }
+        while (count_ != 0 && ring_[head_].done <= cycle_)
+            popFront();
         // ROB limit: the core cannot run more than rob_entries ahead
         // of the oldest outstanding load; MSHR limit caps overlap.
-        while (!outstanding_.empty() &&
-               (insts_ - outstanding_.front().inst_at_issue >
+        while (count_ != 0 &&
+               (insts_ - ring_[head_].inst_at_issue >
                     double(cfg_.rob_entries) ||
-                outstanding_.size() > cfg_.max_outstanding)) {
-            cycle_ = std::max(cycle_, outstanding_.front().done);
-            outstanding_.pop_front();
+                count_ > cfg_.max_outstanding)) {
+            cycle_ = std::max(cycle_, ring_[head_].done);
+            popFront();
         }
     }
 
     CoreConfig cfg_;
     double cycle_ = 0;
     double insts_ = 0;
-    std::deque<Pending> outstanding_;
+    /// Outstanding misses, oldest at head_.
+    std::vector<Pending> ring_;
+    size_t head_ = 0;
+    size_t count_ = 0;
 };
 
 } // namespace compresso

@@ -166,7 +166,7 @@ System::noteBackgroundFixed(const McTrace &tr, bool include_stall)
 }
 
 Cycle
-System::serviceFill(unsigned core, Addr addr, Cycle now)
+System::serviceFill(unsigned /*core*/, Addr addr, Cycle now)
 {
     Line data;
     McTrace tr;

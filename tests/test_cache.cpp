@@ -95,6 +95,26 @@ TEST(Cache, StatsCount)
     EXPECT_EQ(c.stats().get("misses"), 2u);
 }
 
+TEST(Cache, RejectsDegenerateGeometry)
+{
+    // Smaller than one set, no ways, three sets, and a size that is
+    // not a whole number of 8-way sets.
+    EXPECT_DEATH(Cache(tiny(4, 8)), "power-of-two");
+    EXPECT_DEATH(Cache(tiny(8, 0)), "power-of-two");
+    EXPECT_DEATH(Cache(tiny(6, 2)), "power-of-two");
+    EXPECT_DEATH(Cache(CacheConfig{9 * 8 * kLineBytes / 2, 8, "t"}),
+                 "power-of-two");
+    // The Tab. III geometries, the 4-core L3 and a direct-mapped cache.
+    for (CacheConfig ok : {CacheConfig{64 << 10, 8, "l1"},
+                           CacheConfig{512 << 10, 8, "l2"},
+                           CacheConfig{2 << 20, 16, "l3"},
+                           CacheConfig{8 << 20, 16, "l3"},
+                           CacheConfig{kLineBytes, 1, "t"}}) {
+        Cache c(ok);
+        EXPECT_FALSE(c.access(0, false).hit);
+    }
+}
+
 TEST(Hierarchy, L1HitFastPath)
 {
     HierarchyConfig cfg;

@@ -23,14 +23,22 @@
  * their counters moved to cached handles, the metadata cache's sets to
  * flat slot arrays and the stream's line states to a probe table.
  *
- * CacheDifferential and MetadataCacheDifferential run seeded random
- * operation sequences against reference copies of those earlier
- * implementations, kept below, and compare every return value,
- * counter and evict-hook call.
+ * The same chain also feeds a CoreModel in System::step order: every
+ * load completes at its hit latency plus, on a miss, the metadata and
+ * DRAM fill time the chain computed. TimingGolden.CoreModel pins
+ * now() and instsRetired() after every reference and after drainAll(),
+ * recorded from the deque-based model that CoreModelDifferential keeps
+ * as its reference.
+ *
+ * CacheDifferential, MetadataCacheDifferential and
+ * CoreModelDifferential run seeded random operation sequences against
+ * reference copies of those earlier implementations, kept below, and
+ * compare every return value, counter and evict-hook call.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <list>
 #include <map>
 #include <set>
@@ -42,6 +50,7 @@
 #include "common/rng.h"
 #include "dram/dram_model.h"
 #include "meta/metadata_cache.h"
+#include "sim/core_model.h"
 #include "workloads/access_stream.h"
 #include "workloads/profiles.h"
 
@@ -81,6 +90,7 @@ struct Digests
     uint64_t counters;
     uint64_t lines;
     uint64_t probes;
+    uint64_t core;
 };
 
 void
@@ -105,6 +115,7 @@ driveProfile(const char *name, PageNum base_page, uint64_t seed,
     Hierarchy hier{HierarchyConfig{}};
     MetadataCache mdc{MetadataCacheConfig{}};
     DramModel dram{DramConfig{}};
+    CoreModel core{CoreConfig{}};
 
     Fnv out;
     mdc.setEvictHook([&](PageNum page, bool dirty) {
@@ -136,11 +147,13 @@ driveProfile(const char *name, PageNum base_page, uint64_t seed,
     };
 
     std::set<Addr> written;
+    Fnv core_out;
     for (uint64_t i = 0; i < kRefs; ++i) {
         MemRef ref = stream.next();
         now += 1 + Cycle(ref.inst_gap);
         if (ref.write)
             written.insert(lineAddr(ref.addr));
+        core.advanceInsts(ref.inst_gap);
 
         HierarchyOutcome ho = hier.access(0, ref.addr, ref.write);
         out.add(ho.hit_level);
@@ -151,12 +164,20 @@ driveProfile(const char *name, PageNum base_page, uint64_t seed,
             metadataStep(wb, true);
             out.add(dram.access(wb, true, now));
         }
+        Cycle fill = 0;
         if (ho.hit_level == 0) {
             Cycle at = metadataStep(ref.addr, false);
             Cycle done = dram.access(ref.addr, false, at);
             out.add(done);
+            fill = done - now;
             now = std::max(now, done - ho.hit_latency);
         }
+        if (ref.write)
+            core.store();
+        else
+            core.load(core.now() + ho.hit_latency + fill);
+        core_out.add(core.now());
+        core_out.add(core.instsRetired());
 
         PageNum page = pageOf(ref.addr);
         if (i % 97 == 0)
@@ -165,6 +186,9 @@ driveProfile(const char *name, PageNum base_page, uint64_t seed,
             mdc.invalidate(page + 1);
     }
     out.add(stream.refsGenerated());
+    core.drainAll();
+    core_out.add(core.now());
+    core_out.add(core.instsRetired());
 
     Fnv counters;
     addCacheCounters(counters, hier.l1(0).stats());
@@ -214,7 +238,7 @@ driveProfile(const char *name, PageNum base_page, uint64_t seed,
 
     written_lines = written.size();
     return Digests{out.value(), counters.value(), lines.value(),
-                   probes.value()};
+                   probes.value(), core_out.value()};
 }
 
 struct GoldenCase
@@ -228,16 +252,31 @@ constexpr GoldenCase kGolden[] = {
     {"mcf",
      0,
      {0x055c48c265103cbdULL, 0xd43c6280554de2edULL, 0xea4556be833c41c9ULL,
-      0xa02b57b3347fd984ULL}},
+      0xa02b57b3347fd984ULL, 0x567f34b3f0bb1d49ULL}},
     {"omnetpp",
      8208,
      {0xb6ad67a6239fb526ULL, 0x1ef3121819048032ULL, 0xcb0a4dee4863a12aULL,
-      0xe8a49e68c36be544ULL}},
+      0xe8a49e68c36be544ULL, 0x96279a57a582edc3ULL}},
     {"zeusmp",
      40000,
      {0x2955145d717b2d74ULL, 0xd95018986ac464f6ULL, 0x3e6ad765aaa94f8fULL,
-      0xc1d1cf1eb22c0bd6ULL}},
+      0xc1d1cf1eb22c0bd6ULL, 0x7d20971c343c6564ULL}},
 };
+
+Digests
+driveGolden(size_t i, size_t &written_lines)
+{
+    return driveProfile(kGolden[i].profile, kGolden[i].base_page,
+                        Rng::mix(20240613, i + 1), written_lines);
+}
+
+std::string
+hex(uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016llx", (unsigned long long)v);
+    return std::string(buf);
+}
 
 TEST(TimingGolden, StreamHierarchyMetadataCacheDram)
 {
@@ -245,15 +284,8 @@ TEST(TimingGolden, StreamHierarchyMetadataCacheDram)
     for (size_t i = 0; i < std::size(kGolden); ++i) {
         const GoldenCase &c = kGolden[i];
         size_t written = 0;
-        Digests got = driveProfile(c.profile, c.base_page,
-                                   Rng::mix(20240613, i + 1), written);
+        Digests got = driveGolden(i, written);
         max_written = std::max(max_written, written);
-        auto hex = [](uint64_t v) {
-            char buf[24];
-            std::snprintf(buf, sizeof buf, "0x%016llx",
-                          (unsigned long long)v);
-            return std::string(buf);
-        };
         EXPECT_EQ(got.outcomes, c.want.outcomes)
             << c.profile << " outcomes " << hex(got.outcomes);
         EXPECT_EQ(got.counters, c.want.counters)
@@ -269,9 +301,20 @@ TEST(TimingGolden, StreamHierarchyMetadataCacheDram)
     EXPECT_GT(max_written, 3072u);
 }
 
+TEST(TimingGolden, CoreModel)
+{
+    for (size_t i = 0; i < std::size(kGolden); ++i) {
+        size_t written = 0;
+        Digests got = driveGolden(i, written);
+        EXPECT_EQ(got.core, kGolden[i].want.core)
+            << kGolden[i].profile << " core " << hex(got.core);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Reference implementations: Cache and MetadataCache as they stood
-// before their hot paths moved to cached handles and flat slot arrays.
+// before their hot paths moved to cached handles and flat slot arrays,
+// and CoreModel as it stood before its window moved to a fixed ring.
 // ---------------------------------------------------------------------
 
 namespace reference {
@@ -498,6 +541,77 @@ class MetadataCache
     std::vector<std::list<Entry>> sets_;
 };
 
+class CoreModel
+{
+  public:
+    explicit CoreModel(const CoreConfig &cfg) : cfg_(cfg) {}
+
+    Cycle now() const { return Cycle(cycle_); }
+    uint64_t instsRetired() const { return uint64_t(insts_); }
+
+    void
+    advanceInsts(double n)
+    {
+        insts_ += n;
+        cycle_ += n / cfg_.issue_width;
+    }
+
+    void
+    load(Cycle done)
+    {
+        insts_ += 1;
+        cycle_ += 1.0 / cfg_.issue_width;
+        outstanding_.push_back(Pending{double(done), insts_});
+        drain();
+    }
+
+    void
+    store()
+    {
+        insts_ += 1;
+        cycle_ += 1.0 / cfg_.issue_width;
+    }
+
+    void stall(Cycle cycles) { cycle_ += double(cycles); }
+
+    void
+    drainAll()
+    {
+        while (!outstanding_.empty()) {
+            cycle_ = std::max(cycle_, outstanding_.front().done);
+            outstanding_.pop_front();
+        }
+    }
+
+  private:
+    struct Pending
+    {
+        double done;
+        double inst_at_issue;
+    };
+
+    void
+    drain()
+    {
+        while (!outstanding_.empty() &&
+               outstanding_.front().done <= cycle_) {
+            outstanding_.pop_front();
+        }
+        while (!outstanding_.empty() &&
+               (insts_ - outstanding_.front().inst_at_issue >
+                    double(cfg_.rob_entries) ||
+                outstanding_.size() > cfg_.max_outstanding)) {
+            cycle_ = std::max(cycle_, outstanding_.front().done);
+            outstanding_.pop_front();
+        }
+    }
+
+    CoreConfig cfg_;
+    double cycle_ = 0;
+    double insts_ = 0;
+    std::deque<Pending> outstanding_;
+};
+
 } // namespace reference
 
 // ---------------------------------------------------------------------
@@ -512,33 +626,64 @@ expectSameCacheStats(const StatGroup &got, const StatGroup &want,
         ASSERT_EQ(got.get(key), want.get(key)) << where << " " << key;
 }
 
+/**
+ * One cache geometry under one operation mix: @p access_pct percent
+ * accesses, @p invalidate_pct percent invalidates, the rest probes.
+ */
+struct CacheCase
+{
+    CacheConfig cfg;
+    unsigned trials;
+    unsigned access_pct;
+    unsigned invalidate_pct;
+};
+
 TEST(CacheDifferential, RandomOpsMatchReference)
 {
-    const CacheConfig configs[] = {
-        {4 * 4 * kLineBytes, 4, "tiny"},
-        {2 * 1 * kLineBytes, 1, "direct"},
-        {8 * 8 * kLineBytes, 8, "wide"},
+    const CacheCase cases[] = {
+        {{4 * 4 * kLineBytes, 4, "tiny"}, 8, 70, 10},
+        {{2 * 1 * kLineBytes, 1, "direct"}, 8, 70, 10},
+        {{8 * 8 * kLineBytes, 8, "wide"}, 8, 70, 10},
+        // Tab. III geometries: L1D, L2 and the 1-core L3.
+        {{128 * 8 * kLineBytes, 8, "l1d"}, 2, 70, 10},
+        {{1024 * 8 * kLineBytes, 8, "l2"}, 2, 70, 10},
+        {{2048 * 16 * kLineBytes, 16, "l3"}, 2, 70, 10},
+        // Invalidate-heavy: sets keep holes, so the victim is often the
+        // first invalid way of a partly filled 16-way set.
+        {{4 * 16 * kLineBytes, 16, "holes16"}, 8, 60, 30},
+        {{2048 * 16 * kLineBytes, 16, "l3-holes"}, 2, 60, 30},
     };
     Rng rng(0xcac4e);
-    for (const CacheConfig &cfg : configs) {
-        for (unsigned trial = 0; trial < 8; ++trial) {
+    for (const CacheCase &c : cases) {
+        const CacheConfig &cfg = c.cfg;
+        for (unsigned trial = 0; trial < c.trials; ++trial) {
             Cache got(cfg);
             reference::Cache want(cfg);
-            uint64_t lines = cfg.size_bytes / kLineBytes * 3;
+            uint64_t sets = cfg.size_bytes / kLineBytes / cfg.ways;
             for (unsigned op = 0; op < 20000; ++op) {
-                Addr addr = rng.below(lines) * kLineBytes + rng.below(64);
+                // Mostly 3x a set's ways over at most 4 sets, so even a
+                // 2,048-set geometry fills and evicts; the rest spread
+                // over 3x the capacity. The high part keeps the set and
+                // changes only the tag.
+                uint64_t line =
+                    rng.chance(0.25)
+                        ? rng.below(sets * cfg.ways * 3)
+                        : rng.below(cfg.ways * 3) * sets +
+                              rng.below(std::min<uint64_t>(sets, 4));
+                line += rng.below(4) << 34;
+                Addr addr = line * kLineBytes + rng.below(64);
                 std::string where = std::string(cfg.name) + " trial " +
                                     std::to_string(trial) + " op " +
                                     std::to_string(op);
-                uint64_t kind = rng.below(10);
-                if (kind < 7) {
+                uint64_t kind = rng.below(100);
+                if (kind < c.access_pct) {
                     bool write = rng.chance(0.4);
                     CacheResult a = got.access(addr, write);
                     CacheResult b = want.access(addr, write);
                     ASSERT_EQ(a.hit, b.hit) << where;
                     ASSERT_EQ(a.writeback, b.writeback) << where;
                     ASSERT_EQ(a.victim_addr, b.victim_addr) << where;
-                } else if (kind < 9) {
+                } else if (kind < 100 - c.invalidate_pct) {
                     ASSERT_EQ(got.contains(addr), want.contains(addr))
                         << where;
                 } else {
@@ -549,6 +694,60 @@ TEST(CacheDifferential, RandomOpsMatchReference)
                     ASSERT_EQ(da, db) << where;
                 }
                 expectSameCacheStats(got.stats(), want.stats(), where);
+            }
+        }
+    }
+}
+
+TEST(CoreModelDifferential, RandomOpsMatchReference)
+{
+    Rng rng(0xc03e);
+    for (unsigned max_outstanding : {0u, 1u, 10u, 64u}) {
+        for (unsigned rob : {1u, 192u}) {
+            CoreConfig cfg;
+            cfg.rob_entries = rob;
+            cfg.max_outstanding = max_outstanding;
+            for (unsigned trial = 0; trial < 4; ++trial) {
+                CoreModel got(cfg);
+                reference::CoreModel want(cfg);
+                for (unsigned op = 0; op < 20000; ++op) {
+                    std::string where =
+                        "mlp " + std::to_string(max_outstanding) +
+                        " rob " + std::to_string(rob) + " trial " +
+                        std::to_string(trial) + " op " + std::to_string(op);
+                    uint64_t kind = rng.below(100);
+                    if (kind < 35) {
+                        double n = double(rng.below(256)) / 4;
+                        got.advanceInsts(n);
+                        want.advanceInsts(n);
+                    } else if (kind < 80) {
+                        // Half hit-like, half miss-like latencies.
+                        Cycle lat = rng.chance(0.5) ? rng.below(40)
+                                                    : 100 + rng.below(400);
+                        got.load(got.now() + lat);
+                        want.load(want.now() + lat);
+                    } else if (kind < 95) {
+                        got.store();
+                        want.store();
+                    } else if (kind < 99) {
+                        Cycle c = rng.below(1000);
+                        got.stall(c);
+                        want.stall(c);
+                    } else {
+                        got.drainAll();
+                        want.drainAll();
+                    }
+                    // System copies its cores; the copy must carry the
+                    // window on.
+                    if (op == 10000)
+                        got = CoreModel(got);
+                    ASSERT_EQ(got.now(), want.now()) << where;
+                    ASSERT_EQ(got.instsRetired(), want.instsRetired())
+                        << where;
+                }
+                got.drainAll();
+                want.drainAll();
+                ASSERT_EQ(got.now(), want.now());
             }
         }
     }
