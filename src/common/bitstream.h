@@ -82,22 +82,6 @@ class BitWriter
 };
 
 /**
- * Size-only sink with BitWriter's put(): counts the bits a stream would
- * take and stores none. Encoders templated on their sink use it to
- * size an encoding without writing it.
- */
-class BitCounter
-{
-  public:
-    void put(uint64_t, unsigned nbits) { bits_ += nbits; }
-
-    size_t bitSize() const { return bits_; }
-
-  private:
-    size_t bits_ = 0;
-};
-
-/**
  * Sequential bit stream reader over an external buffer. Reads go
  * through a 64-bit big-endian window and never touch a byte at or past
  * ceil(size_bits / 8).

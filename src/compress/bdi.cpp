@@ -1,6 +1,7 @@
 #include "compress/bdi.h"
 
 #include <cstring>
+#include <iterator>
 
 #include "prof/profiler.h"
 
@@ -29,10 +30,31 @@ struct Shape
     unsigned delta_bytes;
 };
 
+/** Payload of a shape in bits: base + per-element mask + deltas. */
+constexpr size_t
+payloadBits(const Shape &sh)
+{
+    size_t n = kLineBytes / sh.base_bytes;
+    return sh.base_bytes * 8 + n + n * sh.delta_bytes * 8;
+}
+
+/** In payload order, so the first shape that fits is the smallest (and
+ *  of the equal B2D1 and B4D2, B2D1 wins). */
 constexpr Shape kShapes[] = {
     {kB8D1, 8, 1}, {kB4D1, 4, 1}, {kB8D2, 8, 2},
     {kB2D1, 2, 1}, {kB4D2, 4, 2}, {kB8D4, 8, 4},
 };
+
+constexpr bool
+payloadsAscend()
+{
+    for (size_t i = 1; i < std::size(kShapes); ++i)
+        if (payloadBits(kShapes[i]) < payloadBits(kShapes[i - 1]))
+            return false;
+    return payloadBits(kShapes[std::size(kShapes) - 1]) < kLineBytes * 8;
+}
+static_assert(payloadsAscend(),
+              "kShapes must be in payload order and all beat raw");
 
 template <class T>
 uint64_t
@@ -133,8 +155,7 @@ tryShape(const Line &line, const Shape &sh, ShapeFit *fit)
     }
     if (fit)
         fit->base = base;
-    // base + per-element mask + deltas
-    return sh.base_bytes * 8 + n + n * sh.delta_bytes * 8;
+    return payloadBits(sh);
 }
 
 /** The encoding of a line: its selector, its shape (null for zero,
@@ -162,14 +183,11 @@ chooseEncoding(const Line &line)
     if (repeated)
         return {kRep8, nullptr, 4 + 64};
 
-    // The smallest fitting (base, delta) shape, if it beats raw.
-    Choice best{kRaw, nullptr, 4 + kLineBytes * 8};
-    for (const Shape &sh : kShapes) {
-        size_t bits = tryShape(line, sh, nullptr);
-        if (bits != 0 && 4 + bits < best.bits)
-            best = {sh.sel, &sh, 4 + bits};
-    }
-    return best;
+    // The first fitting (base, delta) shape is the smallest.
+    for (const Shape &sh : kShapes)
+        if (tryShape(line, sh, nullptr) != 0)
+            return {sh.sel, &sh, 4 + payloadBits(sh)};
+    return {kRaw, nullptr, 4 + kLineBytes * 8};
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "compress/bpc.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "prof/profiler.h"
 
@@ -13,11 +14,11 @@ constexpr unsigned kXformWidth = 15;   // 15 deltas
 constexpr unsigned kDirectPlanes = 32; // 32-bit words
 constexpr unsigned kDirectWidth = 16;  // 16 words
 
-/** Bit-planes before (dbp) and after (dbx) the XOR chain. */
+/** One mode's DBP planes; the plane at index count is zero, so DBX
+ *  plane k is dbp[k] ^ dbp[k + 1] for every k < count. */
 struct Planes
 {
-    uint32_t dbp[kXformPlanes];
-    uint32_t dbx[kXformPlanes];
+    uint32_t dbp[kXformPlanes + 1];
     unsigned count;
     unsigned width;
 };
@@ -25,15 +26,15 @@ struct Planes
 /**
  * One Hacker's Delight (Sec. 7-3) transpose round on 16 rows: swap the
  * off-diagonal S x S blocks of every 2S x 2S block, M selecting the low
- * S bits of each 2S-bit group in both 16-bit halves of a word.
+ * S bits of each 2S-bit group in all four 16-bit lanes of a row.
  */
-template <unsigned S, uint32_t M>
+template <unsigned S, uint64_t M>
 void
-transposeRound(uint32_t a[16])
+transposeRound(uint64_t a[16])
 {
     for (unsigned k = 0; k < 16; k += 2 * S) {
         for (unsigned i = k; i < k + S; ++i) {
-            uint32_t t = ((a[i] >> S) ^ a[i + S]) & M;
+            uint64_t t = ((a[i] >> S) ^ a[i + S]) & M;
             a[i] ^= t << S;
             a[i + S] ^= t;
         }
@@ -41,135 +42,97 @@ transposeRound(uint32_t a[16])
 }
 
 /**
- * Transpose the low and the high 16 x 16 bit matrices held in the two
- * halves of 16 words, side by side (bit 0 is column 0): afterwards bit
- * j of half h of a[k] is what bit k of half h of a[j] was. Its own
- * inverse.
+ * Transpose the four 16 x 16 bit matrices held in the 16-bit lanes of
+ * 16 rows, side by side (bit 0 is column 0): afterwards bit j of lane
+ * l of a[k] is what bit k of lane l of a[j] was. Its own inverse.
  */
 void
-transposeHalves(uint32_t a[16])
+transposeLanes(uint64_t a[16])
 {
-    transposeRound<8, 0x00ff00ffu>(a);
-    transposeRound<4, 0x0f0f0f0fu>(a);
-    transposeRound<2, 0x33333333u>(a);
-    transposeRound<1, 0x55555555u>(a);
+    transposeRound<8, 0x00ff00ff00ff00ffull>(a);
+    transposeRound<4, 0x0f0f0f0f0f0f0f0full>(a);
+    transposeRound<2, 0x3333333333333333ull>(a);
+    transposeRound<1, 0x5555555555555555ull>(a);
 }
 
-/** The 32 bit-planes of 16 words: bit j of plane k is bit k of
- *  rows[j]. Clobbers @p rows. */
-void
-toPlanes(uint32_t rows[16], uint32_t planes[32])
+/**
+ * The DBP planes of both modes from one transpose of the rows
+ * delta_j | word_j << 32 (delta_15 = 0): lanes 0..3 of row k hold
+ * transformed planes k and k + 16 and direct planes k and k + 16.
+ * The transformed mode's plane 32, the signs of the 33-bit deltas, is
+ * kept apart.
+ */
+struct LinePlanes
 {
-    transposeHalves(rows);
-    for (unsigned k = 0; k < 16; ++k) {
-        planes[k] = rows[k] & 0xffffu;
-        planes[k + 16] = rows[k] >> 16;
-    }
-}
+    uint64_t row[16];
+    uint32_t sign;
+    uint32_t base;
+};
 
-/** Inverse of toPlanes; bits 16..31 of each plane are ignored. */
-void
-fromPlanes(const uint32_t planes[32], uint32_t rows[16])
+LinePlanes
+buildPlanes(const Line &line)
 {
-    for (unsigned k = 0; k < 16; ++k)
-        rows[k] = (planes[k] & 0xffffu) | (planes[k + 16] << 16);
-    transposeHalves(rows);
-}
-
-/** Fill dbx[k] = dbp[k] ^ dbp[k + 1], with an implicit zero plane above
- *  the MSB plane. */
-void
-xorChain(Planes &p)
-{
-    for (unsigned k = 0; k + 1 < p.count; ++k)
-        p.dbx[k] = p.dbp[k] ^ p.dbp[k + 1];
-    p.dbx[p.count - 1] = p.dbp[p.count - 1];
-}
-
-/** Build the Delta-BitPlane planes from a line; returns the base word. */
-uint32_t
-buildTransformed(const Line &line, Planes &p)
-{
+    LinePlanes lp;
     uint32_t words[16];
     for (size_t i = 0; i < 16; ++i)
         words[i] = lineWord32(line, i);
-
-    // 33-bit two's-complement deltas between adjacent words: their low
-    // 32 bits transpose into planes 0..31, and bit 32, the sign of the
-    // difference, is gathered into plane 32.
-    uint32_t rows[16] = {};
-    uint32_t sign = 0;
-    for (unsigned j = 0; j < kXformWidth; ++j) {
-        rows[j] = words[j + 1] - words[j];
-        sign |= uint32_t(words[j + 1] < words[j]) << j;
+    lp.sign = 0;
+    for (unsigned j = 0; j < 16; ++j) {
+        uint32_t delta = 0;
+        if (j < kXformWidth) {
+            delta = words[j + 1] - words[j];
+            lp.sign |= uint32_t(words[j + 1] < words[j]) << j;
+        }
+        lp.row[j] = delta | uint64_t(words[j]) << 32;
     }
-    p.count = kXformPlanes;
-    p.width = kXformWidth;
-    toPlanes(rows, p.dbp);
-    p.dbp[32] = sign;
-    xorChain(p);
-    return words[0];
+    transposeLanes(lp.row);
+    lp.base = words[0];
+    return lp;
 }
 
-/** Invert buildTransformed: planes + base -> line. */
-void
-unbuildTransformed(const Planes &p, uint32_t base, Line &line)
+/** One mode's planes, taken from the shared rows. */
+Planes
+modePlanes(const LinePlanes &lp, bool direct)
 {
-    // Adding the sign-extended 33-bit delta wraps to the same 32-bit
-    // word as adding its low 32 bits, so plane 32 is not needed.
-    uint32_t deltas[16];
-    fromPlanes(p.dbp, deltas);
-    uint32_t w = base;
-    setLineWord32(line, 0, w);
-    for (unsigned j = 0; j < kXformWidth; ++j) {
-        w += deltas[j];
-        setLineWord32(line, j + 1, w);
+    Planes p;
+    unsigned shift = direct ? 32 : 0;
+    for (unsigned k = 0; k < 16; ++k) {
+        p.dbp[k] = uint32_t(lp.row[k] >> shift) & 0xffffu;
+        p.dbp[k + 16] = uint32_t(lp.row[k] >> (shift + 16)) & 0xffffu;
     }
+    p.count = direct ? kDirectPlanes : kXformPlanes;
+    p.width = direct ? kDirectWidth : kXformWidth;
+    p.dbp[32] = direct ? 0 : lp.sign;
+    p.dbp[33] = 0;
+    return p;
 }
 
-/** Build raw-word bit-planes (direct mode: no delta transform). */
-void
-buildDirect(const Line &line, Planes &p)
-{
-    uint32_t rows[kDirectWidth];
-    for (size_t i = 0; i < kDirectWidth; ++i)
-        rows[i] = lineWord32(line, i);
-    p.count = kDirectPlanes;
-    p.width = kDirectWidth;
-    toPlanes(rows, p.dbp);
-    xorChain(p);
-}
-
-void
-unbuildDirect(const Planes &p, Line &line)
-{
-    uint32_t words[kDirectWidth];
-    fromPlanes(p.dbp, words);
-    for (unsigned j = 0; j < kDirectWidth; ++j)
-        setLineWord32(line, j, words[j]);
-}
-
-/** Encode the base word with a small-magnitude code. */
-template <class Sink>
-void
-encodeBase(uint32_t base, Sink &out)
+/** Value width of the base word's small-magnitude code: 000 for zero,
+ *  001/010/011 + a 4/8/16-bit two's complement, else 1 + 32 bits. */
+unsigned
+baseWidth(uint32_t base)
 {
     int32_t s = int32_t(base);
-    if (base == 0) {
-        out.put(0b000, 3);
-    } else if (s >= -8 && s < 8) {
-        out.put(0b001, 3);
-        out.put(uint32_t(s) & 0xf, 4);
-    } else if (s >= -128 && s < 128) {
-        out.put(0b010, 3);
-        out.put(uint32_t(s) & 0xff, 8);
-    } else if (s >= -32768 && s < 32768) {
-        out.put(0b011, 3);
-        out.put(uint32_t(s) & 0xffff, 16);
-    } else {
+    if (base == 0)
+        return 0;
+    if (s >= -8 && s < 8)
+        return 4;
+    if (s >= -128 && s < 128)
+        return 8;
+    return s >= -32768 && s < 32768 ? 16 : 32;
+}
+
+void
+encodeBase(uint32_t base, BitWriter &out)
+{
+    unsigned w = baseWidth(base);
+    if (w == 32) {
         out.put(1, 1);
         out.put(base, 32);
+        return;
     }
+    out.put(w == 0 ? 0 : unsigned(std::countr_zero(w)) - 1, 3);
+    out.put(base, w);
 }
 
 bool
@@ -197,33 +160,19 @@ decodeBase(BitReader &in, uint32_t &base)
     return !in.overrun();
 }
 
-/** True iff @p v has exactly the bits p and p+1 set for some p. */
-bool
-isTwoConsecutiveOnes(uint32_t v, unsigned &pos)
-{
-    if (v == 0 || (v & (v - 1)) == 0)
-        return false;
-    unsigned p = unsigned(__builtin_ctz(v));
-    if (v == (3u << p)) {
-        pos = p;
-        return true;
-    }
-    return false;
-}
-
 /** Encode planes MSB-plane first; see the symbol table in bpc.h. */
-template <class Sink>
 void
-encodePlanes(const Planes &p, Sink &out)
+encodePlanes(const Planes &p, BitWriter &out)
 {
     uint32_t ones = (1u << p.width) - 1;
     int k = int(p.count) - 1;
     while (k >= 0) {
-        if (p.dbx[k] == 0) {
+        uint32_t x = p.dbp[k] ^ p.dbp[k + 1];
+        if (x == 0) {
             // Count the zero-DBX run downward.
             unsigned run = 1;
-            while (int(k) - int(run) >= 0 && p.dbx[k - run] == 0 &&
-                   run < 33) {
+            while (int(k) - int(run) >= 0 &&
+                   p.dbp[k - run] == p.dbp[k - run + 1] && run < 33) {
                 ++run;
             }
             if (run >= 2) {
@@ -235,23 +184,100 @@ encodePlanes(const Planes &p, Sink &out)
             k -= int(run);
             continue;
         }
-        unsigned pos = 0;
-        if (p.dbx[k] == ones) {
+        // rest: the plane without its lowest one.
+        uint32_t rest = x & (x - 1);
+        if (x == ones) {
             out.put(0b00000, 5);
         } else if (p.dbp[k] == 0) {
             out.put(0b00001, 5);
-        } else if (isTwoConsecutiveOnes(p.dbx[k], pos)) {
-            out.put(0b00010, 5);
-            out.put(pos, 4);
-        } else if ((p.dbx[k] & (p.dbx[k] - 1)) == 0) {
-            out.put(0b00011, 5);
-            out.put(unsigned(__builtin_ctz(p.dbx[k])), 4);
+        } else if (rest == (x & -x) << 1) {
+            out.put(0b00010, 5); // two consecutive ones
+            out.put(unsigned(std::countr_zero(x)), 4);
+        } else if (rest == 0) {
+            out.put(0b00011, 5); // a single one
+            out.put(unsigned(std::countr_zero(x)), 4);
         } else {
             out.put(1, 1);
-            out.put(p.dbx[k], p.width);
+            out.put(x, p.width);
         }
         --k;
     }
+}
+
+/** Bit 0, and bit 15, of each 16-bit lane of a row. */
+constexpr uint64_t kLaneBit0 = 0x0001000100010001ull;
+constexpr uint64_t kLaneTop = kLaneBit0 << 15;
+
+/** Bit 15 of each 16-bit lane of @p x set iff that lane is non-zero. */
+uint64_t
+laneNonZero(uint64_t x)
+{
+    return (((x & ~kLaneTop) + ~kLaneTop) | x) & kLaneTop;
+}
+
+/** Stream sizes of both modes, mode bit included. */
+struct ModeBits
+{
+    size_t xf, dp;
+};
+
+/**
+ * What encodePlanes would write for both modes, four planes per step:
+ * the DBX planes of row k are row[k] ^ row[k + 1], and each symbol
+ * class is counted per lane, in bit 15 of its lane. A zero plane costs
+ * 7 bits if it starts a run (the plane above it is non-zero or absent)
+ * and 3 if that run is one plane long; run neighbours cross the plane
+ * 15/16 and 31/32 boundaries. The transformed plane 32 is sized on its
+ * own.
+ */
+ModeBits
+sizeModes(const LinePlanes &lp)
+{
+    // All-ones DBX planes are 15 bits wide in the transformed lanes 0
+    // and 1 and 16 in the direct lanes 2 and 3, where a verbatim plane
+    // takes one bit more. Lanes 0 and 2 of row 15 continue in lanes 1
+    // and 3 of row 0.
+    constexpr uint64_t kOnes = 0xffffffff7fff7fffull;
+    constexpr uint64_t kDirectLanes = 0xffffffff00000000ull;
+    constexpr uint64_t kLowLanes = 0x0000ffff0000ffffull;
+    uint64_t zero[16], lanes = 0; // per-lane bit counts
+    for (unsigned k = 0; k < 16; ++k) {
+        uint64_t above = k < 15 ? lp.row[k + 1]
+                                : ((lp.row[0] >> 16) & kLowLanes) |
+                                      uint64_t(lp.sign) << 16;
+        uint64_t x = lp.row[k] ^ above;
+        uint64_t nz = laneNonZero(x);
+        uint64_t low = x & (((~x & ~kLaneTop) + kLaneBit0) ^ (~x & kLaneTop));
+        uint64_t rest = x ^ low;
+        // All ones or DBP == 0: 5 bits; one or two adjacent ones: 9.
+        uint64_t c5 = nz & ~(laneNonZero(x ^ kOnes) & laneNonZero(lp.row[k]));
+        uint64_t c9 = nz & ~c5 &
+                      ~(laneNonZero(rest) &
+                        laneNonZero(rest ^ ((low << 1) & ~kLaneBit0)));
+        uint64_t verb = (nz & ~c5 & ~c9) >> 15;
+        lanes += 5 * (c5 >> 15) + 9 * (c9 >> 15) + 16 * verb +
+                 (verb & kDirectLanes);
+        zero[k] = nz ^ kLaneTop;
+    }
+    for (unsigned k = 0; k < 16; ++k) {
+        uint64_t up = k < 15 ? zero[k + 1]
+                             : ((zero[0] >> 16) & kLowLanes) |
+                                   uint64_t(lp.sign == 0) << 31;
+        uint64_t down = k > 0 ? zero[k - 1] : (zero[15] << 16) & ~kLowLanes;
+        uint64_t start = zero[k] & ~up;
+        lanes += 7 * (start >> 15) - 4 * ((start & ~down) >> 15);
+    }
+
+    // Plane 32, where DBX == DBP.
+    uint32_t s = lp.sign, rest = s & (s - 1);
+    size_t top = s == 0 ? (zero[15] >> 31 & 1 ? 7 : 3)
+                 : s == (1u << kXformWidth) - 1       ? 5
+                 : rest == 0 || rest == (s & -s) << 1 ? 9
+                                                      : 1 + kXformWidth;
+    unsigned base = baseWidth(lp.base);
+    return {1 + (base == 32 ? 33 : 3 + base) + top + (lanes & 0xffff) +
+                (lanes >> 16 & 0xffff),
+            1 + (lanes >> 32 & 0xffff) + (lanes >> 48)};
 }
 
 /** Decode planes, reconstructing DBP top-down. */
@@ -317,32 +343,21 @@ decodePlanes(BitReader &in, Planes &p)
 size_t
 BpcCompressor::transformedBits(const Line &line) const
 {
-    Planes p;
-    uint32_t base = buildTransformed(line, p);
-    BitCounter c;
-    c.put(0, 1); // mode bit
-    encodeBase(base, c);
-    encodePlanes(p, c);
-    return c.bitSize();
+    return sizeModes(buildPlanes(line)).xf;
 }
 
 size_t
 BpcCompressor::directBits(const Line &line) const
 {
-    Planes p;
-    buildDirect(line, p);
-    BitCounter c;
-    c.put(1, 1); // mode bit
-    encodePlanes(p, c);
-    return c.bitSize();
+    return sizeModes(buildPlanes(line)).dp;
 }
 
 size_t
 BpcCompressor::compressedBits(const Line &line) const
 {
     CPR_PROF_SCOPE(ProfPhase::kBpcCompress);
-    size_t bits = transformedBits(line);
-    return adaptive_ ? std::min(bits, directBits(line)) : bits;
+    ModeBits bits = sizeModes(buildPlanes(line));
+    return adaptive_ ? std::min(bits.xf, bits.dp) : bits.xf;
 }
 
 size_t
@@ -350,27 +365,18 @@ BpcCompressor::compress(const Line &line, BitWriter &out) const
 {
     CPR_PROF_SCOPE(ProfPhase::kBpcCompress);
     size_t start = out.bitSize();
-
-    Planes xf;
-    uint32_t base = buildTransformed(line, xf);
+    LinePlanes lp = buildPlanes(line);
+    // Size both modes, then encode only the winner (the transformed
+    // one on a tie).
+    bool direct = false;
     if (adaptive_) {
-        // Size both modes, then encode only the winner (the transformed
-        // one on a tie).
-        Planes dp;
-        buildDirect(line, dp);
-        BitCounter xc, dc;
-        encodeBase(base, xc);
-        encodePlanes(xf, xc);
-        encodePlanes(dp, dc);
-        if (dc.bitSize() < xc.bitSize()) {
-            out.put(1, 1);
-            encodePlanes(dp, out);
-            return out.bitSize() - start;
-        }
+        ModeBits bits = sizeModes(lp);
+        direct = bits.dp < bits.xf;
     }
-    out.put(0, 1);
-    encodeBase(base, out);
-    encodePlanes(xf, out);
+    out.put(direct, 1);
+    if (!direct)
+        encodeBase(lp.base, out);
+    encodePlanes(modePlanes(lp, direct), out);
     return out.bitSize() - start;
 }
 
@@ -379,22 +385,27 @@ BpcCompressor::decompress(BitReader &in, Line &out) const
 {
     CPR_PROF_SCOPE(ProfPhase::kBpcDecompress);
     bool direct = in.get(1) != 0;
+    uint32_t base = 0;
+    if (!direct && !decodeBase(in, base))
+        return false;
     Planes p;
-    if (direct) {
-        p.count = kDirectPlanes;
-        p.width = kDirectWidth;
-        if (!decodePlanes(in, p))
-            return false;
-        unbuildDirect(p, out);
-    } else {
-        uint32_t base;
-        if (!decodeBase(in, base))
-            return false;
-        p.count = kXformPlanes;
-        p.width = kXformWidth;
-        if (!decodePlanes(in, p))
-            return false;
-        unbuildTransformed(p, base, out);
+    p.count = direct ? kDirectPlanes : kXformPlanes;
+    p.width = direct ? kDirectWidth : kXformWidth;
+    if (!decodePlanes(in, p))
+        return false;
+
+    // The inverse of buildPlanes, with the direct half empty: bits 16..31
+    // of a decoded plane are ignored.
+    uint64_t rows[16];
+    for (unsigned k = 0; k < 16; ++k)
+        rows[k] = (p.dbp[k] & 0xffffu) | (p.dbp[k + 16] & 0xffffu) << 16;
+    transposeLanes(rows);
+    // Transformed words are the base plus a running sum of the deltas.
+    // Adding the sign-extended 33-bit delta wraps to the same 32-bit
+    // word as adding its low 32 bits, so plane 32 is not needed.
+    for (unsigned j = 0; j < 16; ++j) {
+        setLineWord32(out, j, direct ? uint32_t(rows[j]) : base);
+        base += uint32_t(rows[j]);
     }
     return !in.overrun();
 }

@@ -51,7 +51,8 @@ class BpcCompressor : public Compressor
     size_t compress(const Line &line, BitWriter &out) const override;
     bool decompress(BitReader &in, Line &out) const override;
 
-    /** Sizes both modes with a counting sink; writes no stream. */
+    /** Sizes both modes from one transpose of the line; writes no
+     *  stream. */
     size_t compressedBits(const Line &line) const override;
 
     /** Size in bits of the transformed-only encoding, mode bit included

@@ -409,23 +409,35 @@ phaseMix(const WorkloadProfile &p, unsigned phase)
     return m;
 }
 
+namespace {
+
+/** pageClass with the hash of the profile's name already taken. */
 DataClass
-pageClass(const WorkloadProfile &p, uint64_t page, unsigned phase)
+pageClassOf(const WorkloadProfile &p, size_t name_hash, uint64_t page,
+            unsigned phase)
 {
     unsigned eff_phase = p.phases > 1 ? phase % p.phases : 0;
     ClassMix m = phaseMix(p, eff_phase);
-    Rng rng(Rng::mix(std::hash<std::string>{}(p.name), page,
-                     0x9e11ULL + eff_phase));
+    Rng rng(Rng::mix(name_hash, page, 0x9e11ULL + eff_phase));
     return sampleClass(m, rng.uniform());
+}
+
+} // namespace
+
+DataClass
+pageClass(const WorkloadProfile &p, uint64_t page, unsigned phase)
+{
+    return pageClassOf(p, std::hash<std::string>{}(p.name), page, phase);
 }
 
 DataClass
 lineClass(const WorkloadProfile &p, uint64_t page, unsigned line,
           unsigned phase)
 {
-    DataClass dominant = pageClass(p, page, phase);
-    Rng rng(Rng::mix(std::hash<std::string>{}(p.name),
-                     page * kLinesPerPage + line, 0x11f3ULL + phase));
+    size_t name_hash = std::hash<std::string>{}(p.name);
+    DataClass dominant = pageClassOf(p, name_hash, page, phase);
+    Rng rng(Rng::mix(name_hash, page * kLinesPerPage + line,
+                     0x11f3ULL + phase));
     double u = rng.uniform();
     if (u < p.zero_line_frac)
         return DataClass::kZero;

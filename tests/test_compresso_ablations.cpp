@@ -107,14 +107,18 @@ TEST_P(CompressoAblations, StatsStayConsistent)
     const StatGroup &s = mc.stats();
     // Disabled features must not fire.
     const Flags &f = GetParam();
-    if (!f.predict)
+    if (!f.predict) {
         EXPECT_EQ(s.get("predictor_inflations"), 0u) << f.label;
-    if (!f.dyn_ir)
+    }
+    if (!f.dyn_ir) {
         EXPECT_EQ(s.get("dyn_ir_expansions"), 0u) << f.label;
-    if (!f.repack)
+    }
+    if (!f.repack) {
         EXPECT_EQ(s.get("repacks"), 0u) << f.label;
-    if (!f.inflation)
+    }
+    if (!f.inflation) {
         EXPECT_EQ(s.get("ir_placements"), 0u) << f.label;
+    }
     // Fills/writebacks tally with issue counts.
     EXPECT_EQ(s.get("fills") + s.get("writebacks"), 3000u) << f.label;
 }

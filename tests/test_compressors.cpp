@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "codec_inputs.h"
@@ -474,6 +476,386 @@ TEST(Lz, FastParseMatchesReference)
         ASSERT_EQ(got.bytes(), want.bytes()) << "line " << i;
         ASSERT_EQ(lz.matchSearchOps(lines[i]), want_ops) << "line " << i;
         expectRoundTrip(lz, lines[i], "LZ parse test line");
+    }
+}
+
+namespace {
+
+/**
+ * Reference BPC sizer, the ground truth for the lane-parallel sizer of
+ * src/compress/bpc.cpp: each mode gets its own 32-bit transpose of two
+ * 16 x 16 matrices side by side and its planes are walked symbol by
+ * symbol into a counting sink, as the codec did before it sized both
+ * modes from one transpose. Also tallies which plane cases its inputs
+ * reach, so the differential test can check its own coverage.
+ */
+namespace reference_bpc {
+
+struct BitCounter
+{
+    size_t bits = 0;
+    void put(uint64_t, unsigned nbits) { bits += nbits; }
+};
+
+struct Planes
+{
+    uint32_t dbp[33];
+    uint32_t dbx[33];
+    unsigned count;
+    unsigned width;
+};
+
+/** Lines whose planes reach each edge case of the sizer. */
+struct Coverage
+{
+    size_t ones[2] = {};       // all-ones DBX plane: xf, dp
+    size_t top_single[2] = {}; // single one at bit 14 (xf), 15 (dp)
+    size_t top_pair[2] = {};   // 3 << 13 (xf), 3 << 14 (dp)
+    size_t run_15_16[2] = {};  // zero DBX at planes 15 and 16
+    size_t run_31_32 = 0;      // zero DBX at xf planes 31 and 32
+    size_t sign[4] = {};       // sign plane 0, all-ones, single, pair
+};
+
+template <unsigned S, uint32_t M>
+void
+transposeRound(uint32_t a[16])
+{
+    for (unsigned k = 0; k < 16; k += 2 * S) {
+        for (unsigned i = k; i < k + S; ++i) {
+            uint32_t t = ((a[i] >> S) ^ a[i + S]) & M;
+            a[i] ^= t << S;
+            a[i + S] ^= t;
+        }
+    }
+}
+
+void
+toPlanes(uint32_t rows[16], uint32_t planes[32])
+{
+    transposeRound<8, 0x00ff00ffu>(rows);
+    transposeRound<4, 0x0f0f0f0fu>(rows);
+    transposeRound<2, 0x33333333u>(rows);
+    transposeRound<1, 0x55555555u>(rows);
+    for (unsigned k = 0; k < 16; ++k) {
+        planes[k] = rows[k] & 0xffffu;
+        planes[k + 16] = rows[k] >> 16;
+    }
+}
+
+void
+xorChain(Planes &p)
+{
+    for (unsigned k = 0; k + 1 < p.count; ++k)
+        p.dbx[k] = p.dbp[k] ^ p.dbp[k + 1];
+    p.dbx[p.count - 1] = p.dbp[p.count - 1];
+}
+
+void
+encodeBase(uint32_t base, BitCounter &out)
+{
+    int32_t s = int32_t(base);
+    if (base == 0) {
+        out.put(0b000, 3);
+    } else if (s >= -8 && s < 8) {
+        out.put(0b001, 3);
+        out.put(uint32_t(s) & 0xf, 4);
+    } else if (s >= -128 && s < 128) {
+        out.put(0b010, 3);
+        out.put(uint32_t(s) & 0xff, 8);
+    } else if (s >= -32768 && s < 32768) {
+        out.put(0b011, 3);
+        out.put(uint32_t(s) & 0xffff, 16);
+    } else {
+        out.put(1, 1);
+        out.put(base, 32);
+    }
+}
+
+bool
+isTwoConsecutiveOnes(uint32_t v, unsigned &pos)
+{
+    if (v == 0 || (v & (v - 1)) == 0)
+        return false;
+    unsigned p = unsigned(__builtin_ctz(v));
+    if (v == (3u << p)) {
+        pos = p;
+        return true;
+    }
+    return false;
+}
+
+void
+encodePlanes(const Planes &p, BitCounter &out)
+{
+    uint32_t ones = (1u << p.width) - 1;
+    int k = int(p.count) - 1;
+    while (k >= 0) {
+        if (p.dbx[k] == 0) {
+            unsigned run = 1;
+            while (int(k) - int(run) >= 0 && p.dbx[k - run] == 0 &&
+                   run < 33) {
+                ++run;
+            }
+            if (run >= 2) {
+                out.put(0b01, 2);
+                out.put(run - 2, 5);
+            } else {
+                out.put(0b001, 3);
+            }
+            k -= int(run);
+            continue;
+        }
+        unsigned pos = 0;
+        if (p.dbx[k] == ones) {
+            out.put(0b00000, 5);
+        } else if (p.dbp[k] == 0) {
+            out.put(0b00001, 5);
+        } else if (isTwoConsecutiveOnes(p.dbx[k], pos)) {
+            out.put(0b00010, 5);
+            out.put(pos, 4);
+        } else if ((p.dbx[k] & (p.dbx[k] - 1)) == 0) {
+            out.put(0b00011, 5);
+            out.put(unsigned(__builtin_ctz(p.dbx[k])), 4);
+        } else {
+            out.put(1, 1);
+            out.put(p.dbx[k], p.width);
+        }
+        --k;
+    }
+}
+
+void
+tally(const Planes &p, size_t mode, Coverage &cov)
+{
+    uint32_t top = 1u << (p.width - 1);
+    bool ones = false, single = false, pair = false;
+    for (unsigned k = 0; k < 32; ++k) {
+        ones |= p.dbx[k] == (1u << p.width) - 1;
+        single |= p.dbx[k] == top;
+        pair |= p.dbx[k] == (3u * top >> 1);
+    }
+    cov.ones[mode] += ones;
+    cov.top_single[mode] += single;
+    cov.top_pair[mode] += pair;
+    cov.run_15_16[mode] += p.dbx[15] == 0 && p.dbx[16] == 0;
+}
+
+/** Sizes of the transformed and the direct stream, mode bit included. */
+std::pair<size_t, size_t>
+modeBits(const Line &line, Coverage &cov)
+{
+    uint32_t words[16];
+    for (size_t i = 0; i < 16; ++i)
+        words[i] = lineWord32(line, i);
+
+    Planes xf;
+    uint32_t rows[16] = {};
+    uint32_t sign = 0;
+    for (unsigned j = 0; j < 15; ++j) {
+        rows[j] = words[j + 1] - words[j];
+        sign |= uint32_t(words[j + 1] < words[j]) << j;
+    }
+    xf.count = 33;
+    xf.width = 15;
+    toPlanes(rows, xf.dbp);
+    xf.dbp[32] = sign;
+    xorChain(xf);
+    BitCounter xc;
+    xc.put(0, 1);
+    encodeBase(words[0], xc);
+    encodePlanes(xf, xc);
+
+    Planes dp;
+    std::copy(words, words + 16, rows);
+    dp.count = 32;
+    dp.width = 16;
+    toPlanes(rows, dp.dbp);
+    xorChain(dp);
+    BitCounter dc;
+    dc.put(1, 1);
+    encodePlanes(dp, dc);
+
+    tally(xf, 0, cov);
+    tally(dp, 1, cov);
+    cov.run_31_32 += xf.dbx[31] == 0 && sign == 0;
+    unsigned rest = sign & (sign - 1);
+    cov.sign[0] += sign == 0;
+    cov.sign[1] += sign == 0x7fff;
+    cov.sign[2] += sign != 0 && rest == 0;
+    cov.sign[3] += sign != 0 && rest != 0 && rest == (sign & -sign) << 1;
+    return {xc.bits, dc.bits};
+}
+
+} // namespace reference_bpc
+
+/** A plane for the BPC sizer test, given the plane above it: mostly a
+ *  DBX of 0, all-ones, a single one or a pair (at the top of the
+ *  @p width-bit plane, too), else DBP 0 or random bits. */
+uint32_t
+drawPlane(Rng &rng, uint32_t above, unsigned width)
+{
+    uint32_t ones = (1u << width) - 1;
+    uint32_t dbx;
+    switch (rng.below(9)) {
+      case 0: case 1: case 2: dbx = 0; break;
+      case 3: dbx = ones; break;
+      case 4: dbx = rng.chance(0.5) ? 1u << (width - 1)
+                                    : 1u << rng.below(width); break;
+      case 5: dbx = rng.chance(0.5) ? 3u << (width - 2)
+                                    : 3u << rng.below(width - 1); break;
+      case 6: return 0;
+      case 7: return above;
+      default: dbx = uint32_t(rng.next()) & ones; break;
+    }
+    return dbx ^ above;
+}
+
+/**
+ * Seeded lines aimed at the sizer's edge cases: direct planes drawn
+ * plane by plane, transformed delta planes drawn the same way under
+ * a base, and words built from steps that make the sign plane zero,
+ * all-ones, a single one or a pair.
+ */
+std::vector<Line>
+bpcSizerTestLines(size_t count)
+{
+    std::vector<Line> lines = codecTestLines();
+    Rng rng(0xb9c5);
+    Line line;
+    for (size_t i = 0; i < count; ++i) {
+        uint32_t words[16];
+        switch (i % 3) {
+          case 0: { // direct planes, top down
+            uint32_t planes[32], above = 0;
+            for (int k = 31; k >= 0; --k)
+                above = planes[k] = drawPlane(rng, above, 16);
+            std::fill(words, words + 16, 0);
+            for (unsigned k = 0; k < 32; ++k)
+                for (unsigned j = 0; j < 16; ++j)
+                    words[j] |= (planes[k] >> j & 1) << k;
+            break;
+          }
+          case 1: { // transformed delta planes under a base
+            uint32_t planes[32], above = 0;
+            for (int k = 31; k >= 0; --k)
+                above = planes[k] = drawPlane(rng, above, 15);
+            uint32_t bases[] = {0, 5, 0x7fffffffu, 0x80000000u,
+                                0xfffffff0u, uint32_t(rng.next())};
+            words[0] = bases[rng.below(6)];
+            for (unsigned j = 0; j < 15; ++j) {
+                uint32_t d = 0;
+                for (unsigned k = 0; k < 32; ++k)
+                    d |= (planes[k] >> j & 1) << k;
+                words[j + 1] = words[j] + d;
+            }
+            break;
+          }
+          default: { // steps: mostly small, some down, some random
+            uint32_t downs[] = {0, 0x7fffu, 1u << rng.below(15),
+                                3u << rng.below(14),
+                                uint32_t(rng.below(1 << 15))};
+            uint32_t down = downs[rng.below(5)];
+            words[0] = rng.chance(0.5) ? 0x80000000u : uint32_t(rng.next());
+            for (unsigned j = 0; j < 15; ++j) {
+                uint32_t step = uint32_t(rng.below(4)) << rng.below(20);
+                if (rng.chance(0.1))
+                    step = uint32_t(rng.next());
+                words[j + 1] = down >> j & 1 ? words[j] - 1 - step
+                                             : words[j] + step;
+            }
+            break;
+          }
+        }
+        for (unsigned j = 0; j < 16; ++j)
+            setLineWord32(line, j, words[j]);
+        lines.push_back(line);
+    }
+    return lines;
+}
+
+} // namespace
+
+TEST(Bpc, LaneSizerMatchesSymbolWalk)
+{
+    BpcCompressor bpc;
+    reference_bpc::Coverage cov;
+    std::vector<Line> lines = bpcSizerTestLines(200000);
+    for (size_t i = 0; i < lines.size(); ++i) {
+        auto [xf, dp] = reference_bpc::modeBits(lines[i], cov);
+        ASSERT_EQ(bpc.transformedBits(lines[i]), xf) << "line " << i;
+        ASSERT_EQ(bpc.directBits(lines[i]), dp) << "line " << i;
+    }
+    // Every edge case is reached by thousands of lines.
+    for (size_t mode = 0; mode < 2; ++mode) {
+        EXPECT_GT(cov.ones[mode], 1000u) << mode;
+        EXPECT_GT(cov.top_single[mode], 1000u) << mode;
+        EXPECT_GT(cov.top_pair[mode], 1000u) << mode;
+        EXPECT_GT(cov.run_15_16[mode], 1000u) << mode;
+    }
+    EXPECT_GT(cov.run_31_32, 1000u);
+    for (size_t sign : cov.sign)
+        EXPECT_GT(sign, 1000u);
+}
+
+TEST(Bdi, FirstFitIsSmallestShape)
+{
+    // The smallest payload over every (base, delta) shape that fits,
+    // found by encoding the line under each shape's rule, else raw.
+    BdiCompressor bdi;
+    constexpr unsigned kShapes[][2] = {{8, 1}, {4, 1}, {8, 2},
+                                       {2, 1}, {4, 2}, {8, 4}};
+    std::vector<Line> lines = codecTestLines();
+    Rng rng(0xbd1);
+    Line line;
+    for (int i = 0; i < 20000; ++i) {
+        // Narrow values around one random base, some near zero.
+        unsigned bytes = 2u << rng.below(3);
+        uint64_t base = rng.next();
+        unsigned spread = 1 + unsigned(rng.below(40));
+        for (size_t off = 0; off < kLineBytes; off += bytes) {
+            uint64_t v = (rng.chance(0.2) ? 0 : base) +
+                         (rng.next() >> (64 - spread));
+            std::memcpy(line.data() + off, &v, bytes);
+        }
+        lines.push_back(line);
+    }
+    for (size_t i = 0; i < lines.size(); ++i) {
+        const Line &l = lines[i];
+        bool repeated = true;
+        for (size_t w = 1; w < 8; ++w)
+            repeated &= lineWord64(l, w) == lineWord64(l, 0);
+        size_t want = kLineBytes * 8;
+        for (auto [b, d] : kShapes) {
+            size_t n = kLineBytes / b;
+            bool fits = true, have_base = false;
+            uint64_t base = 0;
+            for (size_t e = 0; e < n && fits; ++e) {
+                uint64_t v = 0;
+                std::memcpy(&v, l.data() + e * b, b);
+                auto sext = [](uint64_t x, unsigned nb) {
+                    unsigned sh = 64 - nb * 8;
+                    return int64_t(x << sh) >> sh;
+                };
+                auto fitsIn = [](int64_t x, unsigned nb) {
+                    int64_t lim = int64_t(1) << (nb * 8 - 1);
+                    return x >= -lim && x < lim;
+                };
+                if (fitsIn(sext(v, b), d))
+                    continue;
+                if (!have_base) {
+                    base = v;
+                    have_base = true;
+                }
+                fits = fitsIn(sext(v - base, b), d);
+            }
+            if (fits)
+                want = std::min(want, b * 8 + n + n * d * 8);
+        }
+        if (repeated)
+            want = 64;
+        if (isZeroLine(l))
+            want = 0;
+        ASSERT_EQ(bdi.compressedBits(l), 4 + want) << "line " << i;
     }
 }
 

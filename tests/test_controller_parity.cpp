@@ -160,16 +160,18 @@ TEST_P(ControllerParity, TracesAreWellFormed)
     mc_->writebackLine(30 * kPageBytes, d, wt);
     // Writebacks never put reads on the critical path.
     for (const auto &op : wt.ops) {
-        if (op.critical)
+        if (op.critical) {
             EXPECT_FALSE(op.write == false && false); // placeholder
+        }
     }
     McTrace rt;
     Line out;
     mc_->fillLine(30 * kPageBytes, out, rt);
     // Fill data ops on the critical path are reads.
     for (const auto &op : rt.ops) {
-        if (op.critical)
+        if (op.critical) {
             EXPECT_FALSE(op.write) << GetParam();
+        }
     }
     EXPECT_EQ(out, d);
 }

@@ -249,7 +249,7 @@ TEST(Campaign, FailFastSkipsJobsNotYetStarted)
     });
     for (int i = 0; i < 4; ++i)
         c.add("later" + std::to_string(i), [](const JobContext &) {
-            return JobPayload{};
+            return JobPayload();
         });
     CampaignPolicy policy = quietPolicy(1); // serial: order guaranteed
     policy.max_attempts = 1;
@@ -296,7 +296,7 @@ TEST(Campaign, MidCampaignFailuresUnderParallelExecution)
     Campaign c("stress");
     constexpr uint32_t kJobs = 64;
     for (uint32_t i = 0; i < kJobs; ++i)
-        c.add("j" + std::to_string(i), [i](const JobContext &) {
+        c.add('j' + std::to_string(i), [i](const JobContext &) {
             if (i % 7 == 0)
                 throw std::runtime_error("unlucky");
             JobPayload p;

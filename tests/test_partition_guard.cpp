@@ -23,10 +23,12 @@ namespace {
 std::vector<TenantSpec>
 twoTenants(uint64_t pages0 = 32, uint64_t pages1 = 48)
 {
+    // Assigning a temporary sidesteps GCC 12's -Wrestrict false positive
+    // on assigning a short literal.
     TenantSpec a, b;
-    a.name = "a";
+    a.name = std::string("a");
     a.pages = pages0;
-    b.name = "b";
+    b.name = std::string("b");
     b.pages = pages1;
     return {a, b};
 }

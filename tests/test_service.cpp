@@ -30,7 +30,7 @@ makeTenants(unsigned n, uint64_t pages = 64)
     std::vector<TenantSpec> specs;
     for (unsigned t = 0; t < n; ++t) {
         TenantSpec s;
-        s.name = "t" + std::to_string(t);
+        s.name = 't' + std::to_string(t);
         s.pages = pages;
         s.profile = profiles[t % 4];
         specs.push_back(s);

@@ -76,8 +76,9 @@ TEST(SizeBins, MonotoneQuantization)
     for (size_t s = 1; s <= 80; ++s) {
         uint16_t q = b.quantize(s, false);
         EXPECT_GE(q, prev);
-        if (s <= 64)
+        if (s <= 64) {
             EXPECT_GE(size_t(q), s);
+        }
         prev = q;
     }
 }

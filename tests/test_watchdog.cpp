@@ -108,8 +108,9 @@ TEST(Watchdog, DeterministicAcrossInstances)
         PressureOp op = PressureOp(rng.below(4));
         uint64_t ops = rng.below(128);
         EXPECT_EQ(a.onOpCost(op, ops), b.onOpCost(op, ops));
-        if (rng.chance(0.3))
+        if (rng.chance(0.3)) {
             EXPECT_EQ(a.denies(op), b.denies(op));
+        }
     }
     EXPECT_EQ(a.totalBreaches(), b.totalBreaches());
     for (size_t i = 0; i < size_t(PressureOp::kCount); ++i) {

@@ -28,7 +28,8 @@ Rules (ids are stable; suppressions and reports use them):
 
   statgroup-hot-path
       Inside a profiled hot block (one containing CPR_PROF_SCOPE),
-      and anywhere in the per-reference files of HOT_PATH_FILES,
+      and anywhere in the per-reference and per-line files of
+      HOT_PATH_FILES,
       StatGroup counters may only be bumped through cached uint64_t&
       handles (the `st_*_ = stats_.stat("...")` member-initializer
       idiom). Name-based lookups — `stats_["key"]` or `.stat("key")`
@@ -128,10 +129,12 @@ STAT_LOOKUP_RES = [
 PROF_SCOPE_RE = re.compile(r"\bCPR_PROF_SCOPE\s*\(")
 
 # Files every function of which runs once or more per simulated
-# reference; statgroup-hot-path covers them whole. Glob patterns
-# matched against the end of the path.
+# reference, or per line of every populate (the codecs);
+# statgroup-hot-path covers them whole. Glob patterns matched against
+# the end of the path.
 HOT_PATH_FILES = (
     "src/cache/*.cpp",
+    "src/compress/*.cpp",
     "src/meta/metadata_cache.cpp",
     "src/dram/dram_model.cpp",
     "src/workloads/access_stream.cpp",
