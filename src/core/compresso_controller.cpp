@@ -10,14 +10,6 @@
 
 namespace compresso {
 
-namespace {
-
-/** Base MPA address of the dedicated metadata region (disjoint from
- *  data chunks, which grow up from 0). */
-constexpr Addr kMetadataRegionBase = Addr(1) << 40;
-
-} // namespace
-
 /** Checked builds audit the touched page at every state-mutation
  *  boundary; release builds compile the hook away entirely. */
 #ifdef COMPRESSO_CHECKED_BUILD
@@ -32,19 +24,17 @@ CompressoController::CompressoController(const CompressoConfig &cfg)
                           : (cfg.alignment_friendly ? &compressoBins()
                                                     : &legacyBins())),
       codec_(makeCompressor(cfg.compressor)),
-      mdcache_(cfg.mdcache),
       offsets_(*bins_)
 {
     assert(codec_ && "unknown compressor name");
-    mdcache_.setEvictHook(
-        [this](PageNum page, bool dirty) { onMetaEvict(page, dirty); });
+    stats_.stat("md_write_ops"); // reported even when zero
 }
 
 void
 CompressoController::attachObserver(Observer *obs)
 {
     obs_ = obs;
-    mdcache_.attachObserver(obs);
+    md_.attachObserver(obs);
     store_.attachObserver(obs);
     h_line_bytes_ =
         obs ? obs->histogram("mc.compressed_line_bytes") : nullptr;
@@ -91,56 +81,6 @@ const MetadataEntry &
 CompressoController::pageMeta(PageNum page)
 {
     return meta(page);
-}
-
-Addr
-CompressoController::metadataAddr(PageNum page) const
-{
-    return kMetadataRegionBase + page * kMetadataEntryBytes;
-}
-
-void
-CompressoController::mdAccess(PageNum page, bool dirty, McTrace &trace)
-{
-    const MetadataEntry &m = meta_[page];
-    bool hit = mdcache_.access(page, m.halfCacheable(), dirty);
-    trace.metadata_hit = hit;
-    trace.addFixed(AttribComp::kMdcacheHit, cfg_.mdcache_hit_latency);
-    if (!hit) {
-        // Fetch the entry from the metadata region (critical).
-        trace.add(metadataAddr(page), false, true,
-                  AttribComp::kMdcacheMiss);
-        ++st_md_read_ops_;
-        if (fault_.active() &&
-            fault_.onMetaRead(metadataAddr(page)) ==
-                FaultOutcome::kDetected) {
-            recoverMetadataFault(page, trace);
-        }
-    }
-}
-
-void
-CompressoController::onMetaEvict(PageNum page, bool dirty)
-{
-    if (dirty && cur_trace_) {
-        cur_trace_->add(metadataAddr(page), true, false,
-                        AttribComp::kMdcacheMiss);
-        ++st_md_write_ops_;
-        fault_.onWrite(metadataAddr(page));
-    }
-    if (!cfg_.repack_on_evict || !cur_trace_)
-        return;
-
-    auto mit = meta_.find(page);
-    if (mit == meta_.end())
-        return;
-    MetadataEntry &m = mit->second;
-    if (!m.valid || m.zero)
-        return;
-    // Repack only if at least one 512 B chunk is recoverable
-    // (Sec. IV-B4).
-    if (m.free_space >= kChunkBytes)
-        repackPage(page, *cur_trace_);
 }
 
 // ---------------------------------------------------------------------
@@ -303,7 +243,7 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
             }
             unsigned want =
                 unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes);
-            if (!store_.resize(m.chunks, m.mpfn, want, oomRescue())) {
+            if (!store_.resize(m.chunks, m.mpfn, want, md_.oomRescue())) {
                 m.line_code[idx] = 0; // OOM: drop the write
                 return;
             }
@@ -319,7 +259,7 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
 
     ++st_line_overflows_;
     CPR_OBS_EVENT(obs_, ObsEvent::kLineOverflow, page, idx);
-    uint8_t *counter = mdcache_.predictorCounter(page);
+    uint8_t *counter = md_.cache().predictorCounter(page);
     predictor_.onLineOverflow(counter);
 
     // Sec. III: place the inflated line, uncompressed, in the
@@ -377,7 +317,7 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
         cfg_.page_sizing == PageSizing::kChunked512 &&
         m.inflate_count < kMaxInflatedLines &&
         m.chunks < kChunksPerPage &&
-        store_.resize(m.chunks, m.mpfn, m.chunks + 1, oomRescue())) {
+        store_.resize(m.chunks, m.mpfn, m.chunks + 1, md_.oomRescue())) {
         ++st_dyn_ir_expansions_;
         // The page did outgrow its allocation; the expansion just made
         // the overflow cheap (1 write, no moves).
@@ -501,7 +441,7 @@ CompressoController::growSlotInPlace(PageNum page, MetadataEntry &m,
 
     if (!store_.resize(m.chunks, m.mpfn,
                        unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes),
-                       oomRescue())) {
+                       md_.oomRescue())) {
         return; // machine OOM: drop the resize, data unchanged
     }
 
@@ -557,9 +497,7 @@ CompressoController::inflateToUncompressed(PageNum page, MetadataEntry &m,
             buf[i].fill(0);
         }
     }
-    uint32_t old_used = m.compressed
-        ? irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-        : uint32_t(kPageBytes);
+    uint32_t old_used = usedBytes(m);
     if (m.chunks > 0)
         store_.deviceOps(m.mpfn, 0, old_used, false, false, trace, comp);
     uint64_t inflate_cost =
@@ -569,7 +507,7 @@ CompressoController::inflateToUncompressed(PageNum page, MetadataEntry &m,
         pressure_->onOpCost(PressureOp::kInflation, inflate_cost);
 
     if (!store_.resize(m.chunks, m.mpfn, unsigned(kChunksPerPage),
-                       oomRescue()))
+                       md_.oomRescue()))
         return;
     m.compressed = false;
     m.inflate_count = 0;
@@ -578,7 +516,7 @@ CompressoController::inflateToUncompressed(PageNum page, MetadataEntry &m,
         store_.storeBytes(m.mpfn, i * uint32_t(kLineBytes), buf[i].data(),
                           kLineBytes);
     store_.deviceOps(m.mpfn, 0, kPageBytes, true, false, trace, comp);
-    mdcache_.reshape(pageOf(Addr(page) * kPageBytes), m.halfCacheable());
+    md_.cache().reshape(pageOf(Addr(page) * kPageBytes), m.halfCacheable());
 }
 
 void
@@ -595,10 +533,7 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
     // pressure the governor may defer it outright — skipping is always
     // safe, the page just keeps its current (larger) footprint.
     if (pressure_ != nullptr) {
-        uint32_t est_used = m.compressed
-            ? irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-            : uint32_t(kPageBytes);
-        uint64_t est = 2ull * ((est_used + kLineBytes - 1) / kLineBytes);
+        uint64_t est = 2ull * ((usedBytes(m) + kLineBytes - 1) / kLineBytes);
         if (!pressure_->admitOp(PressureOp::kRepack, est)) {
             ++st_repacks_throttled_;
             CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, page,
@@ -606,7 +541,7 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
             return;
         }
     }
-    BusyScope busy(*this, page);
+    MetadataFrontEnd::Op op(md_, trace, page);
     PageShadow &sh = shadow(page);
 
     // Gather current data.
@@ -628,9 +563,7 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
         }
     }
 
-    uint32_t old_used = m.compressed
-        ? irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-        : uint32_t(kPageBytes);
+    uint32_t old_used = usedBytes(m);
 
     // New layout straight from the actual compressibility.
     uint32_t new_pack = 0;
@@ -671,7 +604,8 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
         // Compression saves nothing: store the page raw. Raw pages
         // skip decompression on fills and only need the first half of
         // their metadata entry (Sec. IV-B5).
-        store_.resize(m.chunks, m.mpfn, unsigned(kChunksPerPage), oomRescue());
+        store_.resize(m.chunks, m.mpfn, unsigned(kChunksPerPage),
+                      md_.oomRescue());
         m.line_code.fill(uint8_t(bins_->count() - 1));
         m.inflate_count = 0;
         m.compressed = false;
@@ -683,7 +617,7 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
         st_repack_write_ops_ += kLinesPerPage;
         store_.deviceOps(m.mpfn, 0, kPageBytes, true, false, trace,
                          AttribComp::kRepack);
-        mdcache_.reshape(page, m.halfCacheable());
+        md_.cache().reshape(page, m.halfCacheable());
         CPR_OBS_EVENT(obs_, ObsEvent::kRepack, page,
                       read_blocks + unsigned(kLinesPerPage));
         CPR_OBS_HIST(h_repack_cost_, read_blocks + kLinesPerPage);
@@ -697,7 +631,7 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
 
     store_.resize(m.chunks, m.mpfn,
                   unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes),
-                  oomRescue());
+                  md_.oomRescue());
     m.line_code = sh.actual_bin;
     m.inflate_count = 0;
     m.compressed = true;
@@ -763,93 +697,54 @@ CompressoController::updateFreeSpace(MetadataEntry &m, const PageShadow &sh)
 // poison; fault/fault_injector.h)
 // ---------------------------------------------------------------------
 
-void
-CompressoController::recoverMetadataFault(PageNum page, McTrace &trace)
+MetadataFrontEnd::PageState
+CompressoController::mdPageState(PageNum page) const
 {
-    MetadataEntry &m = meta_[page];
-    FaultInjector *fi = fault_.injector();
+    const MetadataEntry &m = meta_.at(page);
+    return {m.valid, m.valid && !m.zero && m.compressed};
+}
 
-    if (!fault_.recoveryEnabled()) {
-        // The OSPA->MPA mapping for the whole page is unreliable and
-        // nothing rebuilds it: retire the page.
-        if (m.valid && !fault_.pagePoisoned(page)) {
-            fault_.poisonPage(page);
-            ++stats_["fault_pages_poisoned"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, page,
-                          uint32_t(FaultRung::kPagePoison));
-        }
-        fi->scrub(metadataAddr(page));
+uint64_t
+CompressoController::mdRewalkEstimate(PageNum page) const
+{
+    const MetadataEntry &m = meta_.at(page);
+    if (!m.valid || m.zero || m.chunks == 0)
+        return 1;
+    return 1 + (usedBytes(m) + kLineBytes - 1) / kLineBytes;
+}
+
+void
+CompressoController::mdRewalk(PageNum page, McTrace &trace)
+{
+    // Re-walk the page's stored bytes to recompute the layout fields.
+    const MetadataEntry &m = meta_.at(page);
+    if (m.valid && !m.zero && m.chunks > 0)
+        store_.deviceOps(m.mpfn, 0, usedBytes(m), false, false, trace,
+                         AttribComp::kFaultRecovery);
+}
+
+void
+CompressoController::mdInflate(PageNum page, McTrace &trace)
+{
+    MetadataEntry &m = meta_.at(page);
+    inflateToUncompressed(page, m, trace, AttribComp::kFaultRecovery);
+    shadow(page).predictor_inflated = true;
+    updateFreeSpace(m, shadow(page));
+}
+
+void
+CompressoController::mdEvicted(PageNum page, McTrace &trace)
+{
+    if (!cfg_.repack_on_evict)
         return;
-    }
-
-    BusyScope busy(*this, page);
-    size_t before = trace.ops.size();
-    uint64_t est = 1;
-    if (m.valid && !m.zero && m.chunks > 0) {
-        uint32_t used = m.compressed
-            ? irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-            : uint32_t(kPageBytes);
-        est += (used + kLineBytes - 1) / kLineBytes;
-    }
-    unsigned rebuilds;
-    if (pressure_ == nullptr ||
-        pressure_->admitOp(PressureOp::kMetaRebuild, est)) {
-        // Rebuild the entry by re-walking the page's stored bytes and
-        // recomputing the layout fields, then rewrite the entry.
-        // Repair traffic is suppressed so it cannot fault recursively.
-        ++stats_["fault_meta_rebuilds"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, page,
-                      uint32_t(FaultRung::kMetaRebuild));
-        fi->noteMetaRebuild();
-        {
-            FaultHooks::SuppressScope guard(fault_);
-            if (m.valid && !m.zero && m.chunks > 0) {
-                uint32_t used = m.compressed
-                    ? irBase(m) +
-                          uint32_t(m.inflate_count) * uint32_t(kLineBytes)
-                    : uint32_t(kPageBytes);
-                store_.deviceOps(m.mpfn, 0, used, false, false, trace,
-                                 AttribComp::kFaultRecovery);
-            }
-            trace.add(metadataAddr(page), true, false,
-                      AttribComp::kFaultRecovery);
-            ++stats_["md_write_ops"];
-        }
-        fi->scrub(metadataAddr(page));
-        rebuilds = ++meta_rebuilds_[page];
-    } else {
-        // The rebuild stall budget is blown (watchdog breach): this
-        // entry's re-walks are what is stalling the machine, so skip
-        // the walk and take the next ladder rung — the safe-state
-        // inflation below — directly.
-        ++stats_["fault_rebuilds_throttled"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, page,
-                      uint32_t(PressureOp::kMetaRebuild));
-        fi->scrub(metadataAddr(page));
-        rebuilds = fi->config().max_meta_rebuilds + 1;
-        meta_rebuilds_[page] = rebuilds;
-    }
-    if (rebuilds > fi->config().max_meta_rebuilds && m.valid && !m.zero &&
-        m.compressed) {
-        // This entry keeps taking hits; stop depending on its fragile
-        // layout fields by escalating to the paper's safe state: an
-        // uncompressed 4 KB page with the identity layout.
-        ++stats_["fault_pages_inflated"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, page,
-                      uint32_t(FaultRung::kInflateSafety));
-        fi->notePageInflatedSafety();
-        FaultHooks::SuppressScope guard(fault_);
-        inflateToUncompressed(page, m, trace,
-                              AttribComp::kFaultRecovery);
-        shadow(page).predictor_inflated = true;
-        updateFreeSpace(m, shadow(page));
-        meta_rebuilds_.erase(page);
-    }
-    uint64_t ops = trace.ops.size() - before;
-    fi->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
-    if (pressure_ != nullptr)
-        pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
+    auto mit = meta_.find(page);
+    if (mit == meta_.end())
+        return;
+    const MetadataEntry &m = mit->second;
+    // Repack only if at least one 512 B chunk is recoverable
+    // (Sec. IV-B4).
+    if (m.valid && !m.zero && m.free_space >= kChunkBytes)
+        repackPage(page, trace);
 }
 
 bool
@@ -901,13 +796,8 @@ CompressoController::recoverCorruptPage(PageNum page)
     m.valid = true;
     m.zero = true;
     shadow(page) = PageShadow{};
-    mdcache_.invalidate(page);
-    if (!fault_.pagePoisoned(page)) {
-        fault_.poisonPage(page);
-        ++stats_["fault_pages_poisoned"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, page,
-                      uint32_t(FaultRung::kPagePoison));
-    }
+    md_.cache().invalidate(page);
+    md_.poisonPage(page);
     return auditPage(page).clean();
 }
 
@@ -921,26 +811,18 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcFill);
     PageNum page = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
+    MetadataFrontEnd::Op op(md_, trace, page);
     ++st_fills_;
-    BusyScope busy(*this, page);
 
     MetadataEntry &m = meta(page);
-    mdAccess(page, false, trace);
-
-    if (fault_.active() && (fault_.pagePoisoned(page) ||
-                            fault_.linePoisoned(lineAddr(addr)))) {
-        // Retired by the degradation ladder: serve the poison value.
-        data.fill(0);
-        ++st_fault_poison_fills_;
-        cur_trace_ = nullptr;
+    if (!md_.access(addr, false, trace, m.halfCacheable())) {
+        data.fill(0); // retired by the degradation ladder
         return;
     }
 
     if (!m.valid || m.zero) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -950,11 +832,9 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
         if (fault_.takePending() == FaultOutcome::kDetected) {
             store_.poisonLine(lineAddr(addr), m.mpfn, off, kLineBytes, trace);
             data.fill(0);
-            cur_trace_ = nullptr;
             return;
         }
         store_.loadBytes(m.mpfn, off, data.data(), kLineBytes);
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -965,11 +845,9 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
         if (fault_.takePending() == FaultOutcome::kDetected) {
             store_.poisonLine(lineAddr(addr), m.mpfn, off, kLineBytes, trace);
             data.fill(0);
-            cur_trace_ = nullptr;
             return;
         }
         store_.loadBytes(m.mpfn, off, data.data(), kLineBytes);
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -977,7 +855,6 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
     if (code == 0) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -991,7 +868,6 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
     if (fault_.takePending() == FaultOutcome::kDetected) {
         store_.poisonLine(lineAddr(addr), m.mpfn, off, sz, trace);
         data.fill(0);
-        cur_trace_ = nullptr;
         return;
     }
     decodeSlot(m, off, code, data);
@@ -1016,7 +892,6 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
         }
     }
     st_co_fetched_lines_ += trace.co_fetched.size();
-    cur_trace_ = nullptr;
 }
 
 void
@@ -1026,24 +901,12 @@ CompressoController::writebackLine(Addr addr, const Line &data,
     CPR_PROF_SCOPE(ProfPhase::kMcWriteback);
     PageNum page = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
+    MetadataFrontEnd::Op op(md_, trace, page);
     ++st_writebacks_;
-    BusyScope busy(*this, page);
 
     MetadataEntry &m = meta(page);
-    mdAccess(page, true, trace);
-
-    if (fault_.active()) {
-        if (fault_.pagePoisoned(page)) {
-            // The page was retired; the OS must remap it (freePage)
-            // before it can hold data again.
-            ++st_fault_dropped_wbs_;
-            cur_trace_ = nullptr;
-            return;
-        }
-        // A writeback rewrites the line: heals any line poison.
-        fault_.clearLinePoison(lineAddr(addr));
-    }
+    if (!md_.access(addr, true, trace, m.halfCacheable()))
+        return; // the page is retired
 
     Encoded enc = encodeLine(data);
     CPR_OBS_HIST(h_line_bytes_, enc.zero ? 0 : enc.bytes.size());
@@ -1055,7 +918,6 @@ CompressoController::writebackLine(Addr addr, const Line &data,
     if (m.zero) {
         if (enc.zero) {
             ++st_zero_wbs_;
-            cur_trace_ = nullptr;
             return;
         }
         // First real data in the page: give the line a right-sized
@@ -1067,7 +929,7 @@ CompressoController::writebackLine(Addr addr, const Line &data,
         uint32_t alloc = pageBinBytes(pack, cfg_.page_sizing);
         store_.resize(m.chunks, m.mpfn,
                       unsigned((alloc + kChunkBytes - 1) / kChunkBytes),
-                      oomRescue());
+                      md_.oomRescue());
     }
 
     trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
@@ -1078,12 +940,11 @@ CompressoController::writebackLine(Addr addr, const Line &data,
         store_.storeBytes(m.mpfn, off, data.data(), kLineBytes);
         if (enc.bin < sh.actual_bin[idx]) {
             ++st_line_underflows_;
-            predictor_.onLineUnderflow(mdcache_.predictorCounter(page));
+            predictor_.onLineUnderflow(md_.cache().predictorCounter(page));
         }
         sh.actual_bin[idx] = uint8_t(enc.bin);
         updateFreeSpace(m, sh);
         CPR_CHECKED_AUDIT(page, "writeback (raw page)");
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -1094,12 +955,11 @@ CompressoController::writebackLine(Addr addr, const Line &data,
         store_.storeBytes(m.mpfn, off, data.data(), kLineBytes);
         if (enc.bin < sh.actual_bin[idx]) {
             ++st_line_underflows_;
-            predictor_.onLineUnderflow(mdcache_.predictorCounter(page));
+            predictor_.onLineUnderflow(md_.cache().predictorCounter(page));
         }
         sh.actual_bin[idx] = uint8_t(enc.bin);
         updateFreeSpace(m, sh);
         CPR_CHECKED_AUDIT(page, "writeback (inflation room)");
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -1112,12 +972,11 @@ CompressoController::writebackLine(Addr addr, const Line &data,
         }
         if (enc.bin < sh.actual_bin[idx]) {
             ++st_line_underflows_;
-            predictor_.onLineUnderflow(mdcache_.predictorCounter(page));
+            predictor_.onLineUnderflow(md_.cache().predictorCounter(page));
         }
         sh.actual_bin[idx] = uint8_t(enc.bin);
         updateFreeSpace(m, sh);
         CPR_CHECKED_AUDIT(page, "writeback (in place)");
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -1125,7 +984,6 @@ CompressoController::writebackLine(Addr addr, const Line &data,
     sh.actual_bin[idx] = uint8_t(enc.bin);
     updateFreeSpace(m, sh);
     CPR_CHECKED_AUDIT(page, "writeback (overflow/inflation)");
-    cur_trace_ = nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -1141,10 +999,7 @@ CompressoController::freePage(PageNum page)
     store_.resize(mit->second.chunks, mit->second.mpfn, 0);
     mit->second = MetadataEntry{};
     shadow_.erase(page);
-    mdcache_.invalidate(page);
-    fault_.clearPagePoison(page);
-    meta_rebuilds_.erase(page);
-    ++stats_["pages_freed"];
+    md_.release(page);
     CPR_CHECKED_AUDIT(page, "freePage (balloon release)");
 }
 
@@ -1152,7 +1007,7 @@ void
 CompressoController::repackAll()
 {
     McTrace scratch;
-    cur_trace_ = &scratch;
+    MetadataFrontEnd::Op op(md_, scratch, kNoPage);
     std::vector<PageNum> pages;
     pages.reserve(meta_.size());
     for (const auto &[page, m] : meta_)
@@ -1160,7 +1015,6 @@ CompressoController::repackAll()
             pages.push_back(page);
     for (PageNum p : pages)
         repackPage(p, scratch);
-    cur_trace_ = nullptr;
 }
 
 // ---------------------------------------------------------------------

@@ -28,6 +28,7 @@
 #include "compress/size_bins.h"
 #include "core/chunk_store.h"
 #include "core/memory_controller.h"
+#include "core/metadata_front_end.h"
 #include "core/offset_circuit.h"
 #include "core/predictor.h"
 #include "core/pressure_hooks.h"
@@ -69,7 +70,8 @@ struct CompressoConfig
     Cycle mdcache_hit_latency = 2;
 };
 
-class CompressoController : public MemoryController
+class CompressoController : public MemoryController,
+                            private MetadataFrontEnd::Hooks
 {
   public:
     explicit CompressoController(const CompressoConfig &cfg);
@@ -113,6 +115,7 @@ class CompressoController : public MemoryController
     void attachPressureListener(PressureListener *pl) override
     {
         pressure_ = pl;
+        md_.attachPressureListener(pl);
     }
 
     /** Machine bytes backing @p page: allocated chunks times 512 B
@@ -124,21 +127,14 @@ class CompressoController : public MemoryController
     }
 
     /** Pages with a live metadata reference on the call stack
-     *  (writeback / repack-on-evict / fault recovery nest up to
-     *  kBusyDepth deep); the governor's emergency reclaim must not
-     *  free them. */
-    bool pageBusy(PageNum page) const override
-    {
-        for (unsigned i = 0; i < busy_depth_ && i < kBusyDepth; ++i)
-            if (busy_pages_[i] == page)
-                return true;
-        return false;
-    }
+     *  (writeback and repack-on-evict nest); the governor's emergency
+     *  reclaim must not free them. */
+    bool pageBusy(PageNum page) const override { return md_.busy(page); }
 
     StatGroup &stats() override { return stats_; }
     const StatGroup &stats() const override { return stats_; }
 
-    MetadataCache &metadataCache() { return mdcache_; }
+    MetadataCache *metadataCache() override { return &md_.cache(); }
     PageOverflowPredictor &predictor() { return predictor_; }
     const SizeBins &lineBins() const { return *bins_; }
     const CompressoConfig &config() const { return cfg_; }
@@ -196,12 +192,15 @@ class CompressoController : public MemoryController
      *  recovery path. */
     AuditReport auditPage(PageNum page) const;
 
-    // --- fault handling (degradation ladder) ---
-    /** Detected-uncorrectable metadata fault: rebuild the entry by
-     *  re-walking the page; after max_meta_rebuilds, escalate to
-     *  inflating the page to uncompressed 4 KB (the paper's safe
-     *  state). Without recovery, retire (poison) the page. */
-    void recoverMetadataFault(PageNum page, McTrace &trace);
+    // --- metadata ladder hooks (OS-transparent: the entry is rebuilt
+    // by re-walking the page's stored bytes in hardware) ---
+    MetadataFrontEnd::PageState mdPageState(PageNum page) const override;
+    uint64_t mdRewalkEstimate(PageNum page) const override;
+    void mdRewalk(PageNum page, McTrace &trace) override;
+    /** Inflate to uncompressed 4 KB, the paper's safe state. */
+    void mdInflate(PageNum page, McTrace &trace) override;
+    /** Repack-on-evict (Sec. IV-B4). */
+    void mdEvicted(PageNum page, McTrace &trace) override;
     /** Best-effort local repair of an audit-caught corrupt page:
      *  recompute derived fields, else retire the page to a poisoned
      *  zero state. Returns false if the damage is cross-structure
@@ -211,31 +210,24 @@ class CompressoController : public MemoryController
     // --- metadata & timing helpers ---
     MetadataEntry &meta(PageNum page);
     PageShadow &shadow(PageNum page);
-    Addr metadataAddr(PageNum page) const;
-    void mdAccess(PageNum page, bool dirty, McTrace &trace);
-    void onMetaEvict(PageNum page, bool dirty);
 
     // --- layout helpers ---
     uint32_t packBytes(const MetadataEntry &m) const;
     uint32_t irBase(const MetadataEntry &m) const;
+    /** Bytes the page's layout spans: the slots and the used
+     *  inflation room, or the whole page when it is raw. */
+    uint32_t usedBytes(const MetadataEntry &m) const
+    {
+        return m.compressed ? irBase(m) + uint32_t(m.inflate_count) *
+                                              uint32_t(kLineBytes)
+                            : uint32_t(kPageBytes);
+    }
     uint32_t allocBytes(const MetadataEntry &m) const
     {
         return uint32_t(m.chunks) * uint32_t(kChunkBytes);
     }
     /** IR slot index of line @p idx, or -1 if not inflated. */
     int inflateSlot(const MetadataEntry &m, LineIdx idx) const;
-
-    /** Who an allocation asks on machine OOM: the listener with the
-     *  innermost busy page. Nested deeper than kBusyDepth, pageBusy()
-     *  no longer covers every live entry, so no rescue is tried. */
-    OomRescue
-    oomRescue() const
-    {
-        if (busy_depth_ > kBusyDepth)
-            return {};
-        return {pressure_,
-                busy_depth_ > 0 ? busy_pages_[busy_depth_ - 1] : kNoPage};
-    }
 
     // --- compression helpers ---
     struct Encoded
@@ -272,52 +264,21 @@ class CompressoController : public MemoryController
     CompressoConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    MetadataCache mdcache_;
     PageOverflowPredictor predictor_;
     OffsetCircuit offsets_;
 
     std::unordered_map<PageNum, MetadataEntry> meta_;
     std::unordered_map<PageNum, PageShadow> shadow_;
-    McTrace *cur_trace_ = nullptr; ///< active trace for evict hooks
 
     FaultHooks fault_;
-    /** Metadata rebuilds taken per page (escalation bound). */
-    std::unordered_map<PageNum, unsigned> meta_rebuilds_;
 
     PressureListener *pressure_ = nullptr;
-    /** Busy-page stack backing pageBusy(): writeback -> md-evict
-     *  repack -> fault recovery is the deepest real nesting. */
-    static constexpr unsigned kBusyDepth = 4;
-    std::array<PageNum, kBusyDepth> busy_pages_{};
-    unsigned busy_depth_ = 0;
-
-    /** RAII busy-page marker for the operations that can reach an
-     *  allocation (and therefore an OOM-rescue reclaim). */
-    class BusyScope
-    {
-      public:
-        BusyScope(CompressoController &mc, PageNum page) : mc_(mc)
-        {
-            if (mc_.busy_depth_ < kBusyDepth)
-                mc_.busy_pages_[mc_.busy_depth_] = page;
-            ++mc_.busy_depth_;
-        }
-        ~BusyScope() { --mc_.busy_depth_; }
-        BusyScope(const BusyScope &) = delete;
-        BusyScope &operator=(const BusyScope &) = delete;
-
-      private:
-        CompressoController &mc_;
-    };
-
     StatGroup stats_{"mc"};
     // Cached hot-path counter handles (stable across reset()).
     uint64_t &st_fills_ = stats_.stat("fills");
     uint64_t &st_writebacks_ = stats_.stat("writebacks");
     uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
     uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
-    uint64_t &st_md_write_ops_ = stats_.stat("md_write_ops");
     uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_line_underflows_ = stats_.stat("line_underflows");
@@ -333,8 +294,6 @@ class CompressoController : public MemoryController
     uint64_t &st_repacks_ = stats_.stat("repacks");
     uint64_t &st_repack_read_ops_ = stats_.stat("repack_read_ops");
     uint64_t &st_repack_write_ops_ = stats_.stat("repack_write_ops");
-    uint64_t &st_fault_poison_fills_ = stats_.stat("fault_poison_fills");
-    uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
     uint64_t &st_repacks_throttled_ = stats_.stat("repacks_throttled");
     uint64_t &st_inflations_throttled_ =
         stats_.stat("inflations_throttled");
@@ -345,6 +304,14 @@ class CompressoController : public MemoryController
      *  stats_ (declared after it and fault_ for that reason). */
     ChunkStore store_{cfg_.installed_bytes, stats_, fault_,
                       cfg_.stream_buffer ? cfg_.stream_buffer_blocks : 0};
+    /** Metadata cache, entry traffic and fault ladder; likewise. The
+     *  metadata region sits at 1 TB, disjoint from the data chunks,
+     *  which grow up from 0. */
+    MetadataFrontEnd md_{cfg_.mdcache,
+                         {.region_base = Addr(1) << 40,
+                          .hit_latency = cfg_.mdcache_hit_latency,
+                          .throttle_skips_rewrite = true},
+                         *this, stats_, fault_};
 
     // Observability (src/obs): null when disabled.
     Observer *obs_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "check/invariant_auditor.h"
 #include "prof/profiler.h"
@@ -9,62 +10,23 @@
 
 namespace compresso {
 
-namespace {
-
-constexpr Addr kMetadataRegionBase = Addr(1) << 43;
-
-} // namespace
-
 DmcController::DmcController(const DmcConfig &cfg)
     : cfg_(cfg),
       hot_codec_(makeCompressor(cfg.hot_compressor)),
-      cold_codec_(makeCompressor(cfg.cold_compressor)),
-      mdcache_(cfg.mdcache)
+      cold_codec_(makeCompressor(cfg.cold_compressor))
 {
     assert(hot_codec_ && cold_codec_ && "unknown compressor name");
-    mdcache_.setEvictHook([this](PageNum pn, bool dirty) {
-        if (dirty && cur_trace_) {
-            cur_trace_->add(metadataAddr(pn), true, false,
-                            AttribComp::kMdcacheMiss);
-            ++stats_["md_write_ops"];
-            fault_.onWrite(metadataAddr(pn));
-        }
-    });
 }
 
 void
 DmcController::attachObserver(Observer *obs)
 {
     obs_ = obs;
-    mdcache_.attachObserver(obs);
+    md_.attachObserver(obs);
     store_.attachObserver(obs);
     h_line_bytes_ =
         obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
                        : nullptr;
-}
-
-Addr
-DmcController::metadataAddr(PageNum pn) const
-{
-    return kMetadataRegionBase + pn * kMetadataEntryBytes;
-}
-
-void
-DmcController::mdAccess(PageNum pn, bool dirty, McTrace &trace)
-{
-    bool hit = mdcache_.access(pn, false, dirty);
-    trace.metadata_hit = hit;
-    trace.addFixed(AttribComp::kMdcacheHit, cfg_.mdcache_hit_latency);
-    if (!hit) {
-        trace.add(metadataAddr(pn), false, true,
-                  AttribComp::kMdcacheMiss);
-        ++st_md_read_ops_;
-        if (fault_.active() &&
-            fault_.onMetaRead(metadataAddr(pn)) ==
-                FaultOutcome::kDetected) {
-            recoverMetadataFault(pn, trace);
-        }
-    }
 }
 
 uint32_t
@@ -176,7 +138,7 @@ DmcController::layoutHot(Page &p,
                                   PageSizing::kVariable4);
     store_.resize(p.chunks, p.chunk_id,
                   (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
-                  {pressure_, busy_page_});
+                  md_.oomRescue());
     for (LineIdx l = 0; l < kLinesPerPage; ++l) {
         if (p.code[l] == 0)
             continue;
@@ -224,7 +186,7 @@ DmcController::demoteToCold(PageNum pn, Page &p, McTrace &trace)
     }
     store_.resize(p.chunks, p.chunk_id,
                   (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
-                  {pressure_, busy_page_});
+                  md_.oomRescue());
     p.cold = true;
     uint32_t off = 0;
     for (unsigned b = 0; b < kColdBlocks; ++b) {
@@ -291,103 +253,52 @@ DmcController::isCold(PageNum pn)
     return page(pn).cold;
 }
 
-void
-DmcController::recoverMetadataFault(PageNum pn, McTrace &trace)
+MetadataFrontEnd::PageState
+DmcController::mdPageState(PageNum pn) const
 {
-    Page &p = pages_[pn];
-    FaultInjector *fi = fault_.injector();
+    const Page &p = pages_.at(pn);
+    bool raw_already = !p.cold;
+    for (LineIdx l = 0; raw_already && l < kLinesPerPage; ++l)
+        raw_already = p.code[l] == uint8_t(compressoBins().count() - 1);
+    return {p.valid, p.valid && !p.zero && !raw_already};
+}
 
-    if (!fault_.recoveryEnabled()) {
-        if (p.valid && !fault_.pagePoisoned(pn)) {
-            fault_.poisonPage(pn);
-            ++stats_["fault_pages_poisoned"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kPagePoison));
-        }
-        fi->scrub(metadataAddr(pn));
+uint64_t
+DmcController::mdRewalkEstimate(PageNum pn) const
+{
+    return uint64_t(pages_.at(pn).chunks) * (kChunkBytes / kLineBytes) + 1;
+}
+
+void
+DmcController::mdRewalk(PageNum pn, McTrace &trace)
+{
+    const Page &p = pages_.at(pn);
+    if (!p.valid || p.zero || p.chunks == 0)
         return;
-    }
+    uint32_t used = p.cold ? std::accumulate(p.cold_bytes.begin(),
+                                             p.cold_bytes.end(), 0u)
+                           : hotPack(p);
+    store_.deviceOps(p.chunk_id, 0, used, false, false, trace,
+                     AttribComp::kFaultRecovery);
+}
 
-    // OS-transparent rebuild: like Compresso, the controller re-walks
-    // the page's stored image in hardware to reconstruct the entry —
-    // no OS involvement, only the re-walk traffic. Under a blown
-    // watchdog budget the re-walk is skipped and the page jumps
-    // straight to the raw/hot safe-state rung (bounded worst case).
-    bool throttled =
-        pressure_ != nullptr &&
-        !pressure_->admitOp(PressureOp::kMetaRebuild,
-                            uint64_t(p.chunks) *
-                                    (kChunkBytes / kLineBytes) +
-                                1);
-    if (throttled) {
-        ++stats_["fault_rebuilds_throttled"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, pn,
-                      uint32_t(PressureOp::kMetaRebuild));
-    } else {
-        ++stats_["fault_meta_rebuilds"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                      uint32_t(FaultRung::kMetaRebuild));
-        fi->noteMetaRebuild();
-    }
-    size_t before = trace.ops.size();
-    {
-        FaultHooks::SuppressScope guard(fault_);
-        if (!throttled && p.valid && !p.zero && p.chunks > 0) {
-            uint32_t used;
-            if (p.cold) {
-                used = 0;
-                for (unsigned b = 0; b < kColdBlocks; ++b)
-                    used += p.cold_bytes[b];
-            } else {
-                used = hotPack(p);
-            }
-            store_.deviceOps(p.chunk_id, 0, used, false, false, trace,
-                             AttribComp::kFaultRecovery);
-        }
-        trace.add(metadataAddr(pn), true, false,
-                  AttribComp::kFaultRecovery);
-        ++stats_["md_write_ops"];
-        unsigned rebuilds;
-        if (throttled) {
-            rebuilds = fi->config().max_meta_rebuilds + 1;
-            meta_rebuilds_[pn] = rebuilds;
-        } else {
-            rebuilds = ++meta_rebuilds_[pn];
-        }
-        bool raw_already = !p.cold;
-        for (LineIdx l = 0; raw_already && l < kLinesPerPage; ++l)
-            raw_already = p.code[l] ==
-                          uint8_t(compressoBins().count() - 1);
-        if (rebuilds > fi->config().max_meta_rebuilds && p.valid &&
-            !p.zero && !raw_already) {
-            // Escalate: re-lay the page out raw/hot so slot lookups no
-            // longer depend on the per-line codes or cold block sizes.
-            ++stats_["fault_pages_inflated"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kInflateSafety));
-            fi->notePageInflatedSafety();
-            std::array<Line, kLinesPerPage> buf;
-            gather(p, buf, &trace, AttribComp::kFaultRecovery);
-            p.cold = false;
-            p.cold_bytes.fill(0);
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                p.code[l] = uint8_t(compressoBins().count() - 1);
-            store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
-                          {pressure_, busy_page_});
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                store_.storeBytes(p.chunk_id, hotOffset(p, l), buf[l].data(),
-                                  kLineBytes);
-            store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
-                             AttribComp::kFaultRecovery);
-            meta_rebuilds_.erase(pn);
-        }
-    }
-    fi->scrub(metadataAddr(pn));
-    uint64_t ops = trace.ops.size() - before;
-    fi->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
-    if (pressure_ != nullptr)
-        pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
+void
+DmcController::mdInflate(PageNum pn, McTrace &trace)
+{
+    Page &p = pages_.at(pn);
+    std::array<Line, kLinesPerPage> buf;
+    gather(p, buf, &trace, AttribComp::kFaultRecovery);
+    p.cold = false;
+    p.cold_bytes.fill(0);
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        p.code[l] = uint8_t(compressoBins().count() - 1);
+    store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
+                  md_.oomRescue());
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        store_.storeBytes(p.chunk_id, hotOffset(p, l), buf[l].data(),
+                          kLineBytes);
+    store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
+                     AttribComp::kFaultRecovery);
 }
 
 void
@@ -396,26 +307,19 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcFill);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    MetadataFrontEnd::Op op(md_, trace, pn);
     ++st_fills_;
 
     Page &p = page(pn);
-    mdAccess(pn, false, trace);
     p.touched_this_epoch = true;
-
-    if (fault_.active() && (fault_.pagePoisoned(pn) ||
-                            fault_.linePoisoned(lineAddr(addr)))) {
-        data.fill(0);
-        ++st_fault_poison_fills_;
-        cur_trace_ = nullptr;
+    if (!md_.access(addr, false, trace)) {
+        data.fill(0); // retired by the degradation ladder
         return;
     }
 
     if (!p.valid || p.zero) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -432,7 +336,6 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
             store_.poisonLine(lineAddr(addr), p.chunk_id, off, p.cold_bytes[b],
                               trace);
             data.fill(0);
-            cur_trace_ = nullptr;
             return;
         }
 
@@ -446,14 +349,12 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
             (void)ok;
         }
         data = tmp;
-        cur_trace_ = nullptr;
         return;
     }
 
     if (p.code[idx] == 0) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
     uint16_t sz = compressoBins().binSize(p.code[idx]);
@@ -466,13 +367,11 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     if (fault_.takePending() == FaultOutcome::kDetected) {
         store_.poisonLine(lineAddr(addr), p.chunk_id, off, sz, trace);
         data.fill(0);
-        cur_trace_ = nullptr;
         return;
     }
     readHotLine(p, idx, data);
     if (sz != kLineBytes)
         trace.addFixed(AttribComp::kDecompress, cfg_.hot_latency);
-    cur_trace_ = nullptr;
 }
 
 void
@@ -481,22 +380,13 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcWriteback);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    MetadataFrontEnd::Op op(md_, trace, pn);
     ++st_writebacks_;
 
     Page &p = page(pn);
-    mdAccess(pn, true, trace);
     p.touched_this_epoch = true;
-
-    if (fault_.active()) {
-        if (fault_.pagePoisoned(pn)) {
-            ++st_fault_dropped_wbs_;
-            cur_trace_ = nullptr;
-            return;
-        }
-        fault_.clearLinePoison(lineAddr(addr));
-    }
+    if (!md_.access(addr, true, trace))
+        return; // the page is retired
 
     bool zero = isZeroLine(data);
     if (!p.valid) {
@@ -507,7 +397,6 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     if (p.zero) {
         if (zero) {
             ++st_zero_wbs_;
-            cur_trace_ = nullptr;
             return;
         }
         p.zero = false;
@@ -561,7 +450,6 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         epoch_wbs_ = 0;
         decayEpoch(trace);
     }
-    cur_trace_ = nullptr;
 }
 
 void
@@ -572,10 +460,7 @@ DmcController::freePage(PageNum pn)
         return;
     store_.resize(it->second.chunks, it->second.chunk_id, 0);
     it->second = Page{};
-    mdcache_.invalidate(pn);
-    fault_.clearPagePoison(pn);
-    meta_rebuilds_.erase(pn);
-    ++stats_["pages_freed"];
+    md_.release(pn);
 }
 
 AuditReport

@@ -32,6 +32,7 @@
 #include "compress/size_bins.h"
 #include "core/chunk_store.h"
 #include "core/memory_controller.h"
+#include "core/metadata_front_end.h"
 #include "core/pressure_hooks.h"
 #include "fault/fault_hooks.h"
 #include "meta/metadata_cache.h"
@@ -53,7 +54,8 @@ struct DmcConfig
     Cycle mdcache_hit_latency = 2;
 };
 
-class DmcController : public MemoryController
+class DmcController : public MemoryController,
+                      private MetadataFrontEnd::Hooks
 {
   public:
     explicit DmcController(const DmcConfig &cfg);
@@ -96,6 +98,7 @@ class DmcController : public MemoryController
     void attachPressureListener(PressureListener *pl) override
     {
         pressure_ = pl;
+        md_.attachPressureListener(pl);
     }
 
     /** Machine bytes backing @p pn (0 for untouched/zero pages);
@@ -109,8 +112,7 @@ class DmcController : public MemoryController
      *  plus the epoch-decay migration target) must not be reclaimed. */
     bool pageBusy(PageNum pn) const override
     {
-        return (cur_trace_ != nullptr && pn == busy_page_) ||
-               pn == migrating_page_;
+        return md_.busy(pn) || pn == migrating_page_;
     }
 
     /** Chunk-map invariant audit (src/check): every valid page's
@@ -119,6 +121,7 @@ class DmcController : public MemoryController
 
     StatGroup &stats() override { return stats_; }
     const StatGroup &stats() const override { return stats_; }
+    MetadataCache *metadataCache() override { return &md_.cache(); }
 
     /** 1 KB cold-compression granularity: 4 blocks per page. */
     static constexpr unsigned kColdBlocks = 4;
@@ -146,8 +149,6 @@ class DmcController : public MemoryController
     };
 
     Page &page(PageNum pn) { return pages_[pn]; }
-    Addr metadataAddr(PageNum pn) const;
-    void mdAccess(PageNum pn, bool dirty, McTrace &trace);
 
     uint32_t hotOffset(const Page &p, LineIdx idx) const;
     uint32_t hotPack(const Page &p) const;
@@ -170,23 +171,22 @@ class DmcController : public MemoryController
     void promoteToHot(PageNum pn, Page &p, McTrace &trace);
     void decayEpoch(McTrace &trace);
 
-    // --- fault handling ---
-    /** Detected metadata fault: hardware re-walks the page's stored
-     *  image to rebuild the entry (bounded); after max_meta_rebuilds,
-     *  re-lay the page out raw/hot so slot lookups no longer depend on
-     *  the entry. Without recovery, retire the page. */
-    void recoverMetadataFault(PageNum pn, McTrace &trace);
+    // --- metadata ladder hooks (OS-transparent, like Compresso: the
+    // controller re-walks the page's stored image in hardware) ---
+    MetadataFrontEnd::PageState mdPageState(PageNum pn) const override;
+    uint64_t mdRewalkEstimate(PageNum pn) const override;
+    void mdRewalk(PageNum pn, McTrace &trace) override;
+    /** Re-lay the page out raw and hot, so slot lookups no longer
+     *  depend on the per-line codes or cold block sizes. */
+    void mdInflate(PageNum pn, McTrace &trace) override;
 
     DmcConfig cfg_;
     std::unique_ptr<Compressor> hot_codec_;
     std::unique_ptr<Compressor> cold_codec_;
-    MetadataCache mdcache_;
     std::unordered_map<PageNum, Page> pages_;
     uint64_t epoch_wbs_ = 0;
-    McTrace *cur_trace_ = nullptr;
 
     FaultHooks fault_;
-    std::unordered_map<PageNum, unsigned> meta_rebuilds_;
 
     StatGroup stats_{"mc"};
     // Cached hot-path counter handles (stable across reset()).
@@ -194,14 +194,11 @@ class DmcController : public MemoryController
     uint64_t &st_writebacks_ = stats_.stat("writebacks");
     uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
     uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
     uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_migration_ops_ = stats_.stat("migration_ops");
     uint64_t &st_demotions_ = stats_.stat("demotions");
     uint64_t &st_promotions_ = stats_.stat("promotions");
-    uint64_t &st_fault_poison_fills_ = stats_.stat("fault_poison_fills");
     uint64_t &st_cold_block_reads_ = stats_.stat("cold_block_reads");
-    uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
     uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_demotions_throttled_ =
@@ -210,9 +207,13 @@ class DmcController : public MemoryController
     /** Chunk lists and device ops; counts into stats_ (declared after
      *  it and fault_ for that reason). */
     ChunkStore store_{cfg_.installed_bytes, stats_, fault_};
+    /** Metadata cache, entry traffic and fault ladder; likewise. */
+    MetadataFrontEnd md_{cfg_.mdcache,
+                         {.region_base = Addr(1) << 43,
+                          .hit_latency = cfg_.mdcache_hit_latency},
+                         *this, stats_, fault_};
 
     PressureListener *pressure_ = nullptr;
-    PageNum busy_page_ = kNoPage;      ///< valid while cur_trace_ set
     PageNum migrating_page_ = kNoPage; ///< epoch-decay demotion target
 
     Observer *obs_ = nullptr;

@@ -10,8 +10,6 @@ namespace compresso {
 
 namespace {
 
-constexpr Addr kMetadataRegionBase = Addr(1) << 41;
-
 /** Exception pointers that fit the 64 B LCP metadata entry. */
 constexpr uint32_t kMaxExceptionPtrs = 17;
 
@@ -20,53 +18,20 @@ constexpr uint32_t kMaxExceptionPtrs = 17;
 LcpController::LcpController(const LcpConfig &cfg)
     : cfg_(cfg),
       bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
-      codec_(makeCompressor(cfg.compressor)),
-      mdcache_(cfg.mdcache)
+      codec_(makeCompressor(cfg.compressor))
 {
     assert(codec_ && "unknown compressor name");
-    mdcache_.setEvictHook([this](PageNum pn, bool dirty) {
-        if (dirty && cur_trace_) {
-            cur_trace_->add(metadataAddr(pn), true, false,
-                            AttribComp::kMdcacheMiss);
-            ++stats_["md_write_ops"];
-            fault_.onWrite(metadataAddr(pn));
-        }
-    });
 }
 
 void
 LcpController::attachObserver(Observer *obs)
 {
     obs_ = obs;
-    mdcache_.attachObserver(obs);
+    md_.attachObserver(obs);
     store_.attachObserver(obs);
     h_line_bytes_ =
         obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
                        : nullptr;
-}
-
-Addr
-LcpController::metadataAddr(PageNum pn) const
-{
-    return kMetadataRegionBase + pn * kMetadataEntryBytes;
-}
-
-void
-LcpController::mdAccess(PageNum pn, bool dirty, McTrace &trace)
-{
-    bool hit = mdcache_.access(pn, false, dirty);
-    trace.metadata_hit = hit;
-    trace.addFixed(AttribComp::kMdcacheHit, cfg_.mdcache_hit_latency);
-    if (!hit) {
-        trace.add(metadataAddr(pn), false, true,
-                  AttribComp::kMdcacheMiss);
-        ++st_md_read_ops_;
-        if (fault_.active() &&
-            fault_.onMetaRead(metadataAddr(pn)) ==
-                FaultOutcome::kDetected) {
-            recoverMetadataFault(pn, trace);
-        }
-    }
 }
 
 uint32_t
@@ -138,7 +103,7 @@ LcpController::initialAllocate(Page &p, const Encoded &enc)
     uint32_t alloc = pageBinBytes(std::min<uint32_t>(want, kPageBytes),
                                   PageSizing::kVariable4);
     store_.resize(p.chunks, p.chunk_id, unsigned(alloc / kChunkBytes),
-                  {pressure_, busy_page_});
+                  md_.oomRescue());
     p.zero = false;
     p.zero_line.set(); // all lines are zero until written
 }
@@ -236,7 +201,7 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
     uint32_t alloc = pageBinBytes(std::min<uint32_t>(want, kPageBytes),
                                   PageSizing::kVariable4);
     store_.resize(p.chunks, p.chunk_id, unsigned(alloc / kChunkBytes),
-                  {pressure_, busy_page_});
+                  md_.oomRescue());
 
     p.exc_slot.fill(0xff);
     p.exc_map.reset();
@@ -271,90 +236,34 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
                                 (new_used + kLineBytes - 1) / kLineBytes);
 }
 
-void
-LcpController::recoverMetadataFault(PageNum pn, McTrace &trace)
+MetadataFrontEnd::PageState
+LcpController::mdPageState(PageNum pn) const
 {
-    Page &p = pages_[pn];
-    FaultInjector *fi = fault_.injector();
+    const Page &p = pages_.at(pn);
+    return {p.valid, p.valid && !p.zero && p.target != kLineBytes};
+}
 
-    if (!fault_.recoveryEnabled()) {
-        if (p.valid && !fault_.pagePoisoned(pn)) {
-            fault_.poisonPage(pn);
-            ++stats_["fault_pages_poisoned"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kPagePoison));
-        }
-        fi->scrub(metadataAddr(pn));
-        return;
+void
+LcpController::mdInflate(PageNum pn, McTrace &trace)
+{
+    Page &p = pages_.at(pn);
+    std::array<Line, kLinesPerPage> buf;
+    for (LineIdx i = 0; i < kLinesPerPage; ++i)
+        readStored(p, i, buf[i]);
+    store_.deviceOps(p.chunk_id, 0, allocBytes(p), false, false, trace,
+                     AttribComp::kFaultRecovery);
+    store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
+                  md_.oomRescue());
+    p.target = uint16_t(kLineBytes);
+    p.exc_slot.fill(0xff);
+    p.exc_map.reset();
+    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
+        if (!p.zero_line[i])
+            store_.storeBytes(p.chunk_id, slotOffset(p, i), buf[i].data(),
+                              kLineBytes);
     }
-
-    // OS-aware rebuild: the DUE traps to the OS, which reconstructs
-    // the entry from its own page tables and rewrites it (a page
-    // fault's worth of stall, unlike Compresso's hardware re-walk).
-    // A blown rebuild budget (watchdog) skips the re-walk and takes
-    // the uncompressed-re-layout rung directly.
-    bool throttled = pressure_ != nullptr &&
-                     !pressure_->admitOp(PressureOp::kMetaRebuild, 1);
-    if (throttled) {
-        ++stats_["fault_rebuilds_throttled"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, pn,
-                      uint32_t(PressureOp::kMetaRebuild));
-    } else {
-        ++stats_["fault_meta_rebuilds"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                      uint32_t(FaultRung::kMetaRebuild));
-        fi->noteMetaRebuild();
-    }
-    ++st_page_faults_;
-    st_page_fault_cycles_ += cfg_.page_fault_cycles;
-    trace.addStall(AttribComp::kOsFault, cfg_.page_fault_cycles);
-    size_t before = trace.ops.size();
-    {
-        FaultHooks::SuppressScope guard(fault_);
-        trace.add(metadataAddr(pn), true, false,
-                  AttribComp::kFaultRecovery);
-        ++stats_["md_write_ops"];
-        unsigned rebuilds;
-        if (throttled) {
-            rebuilds = fi->config().max_meta_rebuilds + 1;
-            meta_rebuilds_[pn] = rebuilds;
-        } else {
-            rebuilds = ++meta_rebuilds_[pn];
-        }
-        if (rebuilds > fi->config().max_meta_rebuilds && p.valid &&
-            !p.zero && p.target != kLineBytes) {
-            // Escalate: the OS re-lays the page out uncompressed, so
-            // later slot lookups no longer depend on the entry.
-            ++stats_["fault_pages_inflated"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kInflateSafety));
-            fi->notePageInflatedSafety();
-            std::array<Line, kLinesPerPage> buf;
-            for (LineIdx i = 0; i < kLinesPerPage; ++i)
-                readStored(p, i, buf[i]);
-            store_.deviceOps(p.chunk_id, 0, allocBytes(p), false, false, trace,
-                             AttribComp::kFaultRecovery);
-            store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
-                          {pressure_, busy_page_});
-            p.target = uint16_t(kLineBytes);
-            p.exc_slot.fill(0xff);
-            p.exc_map.reset();
-            for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-                if (!p.zero_line[i])
-                    store_.storeBytes(p.chunk_id, slotOffset(p, i),
-                                      buf[i].data(), kLineBytes);
-            }
-            store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
-                             AttribComp::kFaultRecovery);
-            meta_rebuilds_.erase(pn);
-        }
-    }
-    fi->scrub(metadataAddr(pn));
-    uint64_t ops = trace.ops.size() - before;
-    fi->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
-    if (pressure_ != nullptr)
-        pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
+    store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
+                     AttribComp::kFaultRecovery);
 }
 
 void
@@ -363,25 +272,18 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcFill);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    MetadataFrontEnd::Op op(md_, trace, pn);
     ++st_fills_;
 
     Page &p = page(pn);
-    mdAccess(pn, false, trace);
-
-    if (fault_.active() && (fault_.pagePoisoned(pn) ||
-                            fault_.linePoisoned(lineAddr(addr)))) {
-        data.fill(0);
-        ++st_fault_poison_fills_;
-        cur_trace_ = nullptr;
+    if (!md_.access(addr, false, trace)) {
+        data.fill(0); // retired by the degradation ladder
         return;
     }
 
     if (!p.valid || p.zero || p.zero_line[idx]) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -403,19 +305,16 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
                               excOffset(p, p.exc_slot[idx]), kLineBytes,
                               trace);
             data.fill(0);
-            cur_trace_ = nullptr;
             return;
         }
         store_.loadBytes(p.chunk_id, excOffset(p, p.exc_slot[idx]),
                          data.data(), kLineBytes);
-        cur_trace_ = nullptr;
         return;
     }
 
     if (fault_.takePending() == FaultOutcome::kDetected) {
         store_.poisonLine(lineAddr(addr), p.chunk_id, off, p.target, trace);
         data.fill(0);
-        cur_trace_ = nullptr;
         return;
     }
     readStored(p, idx, data);
@@ -441,7 +340,6 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
         }
         st_co_fetched_lines_ += trace.co_fetched.size();
     }
-    cur_trace_ = nullptr;
 }
 
 void
@@ -450,21 +348,12 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcWriteback);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    MetadataFrontEnd::Op op(md_, trace, pn);
     ++st_writebacks_;
 
     Page &p = page(pn);
-    mdAccess(pn, true, trace);
-
-    if (fault_.active()) {
-        if (fault_.pagePoisoned(pn)) {
-            ++st_fault_dropped_wbs_;
-            cur_trace_ = nullptr;
-            return;
-        }
-        fault_.clearLinePoison(lineAddr(addr));
-    }
+    if (!md_.access(addr, true, trace))
+        return; // the page is retired
 
     Encoded enc = encodeLine(data);
     CPR_OBS_HIST(h_line_bytes_, enc.zero ? 0 : enc.bytes.size());
@@ -478,7 +367,6 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     if (p.zero) {
         if (enc.zero) {
             ++st_zero_wbs_;
-            cur_trace_ = nullptr;
             return;
         }
         initialAllocate(p, enc);
@@ -495,7 +383,6 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         }
         p.zero_line[idx] = true;
         ++st_zero_wbs_;
-        cur_trace_ = nullptr;
         return;
     }
     p.zero_line[idx] = false;
@@ -507,7 +394,6 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
             p.exc_slot[idx] = 0xff; // back into its slot
         }
         writeStored(pn, p, idx, data, enc, trace);
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -518,7 +404,6 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         uint32_t off = excOffset(p, p.exc_slot[idx]);
         store_.deviceOps(p.chunk_id, off, kLineBytes, true, false, trace);
         store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
-        cur_trace_ = nullptr;
         return;
     }
     unsigned cap = excCapacity(p);
@@ -537,12 +422,10 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
                          AttribComp::kOverflowRelayout);
         store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
         ++st_ir_placements_;
-        cur_trace_ = nullptr;
         return;
     }
 
     pageOverflow(pn, p, idx, data, enc, trace);
-    cur_trace_ = nullptr;
 }
 
 void
@@ -553,10 +436,7 @@ LcpController::freePage(PageNum pn)
         return;
     store_.resize(it->second.chunks, it->second.chunk_id, 0);
     it->second = Page{};
-    mdcache_.invalidate(pn);
-    fault_.clearPagePoison(pn);
-    meta_rebuilds_.erase(pn);
-    ++stats_["pages_freed"];
+    md_.release(pn);
 }
 
 AuditReport

@@ -32,6 +32,7 @@
 #include "compress/size_bins.h"
 #include "core/chunk_store.h"
 #include "core/memory_controller.h"
+#include "core/metadata_front_end.h"
 #include "core/pressure_hooks.h"
 #include "fault/fault_hooks.h"
 #include "meta/metadata_cache.h"
@@ -58,7 +59,8 @@ struct LcpConfig
     Cycle page_fault_cycles = 9000;
 };
 
-class LcpController : public MemoryController
+class LcpController : public MemoryController,
+                      private MetadataFrontEnd::Hooks
 {
   public:
     explicit LcpController(const LcpConfig &cfg);
@@ -105,6 +107,7 @@ class LcpController : public MemoryController
     void attachPressureListener(PressureListener *pl) override
     {
         pressure_ = pl;
+        md_.attachPressureListener(pl);
     }
 
     /** Machine bytes backing @p pn (0 for untouched/zero pages);
@@ -115,10 +118,7 @@ class LcpController : public MemoryController
     }
 
     /** The page of the in-flight operation must not be reclaimed. */
-    bool pageBusy(PageNum pn) const override
-    {
-        return cur_trace_ != nullptr && pn == busy_page_;
-    }
+    bool pageBusy(PageNum pn) const override { return md_.busy(pn); }
 
     /** Chunk-map invariant audit (src/check): every valid page's
      *  chunks live and exclusively owned, free list complementary. */
@@ -128,7 +128,7 @@ class LcpController : public MemoryController
     const StatGroup &stats() const override { return stats_; }
 
     const SizeBins &targetBins() const { return *bins_; }
-    MetadataCache &metadataCache() { return mdcache_; }
+    MetadataCache *metadataCache() override { return &md_.cache(); }
 
   private:
     /** Per-page LCP metadata (functional form). */
@@ -143,22 +143,17 @@ class LcpController : public MemoryController
         /** Exception slot per line; 0xff = stored in its slot. */
         std::array<uint8_t, kLinesPerPage> exc_slot;
         std::bitset<kLinesPerPage> exc_map; ///< occupied exception slots
-        /** Actual compressed bin per line (for overflow re-layout). */
-        std::array<uint8_t, kLinesPerPage> actual_bytes_bin{};
+        /** Actual compressed bytes per line (for overflow re-layout). */
         std::array<uint16_t, kLinesPerPage> actual_bytes{};
 
         Page()
         {
             chunk_id.fill(kNoChunk);
             exc_slot.fill(0xff);
-            for (auto &b : actual_bytes)
-                b = 0;
         }
     };
 
     Page &page(PageNum pn) { return pages_[pn]; }
-    Addr metadataAddr(PageNum pn) const;
-    void mdAccess(PageNum pn, bool dirty, McTrace &trace);
 
     uint32_t allocBytes(const Page &p) const
     {
@@ -192,25 +187,19 @@ class LcpController : public MemoryController
 
     void initialAllocate(Page &p, const Encoded &enc);
 
-    // --- fault handling ---
-    /** Detected metadata fault: OS page fault + entry rebuild from the
-     *  OS's own structures; after max_meta_rebuilds, re-layout the
-     *  page uncompressed (target 64 B). Without recovery, retire the
-     *  page. */
-    void recoverMetadataFault(PageNum pn, McTrace &trace);
+    // --- metadata ladder hooks (OS-aware: the OS rebuilds the entry
+    // from its own tables, so there is no hardware re-walk) ---
+    MetadataFrontEnd::PageState mdPageState(PageNum pn) const override;
+    /** The OS re-lays the page out uncompressed (target 64 B). */
+    void mdInflate(PageNum pn, McTrace &trace) override;
 
     LcpConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    MetadataCache mdcache_;
     std::unordered_map<PageNum, Page> pages_;
-    McTrace *cur_trace_ = nullptr;
 
     FaultHooks fault_;
-    std::unordered_map<PageNum, unsigned> meta_rebuilds_;
-
     PressureListener *pressure_ = nullptr;
-    PageNum busy_page_ = kNoPage; ///< valid while cur_trace_ is set
 
     StatGroup stats_{"mc"};
     // Cached hot-path counter handles (stable across reset()).
@@ -218,7 +207,6 @@ class LcpController : public MemoryController
     uint64_t &st_writebacks_ = stats_.stat("writebacks");
     uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
     uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
     uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_co_fetched_lines_ = stats_.stat("co_fetched_lines");
@@ -226,10 +214,8 @@ class LcpController : public MemoryController
     uint64_t &st_page_faults_ = stats_.stat("page_faults");
     uint64_t &st_page_fault_cycles_ = stats_.stat("page_fault_cycles");
     uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
-    uint64_t &st_fault_poison_fills_ = stats_.stat("fault_poison_fills");
     uint64_t &st_exception_accesses_ = stats_.stat("exception_accesses");
     uint64_t &st_exception_extra_ops_ = stats_.stat("exception_extra_ops");
-    uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
     uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_ir_placements_ = stats_.stat("ir_placements");
@@ -240,6 +226,12 @@ class LcpController : public MemoryController
      *  stats_ (declared after it and fault_ for that reason). */
     ChunkStore store_{cfg_.installed_bytes, stats_, fault_,
                       cfg_.stream_buffer ? cfg_.stream_buffer_blocks : 0};
+    /** Metadata cache, entry traffic and fault ladder; likewise. */
+    MetadataFrontEnd md_{cfg_.mdcache,
+                         {.region_base = Addr(1) << 41,
+                          .hit_latency = cfg_.mdcache_hit_latency,
+                          .os_fault_cycles = cfg_.page_fault_cycles},
+                         *this, stats_, fault_};
 
     Observer *obs_ = nullptr;
     Histogram *h_line_bytes_ = nullptr; ///< owned by the Observer

@@ -25,6 +25,7 @@
 namespace compresso {
 
 class FaultInjector;
+class MetadataCache;
 class Observer;
 class PressureListener;
 
@@ -155,6 +156,10 @@ class MemoryController
      * support ignore the call.
      */
     virtual void attachPressureListener(PressureListener *pl) { (void)pl; }
+
+    /** The on-chip metadata cache (RMC: its BST cache), or nullptr
+     *  for a controller without one. */
+    virtual MetadataCache *metadataCache() { return nullptr; }
 
     /** Release an OSPA page (balloon driver path, Sec. V-B). */
     virtual void freePage(PageNum page) { (void)page; }

@@ -9,61 +9,23 @@
 
 namespace compresso {
 
-namespace {
-
-constexpr Addr kMetadataRegionBase = Addr(1) << 42;
-
-} // namespace
-
 RmcController::RmcController(const RmcConfig &cfg)
     : cfg_(cfg),
       bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
-      codec_(makeCompressor(cfg.compressor)),
-      bst_(cfg.bst)
+      codec_(makeCompressor(cfg.compressor))
 {
     assert(codec_ && "unknown compressor name");
-    bst_.setEvictHook([this](PageNum pn, bool dirty) {
-        if (dirty && cur_trace_) {
-            cur_trace_->add(metadataAddr(pn), true, false,
-                            AttribComp::kBstWalk);
-            ++stats_["md_write_ops"];
-            fault_.onWrite(metadataAddr(pn));
-        }
-    });
 }
 
 void
 RmcController::attachObserver(Observer *obs)
 {
     obs_ = obs;
-    bst_.attachObserver(obs);
+    md_.attachObserver(obs);
     store_.attachObserver(obs);
     h_line_bytes_ =
         obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
                        : nullptr;
-}
-
-Addr
-RmcController::metadataAddr(PageNum pn) const
-{
-    return kMetadataRegionBase + pn * kMetadataEntryBytes;
-}
-
-void
-RmcController::bstAccess(PageNum pn, bool dirty, McTrace &trace)
-{
-    bool hit = bst_.access(pn, false, dirty);
-    trace.metadata_hit = hit;
-    trace.addFixed(AttribComp::kBstWalk, cfg_.bst_hit_latency);
-    if (!hit) {
-        trace.add(metadataAddr(pn), false, true, AttribComp::kBstWalk);
-        ++st_md_read_ops_;
-        if (fault_.active() &&
-            fault_.onMetaRead(metadataAddr(pn)) ==
-                FaultOutcome::kDetected) {
-            recoverMetadataFault(pn, trace);
-        }
-    }
 }
 
 uint32_t
@@ -178,7 +140,7 @@ RmcController::relayout(PageNum pn, Page &p,
     }
     store_.resize(p.chunks, p.chunk_id,
                   (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
-                  {pressure_, busy_page_});
+                  md_.oomRescue());
 
     if (os_fault) {
         ++st_page_overflows_;
@@ -219,97 +181,36 @@ RmcController::relayout(PageNum pn, Page &p,
                                 (new_used + kLineBytes - 1) / kLineBytes);
 }
 
-void
-RmcController::recoverMetadataFault(PageNum pn, McTrace &trace)
+MetadataFrontEnd::PageState
+RmcController::mdPageState(PageNum pn) const
 {
-    Page &p = pages_[pn];
-    FaultInjector *fi = fault_.injector();
+    const Page &p = pages_.at(pn);
+    bool raw_already = true;
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        raw_already &= p.code[l] == uint8_t(bins_->count() - 1);
+    return {p.valid, p.valid && !p.zero && !raw_already};
+}
 
-    if (!fault_.recoveryEnabled()) {
-        if (p.valid && !fault_.pagePoisoned(pn)) {
-            fault_.poisonPage(pn);
-            ++stats_["fault_pages_poisoned"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kPagePoison));
-        }
-        fi->scrub(metadataAddr(pn));
-        return;
-    }
-
-    // OS-aware rebuild: the DUE traps to the OS, which reconstructs
-    // the BST entry from its own page tables and rewrites it (a page
-    // fault's worth of stall, like LCP's recovery path). Under a blown
-    // watchdog budget the re-walk is skipped and the page jumps
-    // straight to the raw re-layout rung (bounded worst case).
-    bool throttled =
-        pressure_ != nullptr &&
-        !pressure_->admitOp(PressureOp::kMetaRebuild, 1);
-    if (throttled) {
-        ++stats_["fault_rebuilds_throttled"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, pn,
-                      uint32_t(PressureOp::kMetaRebuild));
-    } else {
-        ++stats_["fault_meta_rebuilds"];
-        CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                      uint32_t(FaultRung::kMetaRebuild));
-        fi->noteMetaRebuild();
-    }
-    ++st_page_faults_;
-    st_page_fault_cycles_ += cfg_.page_fault_cycles;
-    trace.addStall(AttribComp::kOsFault, cfg_.page_fault_cycles);
-    size_t before = trace.ops.size();
-    {
-        FaultHooks::SuppressScope guard(fault_);
-        trace.add(metadataAddr(pn), true, false,
-                  AttribComp::kFaultRecovery);
-        ++stats_["md_write_ops"];
-        unsigned rebuilds;
-        if (throttled) {
-            rebuilds = fi->config().max_meta_rebuilds + 1;
-            meta_rebuilds_[pn] = rebuilds;
-        } else {
-            rebuilds = ++meta_rebuilds_[pn];
-        }
-        bool raw_already = true;
-        for (LineIdx l = 0; l < kLinesPerPage; ++l)
-            raw_already &= p.code[l] == uint8_t(bins_->count() - 1);
-        if (rebuilds > fi->config().max_meta_rebuilds && p.valid &&
-            !p.zero && !raw_already) {
-            // Escalate: the OS re-lays the page out raw (relayout's
-            // full-page fallback), so later slot lookups no longer
-            // depend on the per-line codes.
-            ++stats_["fault_pages_inflated"];
-            CPR_OBS_EVENT(obs_, ObsEvent::kFaultRecovery, pn,
-                          uint32_t(FaultRung::kInflateSafety));
-            fi->notePageInflatedSafety();
-            std::array<Line, kLinesPerPage> buf;
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                readStored(p, l, buf[l]);
-            uint32_t old_used = 0;
-            for (unsigned sp = 0; sp < kSubpages; ++sp)
-                old_used += p.sub_alloc[sp];
-            store_.deviceOps(p.chunk_id, 0, old_used, false, false, trace,
-                             AttribComp::kFaultRecovery);
-            for (unsigned sp = 0; sp < kSubpages; ++sp)
-                p.sub_alloc[sp] = uint32_t(kPageBytes / kSubpages);
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                p.code[l] = uint8_t(bins_->count() - 1);
-            store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
-                          {pressure_, busy_page_});
-            for (LineIdx l = 0; l < kLinesPerPage; ++l)
-                store_.storeBytes(p.chunk_id, lineOffset(p, l), buf[l].data(),
-                                  kLineBytes);
-            store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
-                             AttribComp::kFaultRecovery);
-            meta_rebuilds_.erase(pn);
-        }
-    }
-    fi->scrub(metadataAddr(pn));
-    uint64_t ops = trace.ops.size() - before;
-    fi->noteRecoveryOps(ops);
-    stats_["fault_recovery_ops"] += ops;
-    if (pressure_ != nullptr)
-        pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
+void
+RmcController::mdInflate(PageNum pn, McTrace &trace)
+{
+    Page &p = pages_.at(pn);
+    std::array<Line, kLinesPerPage> buf;
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        readStored(p, l, buf[l]);
+    store_.deviceOps(p.chunk_id, 0, subBase(p, kSubpages), false, false,
+                     trace, AttribComp::kFaultRecovery);
+    for (unsigned sp = 0; sp < kSubpages; ++sp)
+        p.sub_alloc[sp] = uint32_t(kPageBytes / kSubpages);
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        p.code[l] = uint8_t(bins_->count() - 1);
+    store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
+                  md_.oomRescue());
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
+        store_.storeBytes(p.chunk_id, lineOffset(p, l), buf[l].data(),
+                          kLineBytes);
+    store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
+                     AttribComp::kFaultRecovery);
 }
 
 void
@@ -318,25 +219,18 @@ RmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcFill);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    MetadataFrontEnd::Op op(md_, trace, pn);
     ++st_fills_;
 
     Page &p = page(pn);
-    bstAccess(pn, false, trace);
-
-    if (fault_.active() && (fault_.pagePoisoned(pn) ||
-                            fault_.linePoisoned(lineAddr(addr)))) {
-        data.fill(0);
-        ++st_fault_poison_fills_;
-        cur_trace_ = nullptr;
+    if (!md_.access(addr, false, trace)) {
+        data.fill(0); // retired by the degradation ladder
         return;
     }
 
     if (!p.valid || p.zero || p.code[idx] == 0) {
         data.fill(0);
         ++st_zero_fills_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -348,13 +242,11 @@ RmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     if (fault_.takePending() == FaultOutcome::kDetected) {
         store_.poisonLine(lineAddr(addr), p.chunk_id, off, sz, trace);
         data.fill(0);
-        cur_trace_ = nullptr;
         return;
     }
     readStored(p, idx, data);
     if (sz != kLineBytes)
         trace.addFixed(AttribComp::kDecompress, cfg_.compression_latency);
-    cur_trace_ = nullptr;
 }
 
 void
@@ -363,21 +255,12 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcWriteback);
     PageNum pn = pageOf(addr);
     LineIdx idx = lineOf(addr);
-    cur_trace_ = &trace;
-    busy_page_ = pn;
+    MetadataFrontEnd::Op op(md_, trace, pn);
     ++st_writebacks_;
 
     Page &p = page(pn);
-    bstAccess(pn, true, trace);
-
-    if (fault_.active()) {
-        if (fault_.pagePoisoned(pn)) {
-            ++st_fault_dropped_wbs_;
-            cur_trace_ = nullptr;
-            return;
-        }
-        fault_.clearLinePoison(lineAddr(addr));
-    }
+    if (!md_.access(addr, true, trace))
+        return; // the page is retired
 
     bool zero = isZeroLine(data);
     BitWriter w;
@@ -393,7 +276,6 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     if (p.zero) {
         if (zero) {
             ++st_zero_wbs_;
-            cur_trace_ = nullptr;
             return;
         }
         // First data: lay out the page with this line's code.
@@ -405,7 +287,6 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
         relayout(pn, p, codes, idx, data, false, trace);
         st_subpage_shifts_ -= 1; // initial layout is not a shift
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -432,7 +313,6 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
                 store_.storeBytes(p.chunk_id, off, w.bytes().data(),
                                   w.bytes().size());
         }
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -486,7 +366,6 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
             2ull * ((sub_end - moved_from + kLineBytes - 1) /
                     kLineBytes);
         ++st_hysteresis_absorbs_;
-        cur_trace_ = nullptr;
         return;
     }
 
@@ -506,7 +385,6 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
                                  PageSizing::kVariable4) >
                     allocBytes(p);
     relayout(pn, p, codes, idx, data, os_fault, trace);
-    cur_trace_ = nullptr;
 }
 
 void
@@ -517,10 +395,7 @@ RmcController::freePage(PageNum pn)
         return;
     store_.resize(it->second.chunks, it->second.chunk_id, 0);
     it->second = Page{};
-    bst_.invalidate(pn);
-    fault_.clearPagePoison(pn);
-    meta_rebuilds_.erase(pn);
-    ++stats_["pages_freed"];
+    md_.release(pn);
 }
 
 AuditReport

@@ -28,6 +28,7 @@
 #include "compress/size_bins.h"
 #include "core/chunk_store.h"
 #include "core/memory_controller.h"
+#include "core/metadata_front_end.h"
 #include "core/pressure_hooks.h"
 #include "fault/fault_hooks.h"
 #include "meta/metadata_cache.h"
@@ -50,7 +51,8 @@ struct RmcConfig
     Cycle page_fault_cycles = 9000;
 };
 
-class RmcController : public MemoryController
+class RmcController : public MemoryController,
+                      private MetadataFrontEnd::Hooks
 {
   public:
     explicit RmcController(const RmcConfig &cfg);
@@ -94,6 +96,7 @@ class RmcController : public MemoryController
     void attachPressureListener(PressureListener *pl) override
     {
         pressure_ = pl;
+        md_.attachPressureListener(pl);
     }
 
     /** Machine bytes backing @p pn (0 for untouched/zero pages);
@@ -104,10 +107,7 @@ class RmcController : public MemoryController
     }
 
     /** The page of the in-flight operation must not be reclaimed. */
-    bool pageBusy(PageNum pn) const override
-    {
-        return cur_trace_ != nullptr && pn == busy_page_;
-    }
+    bool pageBusy(PageNum pn) const override { return md_.busy(pn); }
 
     /** Chunk-map invariant audit (src/check): every valid page's
      *  chunks live and exclusively owned, free list complementary. */
@@ -115,6 +115,7 @@ class RmcController : public MemoryController
 
     StatGroup &stats() override { return stats_; }
     const StatGroup &stats() const override { return stats_; }
+    MetadataCache *metadataCache() override { return &md_.cache(); }
 
     static constexpr unsigned kSubpages = 4;
     static constexpr unsigned kLinesPerSubpage =
@@ -134,8 +135,6 @@ class RmcController : public MemoryController
     };
 
     Page &page(PageNum pn) { return pages_[pn]; }
-    Addr metadataAddr(PageNum pn) const;
-    void bstAccess(PageNum pn, bool dirty, McTrace &trace);
 
     uint32_t subpageOf(LineIdx idx) const
     {
@@ -143,7 +142,8 @@ class RmcController : public MemoryController
     }
     /** Packed bytes of subpage @p sp (sum of its line bins). */
     uint32_t subPack(const Page &p, unsigned sp) const;
-    /** Byte offset of subpage @p sp (sum of preceding sub_alloc). */
+    /** Byte offset of subpage @p sp (sum of preceding sub_alloc);
+     *  kSubpages gives the bytes the page's layout spans. */
     uint32_t subBase(const Page &p, unsigned sp) const;
     /** Byte offset of line @p idx. */
     uint32_t lineOffset(const Page &p, LineIdx idx) const;
@@ -160,22 +160,19 @@ class RmcController : public MemoryController
                   LineIdx idx, const Line &raw, bool os_fault,
                   McTrace &trace);
 
-    // --- fault handling ---
-    /** Detected BST-entry fault: OS page fault + entry rebuild from
-     *  the OS's structures; after max_meta_rebuilds, re-layout the
-     *  page raw so slot lookups no longer depend on the entry.
-     *  Without recovery, retire the page. */
-    void recoverMetadataFault(PageNum pn, McTrace &trace);
+    // --- metadata ladder hooks (OS-aware: the OS rebuilds the BST
+    // entry from its own tables, so there is no hardware re-walk) ---
+    MetadataFrontEnd::PageState mdPageState(PageNum pn) const override;
+    /** The OS re-lays the page out raw (relayout's full-page
+     *  fallback), so slot lookups no longer depend on the codes. */
+    void mdInflate(PageNum pn, McTrace &trace) override;
 
     RmcConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    MetadataCache bst_;
     std::unordered_map<PageNum, Page> pages_;
-    McTrace *cur_trace_ = nullptr;
 
     FaultHooks fault_;
-    std::unordered_map<PageNum, unsigned> meta_rebuilds_;
 
     StatGroup stats_{"mc"};
     // Cached hot-path counter handles (stable across reset()).
@@ -183,7 +180,6 @@ class RmcController : public MemoryController
     uint64_t &st_writebacks_ = stats_.stat("writebacks");
     uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
     uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_md_read_ops_ = stats_.stat("md_read_ops");
     uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
@@ -191,8 +187,6 @@ class RmcController : public MemoryController
     uint64_t &st_page_faults_ = stats_.stat("page_faults");
     uint64_t &st_page_fault_cycles_ = stats_.stat("page_fault_cycles");
     uint64_t &st_subpage_shifts_ = stats_.stat("subpage_shifts");
-    uint64_t &st_fault_poison_fills_ = stats_.stat("fault_poison_fills");
-    uint64_t &st_fault_dropped_wbs_ = stats_.stat("fault_dropped_wbs");
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
     uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_hysteresis_absorbs_ = stats_.stat("hysteresis_absorbs");
@@ -202,9 +196,16 @@ class RmcController : public MemoryController
     /** Chunk lists and device ops; counts into stats_ (declared after
      *  it and fault_ for that reason). */
     ChunkStore store_{cfg_.installed_bytes, stats_, fault_};
+    /** BST cache, entry traffic and fault ladder; likewise. */
+    MetadataFrontEnd md_{cfg_.bst,
+                         {.region_base = Addr(1) << 42,
+                          .hit_latency = cfg_.bst_hit_latency,
+                          .hit_comp = AttribComp::kBstWalk,
+                          .miss_comp = AttribComp::kBstWalk,
+                          .os_fault_cycles = cfg_.page_fault_cycles},
+                         *this, stats_, fault_};
 
     PressureListener *pressure_ = nullptr;
-    PageNum busy_page_ = kNoPage; ///< valid while cur_trace_ is set
 
     Observer *obs_ = nullptr;
     Histogram *h_line_bytes_ = nullptr; ///< owned by the Observer

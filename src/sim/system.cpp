@@ -49,20 +49,15 @@ System::System(const SystemConfig &cfg,
       case McKind::kLcpAlign: {
         LcpConfig lc = cfg.lcp;
         lc.alignment_friendly = cfg.kind == McKind::kLcpAlign;
-        auto ctl = std::make_unique<LcpController>(lc);
-        lcp_ = ctl.get();
-        mc_ = std::move(ctl);
+        mc_ = std::make_unique<LcpController>(lc);
         break;
       }
       case McKind::kRmc:
         mc_ = std::make_unique<RmcController>(RmcConfig{});
         break;
-      case McKind::kCompresso: {
-        auto ctl = std::make_unique<CompressoController>(cfg.compresso);
-        compresso_ = ctl.get();
-        mc_ = std::move(ctl);
+      case McKind::kCompresso:
+        mc_ = std::make_unique<CompressoController>(cfg.compresso);
         break;
-      }
     }
 
     if (cfg.fault.rates_enabled()) {
@@ -78,7 +73,7 @@ System::System(const SystemConfig &cfg,
         obs_->sampler().registerGroup(&mc_->stats());
         obs_->sampler().registerGroup(&dram_.stats());
         obs_->sampler().registerGroup(&hier_.l3().stats());
-        if (MetadataCache *mdc = metadataCache())
+        if (MetadataCache *mdc = mc_->metadataCache())
             obs_->sampler().registerGroup(&mdc->stats());
         attrib_ = obs_->attrib();
     }
@@ -97,16 +92,6 @@ System::System(const SystemConfig &cfg,
             prof, Rng::mix(seed, c + 1), base));
         base += prof.pages + 16; // guard gap between instances
     }
-}
-
-MetadataCache *
-System::metadataCache()
-{
-    if (compresso_)
-        return &compresso_->metadataCache();
-    if (lcp_)
-        return &lcp_->metadataCache();
-    return nullptr;
 }
 
 AccessStream *
@@ -144,7 +129,7 @@ System::resetStats()
         hier_.l1(c).stats().reset();
         hier_.l2(c).stats().reset();
     }
-    if (MetadataCache *mdc = metadataCache())
+    if (MetadataCache *mdc = mc_->metadataCache())
         mdc->stats().reset();
     if (obs_)
         obs_->sampler().restart();

@@ -85,7 +85,7 @@ class System
     DramModel &dram() { return dram_; }
     Hierarchy &hierarchy() { return hier_; }
     AccessStream &stream(unsigned core) { return *streams_[core]; }
-    MetadataCache *metadataCache();
+    MetadataCache *metadataCache() { return mc_->metadataCache(); }
     /** Non-null only when the config enabled fault injection. */
     FaultInjector *faultInjector() { return fault_.get(); }
     /** Non-null only when the config enabled observability. */
@@ -113,8 +113,6 @@ class System
      *  attribution block below compiles out). */
     CycleAttributor *attrib_ = nullptr;
     std::unique_ptr<MemoryController> mc_;
-    CompressoController *compresso_ = nullptr; ///< non-owning view
-    LcpController *lcp_ = nullptr;
     DramModel dram_;
     Hierarchy hier_;
     std::vector<CoreModel> cores_;

@@ -15,11 +15,19 @@
  *  - ospaBytes, mpaDataBytes and mpaMetadataBytes at the end;
  *  - a clean audit().
  *
- * The constants were recorded from the controllers as they stood
- * before their shared chunk code moved into ChunkStore; any change to
- * layout, device-op emission, OOM rescue or fault handling moves at
- * least one of them. No bench runs DMC, so for it this test and the
- * chaos soak are the only end-to-end lock.
+ * The base run's metadata cache holds every page. Two ladder runs
+ * repeat the sequence with a 1 KB metadata cache, with recovery on and
+ * off, so dirty entries are written back on eviction and metadata
+ * faults walk the whole degradation ladder (rebuild, throttled
+ * rebuild, safety inflation, page poison).
+ *
+ * The base constants were recorded from the controllers as they stood
+ * before their shared chunk code moved into ChunkStore, the ladder
+ * constants before their metadata paths moved into MetadataFrontEnd;
+ * any change to layout, device-op emission, OOM rescue, metadata
+ * access or fault handling moves at least one of them. No bench runs
+ * DMC, so for it this test and the chaos soak are the only end-to-end
+ * lock.
  */
 
 #include <gtest/gtest.h>
@@ -127,30 +135,38 @@ class ScriptedPressure : public PressureListener
     uint64_t admits_ = 0;
 };
 
+/** Metadata-cache (RMC: BST) size of the base run. It holds all
+ *  kPages entries, so that run makes no metadata-cache evictions. */
+constexpr size_t kBaseMdcacheBytes = 4 * 1024;
+/** Metadata-cache size of the ladder runs: 16 entries for 40 pages,
+ *  so entries are evicted dirty and refetched throughout, and every
+ *  refetch exposes the entry to a metadata fault. */
+constexpr size_t kLadderMdcacheBytes = 1024;
+
 std::unique_ptr<MemoryController>
-makeController(const std::string &kind)
+makeController(const std::string &kind, size_t mdcache_bytes)
 {
     if (kind == "compresso") {
         CompressoConfig cfg;
         cfg.installed_bytes = kInstalledBytes;
-        cfg.mdcache.size_bytes = 4 * 1024; // evictions and repacks
+        cfg.mdcache.size_bytes = mdcache_bytes;
         return std::make_unique<CompressoController>(cfg);
     }
     if (kind == "lcp") {
         LcpConfig cfg;
         cfg.installed_bytes = kInstalledBytes;
-        cfg.mdcache.size_bytes = 4 * 1024;
+        cfg.mdcache.size_bytes = mdcache_bytes;
         return std::make_unique<LcpController>(cfg);
     }
     if (kind == "rmc") {
         RmcConfig cfg;
         cfg.installed_bytes = kInstalledBytes;
-        cfg.bst.size_bytes = 4 * 1024;
+        cfg.bst.size_bytes = mdcache_bytes;
         return std::make_unique<RmcController>(cfg);
     }
     DmcConfig cfg;
     cfg.installed_bytes = kInstalledBytes;
-    cfg.mdcache.size_bytes = 4 * 1024;
+    cfg.mdcache.size_bytes = mdcache_bytes;
     cfg.epoch_writebacks = 256; // demotions within the run
     return std::make_unique<DmcController>(cfg);
 }
@@ -194,28 +210,59 @@ constexpr Golden kGolden[] = {
      2368},
 };
 
-} // namespace
-
-class ControllerGolden : public ::testing::TestWithParam<std::string>
-{
+// Ladder runs (kLadderMdcacheBytes), recorded from the controllers
+// before their metadata paths moved into MetadataFrontEnd: with
+// recovery on, then with recovery off.
+constexpr Golden kLadderRecover[] = {
+    {"compresso", 0x0f6c824e3535a116ULL, 0xddbc020bb5fa6cf9ULL, 147456,
+     43008, 2304},
+    {"lcp", 0x4a49bcde6e556074ULL, 0xb7e327b916eef7c1ULL, 57344, 49152,
+     896},
+    {"rmc", 0xc98701fc0375aaf2ULL, 0xa9ca5ff9b51d4e89ULL, 122880, 47616,
+     1920},
+    {"dmc", 0x1cb327bd0c6d81beULL, 0x078a5b77dd1aa397ULL, 151552, 45056,
+     2368},
+};
+constexpr Golden kLadderPoison[] = {
+    {"compresso", 0xdaf1d13f331ff4fcULL, 0x430ba3fd8bbf8dc4ULL, 151552,
+     25600, 2368},
+    {"lcp", 0x4a42b28f0c143513ULL, 0x9e47b47735523369ULL, 73728, 49152,
+     1152},
+    {"rmc", 0x709cea512af102f2ULL, 0x12f441b7fe49eadaULL, 135168, 48128,
+     2112},
+    {"dmc", 0x75688cdf83c28e60ULL, 0x05fc3413922a9e4aULL, 151552, 27136,
+     2368},
 };
 
-TEST_P(ControllerGolden, SeededRunMatchesRecordedDigests)
+/** What one seeded run left behind. */
+struct RunResult
 {
-    const std::string kind = GetParam();
-    std::unique_ptr<MemoryController> mc = makeController(kind);
+    std::unique_ptr<MemoryController> mc;
+    uint64_t trace_digest = 0;
+    uint64_t stats_digest = 0;
+    std::string stats_text;
+};
+
+/** Drive the seeded sequence through a fresh @p kind controller. */
+RunResult
+seededRun(const std::string &kind, size_t mdcache_bytes, bool recover)
+{
+    RunResult r;
+    r.mc = makeController(kind, mdcache_bytes);
+    MemoryController &mc = *r.mc;
 
     FaultConfig fc;
     fc.seed = kSeed;
     fc.data_bit_rate = 2e-4;
     fc.meta_bit_rate = 2e-4;
     fc.double_bit_frac = 0.5;
+    fc.recover = recover;
     FaultInjector fi(fc);
-    mc->attachFaultInjector(&fi);
+    mc.attachFaultInjector(&fi);
 
     Fnv trace_h;
-    ScriptedPressure pressure(*mc, kind == "compresso", trace_h);
-    mc->attachPressureListener(&pressure);
+    ScriptedPressure pressure(mc, kind == "compresso", trace_h);
+    mc.attachPressureListener(&pressure);
 
     Rng rng(kSeed);
     for (unsigned i = 0; i < kOps; ++i) {
@@ -227,10 +274,10 @@ TEST_P(ControllerGolden, SeededRunMatchesRecordedDigests)
             Line d;
             generateLine(DataClass(rng.below(kNumDataClasses)),
                          rng.next(), d);
-            mc->writebackLine(a, d, tr);
+            mc.writebackLine(a, d, tr);
         } else if (u < 0.99) {
             Line d;
-            mc->fillLine(a, d, tr);
+            mc.fillLine(a, d, tr);
             for (size_t w = 0; w < kLineBytes; w += 8) {
                 uint64_t v = 0;
                 for (size_t b = 0; b < 8; ++b)
@@ -238,56 +285,118 @@ TEST_P(ControllerGolden, SeededRunMatchesRecordedDigests)
                 trace_h.add(v);
             }
         } else {
-            mc->freePage(pageOf(a));
+            mc.freePage(pageOf(a));
         }
         hashTrace(trace_h, tr);
     }
-    mc->attachPressureListener(nullptr);
-    mc->attachFaultInjector(nullptr);
+    mc.attachPressureListener(nullptr);
+    mc.attachFaultInjector(nullptr);
 
     Fnv stats_h;
     std::ostringstream stats_text;
-    for (const auto &[key, value] : mc->stats().counters()) {
+    for (const auto &[key, value] : mc.stats().counters()) {
         for (char c : key)
             stats_h.add(uint8_t(c));
         stats_h.add(value);
         stats_text << key << '=' << value << '\n';
     }
+    r.trace_digest = trace_h.value();
+    r.stats_digest = stats_h.value();
+    r.stats_text = stats_text.str();
+    return r;
+}
 
-    AuditReport rep = mc->audit();
-    EXPECT_TRUE(rep.clean()) << rep.summary();
-
-    // The run must reach the paths it is meant to lock.
-    const StatGroup &st = mc->stats();
-    EXPECT_GT(st.get("oom_rescues"), 0u) << stats_text.str();
-    EXPECT_GT(st.get("fault_lines_poisoned"), 0u) << stats_text.str();
-    EXPECT_GT(st.get("fault_recovery_ops"), 0u) << stats_text.str();
-    if (kind == "compresso") {
-        EXPECT_GT(st.get("machine_oom"), 0u) << stats_text.str();
-    }
-
+/** Compare a run with the @p kind row of @p table. */
+template <size_t N>
+void
+expectGolden(const RunResult &r, const std::string &kind,
+             const Golden (&table)[N])
+{
     const Golden *g = nullptr;
-    for (const Golden &row : kGolden)
+    for (const Golden &row : table)
         if (kind == row.kind)
             g = &row;
     ASSERT_NE(g, nullptr);
+    const MemoryController &mc = *r.mc;
     char actual[256];
     std::snprintf(actual, sizeof(actual),
                   "{\"%s\", 0x%016llxULL, 0x%016llxULL, %llu, %llu, %llu}",
                   kind.c_str(),
-                  static_cast<unsigned long long>(trace_h.value()),
-                  static_cast<unsigned long long>(stats_h.value()),
-                  static_cast<unsigned long long>(mc->ospaBytes()),
-                  static_cast<unsigned long long>(mc->mpaDataBytes()),
-                  static_cast<unsigned long long>(mc->mpaMetadataBytes()));
-    EXPECT_EQ(trace_h.value(), g->trace_digest) << "actual row: " << actual;
-    EXPECT_EQ(stats_h.value(), g->stats_digest)
-        << "actual row: " << actual << "\n" << stats_text.str();
-    EXPECT_EQ(mc->ospaBytes(), g->ospa_bytes) << "actual row: " << actual;
-    EXPECT_EQ(mc->mpaDataBytes(), g->mpa_data_bytes)
+                  static_cast<unsigned long long>(r.trace_digest),
+                  static_cast<unsigned long long>(r.stats_digest),
+                  static_cast<unsigned long long>(mc.ospaBytes()),
+                  static_cast<unsigned long long>(mc.mpaDataBytes()),
+                  static_cast<unsigned long long>(mc.mpaMetadataBytes()));
+    EXPECT_EQ(r.trace_digest, g->trace_digest) << "actual row: " << actual;
+    EXPECT_EQ(r.stats_digest, g->stats_digest)
+        << "actual row: " << actual << "\n" << r.stats_text;
+    EXPECT_EQ(mc.ospaBytes(), g->ospa_bytes) << "actual row: " << actual;
+    EXPECT_EQ(mc.mpaDataBytes(), g->mpa_data_bytes)
         << "actual row: " << actual;
-    EXPECT_EQ(mc->mpaMetadataBytes(), g->mpa_metadata_bytes)
+    EXPECT_EQ(mc.mpaMetadataBytes(), g->mpa_metadata_bytes)
         << "actual row: " << actual;
+}
+
+} // namespace
+
+class ControllerGolden : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(ControllerGolden, SeededRunMatchesRecordedDigests)
+{
+    const std::string kind = GetParam();
+    RunResult r = seededRun(kind, kBaseMdcacheBytes, true);
+
+    AuditReport rep = r.mc->audit();
+    EXPECT_TRUE(rep.clean()) << rep.summary();
+    EXPECT_EQ(r.mc->metadataCache()->stats().get("evictions"), 0u);
+
+    // The run must reach the paths it is meant to lock.
+    const StatGroup &st = r.mc->stats();
+    EXPECT_GT(st.get("oom_rescues"), 0u) << r.stats_text;
+    EXPECT_GT(st.get("fault_lines_poisoned"), 0u) << r.stats_text;
+    EXPECT_GT(st.get("fault_recovery_ops"), 0u) << r.stats_text;
+    if (kind == "compresso") {
+        EXPECT_GT(st.get("machine_oom"), 0u) << r.stats_text;
+    }
+    expectGolden(r, kind, kGolden);
+}
+
+/**
+ * The metadata degradation ladder (DESIGN.md §9) under a metadata
+ * cache too small for the pages: dirty-entry writebacks, bounded
+ * rebuilds, watchdog-throttled rebuilds and safety inflations with
+ * recovery on; page poisoning with recovery off.
+ */
+TEST_P(ControllerGolden, LadderRunsMatchRecordedDigests)
+{
+    const std::string kind = GetParam();
+    {
+        SCOPED_TRACE("recovery on");
+        RunResult r = seededRun(kind, kLadderMdcacheBytes, true);
+        AuditReport rep = r.mc->audit();
+        EXPECT_TRUE(rep.clean()) << rep.summary();
+        const StatGroup &st = r.mc->stats();
+        EXPECT_GT(r.mc->metadataCache()->stats().get("evictions"), 0u);
+        EXPECT_GT(st.get("fault_meta_rebuilds"), 0u) << r.stats_text;
+        EXPECT_GT(st.get("fault_rebuilds_throttled"), 0u) << r.stats_text;
+        EXPECT_GT(st.get("fault_pages_inflated"), 0u) << r.stats_text;
+        EXPECT_GT(st.get("md_write_ops"), st.get("fault_meta_rebuilds"))
+            << r.stats_text;
+        expectGolden(r, kind, kLadderRecover);
+    }
+    {
+        SCOPED_TRACE("recovery off");
+        RunResult r = seededRun(kind, kLadderMdcacheBytes, false);
+        AuditReport rep = r.mc->audit();
+        EXPECT_TRUE(rep.clean()) << rep.summary();
+        const StatGroup &st = r.mc->stats();
+        EXPECT_GT(r.mc->metadataCache()->stats().get("evictions"), 0u);
+        EXPECT_GT(st.get("fault_pages_poisoned"), 0u) << r.stats_text;
+        EXPECT_EQ(st.get("fault_meta_rebuilds"), 0u) << r.stats_text;
+        expectGolden(r, kind, kLadderPoison);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(CompressedControllers, ControllerGolden,

@@ -17,35 +17,46 @@
 #include "core/lcp_controller.h"
 #include "core/rmc_controller.h"
 #include "core/uncompressed_controller.h"
+#include "fault/fault_injector.h"
 #include "workloads/datagen.h"
 
 using namespace compresso;
 
 namespace {
 
+/** @p mdcache_bytes: metadata-cache (RMC: BST) size, 0 = the
+ *  parity default. */
 std::unique_ptr<MemoryController>
-makeController(const std::string &kind)
+makeController(const std::string &kind, size_t mdcache_bytes = 0)
 {
     if (kind == "uncompressed")
         return std::make_unique<UncompressedController>();
     if (kind == "lcp") {
         LcpConfig cfg;
         cfg.installed_bytes = uint64_t(64) << 20;
+        if (mdcache_bytes != 0)
+            cfg.mdcache.size_bytes = mdcache_bytes;
         return std::make_unique<LcpController>(cfg);
     }
     if (kind == "rmc") {
         RmcConfig cfg;
         cfg.installed_bytes = uint64_t(64) << 20;
+        if (mdcache_bytes != 0)
+            cfg.bst.size_bytes = mdcache_bytes;
         return std::make_unique<RmcController>(cfg);
     }
     if (kind == "dmc") {
         DmcConfig cfg;
         cfg.installed_bytes = uint64_t(64) << 20;
+        if (mdcache_bytes != 0)
+            cfg.mdcache.size_bytes = mdcache_bytes;
         return std::make_unique<DmcController>(cfg);
     }
     CompressoConfig cfg;
     cfg.installed_bytes = uint64_t(64) << 20;
     cfg.mdcache.size_bytes = 8 * 1024; // stress evictions/repacks
+    if (mdcache_bytes != 0)
+        cfg.mdcache.size_bytes = mdcache_bytes;
     return std::make_unique<CompressoController>(cfg);
 }
 
@@ -154,16 +165,52 @@ TEST_P(ControllerParity, CompressionRatioOrdering)
 
 TEST_P(ControllerParity, TracesAreWellFormed)
 {
-    Line d;
-    generateLine(DataClass::kDeltaInt, 3, d);
-    McTrace wt;
-    mc_->writebackLine(30 * kPageBytes, d, wt);
-    // Writebacks never put reads on the critical path.
-    for (const auto &op : wt.ops) {
-        if (op.critical) {
-            EXPECT_FALSE(op.write == false && false); // placeholder
+    // A writeback never stalls the core on the device: its only
+    // critical op is the entry fetch of a metadata-cache miss. Checked
+    // over seeded writebacks with the parity metadata cache and with a
+    // 1 KB one (dirty entries evicted throughout), each fault-free and
+    // with metadata and data faults walking the recovery ladder.
+    FaultConfig fc;
+    fc.seed = 99;
+    fc.data_bit_rate = 2e-4;
+    fc.meta_bit_rate = 2e-4;
+    fc.double_bit_frac = 0.5;
+    Rng rng(2718);
+    for (size_t mdcache_bytes : {size_t(0), size_t(1024)}) {
+        for (bool faults : {false, true}) {
+            std::unique_ptr<MemoryController> mc =
+                makeController(GetParam(), mdcache_bytes);
+            FaultInjector fi(fc);
+            if (faults)
+                mc->attachFaultInjector(&fi);
+            for (int i = 0; i < 1000; ++i) {
+                Addr a = Addr(rng.below(48)) * kPageBytes +
+                         rng.below(kLinesPerPage) * kLineBytes;
+                Line d;
+                generateLine(DataClass(rng.below(kNumDataClasses)),
+                             rng.next(), d);
+                McTrace wt;
+                mc->writebackLine(a, d, wt);
+                unsigned critical = 0;
+                bool critical_write = false;
+                for (const auto &op : wt.ops) {
+                    critical += op.critical;
+                    critical_write |= op.critical && op.write;
+                }
+                ASSERT_FALSE(critical_write)
+                    << "mdcache " << mdcache_bytes << " faults " << faults
+                    << " writeback " << i;
+                ASSERT_EQ(critical, wt.metadata_hit ? 0u : 1u)
+                    << "mdcache " << mdcache_bytes << " faults " << faults
+                    << " writeback " << i;
+            }
+            mc->attachFaultInjector(nullptr);
         }
     }
+
+    Line d;
+    generateLine(DataClass::kDeltaInt, 3, d);
+    write(30 * kPageBytes, d);
     McTrace rt;
     Line out;
     mc_->fillLine(30 * kPageBytes, out, rt);

@@ -223,7 +223,7 @@ TEST(CompressoFaults, MetadataDueRebuildsThenInflates)
     writeLine(mc, addrOf(pn, 0), in); // miss -> rebuild #1 (fresh entry)
     EXPECT_EQ(mc.stats().get("fault_meta_rebuilds"), 1u);
 
-    mc.metadataCache().invalidate(pn);
+    mc.metadataCache()->invalidate(pn);
     EXPECT_EQ(readLine(mc, addrOf(pn, 0)), in); // rebuild #2
     EXPECT_EQ(mc.stats().get("fault_meta_rebuilds"), 2u);
     EXPECT_EQ(mc.stats().get("fault_pages_inflated"), 0u);
@@ -231,7 +231,7 @@ TEST(CompressoFaults, MetadataDueRebuildsThenInflates)
     // Third rebuild exceeds max_meta_rebuilds (2): the page escalates
     // to uncompressed 4 KB, the safe state whose identity layout no
     // longer depends on fragile metadata fields.
-    mc.metadataCache().invalidate(pn);
+    mc.metadataCache()->invalidate(pn);
     EXPECT_EQ(readLine(mc, addrOf(pn, 0)), in);
     EXPECT_EQ(mc.stats().get("fault_meta_rebuilds"), 3u);
     EXPECT_EQ(mc.stats().get("fault_pages_inflated"), 1u);
@@ -261,7 +261,7 @@ TEST(CompressoFaults, MetadataDueWithoutRecoveryPoisonsPage)
 
     // Once the page holds data, an unrecoverable metadata DUE means
     // the whole OSPA->MPA mapping is gone: retire the page.
-    mc.metadataCache().invalidate(pn);
+    mc.metadataCache()->invalidate(pn);
     EXPECT_TRUE(isZeroLine(readLine(mc, addrOf(pn, 0))));
     EXPECT_EQ(mc.stats().get("fault_pages_poisoned"), 1u);
     EXPECT_EQ(fi.report().pages_poisoned, 1u);
@@ -298,14 +298,14 @@ TEST(LcpFaults, MetadataDueChargesOsPageFault)
     EXPECT_GE(mc.stats().get("fault_meta_rebuilds"), 1u);
     EXPECT_GE(faults0, 1u);
 
-    mc.metadataCache().invalidate(pn);
+    mc.metadataCache()->invalidate(pn);
     McTrace tr;
     EXPECT_EQ(readLine(mc, addrOf(pn, 4), &tr), in);
     EXPECT_GT(mc.stats().get("page_faults"), faults0);
     EXPECT_GE(tr.stall_cycles, cfg.page_fault_cycles);
 
     // Escalation re-lays the page out with a 64 B target.
-    mc.metadataCache().invalidate(pn);
+    mc.metadataCache()->invalidate(pn);
     EXPECT_EQ(readLine(mc, addrOf(pn, 4)), in);
     EXPECT_EQ(mc.stats().get("fault_pages_inflated"), 1u);
     EXPECT_EQ(fi.report().pages_inflated_safety, 1u);

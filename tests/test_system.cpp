@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dmc_controller.h"
 #include "sim/runner.h"
+#include "workloads/datagen.h"
 
 using namespace compresso;
 
@@ -120,6 +122,35 @@ TEST(System, LcpRunsGcc)
     RunResult r = runSystem(quickSpec(McKind::kLcp, "gcc"));
     EXPECT_GT(r.comp_ratio, 1.0);
     EXPECT_GT(r.perf, 0.0);
+}
+
+TEST(System, EveryMetadataCacheReportsItsHitRate)
+{
+    // RMC's BST cache is reached through the controller interface like
+    // Compresso's and LCP's metadata caches.
+    RunResult r = runSystem(quickSpec(McKind::kRmc, "gcc"));
+    EXPECT_GT(r.md_hit_rate, 0.0);
+    EXPECT_LE(r.md_hit_rate, 1.0);
+
+    // No System kind runs DMC: drive its controller directly.
+    DmcController dmc(DmcConfig{});
+    Rng rng(5);
+    for (int i = 0; i < 4000; ++i) {
+        Addr a = Addr(rng.below(64)) * kPageBytes +
+                 rng.below(kLinesPerPage) * kLineBytes;
+        Line d;
+        generateLine(DataClass(rng.below(kNumDataClasses)), rng.next(), d);
+        McTrace tr;
+        dmc.writebackLine(a, d, tr);
+    }
+    MemoryController &mc = dmc;
+    ASSERT_NE(mc.metadataCache(), nullptr);
+    double hit_rate = mc.metadataCache()->stats().ratio("hits", "accesses");
+    EXPECT_GT(hit_rate, 0.0);
+    EXPECT_LE(hit_rate, 1.0);
+    UncompressedController plain;
+    EXPECT_EQ(static_cast<MemoryController &>(plain).metadataCache(),
+              nullptr);
 }
 
 TEST(System, FourCoreSharedSystem)
