@@ -18,9 +18,9 @@
  *    leaks (live but unreachable), no double-mapping, no
  *    use-after-release, nothing past the allocation frontier.
  *
- *  - auditChunkMap<PageMap>(): the generic audit for the baseline
- *    controllers (LCP/RMC/DMC), whose per-page state exposes the
- *    common `valid` / `zero` / `chunks` / `chunk_id` shape.
+ *  - auditChunkMap<PageMap>(): the generic audit over a page table of
+ *    ChunkedPage records (core/compressed_controller.h), the per-page
+ *    state of the baseline controllers (LCP/RMC/DMC).
  *
  * Controllers expose the full pass as MemoryController::audit();
  * COMPRESSO_CHECKED_BUILD wires the page-local layer into every
@@ -102,8 +102,9 @@ class InvariantAuditor
 
     /**
      * Generic chunk-map audit over a page table whose mapped type
-     * exposes `valid`, `zero`, `chunks` and `chunk_id` (the common
-     * shape of the LCP/RMC/DMC per-page state).
+     * exposes `valid`, `zero`, `chunks` and a chunk list reached by
+     * chunkIds(): a ChunkedPage or a MetadataEntry
+     * (core/compressed_controller.h).
      */
     template <class PageMap>
     static AuditReport
@@ -126,17 +127,17 @@ class InvariantAuditor
                         std::to_string(p.chunks) + " chunks");
                 continue;
             }
+            const auto &ids = chunkIds(p);
             for (unsigned c = 0; c < kChunksPerPage; ++c) {
                 if (c < p.chunks) {
-                    if (p.chunk_id[c] == kNoChunk)
+                    if (ids[c] == kNoChunk)
                         rep.add(ViolationKind::kMpfnMissing, pn,
                                 kNoChunk,
                                 "slot " + std::to_string(c));
                     else
-                        xc.mapChunk(pn, p.chunk_id[c], rep);
-                } else if (p.chunk_id[c] != kNoChunk) {
-                    rep.add(ViolationKind::kMpfnNotCleared, pn,
-                            p.chunk_id[c],
+                        xc.mapChunk(pn, ids[c], rep);
+                } else if (ids[c] != kNoChunk) {
+                    rep.add(ViolationKind::kMpfnNotCleared, pn, ids[c],
                             "slot " + std::to_string(c));
                 }
             }

@@ -123,31 +123,6 @@ class ChunkStore
     uint64_t *st_prefetch_hits_ = nullptr; ///< stream-buffer models only
 };
 
-// Footprint over a controller's page table, whose entries all carry
-// `valid` and `chunks` (cf. InvariantAuditor::auditChunkMap).
-
-/** Pages holding a valid mapping. */
-template <class PageMap>
-uint64_t
-validPages(const PageMap &pages)
-{
-    uint64_t n = 0;
-    for (const auto &[page, p] : pages)
-        n += p.valid ? 1 : 0;
-    return n;
-}
-
-/** Machine bytes backing @p page (0 if untouched or invalid). */
-template <class PageMap>
-uint64_t
-pageChunkBytes(const PageMap &pages, PageNum page)
-{
-    auto it = pages.find(page);
-    if (it == pages.end() || !it->second.valid)
-        return 0;
-    return uint64_t(it->second.chunks) * kChunkBytes;
-}
-
 } // namespace compresso
 
 #endif // COMPRESSO_CORE_CHUNK_STORE_H

@@ -18,8 +18,16 @@ namespace compresso {
 #define CPR_CHECKED_AUDIT(page, site) ((void)0)
 #endif
 
+// The metadata region sits at 1 TB, disjoint from the data chunks,
+// which grow up from 0.
 CompressoController::CompressoController(const CompressoConfig &cfg)
-    : cfg_(cfg),
+    : CompressedController(
+          cfg.installed_bytes,
+          cfg.stream_buffer ? cfg.stream_buffer_blocks : 0, cfg.mdcache,
+          {.region_base = Addr(1) << 40,
+           .hit_latency = cfg.mdcache_hit_latency,
+           .throttle_skips_rewrite = true}),
+      cfg_(cfg),
       bins_(cfg.line_bins ? cfg.line_bins
                           : (cfg.alignment_friendly ? &compressoBins()
                                                     : &legacyBins())),
@@ -33,11 +41,7 @@ CompressoController::CompressoController(const CompressoConfig &cfg)
 void
 CompressoController::attachObserver(Observer *obs)
 {
-    obs_ = obs;
-    md_.attachObserver(obs);
-    store_.attachObserver(obs);
-    h_line_bytes_ =
-        obs ? obs->histogram("mc.compressed_line_bytes") : nullptr;
+    CompressedController::attachObserver(obs);
     h_page_alloc_ = obs ? obs->histogram("mc.page_alloc_bytes") : nullptr;
     h_page_free_ = obs ? obs->histogram("mc.page_free_bytes") : nullptr;
     h_repack_cost_ = obs ? obs->histogram("mc.repack_cost_ops") : nullptr;
@@ -65,12 +69,6 @@ CompressoController::predictorPageShrink(PageNum page)
 // Metadata helpers
 // ---------------------------------------------------------------------
 
-MetadataEntry &
-CompressoController::meta(PageNum page)
-{
-    return meta_[page];
-}
-
 CompressoController::PageShadow &
 CompressoController::shadow(PageNum page)
 {
@@ -80,7 +78,7 @@ CompressoController::shadow(PageNum page)
 const MetadataEntry &
 CompressoController::pageMeta(PageNum page)
 {
-    return meta(page);
+    return pages_[page];
 }
 
 // ---------------------------------------------------------------------
@@ -162,7 +160,7 @@ CompressoController::firstTouch(PageNum page, MetadataEntry &m)
     m.inflate_count = 0;
     m.free_space = 0;
     m.line_code.fill(0);
-    ++stats_["pages_touched"];
+    ++st_pages_touched_;
 }
 
 void
@@ -523,8 +521,8 @@ void
 CompressoController::repackPage(PageNum page, McTrace &trace)
 {
     CPR_PROF_SCOPE(ProfPhase::kMcRepack);
-    auto mit = meta_.find(page);
-    if (mit == meta_.end())
+    auto mit = pages_.find(page);
+    if (mit == pages_.end())
         return;
     MetadataEntry &m = mit->second;
     if (!m.valid || m.zero || m.chunks == 0)
@@ -700,14 +698,14 @@ CompressoController::updateFreeSpace(MetadataEntry &m, const PageShadow &sh)
 MetadataFrontEnd::PageState
 CompressoController::mdPageState(PageNum page) const
 {
-    const MetadataEntry &m = meta_.at(page);
+    const MetadataEntry &m = pages_.at(page);
     return {m.valid, m.valid && !m.zero && m.compressed};
 }
 
 uint64_t
 CompressoController::mdRewalkEstimate(PageNum page) const
 {
-    const MetadataEntry &m = meta_.at(page);
+    const MetadataEntry &m = pages_.at(page);
     if (!m.valid || m.zero || m.chunks == 0)
         return 1;
     return 1 + (usedBytes(m) + kLineBytes - 1) / kLineBytes;
@@ -717,7 +715,7 @@ void
 CompressoController::mdRewalk(PageNum page, McTrace &trace)
 {
     // Re-walk the page's stored bytes to recompute the layout fields.
-    const MetadataEntry &m = meta_.at(page);
+    const MetadataEntry &m = pages_.at(page);
     if (m.valid && !m.zero && m.chunks > 0)
         store_.deviceOps(m.mpfn, 0, usedBytes(m), false, false, trace,
                          AttribComp::kFaultRecovery);
@@ -726,7 +724,7 @@ CompressoController::mdRewalk(PageNum page, McTrace &trace)
 void
 CompressoController::mdInflate(PageNum page, McTrace &trace)
 {
-    MetadataEntry &m = meta_.at(page);
+    MetadataEntry &m = pages_.at(page);
     inflateToUncompressed(page, m, trace, AttribComp::kFaultRecovery);
     shadow(page).predictor_inflated = true;
     updateFreeSpace(m, shadow(page));
@@ -737,8 +735,8 @@ CompressoController::mdEvicted(PageNum page, McTrace &trace)
 {
     if (!cfg_.repack_on_evict)
         return;
-    auto mit = meta_.find(page);
-    if (mit == meta_.end())
+    auto mit = pages_.find(page);
+    if (mit == pages_.end())
         return;
     const MetadataEntry &m = mit->second;
     // Repack only if at least one 512 B chunk is recoverable
@@ -750,8 +748,8 @@ CompressoController::mdEvicted(PageNum page, McTrace &trace)
 bool
 CompressoController::recoverCorruptPage(PageNum page)
 {
-    auto mit = meta_.find(page);
-    if (mit == meta_.end())
+    auto mit = pages_.find(page);
+    if (mit == pages_.end())
         return false;
     MetadataEntry &m = mit->second;
 
@@ -814,7 +812,7 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
     MetadataFrontEnd::Op op(md_, trace, page);
     ++st_fills_;
 
-    MetadataEntry &m = meta(page);
+    MetadataEntry &m = pages_[page];
     if (!md_.access(addr, false, trace, m.halfCacheable())) {
         data.fill(0); // retired by the degradation ladder
         return;
@@ -904,7 +902,7 @@ CompressoController::writebackLine(Addr addr, const Line &data,
     MetadataFrontEnd::Op op(md_, trace, page);
     ++st_writebacks_;
 
-    MetadataEntry &m = meta(page);
+    MetadataEntry &m = pages_[page];
     if (!md_.access(addr, true, trace, m.halfCacheable()))
         return; // the page is retired
 
@@ -991,15 +989,9 @@ CompressoController::writebackLine(Addr addr, const Line &data,
 // ---------------------------------------------------------------------
 
 void
-CompressoController::freePage(PageNum page)
+CompressoController::pageFreed(PageNum page)
 {
-    auto mit = meta_.find(page);
-    if (mit == meta_.end() || !mit->second.valid)
-        return;
-    store_.resize(mit->second.chunks, mit->second.mpfn, 0);
-    mit->second = MetadataEntry{};
     shadow_.erase(page);
-    md_.release(page);
     CPR_CHECKED_AUDIT(page, "freePage (balloon release)");
 }
 
@@ -1009,8 +1001,8 @@ CompressoController::repackAll()
     McTrace scratch;
     MetadataFrontEnd::Op op(md_, scratch, kNoPage);
     std::vector<PageNum> pages;
-    pages.reserve(meta_.size());
-    for (const auto &[page, m] : meta_)
+    pages.reserve(pages_.size());
+    for (const auto &[page, m] : pages_)
         if (m.valid && !m.zero && m.free_space >= kChunkBytes)
             pages.push_back(page);
     for (PageNum p : pages)
@@ -1027,7 +1019,7 @@ CompressoController::audit() const
     AuditReport rep;
     InvariantAuditor auditor(*bins_, cfg_.page_sizing);
     InvariantAuditor::ChunkCrossCheck xcheck;
-    for (const auto &[page, m] : meta_) {
+    for (const auto &[page, m] : pages_) {
         auto sit = shadow_.find(page);
         const uint8_t *actual_bin =
             sit != shadow_.end() && m.valid && !m.zero
@@ -1050,8 +1042,8 @@ CompressoController::auditPage(PageNum page) const
 {
     AuditReport rep;
     InvariantAuditor auditor(*bins_, cfg_.page_sizing);
-    auto mit = meta_.find(page);
-    if (mit != meta_.end()) {
+    auto mit = pages_.find(page);
+    if (mit != pages_.end()) {
         auto sit = shadow_.find(page);
         const uint8_t *actual_bin =
             sit != shadow_.end() && mit->second.valid &&

@@ -26,16 +26,11 @@
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_store.h"
-#include "core/memory_controller.h"
-#include "core/metadata_front_end.h"
+#include "core/compressed_controller.h"
 #include "core/offset_circuit.h"
 #include "core/predictor.h"
-#include "core/pressure_hooks.h"
-#include "fault/fault_hooks.h"
 #include "meta/metadata_cache.h"
 #include "meta/metadata_entry.h"
-#include "obs/observer.h"
 #include "packing/linepack.h"
 
 namespace compresso {
@@ -70,8 +65,7 @@ struct CompressoConfig
     Cycle mdcache_hit_latency = 2;
 };
 
-class CompressoController : public MemoryController,
-                            private MetadataFrontEnd::Hooks
+class CompressoController : public CompressedController<MetadataEntry>
 {
   public:
     explicit CompressoController(const CompressoConfig &cfg);
@@ -82,59 +76,11 @@ class CompressoController : public MemoryController,
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override
-    {
-        return validPages(meta_) * kPageBytes;
-    }
-    uint64_t mpaDataBytes() const override { return store_.usedBytes(); }
-    uint64_t mpaMetadataBytes() const override
-    {
-        return validPages(meta_) * kMetadataEntryBytes;
-    }
-
-    void freePage(PageNum page) override;
-
-    /** Wire the fault-injection harness (fault/fault_injector.h) into
-     *  the demand paths: exposed reads are ECC-adjudicated and
-     *  detected-uncorrectable faults enter the degradation ladder
-     *  (rebuild -> inflate-to-4KB -> poison). */
-    void attachFaultInjector(FaultInjector *fi) override
-    {
-        fault_.attach(fi);
-    }
-
     /** Wire the observability layer through the controller and its
      *  metadata cache; caches histogram handles so the hot paths
      *  never do name lookups. */
     void attachObserver(Observer *obs) override;
 
-    /** Wire the pressure governor (core/pressure_hooks.h): OOM rescue
-     *  via emergency ballooning, admission throttling of repack /
-     *  speculative inflation, and watchdogged stall budgets on the
-     *  relocation and metadata-rebuild paths. */
-    void attachPressureListener(PressureListener *pl) override
-    {
-        pressure_ = pl;
-        md_.attachPressureListener(pl);
-    }
-
-    /** Machine bytes backing @p page: allocated chunks times 512 B
-     *  (0 for untouched/zero pages). Reclaim-ranking input for the
-     *  governor's most-compressible-first emergency ballooning. */
-    uint64_t pageCompressedBytes(PageNum page) const override
-    {
-        return pageChunkBytes(meta_, page);
-    }
-
-    /** Pages with a live metadata reference on the call stack
-     *  (writeback and repack-on-evict nest); the governor's emergency
-     *  reclaim must not free them. */
-    bool pageBusy(PageNum page) const override { return md_.busy(page); }
-
-    StatGroup &stats() override { return stats_; }
-    const StatGroup &stats() const override { return stats_; }
-
-    MetadataCache *metadataCache() override { return &md_.cache(); }
     PageOverflowPredictor &predictor() { return predictor_; }
     const SizeBins &lineBins() const { return *bins_; }
     const CompressoConfig &config() const { return cfg_; }
@@ -165,7 +111,7 @@ class CompressoController : public MemoryController,
      *  the auditor tests plant corruptions (leaked chunks, stale
      *  free_space, invalid codes) and prove audit() reports them.
      *  Never use from simulation code. */
-    MetadataEntry &pageMetaForTest(PageNum page) { return meta_[page]; }
+    MetadataEntry &pageMetaForTest(PageNum page) { return pages_[page]; }
 
     /** Chunk-allocator access for the same fault-injection tests. */
     ChunkAllocator &chunkAllocatorForTest() { return store_.allocator(); }
@@ -201,14 +147,14 @@ class CompressoController : public MemoryController,
     void mdInflate(PageNum page, McTrace &trace) override;
     /** Repack-on-evict (Sec. IV-B4). */
     void mdEvicted(PageNum page, McTrace &trace) override;
+    /** freePage's own step: drop the shadow, audit the page. */
+    void pageFreed(PageNum page) override;
     /** Best-effort local repair of an audit-caught corrupt page:
      *  recompute derived fields, else retire the page to a poisoned
      *  zero state. Returns false if the damage is cross-structure
      *  (leaked/double-mapped chunks) and only an abort is safe. */
     bool recoverCorruptPage(PageNum page);
 
-    // --- metadata & timing helpers ---
-    MetadataEntry &meta(PageNum page);
     PageShadow &shadow(PageNum page);
 
     // --- layout helpers ---
@@ -267,26 +213,14 @@ class CompressoController : public MemoryController,
     PageOverflowPredictor predictor_;
     OffsetCircuit offsets_;
 
-    std::unordered_map<PageNum, MetadataEntry> meta_;
     std::unordered_map<PageNum, PageShadow> shadow_;
 
-    FaultHooks fault_;
-
-    PressureListener *pressure_ = nullptr;
-    StatGroup stats_{"mc"};
-    // Cached hot-path counter handles (stable across reset()).
-    uint64_t &st_fills_ = stats_.stat("fills");
-    uint64_t &st_writebacks_ = stats_.stat("writebacks");
-    uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
-    uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_line_underflows_ = stats_.stat("line_underflows");
     uint64_t &st_co_fetched_lines_ = stats_.stat("co_fetched_lines");
     uint64_t &st_free_slot_growths_ = stats_.stat("free_slot_growths");
     uint64_t &st_free_page_grows_ = stats_.stat("free_page_grows");
     uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
-    uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_ir_placements_ = stats_.stat("ir_placements");
     uint64_t &st_predictor_inflations_ = stats_.stat("predictor_inflations");
     uint64_t &st_dyn_ir_expansions_ = stats_.stat("dyn_ir_expansions");
@@ -300,22 +234,7 @@ class CompressoController : public MemoryController,
     uint64_t &st_overflow_escalations_ =
         stats_.stat("overflow_escalations");
 
-    /** Chunk lists, device ops and the stream buffer; counts into
-     *  stats_ (declared after it and fault_ for that reason). */
-    ChunkStore store_{cfg_.installed_bytes, stats_, fault_,
-                      cfg_.stream_buffer ? cfg_.stream_buffer_blocks : 0};
-    /** Metadata cache, entry traffic and fault ladder; likewise. The
-     *  metadata region sits at 1 TB, disjoint from the data chunks,
-     *  which grow up from 0. */
-    MetadataFrontEnd md_{cfg_.mdcache,
-                         {.region_base = Addr(1) << 40,
-                          .hit_latency = cfg_.mdcache_hit_latency,
-                          .throttle_skips_rewrite = true},
-                         *this, stats_, fault_};
-
     // Observability (src/obs): null when disabled.
-    Observer *obs_ = nullptr;
-    Histogram *h_line_bytes_ = nullptr;   ///< compressed writeback size
     Histogram *h_page_alloc_ = nullptr;   ///< page allocation (occupancy)
     Histogram *h_page_free_ = nullptr;    ///< page free space
     Histogram *h_repack_cost_ = nullptr;  ///< 64 B ops per repack

@@ -4,29 +4,20 @@
 #include <cassert>
 #include <numeric>
 
-#include "check/invariant_auditor.h"
 #include "prof/profiler.h"
 #include "packing/linepack.h"
 
 namespace compresso {
 
 DmcController::DmcController(const DmcConfig &cfg)
-    : cfg_(cfg),
+    : CompressedController(cfg.installed_bytes, std::nullopt, cfg.mdcache,
+                           {.region_base = Addr(1) << 43,
+                            .hit_latency = cfg.mdcache_hit_latency}),
+      cfg_(cfg),
       hot_codec_(makeCompressor(cfg.hot_compressor)),
       cold_codec_(makeCompressor(cfg.cold_compressor))
 {
     assert(hot_codec_ && cold_codec_ && "unknown compressor name");
-}
-
-void
-DmcController::attachObserver(Observer *obs)
-{
-    obs_ = obs;
-    md_.attachObserver(obs);
-    store_.attachObserver(obs);
-    h_line_bytes_ =
-        obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
-                       : nullptr;
 }
 
 uint32_t
@@ -248,9 +239,10 @@ DmcController::decayEpoch(McTrace &trace)
 }
 
 bool
-DmcController::isCold(PageNum pn)
+DmcController::isCold(PageNum pn) const
 {
-    return page(pn).cold;
+    auto it = pages_.find(pn);
+    return it != pages_.end() && it->second.cold;
 }
 
 MetadataFrontEnd::PageState
@@ -450,23 +442,6 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         epoch_wbs_ = 0;
         decayEpoch(trace);
     }
-}
-
-void
-DmcController::freePage(PageNum pn)
-{
-    auto it = pages_.find(pn);
-    if (it == pages_.end() || !it->second.valid)
-        return;
-    store_.resize(it->second.chunks, it->second.chunk_id, 0);
-    it->second = Page{};
-    md_.release(pn);
-}
-
-AuditReport
-DmcController::audit() const
-{
-    return InvariantAuditor::auditChunkMap(pages_, store_.allocator());
 }
 
 } // namespace compresso

@@ -25,18 +25,12 @@
 #define COMPRESSO_CORE_DMC_CONTROLLER_H
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_store.h"
-#include "core/memory_controller.h"
-#include "core/metadata_front_end.h"
-#include "core/pressure_hooks.h"
-#include "fault/fault_hooks.h"
+#include "core/compressed_controller.h"
 #include "meta/metadata_cache.h"
-#include "obs/observer.h"
 
 namespace compresso {
 
@@ -54,8 +48,21 @@ struct DmcConfig
     Cycle mdcache_hit_latency = 2;
 };
 
-class DmcController : public MemoryController,
-                      private MetadataFrontEnd::Hooks
+/** Per-page DMC state: the hot per-line codes or the cold blocks. */
+struct DmcPage : ChunkedPage
+{
+    /** 1 KB cold-compression granularity: 4 blocks per page. */
+    static constexpr unsigned kColdBlocks = 4;
+
+    bool cold = false;
+    bool touched_this_epoch = true;
+    std::array<uint8_t, kLinesPerPage> code{}; ///< hot: bin per line
+    /** Cold representation: per-1KB-block compressed byte counts
+     *  (the blocks are stored back to back). */
+    std::array<uint32_t, kColdBlocks> cold_bytes{};
+};
+
+class DmcController : public CompressedController<DmcPage>
 {
   public:
     explicit DmcController(const DmcConfig &cfg);
@@ -66,48 +73,6 @@ class DmcController : public MemoryController,
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override
-    {
-        return validPages(pages_) * kPageBytes;
-    }
-    uint64_t mpaDataBytes() const override { return store_.usedBytes(); }
-    uint64_t mpaMetadataBytes() const override
-    {
-        return validPages(pages_) * kMetadataEntryBytes;
-    }
-
-    void freePage(PageNum page) override;
-
-    /** Fault wiring: OS-transparent degradation like Compresso — a
-     *  detected metadata fault triggers a hardware re-walk (bounded,
-     *  escalating to a raw hot re-layout); data DUEs poison the
-     *  line. */
-    void attachFaultInjector(FaultInjector *fi) override
-    {
-        fault_.attach(fi);
-    }
-
-    /** Observability: events (split access, line overflow, page
-     *  overflow = migration, fault-recovery rungs) and the
-     *  compressed-line-size histogram (null detaches). */
-    void attachObserver(Observer *obs) override;
-
-    /** Pressure wiring (core/pressure_hooks.h): machine-OOM rescue,
-     *  admission throttling of epoch cold-demotions (maintenance),
-     *  and stall-cost reporting on hot/cold migrations. */
-    void attachPressureListener(PressureListener *pl) override
-    {
-        pressure_ = pl;
-        md_.attachPressureListener(pl);
-    }
-
-    /** Machine bytes backing @p pn (0 for untouched/zero pages);
-     *  governor reclaim-ranking input. */
-    uint64_t pageCompressedBytes(PageNum pn) const override
-    {
-        return pageChunkBytes(pages_, pn);
-    }
-
     /** Pages with live references on the call stack (the op's page
      *  plus the epoch-decay migration target) must not be reclaimed. */
     bool pageBusy(PageNum pn) const override
@@ -115,47 +80,18 @@ class DmcController : public MemoryController,
         return md_.busy(pn) || pn == migrating_page_;
     }
 
-    /** Chunk-map invariant audit (src/check): every valid page's
-     *  chunks live and exclusively owned, free list complementary. */
-    AuditReport audit() const override;
-
-    StatGroup &stats() override { return stats_; }
-    const StatGroup &stats() const override { return stats_; }
-    MetadataCache *metadataCache() override { return &md_.cache(); }
-
-    /** 1 KB cold-compression granularity: 4 blocks per page. */
-    static constexpr unsigned kColdBlocks = 4;
+    static constexpr unsigned kColdBlocks = DmcPage::kColdBlocks;
     static constexpr unsigned kLinesPerColdBlock =
         kLinesPerPage / kColdBlocks;
 
     /** True if @p page is currently in the cold representation. */
-    bool isCold(PageNum page);
+    bool isCold(PageNum page) const;
 
   private:
-    struct Page
-    {
-        bool valid = false;
-        bool zero = false;
-        bool cold = false;
-        bool touched_this_epoch = true;
-        std::array<uint8_t, kLinesPerPage> code{}; ///< hot: bin per line
-        /** Cold representation: per-1KB-block compressed byte counts
-         *  (the blocks are stored back to back). */
-        std::array<uint32_t, kColdBlocks> cold_bytes{};
-        uint8_t chunks = 0;
-        std::array<uint32_t, kChunksPerPage> chunk_id;
-
-        Page() { chunk_id.fill(kNoChunk); }
-    };
-
-    Page &page(PageNum pn) { return pages_[pn]; }
+    using Page = DmcPage;
 
     uint32_t hotOffset(const Page &p, LineIdx idx) const;
     uint32_t hotPack(const Page &p) const;
-    uint32_t allocBytes(const Page &p) const
-    {
-        return uint32_t(p.chunks) * uint32_t(kChunkBytes);
-    }
 
     void readHotLine(const Page &p, LineIdx idx, Line &out) const;
     /** Rewrite the page in hot representation with the given data. */
@@ -183,41 +119,16 @@ class DmcController : public MemoryController,
     DmcConfig cfg_;
     std::unique_ptr<Compressor> hot_codec_;
     std::unique_ptr<Compressor> cold_codec_;
-    std::unordered_map<PageNum, Page> pages_;
     uint64_t epoch_wbs_ = 0;
 
-    FaultHooks fault_;
-
-    StatGroup stats_{"mc"};
-    // Cached hot-path counter handles (stable across reset()).
-    uint64_t &st_fills_ = stats_.stat("fills");
-    uint64_t &st_writebacks_ = stats_.stat("writebacks");
-    uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
-    uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_migration_ops_ = stats_.stat("migration_ops");
     uint64_t &st_demotions_ = stats_.stat("demotions");
     uint64_t &st_promotions_ = stats_.stat("promotions");
     uint64_t &st_cold_block_reads_ = stats_.stat("cold_block_reads");
-    uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
-    uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_demotions_throttled_ =
         stats_.stat("demotions_throttled");
 
-    /** Chunk lists and device ops; counts into stats_ (declared after
-     *  it and fault_ for that reason). */
-    ChunkStore store_{cfg_.installed_bytes, stats_, fault_};
-    /** Metadata cache, entry traffic and fault ladder; likewise. */
-    MetadataFrontEnd md_{cfg_.mdcache,
-                         {.region_base = Addr(1) << 43,
-                          .hit_latency = cfg_.mdcache_hit_latency},
-                         *this, stats_, fault_};
-
-    PressureListener *pressure_ = nullptr;
     PageNum migrating_page_ = kNoPage; ///< epoch-decay demotion target
-
-    Observer *obs_ = nullptr;
-    Histogram *h_line_bytes_ = nullptr; ///< owned by the Observer
 };
 
 } // namespace compresso

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "check/invariant_auditor.h"
 #include "prof/profiler.h"
 
 namespace compresso {
@@ -16,29 +15,24 @@ constexpr uint32_t kMaxExceptionPtrs = 17;
 } // namespace
 
 LcpController::LcpController(const LcpConfig &cfg)
-    : cfg_(cfg),
+    : CompressedController(cfg.installed_bytes,
+                           cfg.stream_buffer ? cfg.stream_buffer_blocks : 0,
+                           cfg.mdcache,
+                           {.region_base = Addr(1) << 41,
+                            .hit_latency = cfg.mdcache_hit_latency,
+                            .os_fault_cycles = cfg.page_fault_cycles}),
+      cfg_(cfg),
       bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
       codec_(makeCompressor(cfg.compressor))
 {
     assert(codec_ && "unknown compressor name");
 }
 
-void
-LcpController::attachObserver(Observer *obs)
-{
-    obs_ = obs;
-    md_.attachObserver(obs);
-    store_.attachObserver(obs);
-    h_line_bytes_ =
-        obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
-                       : nullptr;
-}
-
 uint32_t
 LcpController::excCapacity(const Page &p) const
 {
     uint32_t slots_end = uint32_t(kLinesPerPage) * p.target;
-    uint32_t alloc = allocBytes(p);
+    uint32_t alloc = p.allocBytes();
     if (alloc <= slots_end)
         return 0;
     // The metadata entry holds a bounded list of exception pointers;
@@ -138,7 +132,7 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
     // OS-aware safe state) so it cannot overflow again.
     bool escalate_raw = false;
     if (pressure_ != nullptr) {
-        uint64_t est = 2ull * (allocBytes(p) / kLineBytes +
+        uint64_t est = 2ull * (p.allocBytes() / kLineBytes +
                                uint64_t(kLinesPerPage));
         if (!pressure_->admitOp(PressureOp::kRelocation, est)) {
             escalate_raw = true;
@@ -174,7 +168,7 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
     p.zero_line[idx] = false;
     p.actual_bytes[idx] = uint16_t(enc.bytes.size());
 
-    uint32_t old_used = allocBytes(p);
+    uint32_t old_used = p.allocBytes();
     st_overflow_move_ops_ += old_used / kLineBytes;
     store_.deviceOps(p.chunk_id, 0, old_used, false, false, trace,
                      relayout_comp);
@@ -250,7 +244,7 @@ LcpController::mdInflate(PageNum pn, McTrace &trace)
     std::array<Line, kLinesPerPage> buf;
     for (LineIdx i = 0; i < kLinesPerPage; ++i)
         readStored(p, i, buf[i]);
-    store_.deviceOps(p.chunk_id, 0, allocBytes(p), false, false, trace,
+    store_.deviceOps(p.chunk_id, 0, p.allocBytes(), false, false, trace,
                      AttribComp::kFaultRecovery);
     store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
                   md_.oomRescue());
@@ -426,23 +420,6 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     }
 
     pageOverflow(pn, p, idx, data, enc, trace);
-}
-
-void
-LcpController::freePage(PageNum pn)
-{
-    auto it = pages_.find(pn);
-    if (it == pages_.end() || !it->second.valid)
-        return;
-    store_.resize(it->second.chunks, it->second.chunk_id, 0);
-    it->second = Page{};
-    md_.release(pn);
-}
-
-AuditReport
-LcpController::audit() const
-{
-    return InvariantAuditor::auditChunkMap(pages_, store_.allocator());
 }
 
 } // namespace compresso

@@ -26,17 +26,11 @@
 
 #include <bitset>
 #include <memory>
-#include <unordered_map>
 
 #include "compress/factory.h"
 #include "compress/size_bins.h"
-#include "core/chunk_store.h"
-#include "core/memory_controller.h"
-#include "core/metadata_front_end.h"
-#include "core/pressure_hooks.h"
-#include "fault/fault_hooks.h"
+#include "core/compressed_controller.h"
 #include "meta/metadata_cache.h"
-#include "obs/observer.h"
 #include "packing/lcp.h"
 
 namespace compresso {
@@ -59,8 +53,21 @@ struct LcpConfig
     Cycle page_fault_cycles = 9000;
 };
 
-class LcpController : public MemoryController,
-                      private MetadataFrontEnd::Hooks
+/** Per-page LCP metadata (functional form). */
+struct LcpPage : ChunkedPage
+{
+    uint16_t target = 0; ///< slot size in bytes
+    std::bitset<kLinesPerPage> zero_line; ///< zero-line shortcut
+    /** Exception slot per line; 0xff = stored in its slot. */
+    std::array<uint8_t, kLinesPerPage> exc_slot;
+    std::bitset<kLinesPerPage> exc_map; ///< occupied exception slots
+    /** Actual compressed bytes per line (for overflow re-layout). */
+    std::array<uint16_t, kLinesPerPage> actual_bytes{};
+
+    LcpPage() { exc_slot.fill(0xff); }
+};
+
+class LcpController : public CompressedController<LcpPage>
 {
   public:
     explicit LcpController(const LcpConfig &cfg);
@@ -74,91 +81,11 @@ class LcpController : public MemoryController,
     void writebackLine(Addr addr, const Line &data,
                        McTrace &trace) override;
 
-    uint64_t ospaBytes() const override
-    {
-        return validPages(pages_) * kPageBytes;
-    }
-    uint64_t mpaDataBytes() const override { return store_.usedBytes(); }
-    uint64_t mpaMetadataBytes() const override
-    {
-        return validPages(pages_) * kMetadataEntryBytes;
-    }
-
-    void freePage(PageNum page) override;
-
-    /** Fault wiring: OS-aware degradation — a detected metadata fault
-     *  raises a page fault and the OS rebuilds the entry (bounded,
-     *  escalating to an uncompressed re-layout); data DUEs poison the
-     *  line. */
-    void attachFaultInjector(FaultInjector *fi) override
-    {
-        fault_.attach(fi);
-    }
-
-    /** Observability: events (split access, line/page overflow, page
-     *  fault, fault-recovery rungs) and the compressed-line-size
-     *  histogram (null detaches). */
-    void attachObserver(Observer *obs) override;
-
-    /** Pressure wiring (core/pressure_hooks.h): machine-OOM rescue,
-     *  and watchdogged admission of the overflow re-layout and
-     *  metadata-rebuild paths (denial escalates to the uncompressed
-     *  64 B layout, the OS-aware safe state). */
-    void attachPressureListener(PressureListener *pl) override
-    {
-        pressure_ = pl;
-        md_.attachPressureListener(pl);
-    }
-
-    /** Machine bytes backing @p pn (0 for untouched/zero pages);
-     *  governor reclaim-ranking input. */
-    uint64_t pageCompressedBytes(PageNum pn) const override
-    {
-        return pageChunkBytes(pages_, pn);
-    }
-
-    /** The page of the in-flight operation must not be reclaimed. */
-    bool pageBusy(PageNum pn) const override { return md_.busy(pn); }
-
-    /** Chunk-map invariant audit (src/check): every valid page's
-     *  chunks live and exclusively owned, free list complementary. */
-    AuditReport audit() const override;
-
-    StatGroup &stats() override { return stats_; }
-    const StatGroup &stats() const override { return stats_; }
-
     const SizeBins &targetBins() const { return *bins_; }
-    MetadataCache *metadataCache() override { return &md_.cache(); }
 
   private:
-    /** Per-page LCP metadata (functional form). */
-    struct Page
-    {
-        bool valid = false;
-        bool zero = false;
-        uint16_t target = 0;  ///< slot size in bytes
-        uint8_t chunks = 0;   ///< 512 B units backing the page
-        std::array<uint32_t, kChunksPerPage> chunk_id;
-        std::bitset<kLinesPerPage> zero_line; ///< zero-line shortcut
-        /** Exception slot per line; 0xff = stored in its slot. */
-        std::array<uint8_t, kLinesPerPage> exc_slot;
-        std::bitset<kLinesPerPage> exc_map; ///< occupied exception slots
-        /** Actual compressed bytes per line (for overflow re-layout). */
-        std::array<uint16_t, kLinesPerPage> actual_bytes{};
+    using Page = LcpPage;
 
-        Page()
-        {
-            chunk_id.fill(kNoChunk);
-            exc_slot.fill(0xff);
-        }
-    };
-
-    Page &page(PageNum pn) { return pages_[pn]; }
-
-    uint32_t allocBytes(const Page &p) const
-    {
-        return uint32_t(p.chunks) * uint32_t(kChunkBytes);
-    }
     uint32_t excCapacity(const Page &p) const;
     uint32_t slotOffset(const Page &p, LineIdx idx) const
     {
@@ -196,18 +123,7 @@ class LcpController : public MemoryController,
     LcpConfig cfg_;
     const SizeBins *bins_;
     std::unique_ptr<Compressor> codec_;
-    std::unordered_map<PageNum, Page> pages_;
 
-    FaultHooks fault_;
-    PressureListener *pressure_ = nullptr;
-
-    StatGroup stats_{"mc"};
-    // Cached hot-path counter handles (stable across reset()).
-    uint64_t &st_fills_ = stats_.stat("fills");
-    uint64_t &st_writebacks_ = stats_.stat("writebacks");
-    uint64_t &st_zero_fills_ = stats_.stat("zero_fills");
-    uint64_t &st_zero_wbs_ = stats_.stat("zero_wbs");
-    uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_co_fetched_lines_ = stats_.stat("co_fetched_lines");
     uint64_t &st_page_overflows_ = stats_.stat("page_overflows");
@@ -216,25 +132,9 @@ class LcpController : public MemoryController,
     uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
     uint64_t &st_exception_accesses_ = stats_.stat("exception_accesses");
     uint64_t &st_exception_extra_ops_ = stats_.stat("exception_extra_ops");
-    uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
-    uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_ir_placements_ = stats_.stat("ir_placements");
     uint64_t &st_overflow_escalations_ =
         stats_.stat("overflow_escalations");
-
-    /** Chunk lists, device ops and the stream buffer; counts into
-     *  stats_ (declared after it and fault_ for that reason). */
-    ChunkStore store_{cfg_.installed_bytes, stats_, fault_,
-                      cfg_.stream_buffer ? cfg_.stream_buffer_blocks : 0};
-    /** Metadata cache, entry traffic and fault ladder; likewise. */
-    MetadataFrontEnd md_{cfg_.mdcache,
-                         {.region_base = Addr(1) << 41,
-                          .hit_latency = cfg_.mdcache_hit_latency,
-                          .os_fault_cycles = cfg_.page_fault_cycles},
-                         *this, stats_, fault_};
-
-    Observer *obs_ = nullptr;
-    Histogram *h_line_bytes_ = nullptr; ///< owned by the Observer
 };
 
 } // namespace compresso

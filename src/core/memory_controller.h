@@ -1,7 +1,8 @@
 /**
  * @file
- * Memory-side controller interface shared by the uncompressed, LCP and
- * Compresso back ends.
+ * Memory-side controller interface shared by the five back ends: the
+ * uncompressed baseline and the compressed Compresso, LCP, RMC and DMC
+ * (core/compressed_controller.h).
  *
  * Controllers are *functional*: fills return the bytes previously
  * written back, with compression, packing, metadata and allocation

@@ -3,29 +3,23 @@
 #include <algorithm>
 #include <cassert>
 
-#include "check/invariant_auditor.h"
 #include "prof/profiler.h"
 #include "packing/linepack.h"
 
 namespace compresso {
 
 RmcController::RmcController(const RmcConfig &cfg)
-    : cfg_(cfg),
+    : CompressedController(cfg.installed_bytes, std::nullopt, cfg.bst,
+                           {.region_base = Addr(1) << 42,
+                            .hit_latency = cfg.bst_hit_latency,
+                            .hit_comp = AttribComp::kBstWalk,
+                            .miss_comp = AttribComp::kBstWalk,
+                            .os_fault_cycles = cfg.page_fault_cycles}),
+      cfg_(cfg),
       bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
       codec_(makeCompressor(cfg.compressor))
 {
     assert(codec_ && "unknown compressor name");
-}
-
-void
-RmcController::attachObserver(Observer *obs)
-{
-    obs_ = obs;
-    md_.attachObserver(obs);
-    store_.attachObserver(obs);
-    h_line_bytes_ =
-        obs != nullptr ? obs->histogram("mc.compressed_line_bytes")
-                       : nullptr;
 }
 
 uint32_t
@@ -383,25 +377,8 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     }
     bool os_fault = pageBinBytes(std::min<uint32_t>(total, kPageBytes),
                                  PageSizing::kVariable4) >
-                    allocBytes(p);
+                    p.allocBytes();
     relayout(pn, p, codes, idx, data, os_fault, trace);
-}
-
-void
-RmcController::freePage(PageNum pn)
-{
-    auto it = pages_.find(pn);
-    if (it == pages_.end() || !it->second.valid)
-        return;
-    store_.resize(it->second.chunks, it->second.chunk_id, 0);
-    it->second = Page{};
-    md_.release(pn);
-}
-
-AuditReport
-RmcController::audit() const
-{
-    return InvariantAuditor::auditChunkMap(pages_, store_.allocator());
 }
 
 } // namespace compresso

@@ -86,6 +86,8 @@ TEST(Dmc, ColdDemotionAfterIdleEpoch)
                   classLine(DataClass::kSmallInt, rng.next()));
 
     EXPECT_TRUE(mc.isCold(5));
+    // A query: const, and an untouched page is simply not cold.
+    EXPECT_FALSE(static_cast<const DmcController &>(mc).isCold(999));
     EXPECT_GE(mc.stats().get("demotions"), 1u);
     // Data survives the representation change.
     for (unsigned l = 0; l < kLinesPerPage; ++l)

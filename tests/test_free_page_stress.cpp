@@ -130,15 +130,23 @@ TEST_P(FreePageStress, ReleaseRetouchCyclesStayClean)
     AuditReport rep = mc->audit();
     EXPECT_TRUE(rep.clean()) << rep.summary();
     EXPECT_EQ(mc->mpaDataBytes(), 0u);
+    // The footprint and metadata accounting forget freed pages too.
+    EXPECT_EQ(mc->ospaBytes(), 0u);
+    EXPECT_EQ(mc->mpaMetadataBytes(), 0u);
+    for (PageNum p = 0; p < kPages; ++p)
+        EXPECT_EQ(mc->pageCompressedBytes(p), 0u) << "page " << p;
 }
 
 TEST_P(FreePageStress, DoubleFreeAndFreeUntouchedAreHarmless)
 {
     std::unique_ptr<MemoryController> mc = makeController(GetParam());
+    uint64_t freed_before = mc->stats().get("pages_freed");
     mc->freePage(7); // never touched
     storm(*mc, 8, 300, 99);
     mc->freePage(3);
     mc->freePage(3); // double free: idempotent
+    // Only the one real release counts.
+    EXPECT_EQ(mc->stats().get("pages_freed"), freed_before + 1);
     AuditReport rep = mc->audit();
     EXPECT_TRUE(rep.clean()) << rep.summary();
     McTrace tr;
