@@ -21,21 +21,32 @@
  * faults walk the whole degradation ladder (rebuild, throttled
  * rebuild, safety inflation, page poison).
  *
+ * A re-layout run drives adversarial rewrites, which flip lines between
+ * zero, constant and random data, through fewer pages for four times
+ * as many ops. It reaches the overflow and migration paths the other runs
+ * miss: Compresso's in-place slot growth, escalation, predictor
+ * inflation, dynamic inflation-room expansion and repacking, LCP's
+ * page overflow, RMC's hysteresis absorbs and subpage shifts, and
+ * DMC's demotions and promotions.
+ *
  * The base constants were recorded from the controllers as they stood
  * before their shared chunk code moved into ChunkStore, the ladder
- * constants before their metadata paths moved into MetadataFrontEnd;
- * any change to layout, device-op emission, OOM rescue, metadata
- * access or fault handling moves at least one of them. No bench runs
- * DMC, so for it this test and the chaos soak are the only end-to-end
- * lock.
+ * constants before their metadata paths moved into MetadataFrontEnd,
+ * the re-layout constants before the controllers' slot format and
+ * page gather moved into CompressedController; any change to layout,
+ * device-op emission, OOM rescue, metadata access or fault handling
+ * moves at least one of them. No bench runs DMC, so for it this test
+ * and the chaos soak are the only end-to-end lock.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/compresso_controller.h"
 #include "core/dmc_controller.h"
@@ -88,8 +99,10 @@ class Fnv
 class ScriptedPressure : public PressureListener
 {
   public:
-    ScriptedPressure(MemoryController &mc, bool may_decline, Fnv &costs)
-        : mc_(mc), may_decline_(may_decline), costs_(costs)
+    ScriptedPressure(MemoryController &mc, PageNum pages, bool may_decline,
+                     unsigned deny_every, Fnv &costs)
+        : mc_(mc), pages_(pages), may_decline_(may_decline),
+          deny_every_(deny_every), costs_(costs)
     {
     }
 
@@ -99,12 +112,12 @@ class ScriptedPressure : public PressureListener
         if (may_decline_ && mc_.pageCompressedBytes(busy_page) > 0 &&
             ++declinable_ % 3 == 0)
             return false;
-        for (PageNum i = 0; i < kPages; ++i) {
-            PageNum p = (cursor_ + i) % kPages;
+        for (PageNum i = 0; i < pages_; ++i) {
+            PageNum p = (cursor_ + i) % pages_;
             if (p == busy_page || mc_.pageBusy(p) ||
                 mc_.pageCompressedBytes(p) == 0)
                 continue;
-            cursor_ = (p + 1) % kPages;
+            cursor_ = (p + 1) % pages_;
             mc_.freePage(p);
             return true;
         }
@@ -116,7 +129,7 @@ class ScriptedPressure : public PressureListener
     {
         costs_.add(uint64_t(op));
         costs_.add(est_ops);
-        return ++admits_ % 4 != 0;
+        return ++admits_ % deny_every_ != 0;
     }
 
     void
@@ -128,7 +141,9 @@ class ScriptedPressure : public PressureListener
 
   private:
     MemoryController &mc_;
+    PageNum pages_;
     bool may_decline_;
+    unsigned deny_every_;
     Fnv &costs_;
     PageNum cursor_ = 0;
     uint64_t declinable_ = 0;
@@ -143,31 +158,70 @@ constexpr size_t kBaseMdcacheBytes = 4 * 1024;
  *  refetch exposes the entry to a metadata fault. */
 constexpr size_t kLadderMdcacheBytes = 1024;
 
+/** What a seeded run varies. The defaults are the base run's. */
+struct RunShape
+{
+    size_t mdcache_bytes = kBaseMdcacheBytes;
+    bool recover = true;
+    unsigned ops = kOps;
+    PageNum pages = kPages;
+    uint64_t installed_bytes = kInstalledBytes;
+    /** Every deny_every-th admission is denied. */
+    unsigned deny_every = 4;
+    /** Writebacks per DMC decay epoch. At 256 every page of the base
+     *  and ladder runs is touched within each epoch, so they make no
+     *  demotions; the re-layout run's short epochs do. */
+    uint64_t dmc_epoch_writebacks = 256;
+    /** Written lines are zero (1/4), constant (1/4) or random (1/2)
+     *  instead of any datagen class. */
+    bool adversarial = false;
+};
+
+/** The re-layout run: 24 pages, so a 1 KB metadata cache evicts and
+ *  Compresso repacks; 24k ops, so pages live long enough to overflow
+ *  repeatedly; every third admission denied, so escalations are
+ *  common; and 16-writeback DMC epochs, so pages go untouched for an
+ *  epoch and demote. Compresso runs in 48 chunks, so its inflation-room
+ *  expansions run out of memory and fall through to in-place slot
+ *  growth; the others in 256, so OOM frees do not keep their pages
+ *  from overflowing. */
+RunShape
+relayoutShape(const std::string &kind)
+{
+    return {.mdcache_bytes = kLadderMdcacheBytes,
+            .ops = 24000,
+            .pages = 24,
+            .installed_bytes = (kind == "compresso" ? 48 : 256) * kChunkBytes,
+            .deny_every = 3,
+            .dmc_epoch_writebacks = 16,
+            .adversarial = true};
+}
+
 std::unique_ptr<MemoryController>
-makeController(const std::string &kind, size_t mdcache_bytes)
+makeController(const std::string &kind, const RunShape &shape)
 {
     if (kind == "compresso") {
         CompressoConfig cfg;
-        cfg.installed_bytes = kInstalledBytes;
-        cfg.mdcache.size_bytes = mdcache_bytes;
+        cfg.installed_bytes = shape.installed_bytes;
+        cfg.mdcache.size_bytes = shape.mdcache_bytes;
         return std::make_unique<CompressoController>(cfg);
     }
     if (kind == "lcp") {
         LcpConfig cfg;
-        cfg.installed_bytes = kInstalledBytes;
-        cfg.mdcache.size_bytes = mdcache_bytes;
+        cfg.installed_bytes = shape.installed_bytes;
+        cfg.mdcache.size_bytes = shape.mdcache_bytes;
         return std::make_unique<LcpController>(cfg);
     }
     if (kind == "rmc") {
         RmcConfig cfg;
-        cfg.installed_bytes = kInstalledBytes;
-        cfg.bst.size_bytes = mdcache_bytes;
+        cfg.installed_bytes = shape.installed_bytes;
+        cfg.bst.size_bytes = shape.mdcache_bytes;
         return std::make_unique<RmcController>(cfg);
     }
     DmcConfig cfg;
-    cfg.installed_bytes = kInstalledBytes;
-    cfg.mdcache.size_bytes = mdcache_bytes;
-    cfg.epoch_writebacks = 256; // demotions within the run
+    cfg.installed_bytes = shape.installed_bytes;
+    cfg.mdcache.size_bytes = shape.mdcache_bytes;
+    cfg.epoch_writebacks = shape.dmc_epoch_writebacks;
     return std::make_unique<DmcController>(cfg);
 }
 
@@ -234,6 +288,20 @@ constexpr Golden kLadderPoison[] = {
      2368},
 };
 
+// Re-layout runs (relayoutShape), recorded from the controllers
+// before their slot format and page gather moved into
+// CompressedController.
+constexpr Golden kRelayout[] = {
+    {"compresso", 0x0cfd1781602b7f69ULL, 0x9a9934c2143c8e33ULL, 94208,
+     24064, 1472},
+    {"lcp", 0xca95c28f3a1bc473ULL, 0xcafa6fa6dba70454ULL, 98304, 88064,
+     1536},
+    {"rmc", 0xf17f7e7a643c380dULL, 0x89de8028690711f8ULL, 98304, 88576,
+     1536},
+    {"dmc", 0xe3d241909a897a50ULL, 0x203b74c82bf4041cULL, 98304, 54784,
+     1536},
+};
+
 /** What one seeded run left behind. */
 struct RunResult
 {
@@ -245,10 +313,10 @@ struct RunResult
 
 /** Drive the seeded sequence through a fresh @p kind controller. */
 RunResult
-seededRun(const std::string &kind, size_t mdcache_bytes, bool recover)
+seededRun(const std::string &kind, const RunShape &shape)
 {
     RunResult r;
-    r.mc = makeController(kind, mdcache_bytes);
+    r.mc = makeController(kind, shape);
     MemoryController &mc = *r.mc;
 
     FaultConfig fc;
@@ -256,24 +324,33 @@ seededRun(const std::string &kind, size_t mdcache_bytes, bool recover)
     fc.data_bit_rate = 2e-4;
     fc.meta_bit_rate = 2e-4;
     fc.double_bit_frac = 0.5;
-    fc.recover = recover;
+    fc.recover = shape.recover;
     FaultInjector fi(fc);
     mc.attachFaultInjector(&fi);
 
     Fnv trace_h;
-    ScriptedPressure pressure(mc, kind == "compresso", trace_h);
+    ScriptedPressure pressure(mc, shape.pages, kind == "compresso",
+                              shape.deny_every, trace_h);
     mc.attachPressureListener(&pressure);
 
     Rng rng(kSeed);
-    for (unsigned i = 0; i < kOps; ++i) {
-        Addr a = Addr(rng.below(kPages)) * kPageBytes +
+    for (unsigned i = 0; i < shape.ops; ++i) {
+        Addr a = Addr(rng.below(shape.pages)) * kPageBytes +
                  Addr(rng.below(kLinesPerPage)) * kLineBytes;
         McTrace tr;
         double u = rng.uniform();
         if (u < 0.55) {
+            static constexpr DataClass kFlips[] = {
+                DataClass::kZero, DataClass::kConstant, DataClass::kRandom,
+                DataClass::kRandom};
+            // The seed is drawn before the class, the order in which
+            // the recorded runs drew them.
+            uint64_t seed = rng.next();
+            DataClass c = shape.adversarial
+                              ? kFlips[rng.below(4)]
+                              : DataClass(rng.below(kNumDataClasses));
             Line d;
-            generateLine(DataClass(rng.below(kNumDataClasses)),
-                         rng.next(), d);
+            generateLine(c, seed, d);
             mc.writebackLine(a, d, tr);
         } else if (u < 0.99) {
             Line d;
@@ -346,7 +423,7 @@ class ControllerGolden : public ::testing::TestWithParam<std::string>
 TEST_P(ControllerGolden, SeededRunMatchesRecordedDigests)
 {
     const std::string kind = GetParam();
-    RunResult r = seededRun(kind, kBaseMdcacheBytes, true);
+    RunResult r = seededRun(kind, RunShape{});
 
     AuditReport rep = r.mc->audit();
     EXPECT_TRUE(rep.clean()) << rep.summary();
@@ -374,7 +451,7 @@ TEST_P(ControllerGolden, LadderRunsMatchRecordedDigests)
     const std::string kind = GetParam();
     {
         SCOPED_TRACE("recovery on");
-        RunResult r = seededRun(kind, kLadderMdcacheBytes, true);
+        RunResult r = seededRun(kind, {.mdcache_bytes = kLadderMdcacheBytes});
         AuditReport rep = r.mc->audit();
         EXPECT_TRUE(rep.clean()) << rep.summary();
         const StatGroup &st = r.mc->stats();
@@ -388,7 +465,8 @@ TEST_P(ControllerGolden, LadderRunsMatchRecordedDigests)
     }
     {
         SCOPED_TRACE("recovery off");
-        RunResult r = seededRun(kind, kLadderMdcacheBytes, false);
+        RunResult r = seededRun(
+            kind, {.mdcache_bytes = kLadderMdcacheBytes, .recover = false});
         AuditReport rep = r.mc->audit();
         EXPECT_TRUE(rep.clean()) << rep.summary();
         const StatGroup &st = r.mc->stats();
@@ -397,6 +475,31 @@ TEST_P(ControllerGolden, LadderRunsMatchRecordedDigests)
         EXPECT_EQ(st.get("fault_meta_rebuilds"), 0u) << r.stats_text;
         expectGolden(r, kind, kLadderPoison);
     }
+}
+
+/**
+ * The re-layout run (relayoutShape) reaches every overflow and
+ * migration path of each controller at least once.
+ */
+TEST_P(ControllerGolden, RelayoutRunMatchesRecordedDigests)
+{
+    const std::string kind = GetParam();
+    RunResult r = seededRun(kind, relayoutShape(kind));
+    AuditReport rep = r.mc->audit();
+    EXPECT_TRUE(rep.clean()) << rep.summary();
+
+    static const std::map<std::string, std::vector<const char *>> kReach =
+        {{"compresso",
+          {"slot_growths", "overflow_escalations", "repacks",
+           "predictor_inflations", "dyn_ir_expansions"}},
+         {"lcp", {"page_overflows", "overflow_escalations"}},
+         {"rmc",
+          {"subpage_shifts", "hysteresis_absorbs", "overflow_escalations"}},
+         {"dmc", {"demotions", "promotions", "cold_block_reads"}}};
+    const StatGroup &st = r.mc->stats();
+    for (const char *stat : kReach.at(kind))
+        EXPECT_GT(st.get(stat), 0u) << stat << "\n" << r.stats_text;
+    expectGolden(r, kind, kRelayout);
 }
 
 INSTANTIATE_TEST_SUITE_P(CompressedControllers, ControllerGolden,
