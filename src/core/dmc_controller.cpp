@@ -12,12 +12,13 @@ namespace compresso {
 DmcController::DmcController(const DmcConfig &cfg)
     : CompressedController(cfg.installed_bytes, std::nullopt, cfg.mdcache,
                            {.region_base = Addr(1) << 43,
-                            .hit_latency = cfg.mdcache_hit_latency}),
+                            .hit_latency = cfg.mdcache_hit_latency},
+                           makeCompressor(cfg.hot_compressor),
+                           compressoBins()),
       cfg_(cfg),
-      hot_codec_(makeCompressor(cfg.hot_compressor)),
       cold_codec_(makeCompressor(cfg.cold_compressor))
 {
-    assert(hot_codec_ && cold_codec_ && "unknown compressor name");
+    assert(cold_codec_ && "unknown compressor name");
 }
 
 uint32_t
@@ -25,7 +26,7 @@ DmcController::hotPack(const Page &p) const
 {
     uint32_t sum = 0;
     for (uint8_t c : p.code)
-        sum += compressoBins().binSize(c);
+        sum += bins_->binSize(c);
     return sum;
 }
 
@@ -34,34 +35,27 @@ DmcController::hotOffset(const Page &p, LineIdx idx) const
 {
     uint32_t off = 0;
     for (LineIdx l = 0; l < idx; ++l)
-        off += compressoBins().binSize(p.code[l]);
+        off += bins_->binSize(p.code[l]);
     return off;
 }
 
 void
-DmcController::readHotLine(const Page &p, LineIdx idx, Line &out) const
+DmcController::loadColdBlock(const Page &p, unsigned b, uint32_t off,
+                             Line *out, unsigned n) const
 {
-    if (p.code[idx] == 0) {
-        out.fill(0);
-        return;
+    std::vector<uint8_t> raw(p.cold_bytes[b]);
+    store_.loadBytes(p.chunk_id, off, raw.data(), raw.size());
+    BitReader r(raw.data(), raw.size() * 8);
+    for (unsigned l = 0; l < n; ++l) {
+        bool ok = cold_codec_->decompress(r, out[l]);
+        assert(ok && "corrupt DMC cold block");
+        (void)ok;
     }
-    uint16_t sz = compressoBins().binSize(p.code[idx]);
-    uint32_t off = hotOffset(p, idx);
-    if (sz == kLineBytes) {
-        store_.loadBytes(p.chunk_id, off, out.data(), kLineBytes);
-        return;
-    }
-    uint8_t buf[kLineBytes];
-    store_.loadBytes(p.chunk_id, off, buf, sz);
-    BitReader r(buf, size_t(sz) * 8);
-    bool ok = hot_codec_->decompress(r, out);
-    assert(ok && "corrupt DMC hot slot");
-    (void)ok;
 }
 
 void
-DmcController::gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
-                      McTrace *trace, AttribComp comp)
+DmcController::gatherPage(const Page &p, PageLines &buf, McTrace *trace,
+                          AttribComp comp)
 {
     if (!p.valid || p.zero) {
         for (auto &l : buf)
@@ -69,26 +63,18 @@ DmcController::gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
         return;
     }
     if (!p.cold) {
-        for (LineIdx l = 0; l < kLinesPerPage; ++l)
-            readHotLine(p, l, buf[l]);
-        if (trace) {
-            uint32_t used = hotPack(p);
+        Slots hot;
+        uint32_t used = packSlots(p.code, hot);
+        gather(p.chunk_id, hot, buf);
+        if (trace)
             store_.deviceOps(p.chunk_id, 0, used, false, false, *trace, comp);
-        }
         return;
     }
     // Cold: decompress every block (line streams back to back).
     uint32_t off = 0;
     for (unsigned b = 0; b < kColdBlocks; ++b) {
-        std::vector<uint8_t> raw(p.cold_bytes[b]);
-        store_.loadBytes(p.chunk_id, off, raw.data(), raw.size());
-        BitReader r(raw.data(), raw.size() * 8);
-        for (unsigned l = 0; l < kLinesPerColdBlock; ++l) {
-            bool ok = cold_codec_->decompress(
-                r, buf[b * kLinesPerColdBlock + l]);
-            assert(ok && "corrupt DMC cold block");
-            (void)ok;
-        }
+        loadColdBlock(p, b, off, &buf[b * kLinesPerColdBlock],
+                      kLinesPerColdBlock);
         if (trace)
             store_.deviceOps(p.chunk_id, off, p.cold_bytes[b], false, false,
                              *trace, comp);
@@ -97,24 +83,13 @@ DmcController::gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
 }
 
 void
-DmcController::layoutHot(Page &p,
-                         const std::array<Line, kLinesPerPage> &buf,
-                         McTrace &trace, AttribComp comp)
+DmcController::layoutHot(Page &p, const PageLines &buf, McTrace &trace,
+                         AttribComp comp)
 {
-    std::array<std::vector<uint8_t>, kLinesPerPage> enc;
-    uint32_t pack = 0;
     bool all_zero = true;
     for (LineIdx l = 0; l < kLinesPerPage; ++l) {
-        if (isZeroLine(buf[l])) {
-            p.code[l] = 0;
-            continue;
-        }
-        all_zero = false;
-        BitWriter w;
-        hot_codec_->compress(buf[l], w);
-        enc[l] = w.bytes();
-        p.code[l] =
-            uint8_t(compressoBins().binFor(enc[l].size(), false));
+        p.code[l] = uint8_t(binOf(buf[l]));
+        all_zero &= p.code[l] == 0;
     }
     p.cold = false;
     if (all_zero) {
@@ -123,22 +98,14 @@ DmcController::layoutHot(Page &p,
         store_.resize(p.chunks, p.chunk_id, 0);
         return;
     }
-    for (uint8_t c : p.code)
-        pack += compressoBins().binSize(c);
+    Slots hot;
+    uint32_t pack = packSlots(p.code, hot);
     uint32_t alloc = pageBinBytes(uint32_t(roundUp(pack, kLineBytes)),
                                   PageSizing::kVariable4);
     store_.resize(p.chunks, p.chunk_id,
                   (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
                   md_.oomRescue());
-    for (LineIdx l = 0; l < kLinesPerPage; ++l) {
-        if (p.code[l] == 0)
-            continue;
-        uint32_t off = hotOffset(p, l);
-        if (compressoBins().binSize(p.code[l]) == kLineBytes)
-            store_.storeBytes(p.chunk_id, off, buf[l].data(), kLineBytes);
-        else
-            store_.storeBytes(p.chunk_id, off, enc[l].data(), enc[l].size());
-    }
+    storeLines(p.chunk_id, hot, buf);
     store_.deviceOps(p.chunk_id, 0, uint32_t(roundUp(pack, kLineBytes)), true,
                      false, trace, comp);
 }
@@ -148,8 +115,8 @@ DmcController::demoteToCold(PageNum pn, Page &p, McTrace &trace)
 {
     CPR_PROF_SCOPE(ProfPhase::kMcRepack);
     size_t ops_before = trace.ops.size();
-    std::array<Line, kLinesPerPage> buf;
-    gather(p, buf, &trace);
+    PageLines buf;
+    gatherPage(p, buf, &trace);
     st_migration_ops_ += trace.ops.size();
 
     // Compress each 1 KB block as one unit (line streams concatenated).
@@ -198,8 +165,8 @@ DmcController::promoteToHot(PageNum pn, Page &p, McTrace &trace)
 {
     CPR_PROF_SCOPE(ProfPhase::kMcRepack);
     size_t ops_before = trace.ops.size();
-    std::array<Line, kLinesPerPage> buf;
-    gather(p, buf, &trace);
+    PageLines buf;
+    gatherPage(p, buf, &trace);
     layoutHot(p, buf, trace);
     st_migration_ops_ += trace.ops.size();
     ++st_promotions_;
@@ -251,7 +218,7 @@ DmcController::mdPageState(PageNum pn) const
     const Page &p = pages_.at(pn);
     bool raw_already = !p.cold;
     for (LineIdx l = 0; raw_already && l < kLinesPerPage; ++l)
-        raw_already = p.code[l] == uint8_t(compressoBins().count() - 1);
+        raw_already = p.code[l] == uint8_t(bins_->count() - 1);
     return {p.valid, p.valid && !p.zero && !raw_already};
 }
 
@@ -278,19 +245,13 @@ void
 DmcController::mdInflate(PageNum pn, McTrace &trace)
 {
     Page &p = pages_.at(pn);
-    std::array<Line, kLinesPerPage> buf;
-    gather(p, buf, &trace, AttribComp::kFaultRecovery);
+    PageLines buf;
+    gatherPage(p, buf, &trace, AttribComp::kFaultRecovery);
     p.cold = false;
     p.cold_bytes.fill(0);
-    for (LineIdx l = 0; l < kLinesPerPage; ++l)
-        p.code[l] = uint8_t(compressoBins().count() - 1);
-    store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
-                  md_.oomRescue());
-    for (LineIdx l = 0; l < kLinesPerPage; ++l)
-        store_.storeBytes(p.chunk_id, hotOffset(p, l), buf[l].data(),
-                          kLineBytes);
-    store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
-                     AttribComp::kFaultRecovery);
+    p.code.fill(uint8_t(bins_->count() - 1));
+    storeRawPage(p, buf, trace, AttribComp::kFaultRecovery,
+                 OnRefusal::kStore);
 }
 
 void
@@ -331,16 +292,10 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
             return;
         }
 
-        std::vector<uint8_t> raw(p.cold_bytes[b]);
-        store_.loadBytes(p.chunk_id, off, raw.data(), raw.size());
-        BitReader r(raw.data(), raw.size() * 8);
-        Line tmp;
-        for (unsigned l = 0; l <= idx % kLinesPerColdBlock; ++l) {
-            bool ok = cold_codec_->decompress(r, tmp);
-            assert(ok);
-            (void)ok;
-        }
-        data = tmp;
+        Line block[kLinesPerColdBlock];
+        unsigned l = idx % kLinesPerColdBlock;
+        loadColdBlock(p, b, off, block, l + 1);
+        data = block[l];
         return;
     }
 
@@ -349,7 +304,7 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
         ++st_zero_fills_;
         return;
     }
-    uint16_t sz = compressoBins().binSize(p.code[idx]);
+    uint16_t sz = bins_->binSize(p.code[idx]);
     uint32_t off = hotOffset(p, idx);
     // Offset adder, folded into the metadata component like
     // Compresso's offset circuit (DESIGN.md §15).
@@ -361,8 +316,7 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
         data.fill(0);
         return;
     }
-    readHotLine(p, idx, data);
-    if (sz != kLineBytes)
+    if (loadSlot(p.chunk_id, {off, sz}, data))
         trace.addFixed(AttribComp::kDecompress, cfg_.hot_latency);
 }
 
@@ -402,28 +356,18 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     }
 
     trace.addFixed(AttribComp::kCompress, cfg_.hot_latency);
-    BitWriter w;
-    hot_codec_->compress(data, w);
-    unsigned bin = compressoBins().binFor(w.bytes().size(), zero);
-    CPR_OBS_HIST(h_line_bytes_, zero ? 0 : w.bytes().size());
+    Encoded enc = encode(data);
+    CPR_OBS_HIST(h_line_bytes_, zero ? 0 : enc.bytes.size());
 
-    if (bin <= p.code[idx]) {
-        if (zero && p.code[idx] == 0) {
+    unsigned code = p.code[idx];
+    if (enc.bin <= code) {
+        if (zero && code == 0) {
             ++st_zero_wbs_;
         } else {
-            uint32_t off = hotOffset(p, idx);
-            // A raw slot stores the 64 raw bytes; an incompressible
-            // line's encoding can exceed kLineBytes.
-            size_t len = compressoBins().binSize(p.code[idx]) ==
-                                 kLineBytes
-                             ? kLineBytes
-                             : std::max<size_t>(w.bytes().size(), 1);
-            store_.deviceOps(p.chunk_id, off, len, true, false, trace);
-            if (compressoBins().binSize(p.code[idx]) == kLineBytes)
-                store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
-            else
-                store_.storeBytes(p.chunk_id, off, w.bytes().data(),
-                                  w.bytes().size());
+            Slot slot{hotOffset(p, idx), bins_->binSize(code)};
+            store_.deviceOps(p.chunk_id, slot.off,
+                             storeSlot(p.chunk_id, slot, data, &enc), true,
+                             false, trace);
         }
     } else {
         // No inflation room in DMC: every overflow re-lays the page
@@ -431,8 +375,8 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         CPR_PROF_SCOPE(ProfPhase::kMcOverflow);
         ++st_line_overflows_;
         CPR_OBS_EVENT(obs_, ObsEvent::kLineOverflow, pn, idx);
-        std::array<Line, kLinesPerPage> buf;
-        gather(p, buf, &trace, AttribComp::kOverflowRelayout);
+        PageLines buf;
+        gatherPage(p, buf, &trace, AttribComp::kOverflowRelayout);
         buf[idx] = data;
         layoutHot(p, buf, trace, AttribComp::kOverflowRelayout);
         st_migration_ops_ += 2;

@@ -93,15 +93,17 @@ class DmcController : public CompressedController<DmcPage>
     uint32_t hotOffset(const Page &p, LineIdx idx) const;
     uint32_t hotPack(const Page &p) const;
 
-    void readHotLine(const Page &p, LineIdx idx, Line &out) const;
     /** Rewrite the page in hot representation with the given data. */
-    void layoutHot(Page &p, const std::array<Line, kLinesPerPage> &buf,
-                   McTrace &trace,
+    void layoutHot(Page &p, const PageLines &buf, McTrace &trace,
                    AttribComp comp = AttribComp::kRepack);
-    /** Gather the page's current content (either representation). */
-    void gather(const Page &p, std::array<Line, kLinesPerPage> &buf,
-                McTrace *trace,
-                AttribComp comp = AttribComp::kRepack);
+    /** Decode the first @p n lines of cold block @p b, stored from
+     *  page byte @p off, into @p out. */
+    void loadColdBlock(const Page &p, unsigned b, uint32_t off, Line *out,
+                       unsigned n) const;
+    /** Gather the page's current content (either representation),
+     *  emitting its read ops into @p trace if given. */
+    void gatherPage(const Page &p, PageLines &buf, McTrace *trace,
+                    AttribComp comp = AttribComp::kRepack);
 
     void demoteToCold(PageNum pn, Page &p, McTrace &trace);
     void promoteToHot(PageNum pn, Page &p, McTrace &trace);
@@ -117,8 +119,7 @@ class DmcController : public CompressedController<DmcPage>
     void mdInflate(PageNum pn, McTrace &trace) override;
 
     DmcConfig cfg_;
-    std::unique_ptr<Compressor> hot_codec_;
-    std::unique_ptr<Compressor> cold_codec_;
+    std::unique_ptr<Compressor> cold_codec_; ///< the slot codec is hot
     uint64_t epoch_wbs_ = 0;
 
     uint64_t &st_migration_ops_ = stats_.stat("migration_ops");

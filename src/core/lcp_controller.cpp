@@ -20,12 +20,12 @@ LcpController::LcpController(const LcpConfig &cfg)
                            cfg.mdcache,
                            {.region_base = Addr(1) << 41,
                             .hit_latency = cfg.mdcache_hit_latency,
-                            .os_fault_cycles = cfg.page_fault_cycles}),
-      cfg_(cfg),
-      bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
-      codec_(makeCompressor(cfg.compressor))
+                            .os_fault_cycles = cfg.page_fault_cycles},
+                           makeCompressor(cfg.compressor),
+                           cfg.alignment_friendly ? compressoBins()
+                                                  : legacyBins()),
+      cfg_(cfg)
 {
-    assert(codec_ && "unknown compressor name");
 }
 
 uint32_t
@@ -41,83 +41,38 @@ LcpController::excCapacity(const Page &p) const
                               kMaxExceptionPtrs);
 }
 
-LcpController::Encoded
-LcpController::encodeLine(const Line &data) const
+LcpController::Slots
+LcpController::slots(const Page &p) const
 {
-    Encoded enc;
-    enc.zero = isZeroLine(data);
-    BitWriter w;
-    codec_->compress(data, w);
-    enc.bytes = w.bytes();
-    return enc;
-}
-
-void
-LcpController::readStored(const Page &p, LineIdx idx, Line &out) const
-{
-    if (!p.valid || p.zero || p.zero_line[idx]) {
-        out.fill(0);
-        return;
+    Slots out;
+    if (!p.valid || p.zero)
+        return out;
+    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
+        if (p.zero_line[i])
+            continue;
+        out[i] = p.exc_slot[i] != 0xff
+                     ? Slot{excOffset(p, p.exc_slot[i]), uint16_t(kLineBytes)}
+                     : Slot{slotOffset(p, i), p.target};
     }
-    if (p.exc_slot[idx] != 0xff) {
-        store_.loadBytes(p.chunk_id, excOffset(p, p.exc_slot[idx]), out.data(),
-                         kLineBytes);
-        return;
-    }
-    if (p.target == kLineBytes) {
-        store_.loadBytes(p.chunk_id, slotOffset(p, idx), out.data(),
-                         kLineBytes);
-        return;
-    }
-    uint8_t buf[kLineBytes];
-    store_.loadBytes(p.chunk_id, slotOffset(p, idx), buf, p.target);
-    BitReader r(buf, size_t(p.target) * 8);
-    bool ok = codec_->decompress(r, out);
-    assert(ok && "corrupt LCP slot");
-    (void)ok;
+    return out;
 }
 
 void
 LcpController::initialAllocate(Page &p, const Encoded &enc)
 {
     // Smallest candidate target that fits this first line.
-    uint16_t target = uint16_t(kLineBytes);
-    for (unsigned b = 1; b < bins_->count(); ++b) {
-        if (enc.bytes.size() <= bins_->binSize(b)) {
-            target = bins_->binSize(b);
-            break;
-        }
-    }
-    p.target = target;
+    p.target = bins_->binSize(enc.bin);
     // The OS sizes the page for its compressed footprint; the
     // exception region is whatever slack the 4 page-size bins leave
     // (pages at exactly a bin boundary have none, and overflow into a
     // page fault).
-    uint32_t want = uint32_t(kLinesPerPage) * target;
+    uint32_t want = uint32_t(kLinesPerPage) * p.target;
     uint32_t alloc = pageBinBytes(std::min<uint32_t>(want, kPageBytes),
                                   PageSizing::kVariable4);
     store_.resize(p.chunks, p.chunk_id, unsigned(alloc / kChunkBytes),
                   md_.oomRescue());
     p.zero = false;
     p.zero_line.set(); // all lines are zero until written
-}
-
-void
-LcpController::writeStored(PageNum pn, Page &p, LineIdx idx,
-                           const Line &raw, const Encoded &enc,
-                           McTrace &trace)
-{
-    // Caller guarantees the line fits its slot.
-    uint32_t off = slotOffset(p, idx);
-    if (p.target == kLineBytes) {
-        store_.deviceOps(p.chunk_id, off, kLineBytes, true, false, trace);
-        store_.storeBytes(p.chunk_id, off, raw.data(), kLineBytes);
-        return;
-    }
-    size_t len = std::max<size_t>(enc.bytes.size(), 1);
-    store_.lineAccess(p.chunk_id, pn, off, len, true, trace,
-                      st_split_wb_lines_);
-    store_.storeBytes(p.chunk_id, off, enc.bytes.data(), enc.bytes.size());
 }
 
 void
@@ -159,11 +114,10 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
     // incoming write, not its slot: the caller already flipped its
     // zero/actual-bytes bookkeeping, and its stored slot may hold a
     // stale (undecodable) image.
-    std::array<Line, kLinesPerPage> buf;
-    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-        if (i != idx)
-            readStored(p, i, buf[i]);
-    }
+    Slots old = slots(p);
+    old[idx] = {};
+    PageLines buf;
+    gather(p.chunk_id, old, buf);
     buf[idx] = raw;
     p.zero_line[idx] = false;
     p.actual_bytes[idx] = uint16_t(enc.bytes.size());
@@ -180,50 +134,36 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
         sizes[i].zero = p.zero_line[i];
     }
     LcpLayout layout = lcpPack(sizes, *bins_);
-    // Raw 64 B slots hold anything; a layout that would exceed 4 KB
-    // falls back to the uncompressed-page layout.
-    if (escalate_raw || layout.payload_bytes > kPageBytes) {
-        layout.target_bytes = uint16_t(kLineBytes);
-        layout.exception.fill(false);
-        layout.exception_count = 0;
-        layout.payload_bytes = uint32_t(kPageBytes);
-    }
-
-    p.target = layout.target_bytes;
-    uint32_t want = uint32_t(kLinesPerPage) * p.target +
-                    layout.exception_count * uint32_t(kLineBytes);
-    uint32_t alloc = pageBinBytes(std::min<uint32_t>(want, kPageBytes),
-                                  PageSizing::kVariable4);
-    store_.resize(p.chunks, p.chunk_id, unsigned(alloc / kChunkBytes),
-                  md_.oomRescue());
-
     p.exc_slot.fill(0xff);
     p.exc_map.reset();
-    uint8_t next_exc = 0;
-    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-        if (p.zero_line[i])
-            continue;
-        if (layout.exception[i] && p.target != kLineBytes) {
+    uint32_t new_used = uint32_t(kPageBytes);
+    if (escalate_raw || layout.payload_bytes > kPageBytes) {
+        // Raw 64 B slots hold anything; a layout that would exceed
+        // 4 KB falls back to the uncompressed-page layout.
+        p.target = uint16_t(kLineBytes);
+        storeRawPage(p, buf, trace, relayout_comp, OnRefusal::kStore);
+    } else {
+        p.target = layout.target_bytes;
+        uint32_t want = uint32_t(kLinesPerPage) * p.target +
+                        layout.exception_count * uint32_t(kLineBytes);
+        uint32_t alloc = pageBinBytes(std::min<uint32_t>(want, kPageBytes),
+                                      PageSizing::kVariable4);
+        store_.resize(p.chunks, p.chunk_id, unsigned(alloc / kChunkBytes),
+                      md_.oomRescue());
+        uint8_t next_exc = 0;
+        for (LineIdx i = 0; i < kLinesPerPage; ++i) {
+            if (p.zero_line[i] || !layout.exception[i])
+                continue;
             p.exc_slot[i] = next_exc;
-            p.exc_map.set(next_exc);
-            ++next_exc;
-            store_.storeBytes(p.chunk_id, excOffset(p, p.exc_slot[i]),
-                              buf[i].data(), kLineBytes);
-        } else if (p.target == kLineBytes) {
-            store_.storeBytes(p.chunk_id, slotOffset(p, i), buf[i].data(),
-                              kLineBytes);
-        } else {
-            BitWriter w;
-            codec_->compress(buf[i], w);
-            store_.storeBytes(p.chunk_id, slotOffset(p, i), w.bytes().data(),
-                              w.bytes().size());
+            p.exc_map.set(next_exc++);
         }
+        storeLines(p.chunk_id, slots(p), buf);
+        new_used = uint32_t(kLinesPerPage) * p.target +
+                   uint32_t(next_exc) * uint32_t(kLineBytes);
+        store_.deviceOps(p.chunk_id, 0, new_used, true, false, trace,
+                         relayout_comp);
     }
-    uint32_t new_used = uint32_t(kLinesPerPage) * p.target +
-                        uint32_t(next_exc) * uint32_t(kLineBytes);
     st_overflow_move_ops_ += (new_used + kLineBytes - 1) / kLineBytes;
-    store_.deviceOps(p.chunk_id, 0, new_used, true, false, trace,
-                     relayout_comp);
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kRelocation,
                             uint64_t(old_used / kLineBytes) +
@@ -241,23 +181,15 @@ void
 LcpController::mdInflate(PageNum pn, McTrace &trace)
 {
     Page &p = pages_.at(pn);
-    std::array<Line, kLinesPerPage> buf;
-    for (LineIdx i = 0; i < kLinesPerPage; ++i)
-        readStored(p, i, buf[i]);
+    PageLines buf;
+    gather(p.chunk_id, slots(p), buf);
     store_.deviceOps(p.chunk_id, 0, p.allocBytes(), false, false, trace,
                      AttribComp::kFaultRecovery);
-    store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
-                  md_.oomRescue());
+    storeRawPage(p, buf, trace, AttribComp::kFaultRecovery,
+                 OnRefusal::kStore);
     p.target = uint16_t(kLineBytes);
     p.exc_slot.fill(0xff);
     p.exc_map.reset();
-    for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-        if (!p.zero_line[i])
-            store_.storeBytes(p.chunk_id, slotOffset(p, i), buf[i].data(),
-                              kLineBytes);
-    }
-    store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
-                     AttribComp::kFaultRecovery);
 }
 
 void
@@ -311,8 +243,7 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
         data.fill(0);
         return;
     }
-    readStored(p, idx, data);
-    if (p.target != kLineBytes)
+    if (loadSlot(p.chunk_id, {off, p.target}, data))
         trace.addFixed(AttribComp::kDecompress, cfg_.compression_latency);
 
     // Free prefetch: slot-mates that arrived whole in the same bursts.
@@ -349,7 +280,7 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     if (!md_.access(addr, true, trace))
         return; // the page is retired
 
-    Encoded enc = encodeLine(data);
+    Encoded enc = encode(data);
     CPR_OBS_HIST(h_line_bytes_, enc.zero ? 0 : enc.bytes.size());
 
     if (!p.valid) {
@@ -381,13 +312,14 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     }
     p.zero_line[idx] = false;
 
-    bool fits = p.target == kLineBytes || enc.bytes.size() <= p.target;
-    if (fits) {
+    // The target is a bin size: the line fits if its bin does.
+    if (bins_->binSize(enc.bin) <= p.target) {
         if (p.exc_slot[idx] != 0xff) {
             p.exc_map.reset(p.exc_slot[idx]);
             p.exc_slot[idx] = 0xff; // back into its slot
         }
-        writeStored(pn, p, idx, data, enc, trace);
+        writeSlot(pn, p.chunk_id, {slotOffset(p, idx), p.target}, data, enc,
+                  trace, st_split_wb_lines_);
         return;
     }
 

@@ -97,15 +97,9 @@ class LcpController : public CompressedController<LcpPage>
                slot * uint32_t(kLineBytes);
     }
 
-    struct Encoded
-    {
-        std::vector<uint8_t> bytes;
-        bool zero = false;
-    };
-    Encoded encodeLine(const Line &data) const;
-    void readStored(const Page &p, LineIdx idx, Line &out) const;
-    void writeStored(PageNum pn, Page &p, LineIdx idx, const Line &raw,
-                     const Encoded &enc, McTrace &trace);
+    /** Every line's slot: its target-size slot, its exception slot,
+     *  or none for a zero line. */
+    Slots slots(const Page &p) const;
 
     /** OS-visible page overflow: re-layout with a new target (page
      *  fault + full relocation). */
@@ -121,8 +115,6 @@ class LcpController : public CompressedController<LcpPage>
     void mdInflate(PageNum pn, McTrace &trace) override;
 
     LcpConfig cfg_;
-    const SizeBins *bins_;
-    std::unique_ptr<Compressor> codec_;
 
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_co_fetched_lines_ = stats_.stat("co_fetched_lines");

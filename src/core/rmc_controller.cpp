@@ -14,12 +14,12 @@ RmcController::RmcController(const RmcConfig &cfg)
                             .hit_latency = cfg.bst_hit_latency,
                             .hit_comp = AttribComp::kBstWalk,
                             .miss_comp = AttribComp::kBstWalk,
-                            .os_fault_cycles = cfg.page_fault_cycles}),
-      cfg_(cfg),
-      bins_(cfg.alignment_friendly ? &compressoBins() : &legacyBins()),
-      codec_(makeCompressor(cfg.compressor))
+                            .os_fault_cycles = cfg.page_fault_cycles},
+                           makeCompressor(cfg.compressor),
+                           cfg.alignment_friendly ? compressoBins()
+                                                  : legacyBins()),
+      cfg_(cfg)
 {
-    assert(codec_ && "unknown compressor name");
 }
 
 uint32_t
@@ -52,43 +52,43 @@ RmcController::lineOffset(const Page &p, LineIdx idx) const
     return off;
 }
 
-void
-RmcController::readStored(const Page &p, LineIdx idx, Line &out) const
+RmcController::Slots
+RmcController::slots(const Page &p) const
 {
-    if (!p.valid || p.zero || p.code[idx] == 0) {
-        out.fill(0);
-        return;
+    Slots out;
+    if (!p.valid || p.zero)
+        return out;
+    uint32_t base = 0;
+    for (unsigned sp = 0; sp < kSubpages; ++sp) {
+        packSlots(p.code, out, LineIdx(sp * kLinesPerSubpage),
+                  LineIdx((sp + 1) * kLinesPerSubpage), base);
+        base += p.sub_alloc[sp];
     }
-    uint16_t sz = bins_->binSize(p.code[idx]);
-    uint32_t off = lineOffset(p, idx);
-    if (sz == kLineBytes) {
-        store_.loadBytes(p.chunk_id, off, out.data(), kLineBytes);
-        return;
-    }
-    uint8_t buf[kLineBytes];
-    store_.loadBytes(p.chunk_id, off, buf, sz);
-    BitReader r(buf, size_t(sz) * 8);
-    bool ok = codec_->decompress(r, out);
-    assert(ok && "corrupt RMC slot");
-    (void)ok;
+    return out;
+}
+
+void
+RmcController::setRaw(Page &p) const
+{
+    p.sub_alloc.fill(uint32_t(kPageBytes / kSubpages));
+    p.code.fill(uint8_t(bins_->count() - 1));
 }
 
 void
 RmcController::relayout(PageNum pn, Page &p,
                         const std::array<uint8_t, kLinesPerPage> &codes,
-                        LineIdx idx, const Line &raw, bool os_fault,
+                        LineIdx idx, const Line &raw, Relayout why,
                         McTrace &trace)
 {
     CPR_PROF_SCOPE(ProfPhase::kMcOverflow);
+    uint32_t old_used = subBase(p, kSubpages);
     // Re-layout admission: a blown relocation budget (watchdog)
     // forces the raw layout — terminal, the page cannot overflow
     // again — instead of another compressed re-layout.
     bool escalate_raw = false;
     if (pressure_ != nullptr) {
-        uint32_t cur = 0;
-        for (unsigned sp = 0; sp < kSubpages; ++sp)
-            cur += p.sub_alloc[sp];
-        uint64_t est = 2ull * (cur / kLineBytes + uint64_t(kLinesPerPage));
+        uint64_t est =
+            2ull * (old_used / kLineBytes + uint64_t(kLinesPerPage));
         if (!pressure_->admitOp(PressureOp::kRelocation, est)) {
             escalate_raw = true;
             ++st_overflow_escalations_;
@@ -101,15 +101,10 @@ RmcController::relayout(PageNum pn, Page &p,
     AttribComp relayout_comp = escalate_raw
                                    ? AttribComp::kPressureStall
                                    : AttribComp::kOverflowRelayout;
-    // Gather current data.
-    std::array<Line, kLinesPerPage> buf;
-    for (LineIdx l = 0; l < kLinesPerPage; ++l)
-        readStored(p, l, buf[l]);
+    PageLines buf;
+    gather(p.chunk_id, slots(p), buf);
     buf[idx] = raw;
 
-    uint32_t old_used = 0;
-    for (unsigned sp = 0; sp < kSubpages; ++sp)
-        old_used += p.sub_alloc[sp];
     if (p.chunks > 0)
         store_.deviceOps(p.chunk_id, 0, old_used, false, false, trace,
                          relayout_comp);
@@ -117,26 +112,29 @@ RmcController::relayout(PageNum pn, Page &p,
                                    kLineBytes;
 
     p.code = codes;
-    uint32_t total = 0;
+    uint32_t new_used = 0;
     for (unsigned sp = 0; sp < kSubpages; ++sp) {
         p.sub_alloc[sp] = subPack(p, sp) + cfg_.hysteresis_bytes;
-        total += p.sub_alloc[sp];
+        new_used += p.sub_alloc[sp];
     }
-    uint32_t alloc = pageBinBytes(std::min<uint32_t>(total, kPageBytes),
+    uint32_t alloc = pageBinBytes(std::min<uint32_t>(new_used, kPageBytes),
                                   PageSizing::kVariable4);
-    if (escalate_raw || alloc < total) {
+    if (escalate_raw || alloc < new_used) {
         // Full page: store raw, subpages degenerate to 1 KB each.
-        for (unsigned sp = 0; sp < kSubpages; ++sp)
-            p.sub_alloc[sp] = uint32_t(kPageBytes / kSubpages);
-        for (LineIdx l = 0; l < kLinesPerPage; ++l)
-            p.code[l] = uint8_t(bins_->count() - 1);
-        alloc = uint32_t(kPageBytes);
+        setRaw(p);
+        new_used = uint32_t(kPageBytes);
+        storeRawPage(p, buf, trace, relayout_comp, OnRefusal::kStore);
+    } else {
+        store_.resize(p.chunks, p.chunk_id,
+                      (alloc + uint32_t(kChunkBytes) - 1) /
+                          uint32_t(kChunkBytes),
+                      md_.oomRescue());
+        storeLines(p.chunk_id, slots(p), buf);
+        store_.deviceOps(p.chunk_id, 0, new_used, true, false, trace,
+                         relayout_comp);
     }
-    store_.resize(p.chunks, p.chunk_id,
-                  (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
-                  md_.oomRescue());
 
-    if (os_fault) {
+    if (why == Relayout::kOsFault) {
         ++st_page_overflows_;
         ++st_page_faults_;
         CPR_OBS_EVENT(obs_, ObsEvent::kPageOverflow, pn, 0);
@@ -144,28 +142,9 @@ RmcController::relayout(PageNum pn, Page &p,
                       uint32_t(cfg_.page_fault_cycles));
         st_page_fault_cycles_ += cfg_.page_fault_cycles;
         trace.addStall(AttribComp::kOsFault, cfg_.page_fault_cycles);
-    } else {
+    } else if (why == Relayout::kShift) {
         ++st_subpage_shifts_;
     }
-
-    uint32_t new_used = 0;
-    for (unsigned sp = 0; sp < kSubpages; ++sp)
-        new_used += p.sub_alloc[sp];
-    for (LineIdx l = 0; l < kLinesPerPage; ++l) {
-        if (p.code[l] == 0)
-            continue;
-        uint32_t off = lineOffset(p, l);
-        if (bins_->binSize(p.code[l]) == kLineBytes) {
-            store_.storeBytes(p.chunk_id, off, buf[l].data(), kLineBytes);
-        } else {
-            BitWriter w;
-            codec_->compress(buf[l], w);
-            store_.storeBytes(p.chunk_id, off, w.bytes().data(),
-                              w.bytes().size());
-        }
-    }
-    store_.deviceOps(p.chunk_id, 0, new_used, true, false, trace,
-                     relayout_comp);
     st_overflow_move_ops_ += (new_used + kLineBytes - 1) /
                                    kLineBytes;
     if (pressure_ != nullptr)
@@ -189,22 +168,13 @@ void
 RmcController::mdInflate(PageNum pn, McTrace &trace)
 {
     Page &p = pages_.at(pn);
-    std::array<Line, kLinesPerPage> buf;
-    for (LineIdx l = 0; l < kLinesPerPage; ++l)
-        readStored(p, l, buf[l]);
+    PageLines buf;
+    gather(p.chunk_id, slots(p), buf);
     store_.deviceOps(p.chunk_id, 0, subBase(p, kSubpages), false, false,
                      trace, AttribComp::kFaultRecovery);
-    for (unsigned sp = 0; sp < kSubpages; ++sp)
-        p.sub_alloc[sp] = uint32_t(kPageBytes / kSubpages);
-    for (LineIdx l = 0; l < kLinesPerPage; ++l)
-        p.code[l] = uint8_t(bins_->count() - 1);
-    store_.resize(p.chunks, p.chunk_id, unsigned(kChunksPerPage),
-                  md_.oomRescue());
-    for (LineIdx l = 0; l < kLinesPerPage; ++l)
-        store_.storeBytes(p.chunk_id, lineOffset(p, l), buf[l].data(),
-                          kLineBytes);
-    store_.deviceOps(p.chunk_id, 0, kPageBytes, true, false, trace,
-                     AttribComp::kFaultRecovery);
+    setRaw(p);
+    storeRawPage(p, buf, trace, AttribComp::kFaultRecovery,
+                 OnRefusal::kStore);
 }
 
 void
@@ -238,8 +208,7 @@ RmcController::fillLine(Addr addr, Line &data, McTrace &trace)
         data.fill(0);
         return;
     }
-    readStored(p, idx, data);
-    if (sz != kLineBytes)
+    if (loadSlot(p.chunk_id, {off, sz}, data))
         trace.addFixed(AttribComp::kDecompress, cfg_.compression_latency);
 }
 
@@ -256,11 +225,8 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     if (!md_.access(addr, true, trace))
         return; // the page is retired
 
-    bool zero = isZeroLine(data);
-    BitWriter w;
-    codec_->compress(data, w);
-    unsigned bin = bins_->binFor(w.bytes().size(), zero);
-    CPR_OBS_HIST(h_line_bytes_, zero ? 0 : w.bytes().size());
+    Encoded enc = encode(data);
+    CPR_OBS_HIST(h_line_bytes_, enc.zero ? 0 : enc.bytes.size());
 
     if (!p.valid) {
         p.valid = true;
@@ -268,7 +234,7 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         ++st_pages_touched_;
     }
     if (p.zero) {
-        if (zero) {
+        if (enc.zero) {
             ++st_zero_wbs_;
             return;
         }
@@ -276,37 +242,24 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         p.zero = false;
         p.code.fill(0);
         std::array<uint8_t, kLinesPerPage> codes{};
-        codes[idx] = uint8_t(bin);
+        codes[idx] = uint8_t(enc.bin);
         // relayout() reads old content; page has no chunks yet.
         trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
-        relayout(pn, p, codes, idx, data, false, trace);
-        st_subpage_shifts_ -= 1; // initial layout is not a shift
+        relayout(pn, p, codes, idx, data, Relayout::kFirst, trace);
         return;
     }
 
     trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
     unsigned code = p.code[idx];
 
-    if (bin <= code) {
+    if (enc.bin <= code) {
         // Fits its slot.
-        if (zero && code == 0) {
+        if (enc.zero && code == 0)
             ++st_zero_wbs_;
-        } else {
-            uint32_t off = lineOffset(p, idx);
-            uint16_t sz = bins_->binSize(code);
-            // A raw slot stores the 64 raw bytes; an incompressible
-            // line's encoding can exceed kLineBytes.
-            size_t len = sz == kLineBytes
-                             ? kLineBytes
-                             : std::max<size_t>(w.bytes().size(), 1);
-            store_.lineAccess(p.chunk_id, pn, off, len, true, trace,
-                              st_split_wb_lines_);
-            if (sz == kLineBytes)
-                store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
-            else
-                store_.storeBytes(p.chunk_id, off, w.bytes().data(),
-                                  w.bytes().size());
-        }
+        else
+            writeSlot(pn, p.chunk_id,
+                      {lineOffset(p, idx), bins_->binSize(code)}, data, enc,
+                      trace, st_split_wb_lines_);
         return;
     }
 
@@ -314,46 +267,27 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     ++st_line_overflows_;
     CPR_OBS_EVENT(obs_, ObsEvent::kLineOverflow, pn, idx);
     unsigned sp = subpageOf(idx);
+    LineIdx sp_end = LineIdx((sp + 1) * kLinesPerSubpage);
     std::array<uint8_t, kLinesPerPage> codes = p.code;
-    codes[idx] = uint8_t(bin);
+    codes[idx] = uint8_t(enc.bin);
     uint32_t new_pack = 0;
-    for (unsigned l = sp * kLinesPerSubpage;
-         l < (sp + 1) * kLinesPerSubpage; ++l) {
+    for (unsigned l = sp * kLinesPerSubpage; l < sp_end; ++l)
         new_pack += bins_->binSize(codes[l]);
-    }
 
     if (new_pack <= p.sub_alloc[sp]) {
         // Hysteresis absorbs it: shift only the lines after idx within
         // this subpage ("light" movement).
-        std::array<Line, kLinesPerSubpage> buf;
-        for (unsigned l = idx + 1; l < (sp + 1) * kLinesPerSubpage; ++l)
-            readStored(p, LineIdx(l), buf[l - sp * kLinesPerSubpage]);
-        uint32_t moved_from = lineOffset(p, idx);
+        Slots old = slots(p);
+        PageLines buf;
+        gather(p.chunk_id, old, buf, idx + 1, sp_end);
+        uint32_t moved_from = old[idx].off;
         uint32_t sub_end = subBase(p, sp) + p.sub_alloc[sp];
         store_.deviceOps(p.chunk_id, moved_from, sub_end - moved_from, false,
                          false, trace, AttribComp::kOverflowRelayout);
         p.code = codes;
-        uint32_t off = lineOffset(p, idx);
-        if (bins_->binSize(bin) == kLineBytes)
-            store_.storeBytes(p.chunk_id, off, data.data(), kLineBytes);
-        else
-            store_.storeBytes(p.chunk_id, off, w.bytes().data(),
-                              w.bytes().size());
-        for (unsigned l = idx + 1; l < (sp + 1) * kLinesPerSubpage;
-             ++l) {
-            const Line &src = buf[l - sp * kLinesPerSubpage];
-            if (p.code[l] == 0)
-                continue;
-            uint32_t loff = lineOffset(p, LineIdx(l));
-            if (bins_->binSize(p.code[l]) == kLineBytes) {
-                store_.storeBytes(p.chunk_id, loff, src.data(), kLineBytes);
-            } else {
-                BitWriter lw;
-                codec_->compress(src, lw);
-                store_.storeBytes(p.chunk_id, loff, lw.bytes().data(),
-                                  lw.bytes().size());
-            }
-        }
+        Slots shifted = slots(p);
+        storeSlot(p.chunk_id, shifted[idx], data, &enc);
+        storeLines(p.chunk_id, shifted, buf, idx + 1, sp_end);
         store_.deviceOps(p.chunk_id, moved_from, sub_end - moved_from, true,
                          false, trace, AttribComp::kOverflowRelayout);
         st_overflow_move_ops_ +=
@@ -378,7 +312,8 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     bool os_fault = pageBinBytes(std::min<uint32_t>(total, kPageBytes),
                                  PageSizing::kVariable4) >
                     p.allocBytes();
-    relayout(pn, p, codes, idx, data, os_fault, trace);
+    relayout(pn, p, codes, idx, data,
+             os_fault ? Relayout::kOsFault : Relayout::kShift, trace);
 }
 
 } // namespace compresso

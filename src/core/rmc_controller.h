@@ -83,12 +83,22 @@ class RmcController : public CompressedController<RmcPage>
     uint32_t subBase(const Page &p, unsigned sp) const;
     /** Byte offset of line @p idx. */
     uint32_t lineOffset(const Page &p, LineIdx idx) const;
-    void readStored(const Page &p, LineIdx idx, Line &out) const;
-    /** Re-lay out the whole page for new codes (subpage shift or OS
-     *  page overflow), preserving data. */
+    /** Every line's slot, packed by its code within its subpage. */
+    Slots slots(const Page &p) const;
+    /** The raw layout: 1 KB subpages of top-bin (64 B raw) slots. */
+    void setRaw(Page &p) const;
+
+    /** Why the page is re-laid out. */
+    enum class Relayout
+    {
+        kFirst,   ///< the first data in a zero page
+        kShift,   ///< a subpage outgrew its slack; the page still fits
+        kOsFault, ///< the page outgrew its allocation (OS page fault)
+    };
+    /** Re-lay out the whole page for new codes, preserving data. */
     void relayout(PageNum pn, Page &p,
                   const std::array<uint8_t, kLinesPerPage> &codes,
-                  LineIdx idx, const Line &raw, bool os_fault,
+                  LineIdx idx, const Line &raw, Relayout why,
                   McTrace &trace);
 
     // --- metadata ladder hooks (OS-aware: the OS rebuilds the BST
@@ -99,8 +109,6 @@ class RmcController : public CompressedController<RmcPage>
     void mdInflate(PageNum pn, McTrace &trace) override;
 
     RmcConfig cfg_;
-    const SizeBins *bins_;
-    std::unique_ptr<Compressor> codec_;
 
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");

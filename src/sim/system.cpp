@@ -31,6 +31,26 @@ mcKindName(McKind kind)
     return "?";
 }
 
+std::unique_ptr<MemoryController>
+makeController(const SystemConfig &cfg)
+{
+    switch (cfg.kind) {
+      case McKind::kUncompressed:
+        return std::make_unique<UncompressedController>();
+      case McKind::kLcp:
+      case McKind::kLcpAlign: {
+        LcpConfig lc = cfg.lcp;
+        lc.alignment_friendly = cfg.kind == McKind::kLcpAlign;
+        return std::make_unique<LcpController>(lc);
+      }
+      case McKind::kRmc:
+        return std::make_unique<RmcController>(RmcConfig{});
+      case McKind::kCompresso:
+        return std::make_unique<CompressoController>(cfg.compresso);
+    }
+    return nullptr;
+}
+
 System::System(const SystemConfig &cfg,
                const std::vector<std::string> &workloads, uint64_t seed)
     : cfg_(cfg), dram_(cfg.dram), hier_([&] {
@@ -41,24 +61,7 @@ System::System(const SystemConfig &cfg,
 {
     assert(workloads.size() == cfg.cores);
 
-    switch (cfg.kind) {
-      case McKind::kUncompressed:
-        mc_ = std::make_unique<UncompressedController>();
-        break;
-      case McKind::kLcp:
-      case McKind::kLcpAlign: {
-        LcpConfig lc = cfg.lcp;
-        lc.alignment_friendly = cfg.kind == McKind::kLcpAlign;
-        mc_ = std::make_unique<LcpController>(lc);
-        break;
-      }
-      case McKind::kRmc:
-        mc_ = std::make_unique<RmcController>(RmcConfig{});
-        break;
-      case McKind::kCompresso:
-        mc_ = std::make_unique<CompressoController>(cfg.compresso);
-        break;
-    }
+    mc_ = makeController(cfg);
 
     if (cfg.fault.rates_enabled()) {
         fault_ = std::make_unique<FaultInjector>(cfg.fault);

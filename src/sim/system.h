@@ -58,6 +58,9 @@ struct SystemConfig
     ObsConfig obs;
 };
 
+/** The controller @p cfg.kind names, built from @p cfg's settings. */
+std::unique_ptr<MemoryController> makeController(const SystemConfig &cfg);
+
 class System
 {
   public:

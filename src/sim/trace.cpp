@@ -92,25 +92,7 @@ replayTrace(McKind kind, TraceReader &reader, uint64_t max_refs)
 {
     SystemConfig cfg = makeSystemConfig(kind, 1, RunSpec{});
 
-    std::unique_ptr<MemoryController> mc;
-    switch (kind) {
-      case McKind::kUncompressed:
-        mc = std::make_unique<UncompressedController>();
-        break;
-      case McKind::kLcp:
-      case McKind::kLcpAlign: {
-        LcpConfig lc = cfg.lcp;
-        lc.alignment_friendly = kind == McKind::kLcpAlign;
-        mc = std::make_unique<LcpController>(lc);
-        break;
-      }
-      case McKind::kRmc:
-        mc = std::make_unique<RmcController>(RmcConfig{});
-        break;
-      case McKind::kCompresso:
-        mc = std::make_unique<CompressoController>(cfg.compresso);
-        break;
-    }
+    std::unique_ptr<MemoryController> mc = makeController(cfg);
 
     DramModel dram(cfg.dram);
     HierarchyConfig hc = cfg.hierarchy;
