@@ -15,9 +15,12 @@
  * and size bins it needs: a 64 B slot holds the line raw, a smaller one
  * its codec stream, an empty one nothing (a zero line). encode(),
  * loadSlot() and storeSlot() are the only code that applies the
- * format. On top of them sit the page helpers of every re-layout: a
- * whole-page gather, a store of gathered lines into a new slot map
- * and the raw-page writer. A controller adds only where its slots lie.
+ * format, and readSlot() is every fill's ECC-checked slot read. On top
+ * of them sit the page helpers of every re-layout: the bin-size sum
+ * packBytes(), resizeFor() to the chunks covering a page size, a
+ * whole-page gather, a store of gathered lines into a new slot map and
+ * the raw-page writer. A controller adds only where its slots lie and
+ * its one rule for a page's size.
  *
  * @p PageT is the page-table record: a ChunkedPage for LCP, RMC and
  * DMC, Compresso's MetadataEntry (whose chunk list is `mpfn`) for
@@ -62,11 +65,6 @@ struct ChunkedPage
     ChunkStore::ChunkIds chunk_id;
 
     ChunkedPage() { chunk_id.fill(kNoChunk); }
-
-    uint32_t allocBytes() const
-    {
-        return uint32_t(chunks) * uint32_t(kChunkBytes);
-    }
 };
 
 /** A page-table record's chunk list. */
@@ -148,7 +146,7 @@ class CompressedController : public MemoryController,
         auto it = pages_.find(pn);
         if (it == pages_.end() || !it->second.valid)
             return 0;
-        return uint64_t(it->second.chunks) * kChunkBytes;
+        return allocBytes(it->second);
     }
 
     /** The page of an in-flight operation must not be reclaimed. */
@@ -277,6 +275,25 @@ class CompressedController : public MemoryController,
         return std::max<size_t>(bytes.size(), 1);
     }
 
+    /** A fill's read of @p slot, after its device access: a detected
+     *  ECC fault poisons the slot and zeroes @p data (false);
+     *  otherwise the line is loaded, a codec stream paying
+     *  @p decompress_latency. */
+    bool
+    readSlot(Addr addr, const ChunkStore::ChunkIds &ids, Slot slot,
+             Cycle decompress_latency, Line &data, McTrace &trace)
+    {
+        if (fault_.takePending() == FaultOutcome::kDetected) {
+            store_.poisonLine(lineAddr(addr), ids, slot.off, slot.bytes,
+                              trace);
+            data.fill(0);
+            return false;
+        }
+        if (loadSlot(ids, slot, data))
+            trace.addFixed(AttribComp::kDecompress, decompress_latency);
+        return true;
+    }
+
     /** A writeback into the line's own slot: store it and emit the
      *  slot write, a split one counted in @p split_lines. */
     void
@@ -289,6 +306,44 @@ class CompressedController : public MemoryController,
     }
 
     // --- page helpers ---
+
+    /** The bytes of the chunks backing @p p. */
+    static uint32_t
+    allocBytes(const PageT &p)
+    {
+        return uint32_t(p.chunks) * uint32_t(kChunkBytes);
+    }
+
+    /** The 64 B blocks that cover @p bytes. */
+    static uint32_t
+    lineBlocks(uint64_t bytes)
+    {
+        return uint32_t((bytes + kLineBytes - 1) / kLineBytes);
+    }
+
+    /** The bytes lines [first, end) pack into: the sum of their bin
+     *  codes' slot sizes. */
+    uint32_t
+    packBytes(const std::array<uint8_t, kLinesPerPage> &codes,
+              LineIdx first = 0, LineIdx end = kLinesPerPage) const
+    {
+        uint32_t sum = 0;
+        for (LineIdx i = first; i < end; ++i)
+            sum += bins_->binSize(codes[i]);
+        return sum;
+    }
+
+    /** Grow or shrink @p p to the chunks that cover @p alloc_bytes,
+     *  rescuing a machine OOM. Returns false if the chunks were
+     *  refused. */
+    bool
+    resizeFor(PageT &p, uint32_t alloc_bytes)
+    {
+        return store_.resize(
+            p.chunks, chunkIds(p),
+            unsigned((alloc_bytes + kChunkBytes - 1) / kChunkBytes),
+            md_.oomRescue());
+    }
 
     /** Lay lines [first, end) out back to back from page byte @p base,
      *  each in a slot of its bin code's size. Returns the end offset. */
@@ -336,8 +391,7 @@ class CompressedController : public MemoryController,
                  AttribComp comp, OnRefusal on_refusal)
     {
         ChunkStore::ChunkIds &ids = chunkIds(p);
-        bool granted = store_.resize(p.chunks, ids, unsigned(kChunksPerPage),
-                                     md_.oomRescue());
+        bool granted = resizeFor(p, uint32_t(kPageBytes));
         if (!granted && on_refusal == OnRefusal::kDrop)
             return false;
         for (LineIdx i = 0; i < kLinesPerPage; ++i)
@@ -349,6 +403,15 @@ class CompressedController : public MemoryController,
 
     /** The page's record, inserted on first reference. */
     PageT &page(PageNum pn) { return pages_[pn]; }
+
+    /** A page's first write maps it, as a zero page. */
+    void
+    firstTouch(PageT &p)
+    {
+        p.valid = true;
+        p.zero = true;
+        ++st_pages_touched_;
+    }
 
     /** After freePage released a page. */
     virtual void pageFreed(PageNum) {}

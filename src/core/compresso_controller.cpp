@@ -89,10 +89,15 @@ CompressoController::irBase(const MetadataEntry &m) const
 {
     // The inflation room starts at the next 64 B boundary past the
     // packed lines so inflated lines are always single-access.
-    uint32_t pack = 0;
-    for (uint8_t c : m.line_code)
-        pack += bins_->binSize(c);
-    return uint32_t(roundUp(pack, kLineBytes));
+    return uint32_t(roundUp(packBytes(m.line_code), kLineBytes));
+}
+
+uint32_t
+CompressoController::pageAlloc(
+    const std::array<uint8_t, kLinesPerPage> &codes) const
+{
+    return pageBinBytes(uint32_t(roundUp(packBytes(codes), kLineBytes)),
+                        cfg_.page_sizing);
 }
 
 int
@@ -133,26 +138,15 @@ CompressoController::lineSlot(const MetadataEntry &m, LineIdx idx) const
 // ---------------------------------------------------------------------
 
 void
-CompressoController::firstTouch(PageNum page, MetadataEntry &m)
+CompressoController::firstTouch(MetadataEntry &m)
 {
-    (void)page;
-    m.valid = true;
-    m.zero = true; // OSPA pages start as copy-on-write zero pages
+    // OSPA pages start as copy-on-write zero pages.
+    CompressedController::firstTouch(m);
     m.compressed = false;
     m.chunks = 0;
     m.inflate_count = 0;
     m.free_space = 0;
     m.line_code.fill(0);
-    ++st_pages_touched_;
-}
-
-void
-CompressoController::materializeZeroPage(MetadataEntry &m, PageShadow &sh)
-{
-    m.zero = false;
-    m.compressed = true;
-    m.line_code.fill(0);
-    sh.actual_bin.fill(0);
 }
 
 void
@@ -175,7 +169,7 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
         ++st_free_slot_growths_;
         uint32_t old_alloc = allocBytes(m);
         m.line_code[idx] = uint8_t(enc.bin);
-        uint32_t new_alloc = pageBinBytes(irBase(m), cfg_.page_sizing);
+        uint32_t new_alloc = pageAlloc(m.line_code);
         if (new_alloc > old_alloc) {
             // Growing to admit a first write is not overflow pressure:
             // nothing moved (chunked) and no data shrank. Keep it out
@@ -185,15 +179,11 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
                 old_alloc > 0) {
                 // Variable-size chunks: growth relocates the page.
                 uint32_t moved = offsets_.offset(m.line_code, idx);
-                unsigned blocks =
-                    unsigned((moved + kLineBytes - 1) / kLineBytes);
-                st_overflow_move_ops_ += 2ull * blocks;
+                st_overflow_move_ops_ += 2ull * lineBlocks(moved);
                 store_.deviceOps(m.mpfn, 0, moved, false, false, trace,
                                  AttribComp::kOverflowRelayout);
             }
-            unsigned want =
-                unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes);
-            if (!store_.resize(m.chunks, m.mpfn, want, md_.oomRescue())) {
+            if (!resizeFor(m, new_alloc)) {
                 m.line_code[idx] = 0; // OOM: drop the write
                 return;
             }
@@ -216,10 +206,7 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
     // Sec. III: place the inflated line, uncompressed, in the
     // inflation room, if the current allocation has room for it.
     if (cfg_.inflation_room && m.inflate_count < kMaxInflatedLines) {
-        uint32_t base = irBase(m);
-        uint32_t need = base + uint32_t(m.inflate_count + 1) *
-                                   uint32_t(kLineBytes);
-        if (need <= allocBytes(m)) {
+        if (usedBytes(m) + kLineBytes <= allocBytes(m)) {
             placeInIr(m, idx, raw, trace);
             return;
         }
@@ -273,9 +260,7 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
     // to the degradation ladder's safe state (one terminal inflation
     // to uncompressed 4 KB) so the page stops generating relocations.
     if (pressure_ != nullptr) {
-        uint32_t used = irBase(m) +
-            uint32_t(m.inflate_count) * uint32_t(kLineBytes);
-        uint64_t est = 2ull * ((used + kLineBytes - 1) / kLineBytes);
+        uint64_t est = 2ull * lineBlocks(usedBytes(m));
         if (!pressure_->admitOp(PressureOp::kRelocation, est)) {
             ++st_overflow_escalations_;
             CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, page,
@@ -296,8 +281,7 @@ void
 CompressoController::placeInIr(MetadataEntry &m, LineIdx idx,
                                const Line &raw, McTrace &trace)
 {
-    uint32_t off =
-        irBase(m) + uint32_t(m.inflate_count) * uint32_t(kLineBytes);
+    uint32_t off = usedBytes(m); // the next inflation-room slot
     m.inflate_line[m.inflate_count++] = uint8_t(idx);
     store_.deviceOps(m.mpfn, off, kLineBytes, true, false, trace,
                      AttribComp::kOverflowRelayout);
@@ -348,9 +332,8 @@ CompressoController::growSlotInPlace(PageNum page, MetadataEntry &m,
     codes[idx] = uint8_t(bin);
 
     Slots grown;
-    uint32_t new_pack = packSlots(codes, grown);
-    uint32_t new_used = uint32_t(roundUp(new_pack, kLineBytes));
-    uint32_t new_alloc = pageBinBytes(new_used, cfg_.page_sizing);
+    uint32_t new_used = uint32_t(roundUp(packSlots(codes, grown), kLineBytes));
+    uint32_t new_alloc = pageAlloc(codes);
 
     bool page_grew = new_alloc > allocBytes(m);
     if (page_grew) {
@@ -368,7 +351,7 @@ CompressoController::growSlotInPlace(PageNum page, MetadataEntry &m,
         m.inflate_count > 0;
     uint32_t move_from = rewrite_all ? 0 : old[idx].off;
     uint32_t moved = old_used > move_from ? old_used - move_from : 0;
-    unsigned move_blocks = unsigned((moved + kLineBytes - 1) / kLineBytes);
+    unsigned move_blocks = lineBlocks(moved);
     st_overflow_move_ops_ += 2ull * move_blocks;
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kRelocation, 2ull * move_blocks);
@@ -378,11 +361,8 @@ CompressoController::growSlotInPlace(PageNum page, MetadataEntry &m,
                          AttribComp::kOverflowRelayout);
     }
 
-    if (!store_.resize(m.chunks, m.mpfn,
-                       unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes),
-                       md_.oomRescue())) {
+    if (!resizeFor(m, new_alloc))
         return; // machine OOM: drop the resize, data unchanged
-    }
 
     m.line_code = codes;
     m.inflate_count = 0;
@@ -406,8 +386,7 @@ CompressoController::inflateToUncompressed(PageNum page, MetadataEntry &m,
     uint32_t old_used = usedBytes(m);
     if (m.chunks > 0)
         store_.deviceOps(m.mpfn, 0, old_used, false, false, trace, comp);
-    uint64_t inflate_cost =
-        (old_used + kLineBytes - 1) / kLineBytes + kLinesPerPage;
+    uint64_t inflate_cost = lineBlocks(old_used) + kLinesPerPage;
     st_overflow_move_ops_ += inflate_cost;
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kInflation, inflate_cost);
@@ -434,7 +413,7 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
     // pressure the governor may defer it outright — skipping is always
     // safe, the page just keeps its current (larger) footprint.
     if (pressure_ != nullptr) {
-        uint64_t est = 2ull * ((usedBytes(m) + kLineBytes - 1) / kLineBytes);
+        uint64_t est = 2ull * lineBlocks(usedBytes(m));
         if (!pressure_->admitOp(PressureOp::kRepack, est)) {
             ++st_repacks_throttled_;
             CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, page,
@@ -450,16 +429,15 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
     // New layout straight from the actual compressibility.
     Slots packed;
     uint32_t new_pack = packSlots(sh.actual_bin, packed);
-    bool all_zero = new_pack == 0;
 
     ++st_repacks_;
-    unsigned read_blocks = unsigned((old_used + kLineBytes - 1) / kLineBytes);
+    unsigned read_blocks = lineBlocks(old_used);
     st_repack_read_ops_ += read_blocks;
     store_.deviceOps(m.mpfn, 0, old_used, false, false, trace,
                      AttribComp::kRepack);
     CPR_OBS_HIST(h_page_free_, m.free_space);
 
-    if (all_zero) {
+    if (new_pack == 0) { // every line zero
         store_.resize(m.chunks, m.mpfn, 0);
         m.zero = true;
         m.compressed = false;
@@ -479,41 +457,18 @@ CompressoController::repackPage(PageNum page, McTrace &trace)
     PageLines buf;
     gather(m.mpfn, slots(m), buf);
     uint32_t new_used = uint32_t(roundUp(new_pack, kLineBytes));
-    uint32_t new_alloc = pageBinBytes(new_used, cfg_.page_sizing);
+    uint32_t new_alloc = pageAlloc(sh.actual_bin);
+    // Both callers need free_space (alloc - new_alloc, audited) >= 512.
+    assert(new_alloc < kPageBytes);
 
-    if (new_alloc >= kPageBytes) {
-        // Compression saves nothing: store the page raw. Raw pages
-        // skip decompression on fills and only need the first half of
-        // their metadata entry (Sec. IV-B5).
-        storeRawPage(m, buf, trace, AttribComp::kRepack, OnRefusal::kStore);
-        m.line_code.fill(uint8_t(bins_->count() - 1));
-        m.inflate_count = 0;
-        m.compressed = false;
-        m.free_space = 0;
-        sh.predictor_inflated = false;
-        st_repack_write_ops_ += kLinesPerPage;
-        md_.cache().reshape(page, m.halfCacheable());
-        CPR_OBS_EVENT(obs_, ObsEvent::kRepack, page,
-                      read_blocks + unsigned(kLinesPerPage));
-        CPR_OBS_HIST(h_repack_cost_, read_blocks + kLinesPerPage);
-        CPR_OBS_HIST(h_page_alloc_, kPageBytes);
-        if (pressure_ != nullptr)
-            pressure_->onOpCost(PressureOp::kRepack,
-                                read_blocks + kLinesPerPage);
-        CPR_CHECKED_AUDIT(page, "repack (to raw page)");
-        return;
-    }
-
-    store_.resize(m.chunks, m.mpfn,
-                  unsigned((new_alloc + kChunkBytes - 1) / kChunkBytes),
-                  md_.oomRescue());
+    resizeFor(m, new_alloc);
     m.line_code = sh.actual_bin;
     m.inflate_count = 0;
     m.compressed = true;
     m.free_space = 0;
     sh.predictor_inflated = false;
     storeLines(m.mpfn, packed, buf);
-    unsigned write_blocks = unsigned((new_used + kLineBytes - 1) / kLineBytes);
+    unsigned write_blocks = lineBlocks(new_used);
     st_repack_write_ops_ += write_blocks;
     store_.deviceOps(m.mpfn, 0, new_used, true, false, trace,
                      AttribComp::kRepack);
@@ -535,20 +490,11 @@ CompressoController::updateFreeSpace(MetadataEntry &m, const PageShadow &sh)
     // exactly like a raw page (offsets i*64, lines stored raw).
     // Clearing the compressed bit costs nothing and lets the metadata
     // cache keep only the first half of its entry (Sec. IV-B5).
-    if (m.compressed && m.inflate_count == 0) {
-        bool all_top = true;
-        for (uint8_t c : m.line_code)
-            all_top &= bins_->binSize(c) == kLineBytes;
-        if (all_top)
-            m.compressed = false;
-    }
+    if (m.compressed && m.inflate_count == 0 &&
+        packBytes(m.line_code) == kPageBytes)
+        m.compressed = false;
 
-    uint32_t potential_pack = 0;
-    for (uint8_t b : sh.actual_bin)
-        potential_pack += bins_->binSize(b);
-    uint32_t potential_alloc =
-        pageBinBytes(uint32_t(roundUp(potential_pack, kLineBytes)),
-                     cfg_.page_sizing);
+    uint32_t potential_alloc = pageAlloc(sh.actual_bin);
     uint32_t alloc = allocBytes(m);
     uint32_t free_b = alloc > potential_alloc ? alloc - potential_alloc : 0;
     m.free_space = uint16_t(std::min<uint32_t>(free_b, 4095));
@@ -572,7 +518,7 @@ CompressoController::mdRewalkEstimate(PageNum page) const
     const MetadataEntry &m = pages_.at(page);
     if (!m.valid || m.zero || m.chunks == 0)
         return 1;
-    return 1 + (usedBytes(m) + kLineBytes - 1) / kLineBytes;
+    return 1 + lineBlocks(usedBytes(m));
 }
 
 void
@@ -702,29 +648,21 @@ CompressoController::fillLine(Addr addr, Line &data, McTrace &trace)
         trace.addFixed(AttribComp::kMdcacheHit, offsets_.extraCycles());
     store_.lineAccess(m.mpfn, page, slot.off, slot.bytes, false, trace,
                       st_split_fill_lines_);
-    if (fault_.takePending() == FaultOutcome::kDetected) {
-        store_.poisonLine(lineAddr(addr), m.mpfn, slot.off, slot.bytes,
-                          trace);
-        data.fill(0);
-        return;
-    }
-    if (loadSlot(m.mpfn, slot, data))
-        trace.addFixed(AttribComp::kDecompress, cfg_.compression_latency);
-    if (!packed)
+    if (!readSlot(addr, m.mpfn, slot, cfg_.compression_latency, data,
+                  trace) ||
+        !packed)
         return;
 
     // Free prefetch: neighboring compressed lines that arrived whole
     // within the fetched 64 B bursts (Sec. VII-A).
     uint32_t blk_lo = (slot.off / kLineBytes) * uint32_t(kLineBytes);
     uint32_t blk_hi = uint32_t(roundUp(slot.off + slot.bytes, kLineBytes));
-    uint32_t acc = 0;
+    const Slots all = slots(m);
     for (LineIdx i = 0; i < kLinesPerPage; ++i) {
-        uint16_t li_sz = bins_->binSize(m.line_code[i]);
-        uint32_t lo = acc;
-        acc += li_sz;
-        if (i == idx || li_sz == 0 || inflateSlot(m, i) >= 0)
+        Slot s = all[i];
+        if (i == idx || s.bytes == 0 || inflateSlot(m, i) >= 0)
             continue;
-        if (lo >= blk_lo && lo + li_sz <= blk_hi &&
+        if (s.off >= blk_lo && s.off + s.bytes <= blk_hi &&
             trace.co_fetched.size() < 8) {
             trace.co_fetched.push_back(pageOf(addr) * kPageBytes +
                                        Addr(i) * kLineBytes);
@@ -752,7 +690,7 @@ CompressoController::writebackLine(Addr addr, const Line &data,
     PageShadow &sh = shadow(page);
 
     if (!m.valid)
-        firstTouch(page, m);
+        firstTouch(m);
 
     if (m.zero) {
         if (enc.zero) {
@@ -761,14 +699,12 @@ CompressoController::writebackLine(Addr addr, const Line &data,
         }
         // First real data in the page: give the line a right-sized
         // slot directly (all other lines are zero, nothing moves).
-        materializeZeroPage(m, sh);
+        m.zero = false;
+        m.compressed = true;
+        m.line_code.fill(0);
         m.line_code[idx] = uint8_t(enc.bin);
-        uint32_t pack = uint32_t(roundUp(bins_->binSize(enc.bin),
-                                         kLineBytes));
-        uint32_t alloc = pageBinBytes(pack, cfg_.page_sizing);
-        store_.resize(m.chunks, m.mpfn,
-                      unsigned((alloc + kChunkBytes - 1) / kChunkBytes),
-                      md_.oomRescue());
+        sh.actual_bin.fill(0);
+        resizeFor(m, pageAlloc(m.line_code));
     }
 
     trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);

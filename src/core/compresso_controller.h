@@ -160,6 +160,9 @@ class CompressoController : public CompressedController<MetadataEntry>
     // --- layout helpers ---
     /** Where the inflation room starts: past the packed slots. */
     uint32_t irBase(const MetadataEntry &m) const;
+    /** The sizing rule: the allocation that holds lines packed by
+     *  @p codes, in the configured page sizing. */
+    uint32_t pageAlloc(const std::array<uint8_t, kLinesPerPage> &codes) const;
     /** Bytes the page's layout spans: the slots and the used
      *  inflation room, or the whole page when it is raw. */
     uint32_t usedBytes(const MetadataEntry &m) const
@@ -167,10 +170,6 @@ class CompressoController : public CompressedController<MetadataEntry>
         return m.compressed ? irBase(m) + uint32_t(m.inflate_count) *
                                               uint32_t(kLineBytes)
                             : uint32_t(kPageBytes);
-    }
-    uint32_t allocBytes(const MetadataEntry &m) const
-    {
-        return uint32_t(m.chunks) * uint32_t(kChunkBytes);
     }
     /** IR slot index of line @p idx, or -1 if not inflated. */
     int inflateSlot(const MetadataEntry &m, LineIdx idx) const;
@@ -182,8 +181,8 @@ class CompressoController : public CompressedController<MetadataEntry>
     Slot lineSlot(const MetadataEntry &m, LineIdx idx) const;
 
     // --- page lifecycle ---
-    void firstTouch(PageNum page, MetadataEntry &m);
-    void materializeZeroPage(MetadataEntry &m, PageShadow &sh);
+    /** CompressedController::firstTouch, with an empty layout. */
+    void firstTouch(MetadataEntry &m);
     void handleLineOverflow(PageNum page, MetadataEntry &m, LineIdx idx,
                             const Line &raw, const Encoded &enc,
                             McTrace &trace);

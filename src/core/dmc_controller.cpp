@@ -1,6 +1,5 @@
 #include "core/dmc_controller.h"
 
-#include <algorithm>
 #include <cassert>
 #include <numeric>
 
@@ -22,21 +21,10 @@ DmcController::DmcController(const DmcConfig &cfg)
 }
 
 uint32_t
-DmcController::hotPack(const Page &p) const
+DmcController::pageAlloc(uint32_t bytes) const
 {
-    uint32_t sum = 0;
-    for (uint8_t c : p.code)
-        sum += bins_->binSize(c);
-    return sum;
-}
-
-uint32_t
-DmcController::hotOffset(const Page &p, LineIdx idx) const
-{
-    uint32_t off = 0;
-    for (LineIdx l = 0; l < idx; ++l)
-        off += bins_->binSize(p.code[l]);
-    return off;
+    return pageBinBytes(uint32_t(roundUp(bytes, kLineBytes)),
+                        PageSizing::kVariable4);
 }
 
 void
@@ -86,25 +74,18 @@ void
 DmcController::layoutHot(Page &p, const PageLines &buf, McTrace &trace,
                          AttribComp comp)
 {
-    bool all_zero = true;
-    for (LineIdx l = 0; l < kLinesPerPage; ++l) {
+    for (LineIdx l = 0; l < kLinesPerPage; ++l)
         p.code[l] = uint8_t(binOf(buf[l]));
-        all_zero &= p.code[l] == 0;
-    }
     p.cold = false;
-    if (all_zero) {
+    Slots hot;
+    uint32_t pack = packSlots(p.code, hot);
+    if (pack == 0) { // all lines zero
         p.zero = true;
         p.code.fill(0);
         store_.resize(p.chunks, p.chunk_id, 0);
         return;
     }
-    Slots hot;
-    uint32_t pack = packSlots(p.code, hot);
-    uint32_t alloc = pageBinBytes(uint32_t(roundUp(pack, kLineBytes)),
-                                  PageSizing::kVariable4);
-    store_.resize(p.chunks, p.chunk_id,
-                  (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
-                  md_.oomRescue());
+    resizeFor(p, pageAlloc(pack));
     storeLines(p.chunk_id, hot, buf);
     store_.deviceOps(p.chunk_id, 0, uint32_t(roundUp(pack, kLineBytes)), true,
                      false, trace, comp);
@@ -130,10 +111,7 @@ DmcController::demoteToCold(PageNum pn, Page &p, McTrace &trace)
         p.cold_bytes[b] = uint32_t(blocks[b].size());
         total += p.cold_bytes[b];
     }
-    uint32_t alloc = pageBinBytes(
-        std::min<uint32_t>(uint32_t(roundUp(total, kLineBytes)),
-                           kPageBytes),
-        PageSizing::kVariable4);
+    uint32_t alloc = pageAlloc(total);
     if (alloc < total) {
         // LZ expansion beyond a page never pays off: stay hot.
         layoutHot(p, buf, trace);
@@ -142,9 +120,7 @@ DmcController::demoteToCold(PageNum pn, Page &p, McTrace &trace)
                                 trace.ops.size() - ops_before);
         return;
     }
-    store_.resize(p.chunks, p.chunk_id,
-                  (alloc + uint32_t(kChunkBytes) - 1) / uint32_t(kChunkBytes),
-                  md_.oomRescue());
+    resizeFor(p, alloc);
     p.cold = true;
     uint32_t off = 0;
     for (unsigned b = 0; b < kColdBlocks; ++b) {
@@ -236,7 +212,7 @@ DmcController::mdRewalk(PageNum pn, McTrace &trace)
         return;
     uint32_t used = p.cold ? std::accumulate(p.cold_bytes.begin(),
                                              p.cold_bytes.end(), 0u)
-                           : hotPack(p);
+                           : packBytes(p.code);
     store_.deviceOps(p.chunk_id, 0, used, false, false, trace,
                      AttribComp::kFaultRecovery);
 }
@@ -304,20 +280,13 @@ DmcController::fillLine(Addr addr, Line &data, McTrace &trace)
         ++st_zero_fills_;
         return;
     }
-    uint16_t sz = bins_->binSize(p.code[idx]);
-    uint32_t off = hotOffset(p, idx);
+    Slot slot{packBytes(p.code, 0, idx), bins_->binSize(p.code[idx])};
     // Offset adder, folded into the metadata component like
     // Compresso's offset circuit (DESIGN.md §15).
     trace.addFixed(AttribComp::kMdcacheHit, 1);
-    store_.lineAccess(p.chunk_id, pn, off, sz, false, trace,
+    store_.lineAccess(p.chunk_id, pn, slot.off, slot.bytes, false, trace,
                       st_split_fill_lines_);
-    if (fault_.takePending() == FaultOutcome::kDetected) {
-        store_.poisonLine(lineAddr(addr), p.chunk_id, off, sz, trace);
-        data.fill(0);
-        return;
-    }
-    if (loadSlot(p.chunk_id, {off, sz}, data))
-        trace.addFixed(AttribComp::kDecompress, cfg_.hot_latency);
+    readSlot(addr, p.chunk_id, slot, cfg_.hot_latency, data, trace);
 }
 
 void
@@ -335,11 +304,8 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         return; // the page is retired
 
     bool zero = isZeroLine(data);
-    if (!p.valid) {
-        p.valid = true;
-        p.zero = true;
-        ++st_pages_touched_;
-    }
+    if (!p.valid)
+        firstTouch(p);
     if (p.zero) {
         if (zero) {
             ++st_zero_wbs_;
@@ -364,7 +330,7 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         if (zero && code == 0) {
             ++st_zero_wbs_;
         } else {
-            Slot slot{hotOffset(p, idx), bins_->binSize(code)};
+            Slot slot{packBytes(p.code, 0, idx), bins_->binSize(code)};
             store_.deviceOps(p.chunk_id, slot.off,
                              storeSlot(p.chunk_id, slot, data, &enc), true,
                              false, trace);

@@ -90,8 +90,10 @@ class DmcController : public CompressedController<DmcPage>
   private:
     using Page = DmcPage;
 
-    uint32_t hotOffset(const Page &p, LineIdx idx) const;
-    uint32_t hotPack(const Page &p) const;
+    /** The sizing rule: the variable page size for @p bytes, the hot
+     *  lines' packed bytes or the cold blocks', rounded up to 64 B.
+     *  It caps at 4 KB, so cold blocks beyond that do not fit. */
+    uint32_t pageAlloc(uint32_t bytes) const;
 
     /** Rewrite the page in hot representation with the given data. */
     void layoutHot(Page &p, const PageLines &buf, McTrace &trace,

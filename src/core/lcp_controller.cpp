@@ -32,13 +32,19 @@ uint32_t
 LcpController::excCapacity(const Page &p) const
 {
     uint32_t slots_end = uint32_t(kLinesPerPage) * p.target;
-    uint32_t alloc = p.allocBytes();
+    uint32_t alloc = allocBytes(p);
     if (alloc <= slots_end)
         return 0;
     // The metadata entry holds a bounded list of exception pointers;
     // beyond it, an overflow is a page fault (OS relayout).
     return std::min<uint32_t>((alloc - slots_end) / uint32_t(kLineBytes),
                               kMaxExceptionPtrs);
+}
+
+uint32_t
+LcpController::pageAlloc(const Page &p, unsigned exceptions) const
+{
+    return pageBinBytes(excOffset(p, exceptions), PageSizing::kVariable4);
 }
 
 LcpController::Slots
@@ -66,11 +72,7 @@ LcpController::initialAllocate(Page &p, const Encoded &enc)
     // exception region is whatever slack the 4 page-size bins leave
     // (pages at exactly a bin boundary have none, and overflow into a
     // page fault).
-    uint32_t want = uint32_t(kLinesPerPage) * p.target;
-    uint32_t alloc = pageBinBytes(std::min<uint32_t>(want, kPageBytes),
-                                  PageSizing::kVariable4);
-    store_.resize(p.chunks, p.chunk_id, unsigned(alloc / kChunkBytes),
-                  md_.oomRescue());
+    resizeFor(p, pageAlloc(p, 0));
     p.zero = false;
     p.zero_line.set(); // all lines are zero until written
 }
@@ -87,7 +89,7 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
     // OS-aware safe state) so it cannot overflow again.
     bool escalate_raw = false;
     if (pressure_ != nullptr) {
-        uint64_t est = 2ull * (p.allocBytes() / kLineBytes +
+        uint64_t est = 2ull * (allocBytes(p) / kLineBytes +
                                uint64_t(kLinesPerPage));
         if (!pressure_->admitOp(PressureOp::kRelocation, est)) {
             escalate_raw = true;
@@ -122,7 +124,7 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
     p.zero_line[idx] = false;
     p.actual_bytes[idx] = uint16_t(enc.bytes.size());
 
-    uint32_t old_used = p.allocBytes();
+    uint32_t old_used = allocBytes(p);
     st_overflow_move_ops_ += old_used / kLineBytes;
     store_.deviceOps(p.chunk_id, 0, old_used, false, false, trace,
                      relayout_comp);
@@ -144,12 +146,7 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
         storeRawPage(p, buf, trace, relayout_comp, OnRefusal::kStore);
     } else {
         p.target = layout.target_bytes;
-        uint32_t want = uint32_t(kLinesPerPage) * p.target +
-                        layout.exception_count * uint32_t(kLineBytes);
-        uint32_t alloc = pageBinBytes(std::min<uint32_t>(want, kPageBytes),
-                                      PageSizing::kVariable4);
-        store_.resize(p.chunks, p.chunk_id, unsigned(alloc / kChunkBytes),
-                      md_.oomRescue());
+        resizeFor(p, pageAlloc(p, layout.exception_count));
         uint8_t next_exc = 0;
         for (LineIdx i = 0; i < kLinesPerPage; ++i) {
             if (p.zero_line[i] || !layout.exception[i])
@@ -158,16 +155,15 @@ LcpController::pageOverflow(PageNum pn, Page &p, LineIdx idx,
             p.exc_map.set(next_exc++);
         }
         storeLines(p.chunk_id, slots(p), buf);
-        new_used = uint32_t(kLinesPerPage) * p.target +
-                   uint32_t(next_exc) * uint32_t(kLineBytes);
+        new_used = excOffset(p, next_exc);
         store_.deviceOps(p.chunk_id, 0, new_used, true, false, trace,
                          relayout_comp);
     }
-    st_overflow_move_ops_ += (new_used + kLineBytes - 1) / kLineBytes;
+    st_overflow_move_ops_ += lineBlocks(new_used);
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kRelocation,
                             uint64_t(old_used / kLineBytes) +
-                                (new_used + kLineBytes - 1) / kLineBytes);
+                                lineBlocks(new_used));
 }
 
 MetadataFrontEnd::PageState
@@ -183,7 +179,7 @@ LcpController::mdInflate(PageNum pn, McTrace &trace)
     Page &p = pages_.at(pn);
     PageLines buf;
     gather(p.chunk_id, slots(p), buf);
-    store_.deviceOps(p.chunk_id, 0, p.allocBytes(), false, false, trace,
+    store_.deviceOps(p.chunk_id, 0, allocBytes(p), false, false, trace,
                      AttribComp::kFaultRecovery);
     storeRawPage(p, buf, trace, AttribComp::kFaultRecovery,
                  OnRefusal::kStore);
@@ -224,27 +220,17 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
         // Speculation failed: serialized exception access.
         ++st_exception_accesses_;
         st_exception_extra_ops_ += blocks; // the wasted slot read
-        store_.deviceOps(p.chunk_id, excOffset(p, p.exc_slot[idx]), kLineBytes,
-                         false, true, trace, AttribComp::kDeviceExtra);
-        if (fault_.takePending() == FaultOutcome::kDetected) {
-            store_.poisonLine(lineAddr(addr), p.chunk_id,
-                              excOffset(p, p.exc_slot[idx]), kLineBytes,
-                              trace);
-            data.fill(0);
-            return;
-        }
-        store_.loadBytes(p.chunk_id, excOffset(p, p.exc_slot[idx]),
-                         data.data(), kLineBytes);
+        Slot exc{excOffset(p, p.exc_slot[idx]), uint16_t(kLineBytes)};
+        store_.deviceOps(p.chunk_id, exc.off, kLineBytes, false, true, trace,
+                         AttribComp::kDeviceExtra);
+        readSlot(addr, p.chunk_id, exc, cfg_.compression_latency, data,
+                 trace);
         return;
     }
 
-    if (fault_.takePending() == FaultOutcome::kDetected) {
-        store_.poisonLine(lineAddr(addr), p.chunk_id, off, p.target, trace);
-        data.fill(0);
+    if (!readSlot(addr, p.chunk_id, {off, p.target},
+                  cfg_.compression_latency, data, trace))
         return;
-    }
-    if (loadSlot(p.chunk_id, {off, p.target}, data))
-        trace.addFixed(AttribComp::kDecompress, cfg_.compression_latency);
 
     // Free prefetch: slot-mates that arrived whole in the same bursts.
     if (p.target < kLineBytes) {
@@ -283,11 +269,8 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     Encoded enc = encode(data);
     CPR_OBS_HIST(h_line_bytes_, enc.zero ? 0 : enc.bytes.size());
 
-    if (!p.valid) {
-        p.valid = true;
-        p.zero = true;
-        ++st_pages_touched_;
-    }
+    if (!p.valid)
+        firstTouch(p);
 
     if (p.zero) {
         if (enc.zero) {

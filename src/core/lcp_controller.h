@@ -87,6 +87,10 @@ class LcpController : public CompressedController<LcpPage>
     using Page = LcpPage;
 
     uint32_t excCapacity(const Page &p) const;
+    /** The sizing rule: the variable page size that holds a slot of
+     *  the page's target size for every line plus @p exceptions 64 B
+     *  exception slots. */
+    uint32_t pageAlloc(const Page &p, unsigned exceptions) const;
     uint32_t slotOffset(const Page &p, LineIdx idx) const
     {
         return idx * uint32_t(p.target);

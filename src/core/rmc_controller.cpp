@@ -1,6 +1,5 @@
 #include "core/rmc_controller.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "prof/profiler.h"
@@ -23,14 +22,17 @@ RmcController::RmcController(const RmcConfig &cfg)
 }
 
 uint32_t
-RmcController::subPack(const Page &p, unsigned sp) const
+RmcController::pageAlloc(const std::array<uint8_t, kLinesPerPage> &codes,
+                         SubAlloc &sub_alloc) const
 {
-    uint32_t sum = 0;
-    for (unsigned l = sp * kLinesPerSubpage;
-         l < (sp + 1) * kLinesPerSubpage; ++l) {
-        sum += bins_->binSize(p.code[l]);
+    uint32_t used = 0;
+    for (unsigned sp = 0; sp < kSubpages; ++sp) {
+        sub_alloc[sp] = packBytes(codes, LineIdx(sp * kLinesPerSubpage),
+                                  LineIdx((sp + 1) * kLinesPerSubpage)) +
+                        cfg_.hysteresis_bytes;
+        used += sub_alloc[sp];
     }
-    return sum;
+    return pageBinBytes(used, PageSizing::kVariable4);
 }
 
 uint32_t
@@ -42,14 +44,13 @@ RmcController::subBase(const Page &p, unsigned sp) const
     return base;
 }
 
-uint32_t
-RmcController::lineOffset(const Page &p, LineIdx idx) const
+RmcController::Slot
+RmcController::lineSlot(const Page &p, LineIdx idx) const
 {
     unsigned sp = subpageOf(idx);
-    uint32_t off = subBase(p, sp);
-    for (unsigned l = sp * kLinesPerSubpage; l < idx; ++l)
-        off += bins_->binSize(p.code[l]);
-    return off;
+    return {subBase(p, sp) +
+                packBytes(p.code, LineIdx(sp * kLinesPerSubpage), idx),
+            bins_->binSize(p.code[idx])};
 }
 
 RmcController::Slots
@@ -108,27 +109,18 @@ RmcController::relayout(PageNum pn, Page &p,
     if (p.chunks > 0)
         store_.deviceOps(p.chunk_id, 0, old_used, false, false, trace,
                          relayout_comp);
-    st_overflow_move_ops_ += (old_used + kLineBytes - 1) /
-                                   kLineBytes;
+    st_overflow_move_ops_ += lineBlocks(old_used);
 
     p.code = codes;
-    uint32_t new_used = 0;
-    for (unsigned sp = 0; sp < kSubpages; ++sp) {
-        p.sub_alloc[sp] = subPack(p, sp) + cfg_.hysteresis_bytes;
-        new_used += p.sub_alloc[sp];
-    }
-    uint32_t alloc = pageBinBytes(std::min<uint32_t>(new_used, kPageBytes),
-                                  PageSizing::kVariable4);
+    uint32_t alloc = pageAlloc(codes, p.sub_alloc);
+    uint32_t new_used = subBase(p, kSubpages);
     if (escalate_raw || alloc < new_used) {
         // Full page: store raw, subpages degenerate to 1 KB each.
         setRaw(p);
         new_used = uint32_t(kPageBytes);
         storeRawPage(p, buf, trace, relayout_comp, OnRefusal::kStore);
     } else {
-        store_.resize(p.chunks, p.chunk_id,
-                      (alloc + uint32_t(kChunkBytes) - 1) /
-                          uint32_t(kChunkBytes),
-                      md_.oomRescue());
+        resizeFor(p, alloc);
         storeLines(p.chunk_id, slots(p), buf);
         store_.deviceOps(p.chunk_id, 0, new_used, true, false, trace,
                          relayout_comp);
@@ -145,13 +137,11 @@ RmcController::relayout(PageNum pn, Page &p,
     } else if (why == Relayout::kShift) {
         ++st_subpage_shifts_;
     }
-    st_overflow_move_ops_ += (new_used + kLineBytes - 1) /
-                                   kLineBytes;
+    st_overflow_move_ops_ += lineBlocks(new_used);
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kRelocation,
-                            uint64_t((old_used + kLineBytes - 1) /
-                                     kLineBytes) +
-                                (new_used + kLineBytes - 1) / kLineBytes);
+                            uint64_t(lineBlocks(old_used)) +
+                                lineBlocks(new_used));
 }
 
 MetadataFrontEnd::PageState
@@ -198,18 +188,11 @@ RmcController::fillLine(Addr addr, Line &data, McTrace &trace)
         return;
     }
 
-    uint16_t sz = bins_->binSize(p.code[idx]);
-    uint32_t off = lineOffset(p, idx);
+    Slot slot = lineSlot(p, idx);
     trace.addFixed(AttribComp::kBstWalk, 1); // BST-side offset adder
-    store_.lineAccess(p.chunk_id, pn, off, sz, false, trace,
+    store_.lineAccess(p.chunk_id, pn, slot.off, slot.bytes, false, trace,
                       st_split_fill_lines_);
-    if (fault_.takePending() == FaultOutcome::kDetected) {
-        store_.poisonLine(lineAddr(addr), p.chunk_id, off, sz, trace);
-        data.fill(0);
-        return;
-    }
-    if (loadSlot(p.chunk_id, {off, sz}, data))
-        trace.addFixed(AttribComp::kDecompress, cfg_.compression_latency);
+    readSlot(addr, p.chunk_id, slot, cfg_.compression_latency, data, trace);
 }
 
 void
@@ -228,11 +211,8 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     Encoded enc = encode(data);
     CPR_OBS_HIST(h_line_bytes_, enc.zero ? 0 : enc.bytes.size());
 
-    if (!p.valid) {
-        p.valid = true;
-        p.zero = true;
-        ++st_pages_touched_;
-    }
+    if (!p.valid)
+        firstTouch(p);
     if (p.zero) {
         if (enc.zero) {
             ++st_zero_wbs_;
@@ -257,9 +237,8 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         if (enc.zero && code == 0)
             ++st_zero_wbs_;
         else
-            writeSlot(pn, p.chunk_id,
-                      {lineOffset(p, idx), bins_->binSize(code)}, data, enc,
-                      trace, st_split_wb_lines_);
+            writeSlot(pn, p.chunk_id, lineSlot(p, idx), data, enc, trace,
+                      st_split_wb_lines_);
         return;
     }
 
@@ -270,11 +249,9 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     LineIdx sp_end = LineIdx((sp + 1) * kLinesPerSubpage);
     std::array<uint8_t, kLinesPerPage> codes = p.code;
     codes[idx] = uint8_t(enc.bin);
-    uint32_t new_pack = 0;
-    for (unsigned l = sp * kLinesPerSubpage; l < sp_end; ++l)
-        new_pack += bins_->binSize(codes[l]);
 
-    if (new_pack <= p.sub_alloc[sp]) {
+    if (packBytes(codes, LineIdx(sp * kLinesPerSubpage), sp_end) <=
+        p.sub_alloc[sp]) {
         // Hysteresis absorbs it: shift only the lines after idx within
         // this subpage ("light" movement).
         Slots old = slots(p);
@@ -290,9 +267,7 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         storeLines(p.chunk_id, shifted, buf, idx + 1, sp_end);
         store_.deviceOps(p.chunk_id, moved_from, sub_end - moved_from, true,
                          false, trace, AttribComp::kOverflowRelayout);
-        st_overflow_move_ops_ +=
-            2ull * ((sub_end - moved_from + kLineBytes - 1) /
-                    kLineBytes);
+        st_overflow_move_ops_ += 2ull * lineBlocks(sub_end - moved_from);
         ++st_hysteresis_absorbs_;
         return;
     }
@@ -300,18 +275,8 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
     // Subpage outgrew its slack: rebuild the page layout. If the new
     // total still fits the current allocation it is a subpage shift;
     // otherwise the OS must reallocate (page fault).
-    uint32_t total = 0;
-    for (unsigned s = 0; s < kSubpages; ++s) {
-        uint32_t pack = 0;
-        for (unsigned l = s * kLinesPerSubpage;
-             l < (s + 1) * kLinesPerSubpage; ++l) {
-            pack += bins_->binSize(codes[l]);
-        }
-        total += pack + cfg_.hysteresis_bytes;
-    }
-    bool os_fault = pageBinBytes(std::min<uint32_t>(total, kPageBytes),
-                                 PageSizing::kVariable4) >
-                    p.allocBytes();
+    SubAlloc sub_alloc;
+    bool os_fault = pageAlloc(codes, sub_alloc) > allocBytes(p);
     relayout(pn, p, codes, idx, data,
              os_fault ? Relayout::kOsFault : Relayout::kShift, trace);
 }

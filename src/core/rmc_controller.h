@@ -76,13 +76,17 @@ class RmcController : public CompressedController<RmcPage>
     {
         return idx / kLinesPerSubpage;
     }
-    /** Packed bytes of subpage @p sp (sum of its line bins). */
-    uint32_t subPack(const Page &p, unsigned sp) const;
+    using SubAlloc = std::array<uint32_t, kSubpages>;
+    /** The sizing rule: each subpage's lines packed by @p codes plus
+     *  the hysteresis slack into @p sub_alloc; returns the variable
+     *  page size that holds them all. */
+    uint32_t pageAlloc(const std::array<uint8_t, kLinesPerPage> &codes,
+                       SubAlloc &sub_alloc) const;
     /** Byte offset of subpage @p sp (sum of preceding sub_alloc);
      *  kSubpages gives the bytes the page's layout spans. */
     uint32_t subBase(const Page &p, unsigned sp) const;
-    /** Byte offset of line @p idx. */
-    uint32_t lineOffset(const Page &p, LineIdx idx) const;
+    /** slots(p)[idx] alone. */
+    Slot lineSlot(const Page &p, LineIdx idx) const;
     /** Every line's slot, packed by its code within its subpage. */
     Slots slots(const Page &p) const;
     /** The raw layout: 1 KB subpages of top-bin (64 B raw) slots. */
