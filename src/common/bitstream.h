@@ -11,6 +11,7 @@
 #ifndef COMPRESSO_COMMON_BITSTREAM_H
 #define COMPRESSO_COMMON_BITSTREAM_H
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -82,50 +83,53 @@ class BitWriter
 };
 
 /**
- * Sequential bit stream reader over an external buffer. Reads go
- * through a 64-bit big-endian window and never touch a byte at or past
- * ceil(size_bits / 8).
+ * Sequential bit stream reader over an external buffer. A read of up
+ * to 57 bits is one big-endian 8-byte load, at the read position or,
+ * near the end, of the buffer's last 8 bytes (a buffer under 8 bytes is
+ * copied into a zeroed word instead); a longer one may take a ninth
+ * byte. No read touches a byte at or past ceil(size_bits / 8).
  */
 class BitReader
 {
   public:
     BitReader(const uint8_t *data, size_t size_bits)
-        : data_(data), size_(size_bits), size_bytes_((size_bits + 7) / 8)
+        : data_(data), size_(size_bits), size_bytes_((size_bits + 7) / 8),
+          fast_size_(size_bytes_ >= 8 ? size_bits : 0)
     {}
 
     explicit BitReader(const std::vector<uint8_t> &bytes)
         : BitReader(bytes.data(), bytes.size() * 8)
     {}
 
+    /** The next @p nbits bits (MSB first) without consuming them: the
+     *  bits get(nbits) would return. */
+    uint64_t
+    peek(unsigned nbits) const
+    {
+        assert(nbits <= 64);
+        if (nbits == 0)
+            return 0;
+        if (pos_ + nbits > fast_size_)
+            return peekEnd(nbits);
+        return window(nbits) >> (64 - nbits);
+    }
+
+    /** Consume @p nbits bits, leaving pos() and overrun() as get(nbits)
+     *  would. */
+    void
+    skip(unsigned nbits)
+    {
+        overrun_ |= pos_ + nbits > size_;
+        pos_ += nbits;
+    }
+
     /** Read @p nbits bits (MSB first); reading past the end returns
      *  zero bits and sets overrun(). */
     uint64_t
     get(unsigned nbits)
     {
-        assert(nbits <= 64);
-        size_t byte = pos_ / 8;
-        if (nbits == 0 || pos_ + nbits > size_ || byte + 8 > size_bytes_)
-            return getTail(nbits);
-        // A whole 8-byte window lies inside the buffer; a read that
-        // spills past it (offset + nbits > 64) takes one more byte,
-        // which the end check above proves is in range too.
-        unsigned off = unsigned(pos_ % 8);
-        uint64_t v = loadBE64(data_ + byte) << off;
-        if (off + nbits > 64)
-            v |= uint64_t(data_[byte + 8]) >> (8 - off);
-        pos_ += nbits;
-        return v >> (64 - nbits);
-    }
-
-    /** Peek without consuming. */
-    uint64_t
-    peek(unsigned nbits)
-    {
-        size_t saved = pos_;
-        bool saved_overrun = overrun_;
-        uint64_t v = get(nbits);
-        pos_ = saved;
-        overrun_ = saved_overrun;
+        uint64_t v = peek(nbits);
+        skip(nbits);
         return v;
     }
 
@@ -144,12 +148,51 @@ class BitReader
         return v;
     }
 
-    /** get() within the last 8 bytes of the buffer or past its end. */
-    uint64_t getTail(unsigned nbits);
+    /**
+     * The bits from pos_ on, left-aligned, for a buffer of at least 8
+     * bytes and pos_ < size_: the 8 bytes at pos_, or the buffer's last
+     * 8 when fewer are left, shifted left past the bits already
+     * consumed. Bits past the buffer read as zero. Only a read of over
+     * 57 bits can need more than the load holds after a shift of at
+     * most 7; it takes the ninth byte if the buffer has one.
+     */
+    uint64_t
+    window(unsigned nbits) const
+    {
+        size_t first = std::min(pos_ / 8, size_bytes_ - 8);
+        unsigned shift = unsigned(pos_ - 8 * first);
+        uint64_t v = loadBE64(data_ + first) << shift;
+        if (nbits > 57 && shift + nbits > 64 && first + 8 < size_bytes_)
+            v |= uint64_t(data_[first + 8]) >> (8 - shift);
+        return v;
+    }
+
+    /** peek() of a read that runs past size_bits, or of any read from
+     *  a buffer shorter than 8 bytes (loaded with one small copy). */
+    uint64_t
+    peekEnd(unsigned nbits) const
+    {
+        if (pos_ >= size_)
+            return 0;
+        uint64_t v;
+        if (size_bytes_ >= 8) {
+            v = window(nbits);
+        } else {
+            uint8_t b[8] = {};
+            std::memcpy(b, data_, size_bytes_);
+            v = loadBE64(b) << pos_;
+        }
+        // Clear the bits at and past size_bits: 0 < size_ - pos_ < 64.
+        v &= ~(~uint64_t(0) >> (size_ - pos_));
+        return v >> (64 - nbits);
+    }
 
     const uint8_t *data_;
     size_t size_;
     size_t size_bytes_;
+    /** size_bits if the buffer holds at least 8 bytes, else 0: a read
+     *  ending at or before it takes window() alone. */
+    size_t fast_size_;
     size_t pos_ = 0;
     bool overrun_ = false;
 };

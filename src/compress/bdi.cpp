@@ -111,12 +111,12 @@ fitsSigned(int64_t v, unsigned nbytes)
     return v >= lo && v <= hi;
 }
 
-/** A shape's fit to a line: the base and, per element, the zero-base
- *  mask bit and the delta. */
+/** A shape's fit to a line: the base, the zero-base mask (element 0
+ *  in the MSB) and each element's delta, cut to the delta width. */
 struct ShapeFit
 {
     uint64_t base = 0;
-    uint8_t use_zero[32] = {};
+    uint32_t mask = 0;
     uint64_t deltas[32] = {};
 };
 
@@ -126,14 +126,18 @@ struct ShapeFit
  * per-element mask bit.
  *
  * @return the payload size in bits if the shape fits, or 0 otherwise;
- * when it fits and @p fit is given, the payload is stored there.
+ * when @p fit is given, the payload is stored there as far as the
+ * shape fits.
  */
 size_t
 tryShape(const Line &line, const Shape &sh, ShapeFit *fit)
 {
     unsigned n = unsigned(kLineBytes / sh.base_bytes);
+    uint64_t delta_mask = ~uint64_t(0) >> (64 - sh.delta_bytes * 8);
     bool have_base = false;
     uint64_t base = 0;
+    if (fit)
+        fit->mask = 0;
     for (unsigned i = 0; i < n; ++i) {
         uint64_t v = loadLE(line.data() + i * sh.base_bytes, sh.base_bytes);
         int64_t dz = signExtend(v, sh.base_bytes); // delta from zero base
@@ -149,8 +153,8 @@ tryShape(const Line &line, const Shape &sh, ShapeFit *fit)
                 return 0;
         }
         if (fit) {
-            fit->use_zero[i] = zero_base;
-            fit->deltas[i] = uint64_t(d);
+            fit->mask = (fit->mask << 1) | uint32_t(zero_base);
+            fit->deltas[i] = uint64_t(d) & delta_mask;
         }
     }
     if (fit)
@@ -168,9 +172,12 @@ struct Choice
 };
 
 /** Pick a line's encoding; compress() and compressedBits() both go
- *  through here. */
+ *  through here. With @p kFill, the chosen shape's payload is left in
+ *  @p fit by the same pass; without, nothing is stored, so the
+ *  size-only pass does no work for the payload. */
+template <bool kFill>
 Choice
-chooseEncoding(const Line &line)
+chooseEncoding(const Line &line, ShapeFit *fit = nullptr)
 {
     if (isZeroLine(line))
         return {kZero, nullptr, 4};
@@ -185,7 +192,7 @@ chooseEncoding(const Line &line)
 
     // The first fitting (base, delta) shape is the smallest.
     for (const Shape &sh : kShapes)
-        if (tryShape(line, sh, nullptr) != 0)
+        if (tryShape(line, sh, kFill ? fit : nullptr) != 0)
             return {sh.sel, &sh, 4 + payloadBits(sh)};
     return {kRaw, nullptr, 4 + kLineBytes * 8};
 }
@@ -196,7 +203,7 @@ size_t
 BdiCompressor::compressedBits(const Line &line) const
 {
     CPR_PROF_SCOPE(ProfPhase::kBdiCompress);
-    return chooseEncoding(line).bits;
+    return chooseEncoding<false>(line).bits;
 }
 
 size_t
@@ -204,7 +211,8 @@ BdiCompressor::compress(const Line &line, BitWriter &out) const
 {
     CPR_PROF_SCOPE(ProfPhase::kBdiCompress);
     size_t start = out.bitSize();
-    Choice c = chooseEncoding(line);
+    ShapeFit fit;
+    Choice c = chooseEncoding<true>(line, &fit);
     out.put(c.sel, 4);
 
     if (c.sel == kRep8) {
@@ -213,17 +221,18 @@ BdiCompressor::compress(const Line &line, BitWriter &out) const
         for (size_t i = 0; i < 8; ++i)
             out.put(lineWord64(line, i), 64);
     } else if (c.shape) {
+        // Base, mask, then the deltas packed into puts of 64 bits.
         const Shape &sh = *c.shape;
-        ShapeFit fit;
-        tryShape(line, sh, &fit);
         unsigned n = unsigned(kLineBytes / sh.base_bytes);
+        unsigned width = sh.delta_bytes * 8, per_put = 64 / width;
         out.put(fit.base, sh.base_bytes * 8);
-        uint32_t mask = 0;
-        for (unsigned i = 0; i < n; ++i)
-            mask = (mask << 1) | fit.use_zero[i];
-        out.put(mask, n);
-        for (unsigned i = 0; i < n; ++i)
-            out.put(fit.deltas[i], sh.delta_bytes * 8);
+        out.put(fit.mask, n);
+        for (unsigned i = 0; i < n; i += per_put) {
+            uint64_t packed = 0;
+            for (unsigned j = i; j < i + per_put; ++j)
+                packed = (packed << width) | fit.deltas[j];
+            out.put(packed, 64);
+        }
     }
     return out.bitSize() - start;
 }
@@ -265,12 +274,17 @@ BdiCompressor::decompress(BitReader &in, Line &out) const
     unsigned n = unsigned(kLineBytes / sh->base_bytes);
     uint64_t base = in.get(sh->base_bytes * 8);
     uint32_t mask = uint32_t(in.get(n)); // element 0 in the MSB
-    for (unsigned i = 0; i < n; ++i) {
-        uint64_t d = in.get(sh->delta_bytes * 8);
-        uint64_t v = uint64_t(signExtend(d, sh->delta_bytes));
-        if (!((mask >> (n - 1 - i)) & 1))
-            v += base;
-        storeLE(out.data() + i * sh->base_bytes, v, sh->base_bytes);
+    // The deltas, in the 64-bit groups compress() puts them in.
+    unsigned width = sh->delta_bytes * 8;
+    for (unsigned i = 0; i < n;) {
+        uint64_t packed = in.get(64);
+        for (unsigned left = 64; left > 0; left -= width, ++i) {
+            uint64_t v = uint64_t(
+                signExtend(packed >> (left - width), sh->delta_bytes));
+            if (!((mask >> (n - 1 - i)) & 1))
+                v += base;
+            storeLE(out.data() + i * sh->base_bytes, v, sh->base_bytes);
+        }
     }
     return !in.overrun();
 }

@@ -138,24 +138,19 @@ encodeBase(uint32_t base, BitWriter &out)
 bool
 decodeBase(BitReader &in, uint32_t &base)
 {
-    if (in.get(1)) {
-        base = uint32_t(in.get(32));
-        return !in.overrun();
-    }
-    unsigned sel = unsigned(in.get(2));
-    switch (sel) {
-      case 0:
-        base = 0;
-        break;
-      case 1:
-        base = uint32_t(int32_t(in.get(4) << 28) >> 28);
-        break;
-      case 2:
-        base = uint32_t(int32_t(in.get(8) << 24) >> 24);
-        break;
-      default:
-        base = uint32_t(int32_t(in.get(16) << 16) >> 16);
-        break;
+    // One peek covers the longest code, 1 + 32 bits.
+    uint64_t w = in.peek(33);
+    if (w >> 32) {
+        base = uint32_t(w);
+        in.skip(33);
+    } else {
+        // 0 + sel(2): zero, or a 4/8/16-bit two's complement value.
+        unsigned sel = unsigned(w >> 30) & 3;
+        unsigned width = sel == 0 ? 0 : 2u << sel;
+        // The value's top bit is w's bit 29; shift it to bit 31.
+        base = sel == 0 ? 0
+                        : uint32_t(int32_t(uint32_t(w << 2)) >> (32 - width));
+        in.skip(3 + width);
     }
     return !in.overrun();
 }
@@ -280,7 +275,11 @@ sizeModes(const LinePlanes &lp)
             1 + (lanes >> 32 & 0xffff) + (lanes >> 48)};
 }
 
-/** Decode planes, reconstructing DBP top-down. */
+/**
+ * Decode planes, reconstructing DBP top-down. Each symbol is classified
+ * from one 17-bit peek, which covers the longest (1 + 16 bits): bit 16
+ * is the symbol's first bit.
+ */
 bool
 decodePlanes(BitReader &in, Planes &p)
 {
@@ -288,46 +287,46 @@ decodePlanes(BitReader &in, Planes &p)
     int k = int(p.count) - 1;
     uint32_t dbp_above = 0;
     while (k >= 0) {
-        if (in.get(1)) {
+        uint32_t w = uint32_t(in.peek(17));
+        if (w >> 16) {
             // Verbatim DBX plane.
-            uint32_t dbx = uint32_t(in.get(p.width));
-            p.dbp[k] = dbx ^ dbp_above;
-        } else if (in.get(1)) {
+            p.dbp[k] = ((w >> (16 - p.width)) & ones) ^ dbp_above;
+            in.skip(1 + p.width);
+        } else if (w >> 15) {
             // '01': zero-DBX run.
-            unsigned run = unsigned(in.get(5)) + 2;
-            for (unsigned i = 0; i < run; ++i) {
-                if (k < 0)
-                    return false;
+            unsigned run = ((w >> 10) & 31) + 2;
+            in.skip(7);
+            if (run > unsigned(k) + 1)
+                return false;
+            for (unsigned i = 0; i < run; ++i, --k)
                 p.dbp[k] = dbp_above; // DBX == 0
-                dbp_above = p.dbp[k];
-                --k;
-            }
             if (in.overrun())
                 return false;
             continue;
-        } else if (in.get(1)) {
+        } else if (w >> 14) {
             // '001': single zero-DBX plane.
             p.dbp[k] = dbp_above;
+            in.skip(3);
         } else {
-            // '000xx' family.
-            unsigned sel = unsigned(in.get(2));
-            switch (sel) {
+            // '000xx' family; the 4-bit position follows xx.
+            unsigned pos = (w >> 8) & 15;
+            switch ((w >> 12) & 3) {
               case 0: // all ones
                 p.dbp[k] = ones ^ dbp_above;
+                in.skip(5);
                 break;
               case 1: // DBP == 0
                 p.dbp[k] = 0;
+                in.skip(5);
                 break;
-              case 2: { // two consecutive ones
-                unsigned pos = unsigned(in.get(4));
+              case 2: // two consecutive ones
                 p.dbp[k] = (3u << pos) ^ dbp_above;
+                in.skip(9);
                 break;
-              }
-              default: { // single one
-                unsigned pos = unsigned(in.get(4));
+              default: // single one
                 p.dbp[k] = (1u << pos) ^ dbp_above;
+                in.skip(9);
                 break;
-              }
             }
         }
         if (in.overrun())

@@ -90,40 +90,51 @@ CpackCompressor::decompress(BitReader &in, Line &out) const
     CPR_PROF_SCOPE(ProfPhase::kCpackDecompress);
     Dict dict;
     for (size_t i = 0; i < 16; ++i) {
-        unsigned c2 = unsigned(in.get(2));
+        // One peek covers the 2-bit code and the longest rest (32 bits):
+        // the code is t's bits 33..32.
+        uint64_t t = in.peek(34);
+        in.skip(2);
         if (in.overrun())
             return false;
         uint32_t w = 0;
-        switch (c2) {
+        switch (unsigned(t >> 32)) {
           case 0b00:
-            w = 0;
             break;
           case 0b01: {
-            unsigned idx = unsigned(in.get(4));
+            unsigned idx = unsigned(t >> 28) & 15;
+            in.skip(4);
             if (idx >= dict.count)
                 return false;
             w = dict.entry[idx];
             break;
           }
           case 0b10:
-            w = uint32_t(in.get(32));
+            w = uint32_t(t);
+            in.skip(32);
             dict.push(w);
             break;
-          default: { // 11xx
-            unsigned sub = unsigned(in.get(2));
+          default: { // 11xx; a dictionary index follows xx
+            unsigned sub = unsigned(t >> 30) & 3;
+            unsigned idx = unsigned(t >> 26) & 15;
             if (sub == 0b00) { // zzzx
-                w = uint32_t(in.get(8));
+                w = uint32_t(t >> 22) & 0xff;
+                in.skip(10);
             } else if (sub == 0b10) { // mmmx
-                unsigned idx = unsigned(in.get(4));
+                in.skip(6);
                 if (idx >= dict.count)
                     return false;
-                w = (dict.entry[idx] & 0xffffff00u) | uint32_t(in.get(8));
+                w = (dict.entry[idx] & 0xffffff00u) |
+                    (uint32_t(t >> 18) & 0xff);
+                in.skip(8);
             } else if (sub == 0b01) { // mmxx
-                unsigned idx = unsigned(in.get(4));
+                in.skip(6);
                 if (idx >= dict.count)
                     return false;
-                w = (dict.entry[idx] & 0xffff0000u) | uint32_t(in.get(16));
+                w = (dict.entry[idx] & 0xffff0000u) |
+                    (uint32_t(t >> 10) & 0xffff);
+                in.skip(16);
             } else {
+                in.skip(2);
                 return false; // 1111 unused
             }
             dict.push(w);

@@ -14,6 +14,14 @@ fitsSigned32(int32_t v, unsigned bits)
     return v >= lo && v <= hi;
 }
 
+/** The top @p bits of @p v as a signed value, sign-extended to 32
+ *  bits. */
+uint32_t
+topSigned(uint32_t v, unsigned bits)
+{
+    return uint32_t(int32_t(v) >> (32 - bits));
+}
+
 } // namespace
 
 size_t
@@ -73,12 +81,18 @@ FpcCompressor::decompress(BitReader &in, Line &out) const
     CPR_PROF_SCOPE(ProfPhase::kFpcDecompress);
     size_t i = 0;
     while (i < 16) {
-        unsigned prefix = unsigned(in.get(3));
+        // One peek covers the 3-bit prefix and the longest payload (32
+        // bits): the prefix is t's bits 34..32, the payload's top bit
+        // bit 31.
+        uint64_t t = in.peek(35);
+        in.skip(3);
         if (in.overrun())
             return false;
-        switch (prefix) {
+        uint32_t p = uint32_t(t), w;
+        switch (unsigned(t >> 32)) {
           case 0b000: {
-            unsigned run = unsigned(in.get(3)) + 1;
+            unsigned run = (p >> 29) + 1;
+            in.skip(3);
             if (i + run > 16)
                 return false;
             for (unsigned j = 0; j < run; ++j)
@@ -87,35 +101,35 @@ FpcCompressor::decompress(BitReader &in, Line &out) const
             continue;
           }
           case 0b001:
-            setLineWord32(out, i,
-                          uint32_t(int32_t(in.get(4) << 28) >> 28));
+            w = topSigned(p, 4);
+            in.skip(4);
             break;
           case 0b010:
-            setLineWord32(out, i,
-                          uint32_t(int32_t(in.get(8) << 24) >> 24));
+            w = topSigned(p, 8);
+            in.skip(8);
             break;
           case 0b011:
-            setLineWord32(out, i,
-                          uint32_t(int32_t(in.get(16) << 16) >> 16));
+            w = topSigned(p, 16);
+            in.skip(16);
             break;
           case 0b100:
-            setLineWord32(out, i, uint32_t(in.get(16)) << 16);
+            w = p & 0xffff0000u;
+            in.skip(16);
             break;
-          case 0b101: {
-            uint32_t hi = uint32_t(int32_t(in.get(8) << 24) >> 24) & 0xffff;
-            uint32_t lo = uint32_t(int32_t(in.get(8) << 24) >> 24) & 0xffff;
-            setLineWord32(out, i, (hi << 16) | lo);
+          case 0b101:
+            w = (topSigned(p, 8) << 16) | (topSigned(p << 8, 8) & 0xffff);
+            in.skip(16);
             break;
-          }
-          case 0b110: {
-            uint32_t b = uint32_t(in.get(8));
-            setLineWord32(out, i, b * 0x01010101u);
+          case 0b110:
+            w = (p >> 24) * 0x01010101u;
+            in.skip(8);
             break;
-          }
           default:
-            setLineWord32(out, i, uint32_t(in.get(32)));
+            w = p;
+            in.skip(32);
             break;
         }
+        setLineWord32(out, i, w);
         ++i;
     }
     return !in.overrun();

@@ -124,15 +124,20 @@ LzCompressor::decompress(BitReader &in, Line &out) const
     CPR_PROF_SCOPE(ProfPhase::kLzDecompress);
     size_t pos = 0;
     while (pos < kLineBytes) {
-        if (in.get(1)) {
-            unsigned dist = unsigned(in.get(6));
-            unsigned len = unsigned(in.get(5)) + kMinMatch;
+        // One peek covers the longest header: 1 + dist(6) + len(5).
+        unsigned h = unsigned(in.peek(12));
+        if (h >> 11) {
+            unsigned dist = (h >> 5) & 63;
+            unsigned len = (h & 31) + kMinMatch;
+            in.skip(12);
             if (dist == 0 || dist > pos || pos + len > kLineBytes)
                 return false;
             for (unsigned i = 0; i < len; ++i, ++pos)
                 out[pos] = out[pos - dist];
         } else {
-            unsigned n = unsigned(in.get(3)) + 1;
+            // 0 + len(3), then the literal bytes.
+            unsigned n = ((h >> 8) & 7) + 1;
+            in.skip(4);
             if (pos + n > kLineBytes)
                 return false;
             for (uint64_t bytes = in.get(8 * n); n-- > 0; ++pos)

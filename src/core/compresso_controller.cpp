@@ -168,6 +168,7 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
     if (tail_empty) {
         ++st_free_slot_growths_;
         uint32_t old_alloc = allocBytes(m);
+        uint8_t old_code = m.line_code[idx];
         m.line_code[idx] = uint8_t(enc.bin);
         uint32_t new_alloc = pageAlloc(m.line_code);
         if (new_alloc > old_alloc) {
@@ -184,7 +185,8 @@ CompressoController::handleLineOverflow(PageNum page, MetadataEntry &m,
                                  AttribComp::kOverflowRelayout);
             }
             if (!resizeFor(m, new_alloc)) {
-                m.line_code[idx] = 0; // OOM: drop the write
+                // Machine OOM: drop the write, keeping the old line.
+                m.line_code[idx] = old_code;
                 return;
             }
             if (cfg_.page_sizing == PageSizing::kVariable4) {

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/bitstream.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "compress/compressor.h"
@@ -57,6 +58,55 @@ codecTestLines()
     line.fill(0xff);
     lines.push_back(line);
     return lines;
+}
+
+/** A codec stream: its bytes and its length in bits. */
+struct CodecStream
+{
+    std::vector<uint8_t> bytes;
+    size_t bits;
+};
+
+/** codecTestLines(), each encoded alone by @p codec. */
+inline std::vector<CodecStream>
+codecTestStreams(const Compressor &codec)
+{
+    std::vector<CodecStream> streams;
+    for (const Line &line : codecTestLines()) {
+        BitWriter w;
+        codec.compress(line, w);
+        streams.push_back({w.bytes(), w.bitSize()});
+    }
+    return streams;
+}
+
+/** Flip bit @p bit (MSB first) of @p b. */
+inline void
+flipBit(std::vector<uint8_t> &b, size_t bit)
+{
+    b[bit / 8] ^= uint8_t(0x80 >> (bit % 8));
+}
+
+/** A random-length prefix of @p s followed by at least one and at most
+ *  a line plus 64 random bits. */
+inline CodecStream
+randomTail(Rng &rng, const CodecStream &s)
+{
+    size_t keep = rng.below(s.bits + 1);
+    size_t bits = keep + 1 + rng.below(kLineBytes * 8 + 64);
+    BitWriter w;
+    BitReader prefix(s.bytes.data(), keep);
+    for (size_t left = keep; left > 0;) {
+        unsigned n = left < 64 ? unsigned(left) : 64;
+        w.put(prefix.get(n), n);
+        left -= n;
+    }
+    for (size_t left = bits - keep; left > 0;) {
+        unsigned n = left < 64 ? unsigned(left) : 64;
+        w.put(rng.next(), n);
+        left -= n;
+    }
+    return {w.bytes(), w.bitSize()};
 }
 
 /** A metadata entry with every field drawn from @p rng in range. */

@@ -308,3 +308,53 @@ TEST(BitWriter, MatchesBitAtATimeModel)
         }
     }
 }
+
+TEST(BitReader, PeekEveryWidthAtEveryPosition)
+{
+    // Byte lengths 1-19 cover buffers shorter than 8 bytes, reads from
+    // the last 8 bytes and reads running past the end. Every bit length
+    // that ends inside the last byte, with that byte's pad bits set.
+    Rng rng(23);
+    for (size_t bytes = 1; bytes <= 19; ++bytes) {
+        std::vector<uint8_t> b = randomBytes(rng, bytes);
+        b.back() |= 0x7f;
+        for (size_t size = bytes * 8 - 7; size <= bytes * 8; ++size) {
+            for (size_t pos = 0; pos <= size; ++pos) {
+                BitReader r(b.data(), size);
+                skip(r, pos);
+                for (unsigned n = 1; n <= 64; ++n) {
+                    ASSERT_EQ(r.peek(n), refBits(b, size, pos, n))
+                        << "bytes " << bytes << " size " << size << " pos "
+                        << pos << " n " << n;
+                    ASSERT_EQ(r.pos(), pos);
+                    ASSERT_FALSE(r.overrun());
+                }
+            }
+        }
+    }
+}
+
+TEST(BitReader, SkipMatchesGet)
+{
+    Rng rng(29);
+    for (size_t bytes = 1; bytes <= 19; ++bytes) {
+        std::vector<uint8_t> b = randomBytes(rng, bytes);
+        for (size_t size : {bytes * 8 - 5, bytes * 8}) {
+            for (size_t pos = 0; pos <= size + 1; ++pos) {
+                for (unsigned n = 0; n <= 64; ++n) {
+                    BitReader g(b.data(), size), s(b.data(), size);
+                    skip(g, pos);
+                    skip(s, pos);
+                    ASSERT_EQ(s.overrun(), g.overrun());
+                    g.get(n);
+                    s.skip(n);
+                    ASSERT_EQ(s.pos(), g.pos())
+                        << "size " << size << " pos " << pos << " n " << n;
+                    ASSERT_EQ(s.overrun(), g.overrun())
+                        << "size " << size << " pos " << pos << " n " << n;
+                    ASSERT_EQ(s.remaining(), g.remaining());
+                }
+            }
+        }
+    }
+}

@@ -25,18 +25,6 @@ using namespace compresso;
 
 namespace {
 
-struct Stream
-{
-    std::vector<uint8_t> bytes;
-    size_t bits;
-};
-
-void
-flip(std::vector<uint8_t> &b, size_t bit)
-{
-    b[bit / 8] ^= uint8_t(0x80 >> (bit % 8));
-}
-
 class CodecMutation : public ::testing::TestWithParam<const char *>
 {
   protected:
@@ -45,11 +33,7 @@ class CodecMutation : public ::testing::TestWithParam<const char *>
     {
         codec_ = makeCompressor(GetParam());
         ASSERT_TRUE(codec_);
-        for (const Line &line : codecTestLines()) {
-            BitWriter w;
-            codec_->compress(line, w);
-            streams_.push_back({w.bytes(), w.bitSize()});
-        }
+        streams_ = codecTestStreams(*codec_);
     }
 
     /** Decode the first @p bits of @p bytes from an exact-size copy. */
@@ -68,12 +52,12 @@ class CodecMutation : public ::testing::TestWithParam<const char *>
     }
 
     std::unique_ptr<Compressor> codec_;
-    std::vector<Stream> streams_;
+    std::vector<CodecStream> streams_;
 };
 
 TEST_P(CodecMutation, ValidStreamsDecodeAndConsumeExactly)
 {
-    for (const Stream &s : streams_) {
+    for (const CodecStream &s : streams_) {
         size_t consumed = 0;
         ASSERT_TRUE(decode(s.bytes, s.bits, &consumed));
         ASSERT_EQ(consumed, s.bits);
@@ -82,12 +66,12 @@ TEST_P(CodecMutation, ValidStreamsDecodeAndConsumeExactly)
 
 TEST_P(CodecMutation, SingleBitFlips)
 {
-    for (const Stream &s : streams_) {
+    for (const CodecStream &s : streams_) {
         std::vector<uint8_t> b = s.bytes;
         for (size_t bit = 0; bit < s.bits; ++bit) {
-            flip(b, bit);
+            flipBit(b, bit);
             decode(b, s.bits);
-            flip(b, bit);
+            flipBit(b, bit);
         }
     }
 }
@@ -95,15 +79,15 @@ TEST_P(CodecMutation, SingleBitFlips)
 TEST_P(CodecMutation, DoubleBitFlips)
 {
     Rng rng(0xd0b1e);
-    for (const Stream &s : streams_) {
+    for (const CodecStream &s : streams_) {
         std::vector<uint8_t> b = s.bytes;
         for (int i = 0; i < 64; ++i) {
             size_t x = rng.below(s.bits), y = rng.below(s.bits);
-            flip(b, x);
-            flip(b, y);
+            flipBit(b, x);
+            flipBit(b, y);
             decode(b, s.bits);
-            flip(b, y);
-            flip(b, x);
+            flipBit(b, y);
+            flipBit(b, x);
         }
     }
 }
@@ -112,7 +96,7 @@ TEST_P(CodecMutation, TruncationToEveryShorterLength)
 {
     // A valid stream is consumed exactly, so any cut makes the decoder
     // read past the end, which it must report.
-    for (const Stream &s : streams_) {
+    for (const CodecStream &s : streams_) {
         for (size_t bits = 0; bits < s.bits; ++bits)
             ASSERT_FALSE(decode(s.bytes, bits)) << "cut at " << bits;
     }
@@ -121,23 +105,10 @@ TEST_P(CodecMutation, TruncationToEveryShorterLength)
 TEST_P(CodecMutation, RandomTails)
 {
     Rng rng(0x7a11);
-    for (const Stream &s : streams_) {
+    for (const CodecStream &s : streams_) {
         for (int i = 0; i < 16; ++i) {
-            size_t keep = rng.below(s.bits + 1);
-            size_t bits = keep + 1 + rng.below(kLineBytes * 8 + 64);
-            BitWriter w;
-            BitReader prefix(s.bytes.data(), keep);
-            for (size_t left = keep; left > 0;) {
-                unsigned n = left < 64 ? unsigned(left) : 64;
-                w.put(prefix.get(n), n);
-                left -= n;
-            }
-            for (size_t left = bits - keep; left > 0;) {
-                unsigned n = left < 64 ? unsigned(left) : 64;
-                w.put(rng.next(), n);
-                left -= n;
-            }
-            decode(w.bytes(), w.bitSize());
+            CodecStream t = randomTail(rng, s);
+            decode(t.bytes, t.bits);
         }
     }
 }

@@ -390,3 +390,27 @@ TEST(Compresso, RepackAllReachesSteadyState)
     for (PageNum p = 70; p < 74; ++p)
         EXPECT_TRUE(mc.pageMeta(p).zero);
 }
+
+TEST(Compresso, RefusedFreeSlotGrowthKeepsTheOldLine)
+{
+    // Two chunks of machine memory: lines 0-14 random and 15-16
+    // constant fill them, so a random line written into line 16 needs
+    // a third chunk that free slot growth cannot get. The write is
+    // dropped and the old line stays readable.
+    CompressoConfig cfg;
+    cfg.installed_bytes = 2 * kChunkBytes;
+    CompressoController mc(cfg);
+    for (unsigned l = 0; l < 15; ++l)
+        writeLine(mc, addrOf(0, l), classLine(DataClass::kRandom, l));
+    Line constant = classLine(DataClass::kConstant, 15);
+    writeLine(mc, addrOf(0, 15), constant);
+    writeLine(mc, addrOf(0, 16), constant);
+    ASSERT_EQ(mc.stats().get("machine_oom"), 0u);
+
+    writeLine(mc, addrOf(0, 16), classLine(DataClass::kRandom, 16));
+    EXPECT_EQ(mc.stats().get("machine_oom"), 1u);
+    EXPECT_EQ(readLine(mc, addrOf(0, 16)), constant);
+    EXPECT_EQ(readLine(mc, addrOf(0, 14)), classLine(DataClass::kRandom, 14));
+    AuditReport report = mc.audit();
+    EXPECT_TRUE(report.clean()) << report.summary();
+}
