@@ -240,7 +240,7 @@ main(int argc, char **argv)
             return 1;
         std::printf("\nall gates held: 0 silent corruptions, 0 audit "
                     "violations, stall p99 within %llu device ops.\n",
-                    (unsigned long long)engine.config().stall_p99_bound);
+                    (unsigned long long)kChaosStallP99Bound);
         return 0;
     }
 

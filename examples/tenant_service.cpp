@@ -4,8 +4,8 @@
  * tenant sessions with QoS isolation (DESIGN.md §17).
  *
  * Carves the OSPA space into per-tenant partitions, streams each
- * tenant's synthetic workload (or replayed trace) through the shared
- * compressed-memory stack, and enforces the isolation contract:
+ * tenant's synthetic workload through the shared compressed-memory
+ * stack, and enforces the isolation contract:
  * per-tenant inflation budgets, admission shedding of over-budget
  * tenants under pressure, tenant-scoped ballooning that can only ever
  * reclaim the victim's own pages, and a partition audit over every

@@ -9,6 +9,14 @@
 
 namespace compresso {
 
+namespace {
+
+/** Budget re-evaluation interval in touches (the paper pauses every
+ *  200 M instructions). */
+constexpr uint64_t kInterval = 20000;
+
+} // namespace
+
 CapacityResult
 evalCapacity(const CapacitySpec &spec)
 {
@@ -59,7 +67,7 @@ evalCapacity(const CapacitySpec &spec)
     uint64_t total_touches = spec.touches_per_core * n;
     for (uint64_t t = 0; t < total_touches; ++t) {
         unsigned c = unsigned(t % n);
-        if (t % spec.interval == 0) {
+        if (t % kInterval == 0) {
             // Re-evaluate the budget with the current compressibility
             // (the paper's dynamic cgroup adjustment).
             double ratio = 0;

@@ -31,9 +31,6 @@ struct CapacitySpec
     /** Work units charged per page fault (page-in latency divided by
      *  per-touch compute; a page touch amortizes many accesses). */
     double fault_cost = 11.0;
-    /** Budget re-evaluation interval in touches (the paper pauses
-     *  every 200 M instructions). */
-    uint64_t interval = 20000;
     /** Bounded swap device: capacity = swap_frac * footprint pages.
      *  0 keeps the unlimited device (pre-pressure-model behaviour);
      *  bounded, a compressibility collapse that shrinks the budget

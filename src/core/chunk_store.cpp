@@ -7,19 +7,26 @@
 
 namespace compresso {
 
+namespace {
+
+/** Device-side stream buffer depth in 64 B blocks (the free-prefetch
+ *  effect itself is modeled via McTrace::co_fetched + LLC insertion). */
+constexpr size_t kStreamBufferBlocks = 4;
+
+} // namespace
+
 ChunkStore::ChunkStore(uint64_t installed_bytes, StatGroup &stats,
-                       FaultHooks &fault,
-                       std::optional<unsigned> stream_buffer_blocks)
+                       FaultHooks &fault, bool stream_buffer)
     : alloc_(installed_bytes),
       stats_(stats),
       fault_(fault),
-      stream_buffer_blocks_(stream_buffer_blocks.value_or(0)),
+      stream_buffer_(stream_buffer),
       st_data_read_ops_(stats.stat("data_read_ops")),
       st_data_write_ops_(stats.stat("data_write_ops")),
       st_split_extra_ops_(stats.stat("split_extra_ops")),
       st_oom_rescues_(stats.stat("oom_rescues"))
 {
-    if (stream_buffer_blocks)
+    if (stream_buffer)
         st_prefetch_hits_ = &stats.stat("prefetch_hits");
 }
 
@@ -117,7 +124,7 @@ ChunkStore::deviceOps(const ChunkIds &ids, uint32_t off, size_t len,
             trace.add(block, true, critical, op_comp);
             ++st_data_write_ops_;
             fault_.onWrite(block);
-        } else if (critical && stream_buffer_blocks_ > 0 &&
+        } else if (critical && stream_buffer_ &&
                    buffered != stream_buf_.end()) {
             ++*st_prefetch_hits_;
             continue;
@@ -128,9 +135,9 @@ ChunkStore::deviceOps(const ChunkIds &ids, uint32_t off, size_t len,
             // to stored faults; background traffic rewrites blocks.
             if (critical)
                 fault_.onCriticalRead(block);
-            if (critical && stream_buffer_blocks_ > 0) {
+            if (critical && stream_buffer_) {
                 stream_buf_.push_back(block);
-                if (stream_buf_.size() > stream_buffer_blocks_)
+                if (stream_buf_.size() > kStreamBufferBlocks)
                     stream_buf_.pop_front();
             }
         }

@@ -35,7 +35,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -165,6 +164,10 @@ class CompressedController : public MemoryController,
     MetadataCache *metadataCache() override { return &md_.cache(); }
 
   protected:
+    /** BPC (de)compression latency, each direction (Tab. III); the
+     *  codec cost of Compresso, LCP and RMC. */
+    static constexpr Cycle kBpcLatency = 12;
+
     /** Where a line is stored: page bytes [off, off + bytes). */
     struct Slot
     {
@@ -191,16 +194,15 @@ class CompressedController : public MemoryController,
         kStore, ///< store anyway, which aborts on the missing chunk
     };
 
-    /** @p stream_buffer_blocks as ChunkStore takes it: only the
-     *  controllers that model the stream buffer pass one. @p codec
-     *  and @p bins are the slot format's. */
-    CompressedController(uint64_t installed_bytes,
-                         std::optional<unsigned> stream_buffer_blocks,
+    /** @p stream_buffer as ChunkStore takes it: only the controllers
+     *  that model the stream buffer set it. @p codec and @p bins are
+     *  the slot format's. */
+    CompressedController(uint64_t installed_bytes, bool stream_buffer,
                          const MetadataCacheConfig &cache,
                          const MetadataFrontEnd::Params &params,
                          std::unique_ptr<Compressor> codec,
                          const SizeBins &bins)
-        : store_(installed_bytes, stats_, fault_, stream_buffer_blocks),
+        : store_(installed_bytes, stats_, fault_, stream_buffer),
           md_(cache, params, *this, stats_, fault_),
           codec_(std::move(codec)),
           bins_(&bins)

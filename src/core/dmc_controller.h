@@ -36,16 +36,11 @@ namespace compresso {
 
 struct DmcConfig
 {
-    std::string hot_compressor = "bdi"; ///< as in the original design
-    std::string cold_compressor = "lz";
     /** Writebacks per decay epoch; untouched pages demote at epoch
      *  end. */
     uint64_t epoch_writebacks = 4096;
     MetadataCacheConfig mdcache{96 * 1024, 8, /*half_entry_opt=*/false};
     uint64_t installed_bytes = uint64_t(8) << 30;
-    Cycle hot_latency = 6;    ///< BDI decompression
-    Cycle cold_latency = 64;  ///< LZ over a 1 KB block
-    Cycle mdcache_hit_latency = 2;
 };
 
 /** Per-page DMC state: the hot per-line codes or the cold blocks. */

@@ -15,13 +15,11 @@ constexpr uint32_t kMaxExceptionPtrs = 17;
 } // namespace
 
 LcpController::LcpController(const LcpConfig &cfg)
-    : CompressedController(cfg.installed_bytes,
-                           cfg.stream_buffer ? cfg.stream_buffer_blocks : 0,
+    : CompressedController(cfg.installed_bytes, /*stream_buffer=*/true,
                            cfg.mdcache,
                            {.region_base = Addr(1) << 41,
-                            .hit_latency = cfg.mdcache_hit_latency,
                             .os_fault_cycles = cfg.page_fault_cycles},
-                           makeCompressor(cfg.compressor),
+                           makeCompressor("bpc"),
                            cfg.alignment_friendly ? compressoBins()
                                                   : legacyBins()),
       cfg_(cfg)
@@ -211,7 +209,7 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
 
     // Speculative slot access in parallel with metadata (the TLB knows
     // the target size in the OS-aware design).
-    trace.speculative_parallel = cfg_.speculative_access;
+    trace.speculative_parallel = true;
     uint32_t off = slotOffset(p, idx);
     unsigned blocks = store_.lineAccess(p.chunk_id, pn, off, p.target, false,
                                         trace, st_split_fill_lines_);
@@ -223,13 +221,12 @@ LcpController::fillLine(Addr addr, Line &data, McTrace &trace)
         Slot exc{excOffset(p, p.exc_slot[idx]), uint16_t(kLineBytes)};
         store_.deviceOps(p.chunk_id, exc.off, kLineBytes, false, true, trace,
                          AttribComp::kDeviceExtra);
-        readSlot(addr, p.chunk_id, exc, cfg_.compression_latency, data,
-                 trace);
+        readSlot(addr, p.chunk_id, exc, kBpcLatency, data, trace);
         return;
     }
 
-    if (!readSlot(addr, p.chunk_id, {off, p.target},
-                  cfg_.compression_latency, data, trace))
+    if (!readSlot(addr, p.chunk_id, {off, p.target}, kBpcLatency, data,
+                  trace))
         return;
 
     // Free prefetch: slot-mates that arrived whole in the same bursts.
@@ -280,7 +277,7 @@ LcpController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         initialAllocate(p, enc);
     }
 
-    trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
+    trace.addFixed(AttribComp::kCompress, kBpcLatency);
     p.actual_bytes[idx] = uint16_t(enc.bytes.size());
 
     if (enc.zero) {

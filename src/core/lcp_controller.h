@@ -37,18 +37,10 @@ namespace compresso {
 
 struct LcpConfig
 {
-    std::string compressor = "bpc";
     /** LCP+Align: alignment-friendly target sizes (Sec. VI-F). */
     bool alignment_friendly = false;
     MetadataCacheConfig mdcache{96 * 1024, 8, /*half_entry_opt=*/false};
-    bool speculative_access = true;
-    /** Device-side stream buffer (ablation only; free prefetch is
-     *  modeled via McTrace::co_fetched + LLC insertion). */
-    bool stream_buffer = true;
-    unsigned stream_buffer_blocks = 4;
     uint64_t installed_bytes = uint64_t(8) << 30;
-    Cycle compression_latency = 12;
-    Cycle mdcache_hit_latency = 2;
     /** OS page-fault handling cost for a page overflow (~3 us). */
     Cycle page_fault_cycles = 9000;
 };

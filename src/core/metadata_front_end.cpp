@@ -4,6 +4,14 @@
 
 namespace compresso {
 
+namespace {
+
+/** Metadata cache (RMC: Block Size Table) hit latency, every
+ *  controller (Tab. III). */
+constexpr Cycle kHitLatency = 2;
+
+} // namespace
+
 MetadataFrontEnd::MetadataFrontEnd(const MetadataCacheConfig &cache,
                                    const Params &params, Hooks &hooks,
                                    StatGroup &stats, FaultHooks &fault)
@@ -38,7 +46,7 @@ MetadataFrontEnd::access(Addr addr, bool write, McTrace &trace, bool half)
     const PageNum page = pageOf(addr);
     bool hit = cache_.access(page, half, write);
     trace.metadata_hit = hit;
-    trace.addFixed(params_.hit_comp, params_.hit_latency);
+    trace.addFixed(params_.hit_comp, kHitLatency);
     if (!hit) {
         trace.add(entryAddr(page), false, true, params_.miss_comp);
         ++st_md_read_ops_;

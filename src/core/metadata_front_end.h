@@ -68,7 +68,6 @@ class MetadataFrontEnd
     struct Params
     {
         Addr region_base = 0;
-        Cycle hit_latency = 2;
         AttribComp hit_comp = AttribComp::kMdcacheHit;
         AttribComp miss_comp = AttribComp::kMdcacheMiss; ///< entry traffic
         /** OS-aware designs: a rebuild is a page fault that stalls the

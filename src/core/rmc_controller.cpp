@@ -7,16 +7,22 @@
 
 namespace compresso {
 
+namespace {
+
+/** OS page-fault cost for a page overflow. */
+constexpr Cycle kPageFaultCycles = 9000;
+
+} // namespace
+
+// The original RMC used ratio-optimal sizes: the legacy bins.
 RmcController::RmcController(const RmcConfig &cfg)
-    : CompressedController(cfg.installed_bytes, std::nullopt, cfg.bst,
+    : CompressedController(cfg.installed_bytes, /*stream_buffer=*/false,
+                           cfg.bst,
                            {.region_base = Addr(1) << 42,
-                            .hit_latency = cfg.bst_hit_latency,
                             .hit_comp = AttribComp::kBstWalk,
                             .miss_comp = AttribComp::kBstWalk,
-                            .os_fault_cycles = cfg.page_fault_cycles},
-                           makeCompressor(cfg.compressor),
-                           cfg.alignment_friendly ? compressoBins()
-                                                  : legacyBins()),
+                            .os_fault_cycles = kPageFaultCycles},
+                           makeCompressor("bpc"), legacyBins()),
       cfg_(cfg)
 {
 }
@@ -131,9 +137,9 @@ RmcController::relayout(PageNum pn, Page &p,
         ++st_page_faults_;
         CPR_OBS_EVENT(obs_, ObsEvent::kPageOverflow, pn, 0);
         CPR_OBS_EVENT(obs_, ObsEvent::kPageFault, pn,
-                      uint32_t(cfg_.page_fault_cycles));
-        st_page_fault_cycles_ += cfg_.page_fault_cycles;
-        trace.addStall(AttribComp::kOsFault, cfg_.page_fault_cycles);
+                      uint32_t(kPageFaultCycles));
+        st_page_fault_cycles_ += kPageFaultCycles;
+        trace.addStall(AttribComp::kOsFault, kPageFaultCycles);
     } else if (why == Relayout::kShift) {
         ++st_subpage_shifts_;
     }
@@ -192,7 +198,7 @@ RmcController::fillLine(Addr addr, Line &data, McTrace &trace)
     trace.addFixed(AttribComp::kBstWalk, 1); // BST-side offset adder
     store_.lineAccess(p.chunk_id, pn, slot.off, slot.bytes, false, trace,
                       st_split_fill_lines_);
-    readSlot(addr, p.chunk_id, slot, cfg_.compression_latency, data, trace);
+    readSlot(addr, p.chunk_id, slot, kBpcLatency, data, trace);
 }
 
 void
@@ -224,12 +230,12 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         std::array<uint8_t, kLinesPerPage> codes{};
         codes[idx] = uint8_t(enc.bin);
         // relayout() reads old content; page has no chunks yet.
-        trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
+        trace.addFixed(AttribComp::kCompress, kBpcLatency);
         relayout(pn, p, codes, idx, data, Relayout::kFirst, trace);
         return;
     }
 
-    trace.addFixed(AttribComp::kCompress, cfg_.compression_latency);
+    trace.addFixed(AttribComp::kCompress, kBpcLatency);
     unsigned code = p.code[idx];
 
     if (enc.bin <= code) {

@@ -32,17 +32,10 @@ namespace compresso {
 
 struct RmcConfig
 {
-    std::string compressor = "bpc";
-    /** Original RMC used ratio-optimal sizes (our legacy bins). */
-    bool alignment_friendly = false;
     /** Hysteresis slack appended to each subpage. */
     uint32_t hysteresis_bytes = 64;
     MetadataCacheConfig bst{96 * 1024, 8, /*half_entry_opt=*/false};
     uint64_t installed_bytes = uint64_t(8) << 30;
-    Cycle compression_latency = 12;
-    Cycle bst_hit_latency = 2;
-    /** OS page-fault cost for a page overflow. */
-    Cycle page_fault_cycles = 9000;
 };
 
 /** Per-page RMC state: LinePack size codes and subpage extents. */

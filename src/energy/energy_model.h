@@ -19,25 +19,6 @@
 
 namespace compresso {
 
-struct EnergyParams
-{
-    // DRAM (per 64 B burst / per command), nanojoules.
-    double dram_rw_nj = 15.0;
-    double dram_activate_nj = 18.0;
-    /** DRAM background power (W) charged over wall-clock time. */
-    double dram_background_w = 0.6;
-    /** Core active power per core (W) at 3 GHz. */
-    double core_w = 12.0;
-    double core_freq_hz = 3.0e9;
-    /** Metadata cache access energy (paper: 0.08 nJ). */
-    double mdcache_access_nj = 0.08;
-    /** BPC compressor active power (paper: 7 mW @ 800 MHz) and the
-     *  12-cycle occupancy per (de)compression at 800 MHz. */
-    double bpc_w = 0.007;
-    double bpc_freq_hz = 800.0e6;
-    unsigned bpc_cycles_per_op = 12;
-};
-
 struct EnergyBreakdown
 {
     double dram_nj = 0;
@@ -58,8 +39,7 @@ struct EnergyBreakdown
  */
 EnergyBreakdown computeEnergy(const StatGroup &dram_stats, double cycles,
                               unsigned cores, uint64_t compressions,
-                              uint64_t md_accesses,
-                              const EnergyParams &params = EnergyParams());
+                              uint64_t md_accesses);
 
 } // namespace compresso
 

@@ -72,6 +72,9 @@ ChaosEngine::ChaosEngine(const ChaosConfig &cfg) : cfg_(cfg)
 
 namespace {
 
+/** Ambient bit-upset rate during fault_burst phases. */
+constexpr double kFaultRatePerBit = 1e-6;
+
 /** Per-line expected content: regenerated from (class, version), so
  *  the model costs 8 B/line instead of storing the data. ver == 0
  *  means never written (expected zero). */
@@ -229,8 +232,7 @@ ChaosEngine::run(const std::string &kind) const
 
         Rng rng(Rng::mix(cfg_.seed, kind_idx * 131 + pi, uint64_t(s)));
         if (s == ChaosScenario::kFaultBurst)
-            fi.setRates(cfg_.fault_rate_per_bit,
-                        cfg_.fault_rate_per_bit);
+            fi.setRates(kFaultRatePerBit, kFaultRatePerBit);
 
         const uint64_t n = cfg_.refs_per_phase;
         const uint64_t working = cfg_.working_pages;
@@ -428,7 +430,7 @@ ChaosEngine::run(const std::string &kind) const
         rep.fail_reason = "silent corruption";
     else if (rep.audit_violations != 0)
         rep.fail_reason = "invariant violation";
-    else if (rep.stall_p99_max > cfg_.stall_p99_bound)
+    else if (rep.stall_p99_max > kChaosStallP99Bound)
         rep.fail_reason = "stall p99 over bound";
     rep.passed = rep.fail_reason.empty();
 

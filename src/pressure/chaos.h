@@ -69,6 +69,9 @@ const char *chaosScenarioName(ChaosScenario s);
 /** Parse a scenario name; returns kCount for unknown names. */
 ChaosScenario chaosScenarioFromName(const std::string &name);
 
+/** Soak acceptance bound on per-reference p99 device-op stall. */
+inline constexpr uint64_t kChaosStallP99Bound = 4096;
+
 struct ChaosConfig
 {
     uint64_t seed = 1;
@@ -86,10 +89,6 @@ struct ChaosConfig
     uint64_t working_pages = 0;
     /** Swap device slot capacity; 0 = promised_pages / 8. */
     uint64_t swap_capacity_pages = 0;
-    /** Ambient bit-upset rate during fault_burst phases. */
-    double fault_rate_per_bit = 1e-6;
-    /** Soak acceptance bound on per-reference p99 device-op stall. */
-    uint64_t stall_p99_bound = 4096;
 
     /** Anomaly post-mortems (DESIGN.md §16): attach an Observer with
      *  a flight recorder to every chaos run and force one bundle per

@@ -6,6 +6,19 @@
 
 namespace compresso {
 
+namespace {
+
+// Free-fraction watermarks: the level is the highest whose bound the
+// free fraction sits below.
+constexpr double kElevatedFree = 0.25;
+constexpr double kCriticalFree = 0.10;
+constexpr double kEmergencyFree = 0.03;
+/** Extra free fraction required to *leave* a level (hysteresis, so
+ *  the level does not flap at a watermark). */
+constexpr double kHysteresis = 0.02;
+
+} // namespace
+
 const char *
 pressureLevelName(PressureLevel level)
 {
@@ -85,13 +98,13 @@ PressureGovernor::levelFor(double f) const
     // clearing the watermark by an extra margin, so the level cannot
     // flap across a boundary.
     auto bound = [&](double mark, PressureLevel lvl) {
-        return level_ >= lvl ? mark + cfg_.hysteresis : mark;
+        return level_ >= lvl ? mark + kHysteresis : mark;
     };
-    if (f < bound(cfg_.emergency_free, PressureLevel::kEmergency))
+    if (f < bound(kEmergencyFree, PressureLevel::kEmergency))
         return PressureLevel::kEmergency;
-    if (f < bound(cfg_.critical_free, PressureLevel::kCritical))
+    if (f < bound(kCriticalFree, PressureLevel::kCritical))
         return PressureLevel::kCritical;
-    if (f < bound(cfg_.elevated_free, PressureLevel::kElevated))
+    if (f < bound(kElevatedFree, PressureLevel::kElevated))
         return PressureLevel::kElevated;
     return PressureLevel::kNormal;
 }

@@ -68,14 +68,6 @@ struct GovernorConfig
     /** Installed machine chunks (installed_bytes / kChunkBytes);
      *  required. */
     uint64_t total_chunks = 0;
-    /** Free-fraction watermarks: level is the highest whose bound the
-     *  free fraction sits below. */
-    double elevated_free = 0.25;
-    double critical_free = 0.10;
-    double emergency_free = 0.03;
-    /** Extra free fraction required to *leave* a level (hysteresis,
-     *  so the level does not flap at a watermark). */
-    double hysteresis = 0.02;
     /** Device ops between watermark re-polls (and the admission
      *  window length). */
     uint64_t poll_interval_ops = 4096;

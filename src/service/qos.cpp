@@ -2,9 +2,17 @@
 
 namespace compresso {
 
-QosPolicy::QosPolicy(const QosConfig &cfg, TenantRegistry &reg,
-                     PressureGovernor &gov, MemoryController &mc)
-    : cfg_(cfg), reg_(reg), gov_(gov)
+namespace {
+
+/** A tenant is "over budget" when its share of metadata-cache miss
+ *  traffic exceeds its fair share times this factor. */
+constexpr double kOverFactor = 1.25;
+
+} // namespace
+
+QosPolicy::QosPolicy(TenantRegistry &reg, PressureGovernor &gov,
+                     MemoryController &mc)
+    : reg_(reg), gov_(gov)
 {
     size_t n = reg_.count();
     inflation_used_.assign(n, 0);
@@ -73,7 +81,7 @@ QosPolicy::shedFraction(TenantId t) const
     if (fair <= 0.0)
         fair = 1.0 / double(reg_.count());
     double share = double(md_ops_[t]) / double(md_ops_total_);
-    if (share <= fair * cfg_.over_factor)
+    if (share <= fair * kOverFactor)
         return 0.0;
 
     switch (lvl) {

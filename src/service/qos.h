@@ -22,9 +22,9 @@
  *
  *  - Admission shedding: the scheduler asks shedFraction(tenant)
  *    before applying each batch. Under pressure, tenants whose
- *    metadata-cache miss traffic (md_read_ops) exceeds their fair
- *    share by `over_factor` are shed progressively — half their refs
- *    at elevated, 3/4 at critical, 7/8 at emergency. Well-behaved
+ *    metadata-cache miss traffic (md_read_ops) exceeds 1.25 times
+ *    their fair share are shed progressively — half their refs at
+ *    elevated, 3/4 at critical, 7/8 at emergency. Well-behaved
  *    tenants are never shed: the misbehaver's load is clipped at the
  *    admission edge, not spread across the machine.
  *
@@ -44,21 +44,14 @@
 
 namespace compresso {
 
-struct QosConfig
-{
-    /** A tenant is "over budget" when its share of metadata-cache
-     *  miss traffic exceeds its fair share times this factor. */
-    double over_factor = 1.25;
-};
-
 class QosPolicy : public PressureListener
 {
   public:
     /** Re-attaches itself to @p mc in the governor's place; construct
      *  after the governor, detach (attachPressureListener(&gov) or
      *  nullptr) before destruction. */
-    QosPolicy(const QosConfig &cfg, TenantRegistry &reg,
-              PressureGovernor &gov, MemoryController &mc);
+    QosPolicy(TenantRegistry &reg, PressureGovernor &gov,
+              MemoryController &mc);
 
     /** Tenant whose batch the scheduler is currently applying
      *  (kNoTenant outside the apply phase). */
@@ -91,7 +84,6 @@ class QosPolicy : public PressureListener
     uint64_t mdOps(TenantId t) const { return md_ops_[t]; }
 
   private:
-    QosConfig cfg_;
     TenantRegistry &reg_;
     PressureGovernor &gov_;
     TenantId current_ = kNoTenant;

@@ -84,7 +84,7 @@ runService(const ServiceConfig &cfg)
     PressureGovernor gov(gc, mc, os, balloon);
     // The QoS layer interposes: constructed after the governor, it
     // takes the controller's listener slot and delegates inward.
-    QosPolicy qos(cfg.qos, reg, gov, mc);
+    QosPolicy qos(reg, gov, mc);
 
     std::vector<std::unique_ptr<TenantSession>> sessions;
     sessions.reserve(n_tenants);
@@ -100,34 +100,29 @@ runService(const ServiceConfig &cfg)
     for (TenantId t = 0; t < n_tenants; ++t) {
         TenantReport &r = res.tenants[t];
         r.name = reg.spec(t).name;
-        r.profile = reg.spec(t).trace_path.empty()
-                        ? reg.spec(t).profile
-                        : "trace:" + reg.spec(t).trace_path;
+        r.profile = reg.spec(t).profile;
         r.adversary = reg.spec(t).adversary;
         r.partition_base = reg.partition(t).base_page;
         r.partition_pages = reg.partition(t).pages;
     }
 
-    if (cfg.populate) {
-        Line init;
-        for (TenantId t = 0; t < n_tenants; ++t) {
-            const TenantPartition &p = reg.partition(t);
-            for (PageNum pg = p.base_page; pg < p.base_page + p.pages;
-                 ++pg) {
-                os.touch(pg, true);
-                for (unsigned l = 0; l < kLinesPerPage; ++l) {
-                    Addr addr =
-                        Addr(pg) * kPageBytes + Addr(l) * kLineBytes;
-                    McTrace tr;
-                    sessions[t]->initialLineData(addr, init);
-                    mc.writebackLine(addr, init, tr);
-                }
+    // Write every partition's initial image before serving.
+    Line init;
+    for (TenantId t = 0; t < n_tenants; ++t) {
+        const TenantPartition &p = reg.partition(t);
+        for (PageNum pg = p.base_page; pg < p.base_page + p.pages; ++pg) {
+            os.touch(pg, true);
+            for (unsigned l = 0; l < kLinesPerPage; ++l) {
+                Addr addr = Addr(pg) * kPageBytes + Addr(l) * kLineBytes;
+                McTrace tr;
+                sessions[t]->initialLineData(addr, init);
+                mc.writebackLine(addr, init, tr);
             }
         }
-        mc.flush();
-        mc.stats().reset();
-        os.stats().reset();
     }
+    mc.flush();
+    mc.stats().reset();
+    os.stats().reset();
 
     // Attach observability only now: populate-time rescues must not
     // burn the bundle budget before any batch (and its tenant tag)
@@ -303,8 +298,7 @@ runService(const ServiceConfig &cfg)
         // End of round: rebalance from the most-compressible tenant
         // under critical+ pressure (Sec. V-B across tenants).
         gov.poll();
-        if (cfg.rebalance &&
-            uint32_t(gov.level()) >= uint32_t(PressureLevel::kCritical)) {
+        if (uint32_t(gov.level()) >= uint32_t(PressureLevel::kCritical)) {
             TenantId victim = kNoTenant;
             double best = 0.0;
             for (TenantId t = 0; t < n_tenants; ++t) {

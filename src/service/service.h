@@ -1,7 +1,7 @@
 /**
  * @file
- * Multi-tenant trace-serving daemon over one shared Compresso
- * controller (DESIGN.md §17).
+ * Multi-tenant serving daemon over one shared Compresso controller
+ * (DESIGN.md §17).
  *
  * runService() multiplexes N tenant sessions onto a single
  * compressed-memory stack (CompressoController + SimOs + balloon +
@@ -72,24 +72,18 @@ struct ServiceConfig
     /** Swap device capacity; 0 derives promised pages / 8. */
     uint64_t swap_capacity_pages = 0;
 
-    /** Write every partition's initial image before serving (else
-     *  first reads see zero lines). */
-    bool populate = true;
     /** Observer + FlightRecorder: tenant-tagged post-mortem bundles. */
     bool postmortem = false;
 
     /** Rotate the adversary role across tenants every N rounds
      *  (0 = keep the specs' static adversary flags). */
     uint64_t adversary_rotate_every = 0;
-    /** End-of-round tenant-scoped ballooning at critical+ pressure. */
-    bool rebalance = true;
 
     /** Controller tuning; installed_bytes is overridden by the
      *  derivation above. Small metadata caches make the md-traffic
      *  fairness dimension observable. */
     CompressoConfig compresso{};
     GovernorConfig governor{};
-    QosConfig qos{};
 };
 
 /** Per-tenant slice of the merged service document. */

@@ -1,21 +1,12 @@
 #include "service/session.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-
 namespace compresso {
 
 TenantSession::TenantSession(const TenantSpec &spec,
                              const TenantPartition &part,
                              uint64_t service_seed)
-    : part_(part)
+    : part_(part), prof_(profileByName(spec.profile))
 {
-    if (!spec.trace_path.empty()) {
-        loadTrace(spec.trace_path);
-        return;
-    }
-    prof_ = profileByName(spec.profile);
     // The partition is the footprint: the stream never addresses
     // outside [base, base + pages).
     prof_.pages = uint32_t(part_.pages);
@@ -32,49 +23,10 @@ TenantSession::TenantSession(const TenantSpec &spec,
 }
 
 void
-TenantSession::loadTrace(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr,
-                     "TenantSession: cannot open trace '%s'\n",
-                     path.c_str());
-        std::abort();
-    }
-    TraceReader reader(in);
-    TraceRecord rec;
-    while (reader.next(rec)) {
-        // Rebase into the partition: fold the page into the tenant's
-        // range, keep the line-aligned in-page offset.
-        PageNum page =
-            part_.base_page + (rec.addr / kPageBytes) % part_.pages;
-        Addr offset = (rec.addr % kPageBytes) & ~Addr(kLineBytes - 1);
-        rec.addr = Addr(page) * kPageBytes + offset;
-        trace_.push_back(rec);
-    }
-    if (trace_.empty()) {
-        std::fprintf(stderr,
-                     "TenantSession: trace '%s' has no records\n",
-                     path.c_str());
-        std::abort();
-    }
-}
-
-void
 TenantSession::generate(uint64_t n, std::vector<ServiceRef> &out)
 {
     out.clear();
     out.reserve(n);
-    if (stream_ != nullptr)
-        generateSynthetic(n, out);
-    else
-        generateTrace(n, out);
-    refs_ += n;
-}
-
-void
-TenantSession::generateSynthetic(uint64_t n, std::vector<ServiceRef> &out)
-{
     for (uint64_t i = 0; i < n; ++i) {
         MemRef r = stream_->next();
         ServiceRef s;
@@ -96,53 +48,19 @@ TenantSession::generateSynthetic(uint64_t n, std::vector<ServiceRef> &out)
         }
         out.push_back(s);
     }
-}
-
-void
-TenantSession::generateTrace(uint64_t n, std::vector<ServiceRef> &out)
-{
-    for (uint64_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = trace_[trace_pos_];
-        if (++trace_pos_ == trace_.size())
-            trace_pos_ = 0; // loop the trace for long services
-        ServiceRef s;
-        s.addr = rec.addr;
-        s.write = rec.write;
-        uint64_t key = rec.addr / kLineBytes;
-        PageNum page = rec.addr / kPageBytes;
-        unsigned line = unsigned(key % kLinesPerPage);
-        if (rec.write) {
-            LineState &st = model_[key];
-            st.cls = uint8_t(rec.cls);
-            ++st.ver;
-            generateLine(DataClass(st.cls),
-                         Rng::mix(page, line, st.ver), s.data);
-        } else {
-            auto it = model_.find(key);
-            if (it == model_.end() || it->second.ver == 0)
-                s.data.fill(0);
-            else
-                generateLine(DataClass(it->second.cls),
-                             Rng::mix(page, line, it->second.ver),
-                             s.data);
-        }
-        out.push_back(s);
-    }
+    refs_ += n;
 }
 
 void
 TenantSession::initialLineData(Addr addr, Line &out) const
 {
-    if (pristine_stream_ != nullptr)
-        pristine_stream_->initialLineData(addr, out);
-    else
-        out.fill(0);
+    pristine_stream_->initialLineData(addr, out);
 }
 
 void
 TenantSession::setAdversary(bool on)
 {
-    if (stream_ == nullptr || on == adversary_)
+    if (on == adversary_)
         return;
     if (on) {
         pristine_ = prof_;
@@ -183,11 +101,6 @@ TenantSession::onPageFreed(PageNum page)
     // forever.
     for (unsigned l = 0; l < kLinesPerPage; ++l)
         divergent_lines_.insert(uint64_t(page) * kLinesPerPage + l);
-    // Trace mode owns its model: reclaimed pages read zero, which is
-    // exactly a never-written line's expectation.
-    if (stream_ == nullptr)
-        for (unsigned l = 0; l < kLinesPerPage; ++l)
-            model_.erase(uint64_t(page) * kLinesPerPage + l);
 }
 
 bool

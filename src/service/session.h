@@ -5,9 +5,8 @@
  *
  * A session owns everything needed to *generate* its next batch of
  * references — a private copy of its workload profile driving an
- * AccessStream, or a replayed trace with a chaos-style
- * (class, version) content model — so batch generation is a pure
- * function of session-owned state. That is the service's determinism
+ * AccessStream — so batch generation is a pure function of
+ * session-owned state. That is the service's determinism
  * lever: the scheduler generates all tenants' batches in parallel on
  * the thread pool, then applies them serially in fixed tenant order,
  * and the merged result is bit-identical at any `--jobs N`.
@@ -44,12 +43,10 @@
 #define COMPRESSO_SERVICE_SESSION_H
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "service/tenant.h"
-#include "sim/trace.h"
 #include "workloads/access_stream.h"
 
 namespace compresso {
@@ -80,12 +77,12 @@ class TenantSession
     void generate(uint64_t n, std::vector<ServiceRef> &out);
 
     /** Initial content of @p addr before any stream writes (partition
-     *  population); zero in trace mode. */
+     *  population). */
     void initialLineData(Addr addr, Line &out) const;
 
     bool adversary() const { return adversary_; }
     /** Toggle hostile behaviour; restores the pristine profile on the
-     *  way off. No-op for trace-driven sessions. */
+     *  way off. */
     void setAdversary(bool on);
 
     // --- divergence model (scheduler feedback) ---
@@ -104,36 +101,19 @@ class TenantSession
     uint64_t pagesLost() const { return pages_lost_; }
 
   private:
-    /** Chaos-style per-line expected content for trace mode. */
-    struct LineState
-    {
-        uint8_t cls = 0;
-        uint32_t ver = 0;
-    };
-
-    void loadTrace(const std::string &path);
-    void generateSynthetic(uint64_t n, std::vector<ServiceRef> &out);
-    void generateTrace(uint64_t n, std::vector<ServiceRef> &out);
-
     TenantPartition part_;
     uint64_t refs_ = 0;
     uint64_t pages_lost_ = 0;
 
-    // Synthetic mode: owned mutable profile + stream over it, plus a
-    // never-advanced stream over the pristine profile that anchors
-    // version-0 (never-written) line expectations across adversary
-    // toggles.
+    // Owned mutable profile + stream over it, plus a never-advanced
+    // stream over the pristine profile that anchors version-0
+    // (never-written) line expectations across adversary toggles.
     WorkloadProfile prof_;
     WorkloadProfile pristine_; ///< pre-adversary field values
     bool adversary_ = false;
     std::unique_ptr<AccessStream> stream_;
     std::unique_ptr<AccessStream> pristine_stream_;
     std::unordered_set<uint64_t> written_; ///< line keys ever written
-
-    // Trace mode: records rebased into the partition + content model.
-    std::vector<TraceRecord> trace_;
-    size_t trace_pos_ = 0;
-    std::unordered_map<uint64_t, LineState> model_;
 
     std::unordered_set<uint64_t> divergent_lines_;
 };

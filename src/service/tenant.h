@@ -45,13 +45,8 @@ struct TenantSpec
     uint64_t pages = 256;
 
     /** Workload personality (src/workloads profile name) driving the
-     *  synthetic session stream; ignored when @p trace_path is set. */
+     *  session stream. */
     std::string profile = "gcc";
-
-    /** Replay a text trace (examples/trace_replay format) instead of
-     *  the synthetic profile; addresses are rebased into the
-     *  partition. Empty = synthetic. */
-    std::string trace_path;
 
     /** Scheduling weight: references per round are proportional. */
     uint32_t weight = 1;

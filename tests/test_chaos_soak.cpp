@@ -55,7 +55,7 @@ TEST_P(ChaosAllControllers, ShortRotationIsCleanAndVerified)
     EXPECT_TRUE(r.passed) << r.fail_reason;
     EXPECT_EQ(r.silent_corruptions, 0u);
     EXPECT_EQ(r.audit_violations, 0u);
-    EXPECT_LE(r.stall_p99_max, cc.stall_p99_bound);
+    EXPECT_LE(r.stall_p99_max, kChaosStallP99Bound);
     EXPECT_EQ(r.total_refs,
               cc.refs_per_phase * ChaosConfig::defaultPhases().size());
     ASSERT_EQ(r.phases.size(), ChaosConfig::defaultPhases().size());

@@ -176,7 +176,7 @@ struct QosRig
               g.total_chunks = installed / kChunkBytes;
               return g;
           }(), mc, os, balloon),
-          qos(QosConfig{}, reg, gov, mc)
+          qos(reg, gov, mc)
     {
     }
 
