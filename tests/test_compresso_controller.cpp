@@ -396,7 +396,8 @@ TEST(Compresso, RefusedFreeSlotGrowthKeepsTheOldLine)
     // Two chunks of machine memory: lines 0-14 random and 15-16
     // constant fill them, so a random line written into line 16 needs
     // a third chunk that free slot growth cannot get. The write is
-    // dropped and the old line stays readable.
+    // dropped and the old line stays readable. Rewriting that old
+    // line is no underflow: the slot still holds its bin.
     CompressoConfig cfg;
     cfg.installed_bytes = 2 * kChunkBytes;
     CompressoController mc(cfg);
@@ -413,4 +414,7 @@ TEST(Compresso, RefusedFreeSlotGrowthKeepsTheOldLine)
     EXPECT_EQ(readLine(mc, addrOf(0, 14)), classLine(DataClass::kRandom, 14));
     AuditReport report = mc.audit();
     EXPECT_TRUE(report.clean()) << report.summary();
+
+    writeLine(mc, addrOf(0, 16), constant);
+    EXPECT_EQ(mc.stats().get("line_underflows"), 0u);
 }

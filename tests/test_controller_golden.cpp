@@ -335,15 +335,18 @@ constexpr Golden kRelayout[] = {
 
 // Page-rewrite runs (pageRewriteShape), recorded from the controllers
 // before their page sizing and slot reads moved into
-// CompressedController.
+// CompressedController. Compresso's and DMC's rows were re-recorded
+// when Compresso stopped recording the bin of a write machine OOM
+// dropped (fewer line underflows, same op trace) and DMC's overflow
+// re-layout of an all-zero page started clearing its zero flag.
 constexpr Golden kPageRewrite[] = {
-    {"compresso", 0x7971b1900bb6abacULL, 0x2debd2b90254bcf8ULL, 98304,
+    {"compresso", 0x7971b1900bb6abacULL, 0x00642428ead6ad4dULL, 98304,
      23040, 1536},
     {"lcp", 0x664cfccea0061e6eULL, 0x7253e339bc0df742ULL, 98304, 90112,
      1536},
     {"rmc", 0x130e63fa10ad0fb0ULL, 0xd494dfdd4121300eULL, 98304, 83968,
      1536},
-    {"dmc", 0x9d3565c3d672bc76ULL, 0xfda6dcc864caf1dcULL, 98304, 43520,
+    {"dmc", 0x8f02fae208862afeULL, 0xd82344e2ea96c025ULL, 98304, 43520,
      1536},
 };
 

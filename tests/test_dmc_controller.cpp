@@ -205,3 +205,25 @@ TEST(Dmc, ColdRetainsRatioOnPointerData)
     // indirectly via machine bytes going down after demotion.
     EXPECT_GT(mc.compressionRatio(), hot_ratio * 0.9);
 }
+
+TEST(Dmc, WriteIntoAllZeroColdPageIsStored)
+{
+    // Page 0 holds chunks but only zero lines when it demotes. The
+    // write that promotes it re-lays an all-zero page out (a zero
+    // page), and the write's overflow re-layout must then make it a
+    // data page again.
+    DmcConfig cfg = baseConfig();
+    cfg.epoch_writebacks = 4;
+    DmcController mc(cfg);
+    Line random = classLine(DataClass::kRandom, 11);
+    writeLine(mc, addrOf(0, 0), random);
+    writeLine(mc, addrOf(0, 0), Line{});
+    for (unsigned i = 0; i < 12; ++i)
+        writeLine(mc, addrOf(1 + i % 3, i), classLine(DataClass::kRandom, i));
+    ASSERT_TRUE(mc.isCold(0));
+
+    writeLine(mc, addrOf(0, 0), random);
+    EXPECT_EQ(readLine(mc, addrOf(0, 0)), random);
+    AuditReport report = mc.audit();
+    EXPECT_TRUE(report.clean()) << report.summary();
+}
