@@ -11,10 +11,6 @@ exact agreement with the in-file markers:
 Agreement is checked in BOTH directions — a marker that does not fire
 and a finding without a marker are both failures — so the fixtures pin
 each rule's true-positive *and* false-positive behavior.
-
-The lexical engine is used explicitly: it is the engine available in
-every environment (CI additionally exercises the default auto engine
-on src/), and pinning it keeps the expected line/column set stable.
 """
 
 import json
@@ -51,8 +47,6 @@ def main() -> int:
             sys.executable,
             str(LINTER),
             str(FIXTURE_DIR),
-            "--engine",
-            "lexical",
             "--json",
             report_path,
         ],
@@ -100,8 +94,6 @@ def main() -> int:
             str(LINTER),
             str(FIXTURE_DIR / "clean_ok.cpp"),
             str(FIXTURE_DIR / "suppressed_ok.cpp"),
-            "--engine",
-            "lexical",
         ],
         cwd=REPO_ROOT,
         capture_output=True,

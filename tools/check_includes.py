@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Include-hygiene and allocation-discipline lint for the Compresso tree.
+"""Include-hygiene lint for the Compresso tree.
 
 Run from the repository root (the `check_includes` CMake target and
 ctest do); exits non-zero listing every violation. Rules:
@@ -16,16 +16,14 @@ ctest do); exits non-zero listing every violation. Rules:
  3. Every src/ .cpp includes its own header first — the cheapest test
     that each header is self-contained.
  4. No `using namespace` at file scope in headers.
- 5. No raw `new` / `delete` expressions anywhere in src/ outside the
-    chunk allocator (the one module allowed to own storage): lifetime
-    must flow through ChunkAllocator or standard containers /
-    smart pointers. Comments and string literals are ignored.
- 6. Any file using the Clang thread-safety annotation macros
+ 5. Any file using the Clang thread-safety annotation macros
     (GUARDED_BY, REQUIRES, CAPABILITY, ...) must include
     "common/thread_annotations.h" directly — relying on a transitive
     include (e.g. via common/sync.h) breaks the moment the middleman
     drops it, and on non-Clang builds that surfaces as a baffling
     parse error instead of a clean miss.
+
+Raw `new` / `delete` is compresso_lint.py's `raw-new-delete` rule.
 """
 
 from __future__ import annotations
@@ -37,20 +35,9 @@ from pathlib import Path
 
 SRC = Path("src")
 
-# The only files allowed to contain raw new/delete expressions.
-NEW_DELETE_ALLOWLIST = {
-    Path("src/core/chunk_allocator.h"),
-    Path("src/core/chunk_allocator.cpp"),
-}
-
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+(["<])([^">]+)[">]')
 GUARD_IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)")
 USING_NS_RE = re.compile(r"^\s*using\s+namespace\s+\w")
-ANY_NEW_RE = re.compile(r"\bnew\b")
-ANY_DELETE_RE = re.compile(r"\bdelete\b(?!\s*;)")
-
-# `= delete;` (deleted special members) is legitimate everywhere.
-DELETED_FN_RE = re.compile(r"=\s*delete\s*[;,)]")
 
 # Thread-safety annotation macros (common/thread_annotations.h). Any
 # use requires a direct include of that header. The defining header
@@ -200,7 +187,7 @@ def check_file(
                 f"\"{own}\" (found \"{first_project_include}\")"
             )
 
-    # Rule 6: annotation macros require a direct thread_annotations.h
+    # Rule 5: annotation macros require a direct thread_annotations.h
     # include.
     if path != SRC / THREAD_ANNOTATIONS_HEADER:
         first_use = next(
@@ -219,14 +206,6 @@ def check_file(
                 f"macros without including "
                 f"\"{THREAD_ANNOTATIONS_HEADER}\" directly"
             )
-
-    # Rule 5: raw new/delete outside the allocator.
-    if path not in NEW_DELETE_ALLOWLIST:
-        for lineno, ln in enumerate(code_lines, 1):
-            if ANY_NEW_RE.search(ln):
-                errors.append(f"{path}:{lineno}: raw `new` expression")
-            if ANY_DELETE_RE.search(ln) and not DELETED_FN_RE.search(ln):
-                errors.append(f"{path}:{lineno}: raw `delete` expression")
 
 
 def main() -> int:

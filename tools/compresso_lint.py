@@ -48,12 +48,6 @@ The reason is mandatory; a suppression without one does not count.
 File-wide: `// compresso-lint: allow-file(rule-id) -- reason` anywhere
 in the file.
 
-Engines: with the libclang Python bindings installed the file model is
-built from Clang's own lexer (exact comment/string classification);
-without them a built-in lexer is used. Rule logic is identical — the
-engine only affects how comments/strings are recognized. Select with
---engine {auto,lexical,libclang}.
-
 Report: --json writes a machine-readable compresso-lint-v1 document
 (per-finding rule/file/line/column/message/snippet plus suppression
 records). Exit status: 0 = clean (suppressed findings are fine),
@@ -195,8 +189,7 @@ class FileModel:
 
 
 # ---------------------------------------------------------------------
-# Engines: build the FileModel either with the built-in lexer or with
-# clang's own tokenizer. Rule logic is engine-independent.
+# The file model: a lexer that blanks comments and literals.
 # ---------------------------------------------------------------------
 
 
@@ -262,7 +255,7 @@ def parse_suppressions(model: FileModel) -> None:
         model.line_allows.setdefault(target, set()).update(rules)
 
 
-def build_model_lexical(path: Path, rel: str) -> FileModel:
+def build_model(path: Path, rel: str) -> FileModel:
     raw = path.read_text(encoding="utf-8", errors="replace")
     model = FileModel(
         path=path,
@@ -272,59 +265,6 @@ def build_model_lexical(path: Path, rel: str) -> FileModel:
     )
     parse_suppressions(model)
     return model
-
-
-def build_model_libclang(path: Path, rel: str) -> FileModel:
-    """Build the model from clang's lexer: exact comment/string spans,
-    no heuristics. Requires the clang.cindex bindings."""
-    import clang.cindex as ci  # noqa: deferred import, may be absent
-
-    raw = path.read_text(encoding="utf-8", errors="replace")
-    index = ci.Index.create()
-    tu = index.parse(
-        str(path),
-        args=["-std=c++20", "-fsyntax-only"],
-        options=ci.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD,
-    )
-    # Start from the raw text and blank every comment/string token the
-    # real lexer reports (newlines preserved).
-    chars = list(raw)
-    for tok in tu.get_tokens(extent=tu.cursor.extent):
-        if tok.kind in (ci.TokenKind.COMMENT, ci.TokenKind.LITERAL):
-            if tok.kind == ci.TokenKind.LITERAL and not (
-                tok.spelling.startswith('"')
-                or tok.spelling.startswith("'")
-                or tok.spelling.startswith('R"')
-            ):
-                continue  # numeric literals stay
-            start = tok.extent.start.offset
-            end = tok.extent.end.offset
-            for k in range(start, min(end, len(chars))):
-                if chars[k] != "\n":
-                    chars[k] = " "
-    model = FileModel(
-        path=path, rel=rel, raw_lines=raw.splitlines(), code="".join(chars)
-    )
-    parse_suppressions(model)
-    return model
-
-
-def pick_engine(requested: str) -> tuple[str, "object"]:
-    if requested in ("auto", "libclang"):
-        try:
-            import clang.cindex as ci
-
-            ci.Index.create()  # raises if libclang itself is missing
-            return "libclang", build_model_libclang
-        except Exception:
-            if requested == "libclang":
-                print(
-                    "compresso_lint: libclang bindings unavailable; "
-                    "install python3-clang or use --engine lexical",
-                    file=sys.stderr,
-                )
-                sys.exit(2)
-    return "lexical", build_model_lexical
 
 
 # ---------------------------------------------------------------------
@@ -591,8 +531,6 @@ def main() -> int:
     ap.add_argument("paths", nargs="*", default=None,
                     help="files or directories to lint (default: src)")
     ap.add_argument("--json", metavar="FILE", help="write findings JSON")
-    ap.add_argument("--engine", choices=("auto", "lexical", "libclang"),
-                    default="auto")
     ap.add_argument("--list-rules", action="store_true")
     args = ap.parse_args()
 
@@ -600,8 +538,6 @@ def main() -> int:
         for rid, desc in RULES.items():
             print(f"{rid}: {desc}")
         return 0
-
-    engine, build = pick_engine(args.engine)
 
     roots = [Path(p) for p in (args.paths or ["src"])]
     files: list[Path] = []
@@ -619,7 +555,7 @@ def main() -> int:
     all_findings: list[Finding] = []
     for path in files:
         rel = path.as_posix()
-        model = build(path, rel)
+        model = build_model(path, rel)
         all_findings.extend(lint_file(model))
 
     live = [f for f in all_findings if not f.suppressed]
@@ -628,7 +564,6 @@ def main() -> int:
     if args.json:
         doc = {
             "schema": SCHEMA,
-            "engine": engine,
             "files_scanned": len(files),
             "rules": RULES,
             "counts": {"findings": len(live), "suppressed": len(suppressed)},
@@ -642,7 +577,7 @@ def main() -> int:
               file=sys.stderr)
         print(f"    {f.snippet}", file=sys.stderr)
     summary = (
-        f"compresso_lint({engine}): {len(files)} file(s), "
+        f"compresso_lint: {len(files)} file(s), "
         f"{len(live)} finding(s), {len(suppressed)} suppressed"
     )
     if live:
