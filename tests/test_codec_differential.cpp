@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -255,6 +256,13 @@ struct Case
     const char *codec;
     RefDecoder ref;
 };
+
+// Print the codec name, so the test names carry no load address.
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << '"' << c.codec << '"';
+}
 
 const Case kCases[] = {
     {"bpc", refBpc},     {"bpc-xform", refBpc}, {"lz", refLz},
