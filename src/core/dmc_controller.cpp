@@ -47,7 +47,7 @@ DmcController::loadColdBlock(const Page &p, unsigned b, uint32_t off,
 }
 
 void
-DmcController::gatherPage(const Page &p, PageLines &buf, McTrace *trace,
+DmcController::gatherPage(const Page &p, PageLines &buf, McTrace &trace,
                           AttribComp comp)
 {
     if (!p.valid || p.zero) {
@@ -58,9 +58,7 @@ DmcController::gatherPage(const Page &p, PageLines &buf, McTrace *trace,
     if (!p.cold) {
         Slots hot;
         uint32_t used = packSlots(p.code, hot);
-        gather(p.chunk_id, hot, buf);
-        if (trace)
-            store_.deviceOps(p.chunk_id, 0, used, false, false, *trace, comp);
+        readPage(p, hot, used, buf, trace, comp);
         return;
     }
     // Cold: decompress every block (line streams back to back).
@@ -68,9 +66,8 @@ DmcController::gatherPage(const Page &p, PageLines &buf, McTrace *trace,
     for (unsigned b = 0; b < kColdBlocks; ++b) {
         loadColdBlock(p, b, off, &buf[b * kLinesPerColdBlock],
                       kLinesPerColdBlock);
-        if (trace)
-            store_.deviceOps(p.chunk_id, off, p.cold_bytes[b], false, false,
-                             *trace, comp);
+        store_.deviceOps(p.chunk_id, off, p.cold_bytes[b], false, false,
+                         trace, comp);
         off += p.cold_bytes[b];
     }
 }
@@ -103,7 +100,7 @@ DmcController::demoteToCold(PageNum pn, Page &p, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcRepack);
     size_t ops_before = trace.ops.size();
     PageLines buf;
-    gatherPage(p, buf, &trace);
+    gatherPage(p, buf, trace);
     st_migration_ops_ += trace.ops.size();
 
     // Compress each 1 KB block as one unit (line streams concatenated).
@@ -148,7 +145,7 @@ DmcController::promoteToHot(PageNum pn, Page &p, McTrace &trace)
     CPR_PROF_SCOPE(ProfPhase::kMcRepack);
     size_t ops_before = trace.ops.size();
     PageLines buf;
-    gatherPage(p, buf, &trace);
+    gatherPage(p, buf, trace);
     layoutHot(p, buf, trace);
     st_migration_ops_ += trace.ops.size();
     ++st_promotions_;
@@ -228,7 +225,7 @@ DmcController::mdInflate(PageNum pn, McTrace &trace)
 {
     Page &p = pages_.at(pn);
     PageLines buf;
-    gatherPage(p, buf, &trace, AttribComp::kFaultRecovery);
+    gatherPage(p, buf, trace, AttribComp::kFaultRecovery);
     p.cold = false;
     p.cold_bytes.fill(0);
     p.code.fill(uint8_t(bins_->count() - 1));
@@ -348,7 +345,7 @@ DmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         ++st_line_overflows_;
         CPR_OBS_EVENT(obs_, ObsEvent::kLineOverflow, pn, idx);
         PageLines buf;
-        gatherPage(p, buf, &trace, AttribComp::kOverflowRelayout);
+        gatherPage(p, buf, trace, AttribComp::kOverflowRelayout);
         buf[idx] = data;
         layoutHot(p, buf, trace, AttribComp::kOverflowRelayout);
         st_migration_ops_ += 2;

@@ -97,9 +97,9 @@ class DmcController : public CompressedController<DmcPage>
      *  page byte @p off, into @p out. */
     void loadColdBlock(const Page &p, unsigned b, uint32_t off, Line *out,
                        unsigned n) const;
-    /** Gather the page's current content (either representation),
-     *  emitting its read ops into @p trace if given. */
-    void gatherPage(const Page &p, PageLines &buf, McTrace *trace,
+    /** Read the page's current content (either representation),
+     *  emitting its read ops into @p trace. */
+    void gatherPage(const Page &p, PageLines &buf, McTrace &trace,
                     AttribComp comp = AttribComp::kRepack);
 
     void demoteToCold(PageNum pn, Page &p, McTrace &trace);

@@ -41,8 +41,6 @@ struct LcpConfig
     bool alignment_friendly = false;
     MetadataCacheConfig mdcache{96 * 1024, 8, /*half_entry_opt=*/false};
     uint64_t installed_bytes = uint64_t(8) << 30;
-    /** OS page-fault handling cost for a page overflow (~3 us). */
-    Cycle page_fault_cycles = 9000;
 };
 
 /** Per-page LCP metadata (functional form). */
@@ -100,7 +98,7 @@ class LcpController : public CompressedController<LcpPage>
     /** OS-visible page overflow: re-layout with a new target (page
      *  fault + full relocation). */
     void pageOverflow(PageNum pn, Page &p, LineIdx idx, const Line &raw,
-                      const Encoded &enc, McTrace &trace);
+                      McTrace &trace);
 
     void initialAllocate(Page &p, const Encoded &enc);
 
@@ -114,15 +112,9 @@ class LcpController : public CompressedController<LcpPage>
 
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
     uint64_t &st_co_fetched_lines_ = stats_.stat("co_fetched_lines");
-    uint64_t &st_page_overflows_ = stats_.stat("page_overflows");
-    uint64_t &st_page_faults_ = stats_.stat("page_faults");
-    uint64_t &st_page_fault_cycles_ = stats_.stat("page_fault_cycles");
-    uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
     uint64_t &st_exception_accesses_ = stats_.stat("exception_accesses");
     uint64_t &st_exception_extra_ops_ = stats_.stat("exception_extra_ops");
     uint64_t &st_ir_placements_ = stats_.stat("ir_placements");
-    uint64_t &st_overflow_escalations_ =
-        stats_.stat("overflow_escalations");
 };
 
 } // namespace compresso

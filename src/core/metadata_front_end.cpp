@@ -24,7 +24,7 @@ MetadataFrontEnd::MetadataFrontEnd(const MetadataCacheConfig &cache,
       st_fault_poison_fills_(stats.stat("fault_poison_fills")),
       st_fault_dropped_wbs_(stats.stat("fault_dropped_wbs"))
 {
-    if (params_.os_fault_cycles > 0) {
+    if (params_.os_aware) {
         st_page_faults_ = &stats.stat("page_faults");
         st_page_fault_cycles_ = &stats.stat("page_fault_cycles");
     }
@@ -113,11 +113,8 @@ MetadataFrontEnd::recover(PageNum page, McTrace &trace)
                       uint32_t(FaultRung::kMetaRebuild));
         fi->noteMetaRebuild();
     }
-    if (params_.os_fault_cycles > 0) {
-        ++*st_page_faults_;
-        *st_page_fault_cycles_ += params_.os_fault_cycles;
-        trace.addStall(AttribComp::kOsFault, params_.os_fault_cycles);
-    }
+    if (params_.os_aware)
+        osFault(trace);
     size_t before = trace.ops.size();
     {
         // Repair traffic cannot fault recursively.
@@ -147,6 +144,14 @@ MetadataFrontEnd::recover(PageNum page, McTrace &trace)
     stats_["fault_recovery_ops"] += ops;
     if (pressure_ != nullptr)
         pressure_->onOpCost(PressureOp::kMetaRebuild, ops);
+}
+
+void
+MetadataFrontEnd::osFault(McTrace &trace)
+{
+    ++*st_page_faults_;
+    *st_page_fault_cycles_ += kOsFaultCycles;
+    trace.addStall(AttribComp::kOsFault, kOsFaultCycles);
 }
 
 void

@@ -70,16 +70,20 @@ class MetadataFrontEnd
         Addr region_base = 0;
         AttribComp hit_comp = AttribComp::kMdcacheHit;
         AttribComp miss_comp = AttribComp::kMdcacheMiss; ///< entry traffic
-        /** OS-aware designs: a rebuild is a page fault that stalls the
-         *  core this long (0 = rebuilt in hardware). */
-        Cycle os_fault_cycles = 0;
+        /** OS-aware designs: a rebuild is an OS page fault (osFault);
+         *  otherwise the hardware rebuilds the entry. */
+        bool os_aware = false;
         /** A throttled rebuild skips the entry rewrite too. */
         bool throttle_skips_rewrite = false;
     };
 
+    /** OS page-fault handling cost (~3 us), the core's stall for every
+     *  OS page fault of the OS-aware designs. */
+    static constexpr Cycle kOsFaultCycles = 9000;
+
     /** Registers md_read_ops, fault_poison_fills, fault_dropped_wbs
-     *  (and page_faults, page_fault_cycles when os_fault_cycles is
-     *  set); md_write_ops, pages_freed and the other fault_* counters
+     *  (and page_faults, page_fault_cycles when os_aware is set);
+     *  md_write_ops, pages_freed and the other fault_* counters
      *  appear on first use. */
     MetadataFrontEnd(const MetadataCacheConfig &cache, const Params &params,
                      Hooks &hooks, StatGroup &stats, FaultHooks &fault);
@@ -153,6 +157,11 @@ class MetadataFrontEnd
      * its line's poison.
      */
     bool access(Addr addr, bool write, McTrace &trace, bool half = false);
+
+    /** An OS page fault of an OS-aware design: counted, and the core
+     *  stalls kOsFaultCycles. A rebuild takes one, as do LCP's page
+     *  overflow and RMC's page re-allocation. */
+    void osFault(McTrace &trace);
 
     /** Retire @p page (counted once): fills read zero, writebacks
      *  drop, until freePage. */

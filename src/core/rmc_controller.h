@@ -85,18 +85,13 @@ class RmcController : public CompressedController<RmcPage>
     /** The raw layout: 1 KB subpages of top-bin (64 B raw) slots. */
     void setRaw(Page &p) const;
 
-    /** Why the page is re-laid out. */
-    enum class Relayout
-    {
-        kFirst,   ///< the first data in a zero page
-        kShift,   ///< a subpage outgrew its slack; the page still fits
-        kOsFault, ///< the page outgrew its allocation (OS page fault)
-    };
-    /** Re-lay out the whole page for new codes, preserving data. */
-    void relayout(PageNum pn, Page &p,
-                  const std::array<uint8_t, kLinesPerPage> &codes,
-                  LineIdx idx, const Line &raw, Relayout why,
-                  McTrace &trace);
+    /** Re-lay the whole page out for new codes (relayout()): the first
+     *  data in a zero page, a subpage that outgrew its slack, or with
+     *  @p fault a page that outgrew its allocation. */
+    void recode(PageNum pn, Page &p,
+                const std::array<uint8_t, kLinesPerPage> &codes,
+                LineIdx idx, const Line &raw, OsFault fault,
+                McTrace &trace);
 
     // --- metadata ladder hooks (OS-aware: the OS rebuilds the BST
     // entry from its own tables, so there is no hardware re-walk) ---
@@ -108,14 +103,8 @@ class RmcController : public CompressedController<RmcPage>
     RmcConfig cfg_;
 
     uint64_t &st_split_wb_lines_ = stats_.stat("split_wb_lines");
-    uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
-    uint64_t &st_page_overflows_ = stats_.stat("page_overflows");
-    uint64_t &st_page_faults_ = stats_.stat("page_faults");
-    uint64_t &st_page_fault_cycles_ = stats_.stat("page_fault_cycles");
     uint64_t &st_subpage_shifts_ = stats_.stat("subpage_shifts");
     uint64_t &st_hysteresis_absorbs_ = stats_.stat("hysteresis_absorbs");
-    uint64_t &st_overflow_escalations_ =
-        stats_.stat("overflow_escalations");
 };
 
 } // namespace compresso

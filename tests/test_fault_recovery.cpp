@@ -302,7 +302,7 @@ TEST(LcpFaults, MetadataDueChargesOsPageFault)
     McTrace tr;
     EXPECT_EQ(readLine(mc, addrOf(pn, 4), &tr), in);
     EXPECT_GT(mc.stats().get("page_faults"), faults0);
-    EXPECT_GE(tr.stall_cycles, cfg.page_fault_cycles);
+    EXPECT_GE(tr.stall_cycles, MetadataFrontEnd::kOsFaultCycles);
 
     // Escalation re-lays the page out with a 64 B target.
     mc.metadataCache()->invalidate(pn);

@@ -106,9 +106,7 @@ TEST(Lcp, PageOverflowRaisesPageFault)
 
 TEST(Lcp, StallCyclesSurfaceInTrace)
 {
-    LcpConfig cfg = baseConfig(true);
-    cfg.page_fault_cycles = 1234;
-    LcpController mc(cfg);
+    LcpController mc(baseConfig(true));
     writeLine(mc, addrOf(5, 0), classLine(DataClass::kDeltaInt, 1));
     Cycle total_stall = 0;
     for (unsigned l = 1; l < kLinesPerPage; ++l) {
@@ -117,7 +115,10 @@ TEST(Lcp, StallCyclesSurfaceInTrace)
                          tr);
         total_stall += tr.stall_cycles;
     }
-    EXPECT_GE(total_stall, 1234u);
+    // Every stall is one OS page fault's.
+    EXPECT_GE(total_stall, MetadataFrontEnd::kOsFaultCycles);
+    EXPECT_EQ(total_stall, mc.stats().get("page_faults") *
+                               MetadataFrontEnd::kOsFaultCycles);
 }
 
 TEST(Lcp, SpeculativeParallelFlagOnFills)
