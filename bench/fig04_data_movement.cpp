@@ -29,7 +29,7 @@ spec(const std::string &bench, PageSizing sizing)
     s.refs_per_core = budget(150000);
     s.warmup_refs = budget(15000);
     // Unoptimized baseline: legacy size bins, no Sec. IV optimizations.
-    s.compresso.alignment_friendly = false;
+    s.compresso.line_bins = &legacyBins();
     s.compresso.overflow_prediction = false;
     s.compresso.dynamic_ir_expansion = false;
     s.compresso.repack_on_evict = false;

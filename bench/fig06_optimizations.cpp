@@ -32,7 +32,7 @@ CompressoConfig
 stageConfig(unsigned stage)
 {
     CompressoConfig cfg;
-    cfg.alignment_friendly = stage >= 1;
+    cfg.line_bins = stage >= 1 ? &compressoBins() : &legacyBins();
     cfg.overflow_prediction = stage >= 2;
     cfg.dynamic_ir_expansion = stage >= 3;
     cfg.repack_on_evict = stage >= 4;

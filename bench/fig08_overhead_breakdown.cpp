@@ -14,7 +14,7 @@
  * Attribution is forced on for every job regardless of --obs, since
  * the breakdown *is* the figure. All printed numbers derive only from
  * simulated metrics, so output is bit-identical across --jobs counts.
- * `--quick` is equivalent to CPR_BENCH_QUICK=1 (tenth-size budgets).
+ * CPR_BENCH_QUICK=1 runs tenth-size budgets.
  */
 
 #include "bench_common.h"
@@ -30,14 +30,6 @@ using namespace compresso::bench;
 
 namespace {
 
-bool g_quick = false;
-
-uint64_t
-qbudget(uint64_t full)
-{
-    return g_quick ? full / 10 : budget(full);
-}
-
 constexpr unsigned kStages = 6;
 const char *kStageNames[kStages] = {
     "base", "+align", "+predict", "+dynIR", "+repack", "+mdopt",
@@ -47,7 +39,7 @@ CompressoConfig
 stageConfig(unsigned stage)
 {
     CompressoConfig cfg;
-    cfg.alignment_friendly = stage >= 1;
+    cfg.line_bins = stage >= 1 ? &compressoBins() : &legacyBins();
     cfg.overflow_prediction = stage >= 2;
     cfg.dynamic_ir_expansion = stage >= 3;
     cfg.repack_on_evict = stage >= 4;
@@ -68,8 +60,8 @@ baseSpec(McKind kind, const std::string &bench)
     RunSpec s;
     s.kind = kind;
     s.workloads = {bench};
-    s.refs_per_core = qbudget(60000);
-    s.warmup_refs = qbudget(6000);
+    s.refs_per_core = budget(60000);
+    s.warmup_refs = budget(6000);
     // The breakdown is the figure: attribution on unconditionally.
     s.obs.enabled = true;
     return s;
@@ -144,17 +136,11 @@ printStacked(const std::vector<std::string> &cols,
 int
 main(int argc, char **argv)
 {
-    sink().init(argc, argv, "fig08_overhead_breakdown",
-                "  --quick                tenth-size budgets "
-                "(same as CPR_BENCH_QUICK=1)\n");
-    for (const std::string &a : sink().extraArgs()) {
-        if (a == "--quick") {
-            g_quick = true;
-        } else {
-            std::fprintf(stderr, "unknown argument: %s (try --help)\n",
-                         a.c_str());
-            return 2;
-        }
+    sink().init(argc, argv, "fig08_overhead_breakdown");
+    if (!sink().extraArgs().empty()) {
+        std::fprintf(stderr, "unknown argument: %s (try --help)\n",
+                     sink().extraArgs().front().c_str());
+        return 2;
     }
 
     // One campaign holds both sweeps; every cell is an independent

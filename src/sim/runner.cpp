@@ -9,9 +9,6 @@ makeSystemConfig(McKind kind, unsigned cores, const RunSpec &spec)
     cfg.kind = kind;
     cfg.cores = cores;
     cfg.compresso = spec.compresso;
-    cfg.lcp = spec.lcp;
-    cfg.dram = spec.dram;
-    cfg.core = spec.core;
     cfg.fault = spec.fault;
     cfg.obs = spec.obs;
     cfg.hierarchy.l3_bytes = cores > 1 ? size_t(8) << 20 : size_t(2) << 20;

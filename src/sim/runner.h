@@ -25,11 +25,8 @@ struct RunSpec
     uint64_t refs_per_core = 400000;
     uint64_t warmup_refs = 40000;
     uint64_t seed = 1;
-    /** Optional overrides; cores/l3 are derived from workloads. */
+    /** Compresso's settings; cores/l3 are derived from workloads. */
     CompressoConfig compresso;
-    LcpConfig lcp;
-    DramConfig dram;
-    CoreConfig core;
     /** Fault-campaign mode: nonzero rates attach a deterministic
      *  FaultInjector (src/fault) for the whole run. */
     FaultConfig fault;

@@ -38,11 +38,9 @@ makeController(const SystemConfig &cfg)
       case McKind::kUncompressed:
         return std::make_unique<UncompressedController>();
       case McKind::kLcp:
-      case McKind::kLcpAlign: {
-        LcpConfig lc = cfg.lcp;
-        lc.alignment_friendly = cfg.kind == McKind::kLcpAlign;
-        return std::make_unique<LcpController>(lc);
-      }
+      case McKind::kLcpAlign:
+        return std::make_unique<LcpController>(LcpConfig{
+            .alignment_friendly = cfg.kind == McKind::kLcpAlign});
       case McKind::kRmc:
         return std::make_unique<RmcController>(RmcConfig{});
       case McKind::kCompresso:

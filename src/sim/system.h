@@ -44,7 +44,6 @@ struct SystemConfig
     bool next_line_prefetch = true;
     McKind kind = McKind::kCompresso;
     CompressoConfig compresso; ///< used when kind == kCompresso
-    LcpConfig lcp;             ///< used for the LCP kinds
     HierarchyConfig hierarchy; ///< l3 sized by caller (2 MB / 8 MB)
     DramConfig dram;
     CoreConfig core;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_map>
 
 #include "core/compresso_controller.h"
@@ -29,13 +30,20 @@ struct Flags
     const char *label;
 };
 
+// Print the label, so the test names carry no padding or pointer bytes.
+void
+PrintTo(const Flags &f, std::ostream *os)
+{
+    *os << '"' << f.label << '"';
+}
+
 CompressoConfig
 toConfig(const Flags &f)
 {
     CompressoConfig cfg;
     cfg.installed_bytes = uint64_t(64) << 20;
     cfg.mdcache.size_bytes = 4 * 1024;
-    cfg.alignment_friendly = f.align;
+    cfg.line_bins = f.align ? &compressoBins() : &legacyBins();
     cfg.inflation_room = f.inflation;
     cfg.overflow_prediction = f.predict;
     cfg.dynamic_ir_expansion = f.dyn_ir;

@@ -317,7 +317,7 @@ TEST(Compresso, SplitLinesRareWithAlignedBins)
 {
     CompressoConfig aligned = baseConfig();
     CompressoConfig legacy = baseConfig();
-    legacy.alignment_friendly = false;
+    legacy.line_bins = &legacyBins();
 
     CompressoController a(aligned), b(legacy);
     Rng rng(5);

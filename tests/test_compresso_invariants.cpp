@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/compresso_controller.h"
 #include "workloads/datagen.h"
 
@@ -22,6 +24,13 @@ struct StormParams
     unsigned ops;
     const char *label;
 };
+
+// Print the label, so the test names carry no padding or pointer bytes.
+void
+PrintTo(const StormParams &p, std::ostream *os)
+{
+    *os << '"' << p.label << '"';
+}
 
 class CompressoInvariants
     : public ::testing::TestWithParam<StormParams>

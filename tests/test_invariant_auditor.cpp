@@ -130,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(AllToggleCombos, AuditorToggleStress,
 TEST(AuditorStress, LegacyBinsAndVariablePageSizing)
 {
     CompressoConfig cfg = smallConfig();
-    cfg.alignment_friendly = false; // 0/22/44/64 legacy bins
+    cfg.line_bins = &legacyBins(); // 0/22/44/64
     cfg.page_sizing = PageSizing::kVariable4;
     CompressoController mc(cfg);
     storm(mc, 16, 2500, 0.6, 1234, /*audit_every=*/250);

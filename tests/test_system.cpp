@@ -180,7 +180,7 @@ TEST(System, CompressoBeatsLegacyBaselineOnOverflows)
     // expansion/repack/md-opt) must show more extra accesses than the
     // full Compresso on a churny workload.
     RunSpec base = quickSpec(McKind::kCompresso, "astar");
-    base.compresso.alignment_friendly = false;
+    base.compresso.line_bins = &legacyBins();
     base.compresso.overflow_prediction = false;
     base.compresso.dynamic_ir_expansion = false;
     base.compresso.repack_on_evict = false;
