@@ -24,7 +24,7 @@
  *                   [--seed N] [--jobs N] [--out soak.json]
  *                   [--postmortem <dir>]
  *
- * --soak runs the full rotation on all four compressed controllers
+ * --soak runs the full rotation on all three compressed controllers
  * (sharded over the campaign engine) and writes the versioned
  * compresso-soak-v1 document for tools/obs_report.py.
  *

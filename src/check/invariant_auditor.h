@@ -20,7 +20,7 @@
  *
  *  - auditChunkMap<PageMap>(): the generic audit over a page table of
  *    ChunkedPage records (core/compressed_controller.h), the per-page
- *    state of the baseline controllers (LCP/RMC/DMC).
+ *    state of the baseline controllers (LCP/RMC).
  *
  * Controllers expose the full pass as MemoryController::audit();
  * COMPRESSO_CHECKED_BUILD wires the page-local layer into every

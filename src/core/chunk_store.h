@@ -1,17 +1,17 @@
 /**
  * @file
- * ChunkStore: the 512 B machine-chunk layer under the four compressed
+ * ChunkStore: the 512 B machine-chunk layer under the three compressed
  * controllers (Sec. II-D).
  *
- * Compresso, LCP, RMC and DMC all keep a page as a list of up to eight
+ * Compresso, LCP and RMC all keep a page as a list of up to eight
  * 512 B chunks: page bytes [512 * i, 512 * (i + 1)) live in chunk
  * ids[i], and ids past the page's chunk count are kNoChunk. The store
  * is the one place that grows and shrinks such a list (with the
  * OOM-rescue retry), scatters chunks over machine addresses, copies
  * bytes across chunk boundaries, emits the 64 B device ops of an
  * access and recovers a data DUE. The controllers keep only their own
- * layouts on top: LCP slots and exceptions, RMC subpages, DMC hot/cold
- * regions, Compresso's metadata entry and inflation room. The store
+ * layouts on top: LCP slots and exceptions, RMC subpages, Compresso's
+ * metadata entry and inflation room. The store
  * counts into its controller's `mc` stat group.
  */
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * CompressedController: the page-table base under the four compressed
+ * CompressedController: the page-table base under the three compressed
  * controllers (Secs. II-D, III).
  *
- * Compresso, LCP, RMC and DMC all keep an OSPA page as a list of 512 B
+ * Compresso, LCP and RMC all keep an OSPA page as a list of 512 B
  * machine chunks reached through one 64 B metadata entry. The base owns
  * what that shape makes common: the page table, the `mc` stat group
  * with the counters every controller bumps, the ChunkStore and the
@@ -11,7 +11,7 @@
  * the footprint accounting, the balloon free and the generic chunk-map
  * audit.
  *
- * It also owns the slot format all four share, with the line codec
+ * It also owns the slot format all three share, with the line codec
  * and size bins it needs: a 64 B slot holds the line raw, a smaller one
  * its codec stream, an empty one nothing (a zero line). encode(),
  * loadSlot() and storeSlot() are the only code that applies the
@@ -23,8 +23,8 @@
  * controller adds only where its slots lie, its one rule for a page's
  * size and, for a re-layout, its layout rule and raw-page record.
  *
- * @p PageT is the page-table record: a ChunkedPage for LCP, RMC and
- * DMC, Compresso's MetadataEntry (whose chunk list is `mpfn`) for
+ * @p PageT is the page-table record: a ChunkedPage for LCP and RMC,
+ * Compresso's MetadataEntry (whose chunk list is `mpfn`) for
  * Compresso. chunkIds() reaches either list.
  */
 
@@ -57,7 +57,7 @@
 
 namespace compresso {
 
-/** The page-table record of LCP, RMC and DMC: the page's mapping state
+/** The page-table record of LCP and RMC: the page's mapping state
  *  and its chunk list (ChunkStore::resize's count and ids). */
 struct ChunkedPage
 {
@@ -240,15 +240,6 @@ class CompressedController : public MemoryController,
         enc.bytes = w.bytes();
         enc.bin = bins_->binFor(enc.bytes.size(), enc.zero);
         return enc;
-    }
-
-    /** encode(data).bin, sized without building the stream. */
-    unsigned
-    binOf(const Line &data) const
-    {
-        if (isZeroLine(data))
-            return 0;
-        return bins_->binFor((codec_->compressedBits(data) + 7) / 8, false);
     }
 
     /** Load the line held in @p slot. Returns true if that decoded a
@@ -464,7 +455,7 @@ class CompressedController : public MemoryController,
                 2ull * (old_bytes / kLineBytes + uint64_t(kLinesPerPage));
             if (!pressure_->admitOp(PressureOp::kRelocation, est)) {
                 admitted = false;
-                ++*st_overflow_escalations_;
+                ++st_overflow_escalations_;
                 CPR_OBS_EVENT(obs_, ObsEvent::kOpThrottled, pn,
                               uint32_t(PressureOp::kRelocation));
             }
@@ -497,19 +488,9 @@ class CompressedController : public MemoryController,
             osFault(pn, trace);
 
         uint64_t moved = lineBlocks(old_bytes) + lineBlocks(new_bytes);
-        *st_overflow_move_ops_ += moved;
+        st_overflow_move_ops_ += moved;
         if (pressure_ != nullptr)
             pressure_->onOpCost(PressureOp::kRelocation, moved);
-    }
-
-    /** Compresso, LCP and RMC report the overflow counters from
-     *  construction; DMC, whose overflows only migrate, has none. */
-    void
-    countOverflows()
-    {
-        st_page_overflows_ = &stats_.stat("page_overflows");
-        st_overflow_move_ops_ = &stats_.stat("overflow_move_ops");
-        st_overflow_escalations_ = &stats_.stat("overflow_escalations");
     }
 
     /** The page's record, inserted on first reference. */
@@ -541,10 +522,10 @@ class CompressedController : public MemoryController,
     uint64_t &st_split_fill_lines_ = stats_.stat("split_fill_lines");
     uint64_t &st_line_overflows_ = stats_.stat("line_overflows");
     uint64_t &st_pages_touched_ = stats_.stat("pages_touched");
-    /** Taken by countOverflows(). */
-    uint64_t *st_page_overflows_ = nullptr;
-    uint64_t *st_overflow_move_ops_ = nullptr;
-    uint64_t *st_overflow_escalations_ = nullptr;
+    uint64_t &st_page_overflows_ = stats_.stat("page_overflows");
+    uint64_t &st_overflow_move_ops_ = stats_.stat("overflow_move_ops");
+    uint64_t &st_overflow_escalations_ =
+        stats_.stat("overflow_escalations");
 
     /** Chunk lists and device ops; counts into stats_ (declared after
      *  it and fault_ for that reason). */
@@ -564,7 +545,7 @@ class CompressedController : public MemoryController,
     void
     osFault(PageNum pn, McTrace &trace)
     {
-        ++*st_page_overflows_;
+        ++st_page_overflows_;
         CPR_OBS_EVENT(obs_, ObsEvent::kPageOverflow, pn, 0);
         CPR_OBS_EVENT(obs_, ObsEvent::kPageFault, pn,
                       uint32_t(MetadataFrontEnd::kOsFaultCycles));

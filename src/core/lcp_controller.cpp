@@ -23,7 +23,6 @@ LcpController::LcpController(const LcpConfig &cfg)
                                                   : legacyBins()),
       cfg_(cfg)
 {
-    countOverflows();
 }
 
 uint32_t

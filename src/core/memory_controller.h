@@ -1,7 +1,7 @@
 /**
  * @file
- * Memory-side controller interface shared by the five back ends: the
- * uncompressed baseline and the compressed Compresso, LCP, RMC and DMC
+ * Memory-side controller interface shared by the four back ends: the
+ * uncompressed baseline and the compressed Compresso, LCP and RMC
  * (core/compressed_controller.h).
  *
  * Controllers are *functional*: fills return the bytes previously

@@ -1,9 +1,9 @@
 /**
  * @file
- * MetadataFrontEnd: the metadata path shared by the four compressed
+ * MetadataFrontEnd: the metadata path shared by the three compressed
  * controllers (Sec. IV-B5, DESIGN.md §9).
  *
- * Compresso, LCP, RMC and DMC reach each page through one 64 B entry
+ * Compresso, LCP and RMC reach each page through one 64 B entry
  * (RMC's Block Size Table entry) at region_base + page * 64, cached on
  * chip. The front end owns that cache, the entry's traffic (the
  * critical fetch on a miss, the write of an evicted dirty entry) and

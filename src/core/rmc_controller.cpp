@@ -18,7 +18,6 @@ RmcController::RmcController(const RmcConfig &cfg)
                            makeCompressor("bpc"), legacyBins()),
       cfg_(cfg)
 {
-    countOverflows();
 }
 
 uint32_t
@@ -214,7 +213,7 @@ RmcController::writebackLine(Addr addr, const Line &data, McTrace &trace)
         storeLines(p.chunk_id, shifted, buf, idx + 1, sp_end);
         store_.deviceOps(p.chunk_id, moved_from, sub_end - moved_from, true,
                          false, trace, AttribComp::kOverflowRelayout);
-        *st_overflow_move_ops_ += 2ull * lineBlocks(sub_end - moved_from);
+        st_overflow_move_ops_ += 2ull * lineBlocks(sub_end - moved_from);
         ++st_hysteresis_absorbs_;
         return;
     }

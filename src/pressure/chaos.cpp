@@ -6,7 +6,6 @@
 
 #include "compress/compressor.h"
 #include "core/compresso_controller.h"
-#include "core/dmc_controller.h"
 #include "core/lcp_controller.h"
 #include "core/rmc_controller.h"
 #include "exec/campaign.h"
@@ -51,8 +50,7 @@ ChaosConfig::defaultPhases()
 const std::vector<std::string> &
 ChaosEngine::allKinds()
 {
-    static const std::vector<std::string> kinds{"compresso", "lcp",
-                                               "rmc", "dmc"};
+    static const std::vector<std::string> kinds{"compresso", "lcp", "rmc"};
     return kinds;
 }
 
@@ -122,18 +120,11 @@ makeController(const std::string &kind, const ChaosConfig &cfg)
         c.mdcache = md;
         return std::make_unique<LcpController>(c);
     }
-    if (kind == "rmc") {
-        RmcConfig c;
-        c.installed_bytes = cfg.installed_bytes;
-        c.bst = md;
-        return std::make_unique<RmcController>(c);
-    }
-    assert(kind == "dmc" && "unknown controller kind");
-    DmcConfig c;
+    assert(kind == "rmc" && "unknown controller kind");
+    RmcConfig c;
     c.installed_bytes = cfg.installed_bytes;
-    c.mdcache = md;
-    c.epoch_writebacks = 1024; // force hot/cold migrations mid-soak
-    return std::make_unique<DmcController>(c);
+    c.bst = md;
+    return std::make_unique<RmcController>(c);
 }
 
 /** Counter snapshot for per-phase deltas. */
@@ -156,7 +147,6 @@ struct CounterSnap
         c.throttled = s.get("repacks_throttled") +
                       s.get("inflations_throttled") +
                       s.get("overflow_escalations") +
-                      s.get("demotions_throttled") +
                       s.get("fault_rebuilds_throttled");
         c.ladder = s.get("fault_meta_rebuilds") +
                    s.get("fault_pages_inflated") +

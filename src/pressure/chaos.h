@@ -3,7 +3,7 @@
  * ChaosEngine: deterministic memory-pressure chaos/soak harness
  * (DESIGN.md §14).
  *
- * Drives one controller kind (compresso / lcp / rmc / dmc) through a
+ * Drives one controller kind (compresso / lcp / rmc) through a
  * schedule of adversarial scenarios while the full pressure stack —
  * SimOs + BalloonDriver + PressureGovernor + Watchdog — is live, and
  * continuously verifies three things:
@@ -171,10 +171,10 @@ class ChaosEngine
     explicit ChaosEngine(const ChaosConfig &cfg);
 
     /** Run the schedule against one controller kind ("compresso",
-     *  "lcp", "rmc", "dmc"). Pure function of (cfg, kind). */
+     *  "lcp", "rmc"). Pure function of (cfg, kind). */
     ChaosReport run(const std::string &kind) const;
 
-    /** The four compressed controller kinds, canonical order. */
+    /** The three compressed controller kinds, canonical order. */
     static const std::vector<std::string> &allKinds();
 
     const ChaosConfig &config() const { return cfg_; }

@@ -69,8 +69,7 @@ TEST_P(ChaosAllControllers, ShortRotationIsCleanAndVerified)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ChaosAllControllers,
-                         ::testing::Values("compresso", "lcp", "rmc",
-                                           "dmc"));
+                         ::testing::Values("compresso", "lcp", "rmc"));
 
 TEST(ChaosEngine, CollapseStormEscalatesPressure)
 {
@@ -101,8 +100,8 @@ TEST(ChaosEngine, IdenticalSeedsIdenticalReports)
     ChaosConfig cc;
     cc.seed = 11;
     cc.refs_per_phase = 3000;
-    ChaosReport a = ChaosEngine(cc).run("dmc");
-    ChaosReport b = ChaosEngine(cc).run("dmc");
+    ChaosReport a = ChaosEngine(cc).run("compresso");
+    ChaosReport b = ChaosEngine(cc).run("compresso");
 
     std::ostringstream ja, jb;
     SoakResult ra, rb;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden behaviour lock for the four compressed controllers.
+ * Golden behaviour lock for the three compressed controllers.
  *
  * One seeded sequence of datagen writebacks, fills and page frees is
  * driven through each controller with a fault injector and a pressure
@@ -23,18 +23,16 @@
  *
  * A re-layout run drives adversarial rewrites, which flip lines between
  * zero, constant and random data, through fewer pages for four times
- * as many ops. It reaches the overflow and migration paths the other runs
- * miss: Compresso's in-place slot growth, escalation, predictor
- * inflation, dynamic inflation-room expansion and repacking, LCP's
- * page overflow, RMC's hysteresis absorbs and subpage shifts, and
- * DMC's demotions and promotions.
+ * as many ops. It reaches the overflow paths the other runs miss:
+ * Compresso's in-place slot growth, escalation, predictor inflation,
+ * dynamic inflation-room expansion and repacking, LCP's page overflow,
+ * and RMC's hysteresis absorbs and subpage shifts.
  *
  * A page-rewrite run adds whole-page rewrites, all zero or all random,
  * to the re-layout run and sizes Compresso's pages to the four
  * variable sizes. It reaches the sizing paths the other runs miss:
  * Compresso's relocating free slot growth and its repack to a zero
- * page, DMC's re-layout of an all-zero page and its demotion that
- * stays hot because the cold blocks would outgrow a page.
+ * page.
  *
  * The base constants were recorded from the controllers as they stood
  * before their shared chunk code moved into ChunkStore, the ladder
@@ -43,8 +41,7 @@
  * page gather moved into CompressedController, the page-rewrite
  * constants before their page sizing and slot reads moved there; any
  * change to layout, device-op emission, OOM rescue, metadata access or
- * fault handling moves at least one of them. No bench runs DMC, so
- * for it this test and the chaos soak are the only end-to-end lock.
+ * fault handling moves at least one of them.
  */
 
 #include <gtest/gtest.h>
@@ -57,7 +54,6 @@
 #include <vector>
 
 #include "core/compresso_controller.h"
-#include "core/dmc_controller.h"
 #include "core/lcp_controller.h"
 #include "core/pressure_hooks.h"
 #include "core/rmc_controller.h"
@@ -145,13 +141,7 @@ class ScriptedPressure : public PressureListener
     {
         costs_.add(uint64_t(op) + 16);
         costs_.add(ops);
-        if (op == PressureOp::kRepack)
-            ++repack_reports;
     }
-
-    /** Repack cost reports received (DMC: demotions, including those
-     *  that stay hot). */
-    uint64_t repack_reports = 0;
 
   private:
     MemoryController &mc_;
@@ -182,10 +172,6 @@ struct RunShape
     uint64_t installed_bytes = kInstalledBytes;
     /** Every deny_every-th admission is denied. */
     unsigned deny_every = 4;
-    /** Writebacks per DMC decay epoch. At 256 every page of the base
-     *  and ladder runs is touched within each epoch, so they make no
-     *  demotions; the re-layout run's short epochs do. */
-    uint64_t dmc_epoch_writebacks = 256;
     /** Written lines are zero (1/4), constant (1/4) or random (1/2)
      *  instead of any datagen class. */
     bool adversarial = false;
@@ -198,9 +184,8 @@ struct RunShape
 
 /** The re-layout run: 24 pages, so a 1 KB metadata cache evicts and
  *  Compresso repacks; 24k ops, so pages live long enough to overflow
- *  repeatedly; every third admission denied, so escalations are
- *  common; and 16-writeback DMC epochs, so pages go untouched for an
- *  epoch and demote. Compresso runs in 48 chunks, so its inflation-room
+ *  repeatedly; and every third admission denied, so escalations are
+ *  common. Compresso runs in 48 chunks, so its inflation-room
  *  expansions run out of memory and fall through to in-place slot
  *  growth; the others in 256, so OOM frees do not keep their pages
  *  from overflowing. */
@@ -212,7 +197,6 @@ relayoutShape(const std::string &kind)
             .pages = 24,
             .installed_bytes = (kind == "compresso" ? 48 : 256) * kChunkBytes,
             .deny_every = 3,
-            .dmc_epoch_writebacks = 16,
             .adversarial = true};
 }
 
@@ -243,17 +227,10 @@ makeController(const std::string &kind, const RunShape &shape)
         cfg.mdcache.size_bytes = shape.mdcache_bytes;
         return std::make_unique<LcpController>(cfg);
     }
-    if (kind == "rmc") {
-        RmcConfig cfg;
-        cfg.installed_bytes = shape.installed_bytes;
-        cfg.bst.size_bytes = shape.mdcache_bytes;
-        return std::make_unique<RmcController>(cfg);
-    }
-    DmcConfig cfg;
+    RmcConfig cfg;
     cfg.installed_bytes = shape.installed_bytes;
-    cfg.mdcache.size_bytes = shape.mdcache_bytes;
-    cfg.epoch_writebacks = shape.dmc_epoch_writebacks;
-    return std::make_unique<DmcController>(cfg);
+    cfg.bst.size_bytes = shape.mdcache_bytes;
+    return std::make_unique<RmcController>(cfg);
 }
 
 void
@@ -295,8 +272,6 @@ constexpr Golden kGolden[] = {
      896},
     {"rmc", 0x25ca198006fe882bULL, 0x2ab6c7ea0fba857bULL, 147456, 44544,
      2304},
-    {"dmc", 0x12bdbd55f5a7be86ULL, 0x9e3f62d116f16f90ULL, 151552, 43520,
-     2368},
 };
 
 // Ladder runs (kLadderMdcacheBytes), recorded from the controllers
@@ -309,8 +284,6 @@ constexpr Golden kLadderRecover[] = {
      896},
     {"rmc", 0x2930d239d74cf4c6ULL, 0xb58f8ef458299abdULL, 135168, 47104,
      2112},
-    {"dmc", 0x1cb327bd0c6d81beULL, 0x078a5b77dd1aa397ULL, 151552, 45056,
-     2368},
 };
 constexpr Golden kLadderPoison[] = {
     {"compresso", 0xdaf1d13f331ff4fcULL, 0x430ba3fd8bbf8dc4ULL, 151552,
@@ -319,8 +292,6 @@ constexpr Golden kLadderPoison[] = {
      1152},
     {"rmc", 0x49abf2f7898e24c7ULL, 0xa18972129ec21ac9ULL, 143360, 48128,
      2240},
-    {"dmc", 0x75688cdf83c28e60ULL, 0x05fc3413922a9e4aULL, 151552, 27136,
-     2368},
 };
 
 // Re-layout runs (relayoutShape), recorded from the controllers
@@ -333,24 +304,19 @@ constexpr Golden kRelayout[] = {
      1536},
     {"rmc", 0xe42e17e1fccd6e56ULL, 0x9ee77063b43c84c0ULL, 98304, 84992,
      1536},
-    {"dmc", 0xe3d241909a897a50ULL, 0x203b74c82bf4041cULL, 98304, 54784,
-     1536},
 };
 
 // Page-rewrite runs (pageRewriteShape), recorded from the controllers
 // before their page sizing and slot reads moved into
-// CompressedController. Compresso's and DMC's rows were re-recorded
-// when Compresso stopped recording the bin of a write machine OOM
-// dropped (fewer line underflows, same op trace) and DMC's overflow
-// re-layout of an all-zero page started clearing its zero flag.
+// CompressedController. Compresso's row was re-recorded when
+// Compresso stopped recording the bin of a write machine OOM dropped
+// (fewer line underflows, same op trace).
 constexpr Golden kPageRewrite[] = {
     {"compresso", 0x7971b1900bb6abacULL, 0x00642428ead6ad4dULL, 98304,
      23040, 1536},
     {"lcp", 0x664cfccea0061e6eULL, 0x7253e339bc0df742ULL, 98304, 90112,
      1536},
     {"rmc", 0x16ffbbb28b7341acULL, 0x52709c6bec735b46ULL, 98304, 81920,
-     1536},
-    {"dmc", 0x8f02fae208862afeULL, 0xd82344e2ea96c025ULL, 98304, 43520,
      1536},
 };
 
@@ -364,12 +330,6 @@ struct RunResult
         /** Compresso pages that held chunks and then were zero pages:
          *  repack's zero exit, the only path that does that. */
         uint64_t zero_repacks = 0;
-        /** DMC zero writes into a cold page that left it holding no
-         *  chunks: the promotion re-laid an all-zero page out. */
-        uint64_t zero_relayouts = 0;
-        /** DMC repack cost reports beyond the demotions: demotions
-         *  that stayed hot. */
-        uint64_t hot_demotions = 0;
     };
 
     std::unique_ptr<MemoryController> mc;
@@ -385,24 +345,14 @@ class ReachProbe
   public:
     ReachProbe(MemoryController &mc, PageNum pages)
         : compresso_(dynamic_cast<CompressoController *>(&mc)),
-          dmc_(dynamic_cast<DmcController *>(&mc)), held_(pages, false)
+          held_(pages, false)
     {
     }
 
-    /** Before an op on @p pn. */
+    /** After each op. */
     void
-    before(PageNum pn)
+    after(const MemoryController &mc, RunResult::Reach &reach)
     {
-        was_cold_ = dmc_ != nullptr && dmc_->isCold(pn);
-    }
-
-    /** After that op; @p zero_write if it wrote a zero line. */
-    void
-    after(const MemoryController &mc, PageNum pn, bool zero_write,
-          RunResult::Reach &reach)
-    {
-        if (was_cold_ && zero_write && mc.pageCompressedBytes(pn) == 0)
-            ++reach.zero_relayouts;
         if (compresso_ == nullptr)
             return;
         for (PageNum p = 0; p < held_.size(); ++p) {
@@ -416,10 +366,8 @@ class ReachProbe
 
   private:
     CompressoController *compresso_;
-    DmcController *dmc_;
     /** Compresso pages holding chunks after the last op. */
     std::vector<bool> held_;
-    bool was_cold_ = false;
 };
 
 /** Drive the seeded sequence through a fresh @p kind controller. */
@@ -450,11 +398,9 @@ seededRun(const std::string &kind, const RunShape &shape)
         Line d;
         generateLine(c, seed, d);
         McTrace tr;
-        if (shape.page_rewrites)
-            probe.before(pageOf(a));
         mc.writebackLine(a, d, tr);
         if (shape.page_rewrites)
-            probe.after(mc, pageOf(a), isZeroLine(d), r.reach);
+            probe.after(mc, r.reach);
         hashTrace(trace_h, tr);
     };
 
@@ -485,8 +431,6 @@ seededRun(const std::string &kind, const RunShape &shape)
             continue;
         }
         McTrace tr;
-        if (shape.page_rewrites)
-            probe.before(pageOf(a));
         if (u < fill_end) {
             Line d;
             mc.fillLine(a, d, tr);
@@ -500,12 +444,9 @@ seededRun(const std::string &kind, const RunShape &shape)
             mc.freePage(pageOf(a));
         }
         if (shape.page_rewrites)
-            probe.after(mc, pageOf(a), false, r.reach);
+            probe.after(mc, r.reach);
         hashTrace(trace_h, tr);
     }
-    if (shape.page_rewrites && dynamic_cast<DmcController *>(&mc) != nullptr)
-        r.reach.hot_demotions =
-            pressure.repack_reports - mc.stats().get("demotions");
     mc.attachPressureListener(nullptr);
     mc.attachFaultInjector(nullptr);
 
@@ -618,8 +559,8 @@ TEST_P(ControllerGolden, LadderRunsMatchRecordedDigests)
 }
 
 /**
- * The re-layout run (relayoutShape) reaches every overflow and
- * migration path of each controller at least once.
+ * The re-layout run (relayoutShape) reaches every overflow path of
+ * each controller at least once.
  */
 TEST_P(ControllerGolden, RelayoutRunMatchesRecordedDigests)
 {
@@ -634,8 +575,7 @@ TEST_P(ControllerGolden, RelayoutRunMatchesRecordedDigests)
            "predictor_inflations", "dyn_ir_expansions"}},
          {"lcp", {"page_overflows", "overflow_escalations"}},
          {"rmc",
-          {"subpage_shifts", "hysteresis_absorbs", "overflow_escalations"}},
-         {"dmc", {"demotions", "promotions", "cold_block_reads"}}};
+          {"subpage_shifts", "hysteresis_absorbs", "overflow_escalations"}}};
     const StatGroup &st = r.mc->stats();
     for (const char *stat : kReach.at(kind))
         EXPECT_GT(st.get(stat), 0u) << stat << "\n" << r.stats_text;
@@ -660,14 +600,9 @@ TEST_P(ControllerGolden, PageRewriteRunMatchesRecordedDigests)
         EXPECT_GT(st.get("free_page_grows"), 0u) << r.stats_text;
         EXPECT_GT(r.reach.zero_repacks, 0u) << r.stats_text;
     }
-    if (kind == "dmc") {
-        EXPECT_GT(r.reach.zero_relayouts, 0u) << r.stats_text;
-        EXPECT_GT(r.reach.hot_demotions, 0u) << r.stats_text;
-    }
     expectGolden(r, kind, kPageRewrite);
 }
 
 INSTANTIATE_TEST_SUITE_P(CompressedControllers, ControllerGolden,
-                         ::testing::Values("compresso", "lcp", "rmc",
-                                           "dmc"),
+                         ::testing::Values("compresso", "lcp", "rmc"),
                          [](const auto &info) { return info.param; });

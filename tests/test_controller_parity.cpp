@@ -1,10 +1,10 @@
 /**
  * @file
- * Cross-controller parity: the uncompressed, LCP, RMC, DMC and
- * Compresso back ends must be functionally indistinguishable —
- * identical write/read semantics on identical access sequences — no
- * matter how differently they store the data. Parameterized over the
- * five controllers.
+ * Cross-controller parity: the uncompressed, LCP, RMC and Compresso
+ * back ends must be functionally indistinguishable — identical
+ * write/read semantics on identical access sequences — no matter how
+ * differently they store the data. Parameterized over the four
+ * controllers.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <unordered_map>
 
 #include "core/compresso_controller.h"
-#include "core/dmc_controller.h"
 #include "core/lcp_controller.h"
 #include "core/rmc_controller.h"
 #include "core/uncompressed_controller.h"
@@ -44,13 +43,6 @@ makeController(const std::string &kind, size_t mdcache_bytes = 0)
         if (mdcache_bytes != 0)
             cfg.bst.size_bytes = mdcache_bytes;
         return std::make_unique<RmcController>(cfg);
-    }
-    if (kind == "dmc") {
-        DmcConfig cfg;
-        cfg.installed_bytes = uint64_t(64) << 20;
-        if (mdcache_bytes != 0)
-            cfg.mdcache.size_bytes = mdcache_bytes;
-        return std::make_unique<DmcController>(cfg);
     }
     CompressoConfig cfg;
     cfg.installed_bytes = uint64_t(64) << 20;
@@ -225,5 +217,5 @@ TEST_P(ControllerParity, TracesAreWellFormed)
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ControllerParity,
                          ::testing::Values("uncompressed", "lcp", "rmc",
-                                           "dmc", "compresso"),
+                                           "compresso"),
                          [](const auto &info) { return info.param; });

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "core/compresso_controller.h"
-#include "core/dmc_controller.h"
 #include "core/lcp_controller.h"
 #include "core/rmc_controller.h"
 #include "core/uncompressed_controller.h"
@@ -142,28 +141,6 @@ TEST(UncompressedFaults, DataDuePoisonsLineAndHealsOnRewrite)
     writeLine(mc, addrOf(4, 1), in);
     mc.attachFaultInjector(nullptr);
     EXPECT_EQ(readLine(mc, addrOf(4, 1)), in);
-}
-
-TEST(DmcFaults, HotDataDuePoisonsLineAndHealsOnRewrite)
-{
-    DmcConfig cfg;
-    cfg.installed_bytes = uint64_t(32) << 20;
-    DmcController mc(cfg);
-    FaultInjector fi(everyDataReadFaults());
-    mc.attachFaultInjector(&fi);
-
-    Line in = classLine(DataClass::kDeltaInt, 21);
-    writeLine(mc, addrOf(2, 5), in);
-    EXPECT_TRUE(isZeroLine(readLine(mc, addrOf(2, 5))));
-    EXPECT_EQ(mc.stats().get("fault_lines_poisoned"), 1u);
-    EXPECT_TRUE(isZeroLine(readLine(mc, addrOf(2, 5))));
-    EXPECT_EQ(mc.stats().get("fault_poison_fills"), 1u);
-
-    writeLine(mc, addrOf(2, 5), in);
-    mc.attachFaultInjector(nullptr);
-    EXPECT_EQ(readLine(mc, addrOf(2, 5)), in);
-    AuditReport rep = mc.audit();
-    EXPECT_TRUE(rep.clean()) << rep.summary();
 }
 
 TEST(RmcFaults, DataDuePoisonsLineAndHealsOnRewrite)
@@ -345,40 +322,6 @@ TEST(RmcFaults, MetadataDueRebuildsThenGoesRaw)
     mc.attachFaultInjector(nullptr);
     EXPECT_EQ(readLine(mc, addrOf(1, 0)), in_a);
     EXPECT_EQ(readLine(mc, addrOf(2, 0)), in_b);
-    AuditReport rep = mc.audit();
-    EXPECT_TRUE(rep.clean()) << rep.summary();
-}
-
-TEST(DmcFaults, MetadataDueRebuildsThenGoesRaw)
-{
-    DmcConfig cfg;
-    cfg.installed_bytes = uint64_t(32) << 20;
-    cfg.mdcache = MetadataCacheConfig{kMetadataEntryBytes, 1, false};
-    DmcController mc(cfg);
-    FaultInjector fi(everyMetaFetchFaults());
-    mc.attachFaultInjector(&fi);
-
-    Line in_a = classLine(DataClass::kDeltaInt, 29);
-    Line in_b = classLine(DataClass::kText, 31);
-    writeLine(mc, addrOf(1, 1), in_a);
-    writeLine(mc, addrOf(2, 1), in_b);
-
-    uint64_t stalls = 0;
-    for (unsigned round = 0; round < 4; ++round) {
-        McTrace tr;
-        EXPECT_EQ(readLine(mc, addrOf(1, 1), &tr), in_a) << round;
-        stalls += tr.stall_cycles;
-        EXPECT_EQ(readLine(mc, addrOf(2, 1)), in_b) << round;
-    }
-    EXPECT_GE(mc.stats().get("fault_meta_rebuilds"), 3u);
-    EXPECT_GE(mc.stats().get("fault_pages_inflated"), 1u);
-    // OS-transparent: the hardware re-walk never stalls for the OS.
-    EXPECT_EQ(mc.stats().get("page_faults"), 0u);
-    EXPECT_EQ(stalls, 0u);
-
-    mc.attachFaultInjector(nullptr);
-    EXPECT_EQ(readLine(mc, addrOf(1, 1)), in_a);
-    EXPECT_EQ(readLine(mc, addrOf(2, 1)), in_b);
     AuditReport rep = mc.audit();
     EXPECT_TRUE(rep.clean()) << rep.summary();
 }

@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "core/compresso_controller.h"
-#include "core/dmc_controller.h"
 #include "core/lcp_controller.h"
 #include "core/rmc_controller.h"
 #include "os/balloon.h"
@@ -39,15 +38,9 @@ makeController(const std::string &kind)
         cfg.installed_bytes = kArena;
         return std::make_unique<LcpController>(cfg);
     }
-    if (kind == "rmc") {
-        RmcConfig cfg;
-        cfg.installed_bytes = kArena;
-        return std::make_unique<RmcController>(cfg);
-    }
-    DmcConfig cfg;
+    RmcConfig cfg;
     cfg.installed_bytes = kArena;
-    cfg.epoch_writebacks = 256; // force hot/cold migrations mid-cycle
-    return std::make_unique<DmcController>(cfg);
+    return std::make_unique<RmcController>(cfg);
 }
 
 /** Replay a seeded mixed fill/writeback workload. */
@@ -156,8 +149,7 @@ TEST_P(FreePageStress, DoubleFreeAndFreeUntouchedAreHarmless)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllControllers, FreePageStress,
-                         ::testing::Values("compresso", "lcp", "rmc",
-                                           "dmc"),
+                         ::testing::Values("compresso", "lcp", "rmc"),
                          [](const auto &info) {
                              return std::string(info.param);
                          });

@@ -15,7 +15,6 @@
 
 #include "check/invariant_auditor.h"
 #include "core/compresso_controller.h"
-#include "core/dmc_controller.h"
 #include "core/lcp_controller.h"
 #include "core/rmc_controller.h"
 #include "workloads/datagen.h"
@@ -152,7 +151,7 @@ TEST(AuditorStress, EightBinAblation)
 // The common auditable interface: baselines audit clean too.
 // ---------------------------------------------------------------------
 
-TEST(AuditorBaselines, LcpRmcDmcAuditClean)
+TEST(AuditorBaselines, LcpRmcAuditClean)
 {
     LcpConfig lcp_cfg;
     lcp_cfg.installed_bytes = uint64_t(32) << 20;
@@ -162,12 +161,7 @@ TEST(AuditorBaselines, LcpRmcDmcAuditClean)
     rmc_cfg.installed_bytes = uint64_t(32) << 20;
     RmcController rmc(rmc_cfg);
 
-    DmcConfig dmc_cfg;
-    dmc_cfg.installed_bytes = uint64_t(32) << 20;
-    dmc_cfg.epoch_writebacks = 512; // force hot/cold migrations
-    DmcController dmc(dmc_cfg);
-
-    MemoryController *mcs[] = {&lcp, &rmc, &dmc};
+    MemoryController *mcs[] = {&lcp, &rmc};
     for (MemoryController *mc : mcs) {
         SCOPED_TRACE(mc->name());
         storm(*mc, 20, 4000, 0.7, 77, /*audit_every=*/500);
