@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/compresso_controller.h"
+#include "obs/observer.h"
 #include "workloads/datagen.h"
 
 using namespace compresso;
@@ -389,6 +393,41 @@ TEST(Compresso, RepackAllReachesSteadyState)
     EXPECT_EQ(mc.mpaDataBytes(), 0u);
     for (PageNum p = 70; p < 74; ++p)
         EXPECT_TRUE(mc.pageMeta(p).zero);
+}
+
+TEST(Compresso, RepackAllVisitsPagesInAscendingOrder)
+{
+#ifdef COMPRESSO_OBS_DISABLED
+    GTEST_SKIP() << "needs the observer's event trace";
+#else
+    // The chunk free list is LIFO, so the order in which repackAll
+    // repacks pages decides the chunks each page gets. It must be the
+    // page order, not the page table's hash order.
+    constexpr PageNum kPages = 24;
+    CompressoController mc(baseConfig());
+    for (PageNum p = 0; p < kPages; ++p)
+        for (unsigned l = 0; l < kLinesPerPage; ++l)
+            writeLine(mc, addrOf(p, l), classLine(DataClass::kRandom, l));
+    // Zeroing every other line leaves each page 2 KB of free space.
+    for (PageNum p = 0; p < kPages; ++p)
+        for (unsigned l = 0; l < kLinesPerPage; l += 2)
+            writeLine(mc, addrOf(p, l), Line{});
+
+    ObsConfig oc;
+    oc.enabled = true;
+    Observer obs(oc);
+    mc.attachObserver(&obs);
+    mc.repackAll();
+    mc.attachObserver(nullptr);
+
+    std::vector<PageNum> repacked;
+    obs.tracer().forEach([&](const TraceEvent &e) {
+        if (e.kind == ObsEvent::kRepack)
+            repacked.push_back(e.page);
+    });
+    ASSERT_EQ(repacked.size(), kPages);
+    EXPECT_TRUE(std::is_sorted(repacked.begin(), repacked.end()));
+#endif
 }
 
 TEST(Compresso, RefusedFreeSlotGrowthKeepsTheOldLine)
