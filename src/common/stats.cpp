@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <iomanip>
 
-#include "common/json_writer.h"
-
 namespace compresso {
 
 void
@@ -15,16 +13,6 @@ StatGroup::dump(std::ostream &os) const
            << (name_.empty() ? key : name_ + "." + key)
            << value << "\n";
     }
-}
-
-void
-StatGroup::dumpJson(std::ostream &os) const
-{
-    JsonWriter w(os);
-    w.beginObject();
-    for (const auto &[key, value] : counters_)
-        w.field(key, value);
-    w.endObject();
 }
 
 void

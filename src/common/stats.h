@@ -3,7 +3,7 @@
  * Lightweight named-counter statistics, in the spirit of gem5's stats
  * package but reduced to what the reproduction needs: scalar counters
  * and simple derived ratios, grouped per component and dumpable as
- * aligned text or JSON.
+ * aligned text.
  */
 
 #ifndef COMPRESSO_COMMON_STATS_H
@@ -71,13 +71,6 @@ class StatGroup
 
     /** Dump "group.key value" lines (keys in sorted order). */
     void dump(std::ostream &os) const;
-
-    /**
-     * Dump the counters as one JSON object, keys in sorted order and
-     * escaped, e.g. {"fills":12,"writebacks":7}. Golden-file safe:
-     * identical counter values always produce identical bytes.
-     */
-    void dumpJson(std::ostream &os) const;
 
     /** Fold another group's counters into this one (summing). Keys
      *  absent on either side are adopted silently — use mergeChecked()

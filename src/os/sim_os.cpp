@@ -56,11 +56,7 @@ SimOs::touch(PageNum page, bool dirty)
     }
 
     ++stats_["faults"];
-    if (!swap_.pageIn()) {
-        // Device-level retry already charged; the OS just records the
-        // I/O error and proceeds with the (now successful) read.
-        ++stats_["swap_read_errors"];
-    }
+    swap_.pageIn();
     auto sw = swapped_.find(page);
     if (sw != swapped_.end()) {
         // The page's swap copy is consumed by the fault-in.

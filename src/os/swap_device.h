@@ -4,12 +4,6 @@
  * operation (the paper's memory-capacity methodology pages to an SSD
  * swap area when the cgroup budget is exceeded).
  *
- * Page-ins can be configured with a deterministic error rate (flash
- * read errors / transport failures). A failed page-in is retried once
- * at the device level; the retry is charged and always succeeds — the
- * observable effects are the extra latency and the `page_in_errors`
- * count the fault campaigns read back.
- *
  * The device can also be bounded: with a non-zero slot capacity a
  * page-out that finds no free slot fails *typed* (SwapStatus::kFull,
  * `swap_full` stat) instead of silently absorbing the write. The OS
@@ -23,7 +17,6 @@
 
 #include <cstdint>
 
-#include "common/rng.h"
 #include "common/stats.h"
 
 namespace compresso {
@@ -31,9 +24,8 @@ namespace compresso {
 /** Outcome of a swap-device operation. */
 enum class SwapStatus : uint8_t
 {
-    kOk = 0,  ///< completed first try
-    kRetried, ///< transient error, device-level retry succeeded
-    kFull,    ///< no free slot: the operation did NOT happen
+    kOk = 0, ///< completed
+    kFull,   ///< no free slot: the operation did NOT happen
 };
 
 class SwapDevice
@@ -44,15 +36,6 @@ class SwapDevice
     explicit SwapDevice(double page_in_us = 50.0, double page_out_us = 25.0)
         : page_in_us_(page_in_us), page_out_us_(page_out_us)
     {}
-
-    /** Enable page-in errors at probability @p rate per operation,
-     *  drawn from a deterministic stream seeded by @p seed. */
-    void
-    setPageInErrorRate(double rate, uint64_t seed = 0x5eedfa)
-    {
-        page_in_error_rate_ = rate;
-        rng_.reseed(Rng::mix(seed, 0x5fa9));
-    }
 
     /** Bound the device to @p pages slots (0 = unlimited, the
      *  default). Shrinking below the currently stored count only
@@ -67,20 +50,12 @@ class SwapDevice
         return capacity_ != 0 && stored_pages_ >= capacity_;
     }
 
-    /** @return false when the read failed once and was retried (the
-     *  retry is charged and succeeds). */
-    bool
+    /** Fault one page in. */
+    void
     pageIn()
     {
         ++stats_["page_ins"];
         busy_us_ += page_in_us_;
-        if (page_in_error_rate_ > 0 &&
-            rng_.chance(page_in_error_rate_)) {
-            ++stats_["page_in_errors"];
-            busy_us_ += page_in_us_; // device-level retry
-            return false;
-        }
-        return true;
     }
 
     /** Write one dirty page out. On SwapStatus::kFull nothing was
@@ -111,7 +86,6 @@ class SwapDevice
     double busyMicros() const { return busy_us_; }
     uint64_t pageIns() const { return stats_.get("page_ins"); }
     uint64_t pageOuts() const { return stats_.get("page_outs"); }
-    uint64_t pageInErrors() const { return stats_.get("page_in_errors"); }
     uint64_t storedPages() const { return stored_pages_; }
     uint64_t swapFullRejections() const { return st_swap_full_; }
 
@@ -120,8 +94,6 @@ class SwapDevice
   private:
     double page_in_us_;
     double page_out_us_;
-    double page_in_error_rate_ = 0;
-    Rng rng_;
     double busy_us_ = 0;
     uint64_t capacity_ = 0; ///< slots; 0 = unlimited
     uint64_t stored_pages_ = 0;

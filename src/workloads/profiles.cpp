@@ -371,15 +371,6 @@ profileByName(const std::string &name)
     std::abort();
 }
 
-std::vector<std::string>
-profileNames()
-{
-    std::vector<std::string> names;
-    for (const auto &p : allProfiles())
-        names.push_back(p.name);
-    return names;
-}
-
 ClassMix
 phaseMix(const WorkloadProfile &p, unsigned phase)
 {

@@ -79,9 +79,6 @@ const std::vector<WorkloadProfile> &allProfiles();
 /** Lookup by name; aborts on unknown names (programming error). */
 const WorkloadProfile &profileByName(const std::string &name);
 
-/** Names only, in canonical order. */
-std::vector<std::string> profileNames();
-
 /** Deterministic per-page dominant class for (profile, page, phase). */
 DataClass pageClass(const WorkloadProfile &p, uint64_t page,
                     unsigned phase);

@@ -321,22 +321,47 @@ TEST(ReportTool, DiffAcrossFamiliesIsAUsageError)
     EXPECT_EQ(runTool("diff " + soak + " " + bundle), 2);
 }
 
-TEST(ReportTool, MutationPassNeverRaises)
+/** The path of @p family's document for the mutation pass. */
+std::string
+mutationDoc(const std::string &family)
+{
+    if (family == "run")
+        return writeFile("mut_run.json", runDoc());
+    if (family == "campaign")
+        return writeFile("mut_campaign.json", campaignDoc());
+    if (family == "soak")
+        return writeFile("mut_soak.json", soakDoc());
+    if (family == "service")
+        return writeFile("mut_service.json", serviceDoc());
+    if (family == "postmortem")
+        return writeFile("mut_bundle.json", bundleDoc());
+    return benchPath();
+}
+
+/** One mutation pass per document family, so ctest can run them side
+ *  by side. */
+class ReportToolMutation : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(ReportToolMutation, MutationPassNeverRaises)
 {
     if (!havePython())
         GTEST_SKIP() << "python3 unavailable";
-    std::string docs = writeFile("mut_run.json", runDoc()) + " " +
-                       writeFile("mut_campaign.json", campaignDoc()) + " " +
-                       writeFile("mut_soak.json", soakDoc()) + " " +
-                       writeFile("mut_service.json", serviceDoc()) + " " +
-                       writeFile("mut_bundle.json", bundleDoc()) + " " +
-                       benchPath();
     std::string out;
     int rc = runPython("tests/report_tool_mutations.py",
-                       repoPath("tools/obs_report.py") + " 1 " + docs, &out);
+                       repoPath("tools/obs_report.py") + " 1 " +
+                           mutationDoc(GetParam()),
+                       &out);
     EXPECT_EQ(rc, 0) << out;
     EXPECT_EQ(out.find("Traceback"), std::string::npos) << out;
 }
+
+INSTANTIATE_TEST_SUITE_P(Families, ReportToolMutation,
+                         ::testing::Values("run", "campaign", "soak",
+                                           "service", "postmortem",
+                                           "bench"),
+                         [](const auto &info) { return info.param; });
 
 // ---------------------------------------------------------------------
 // Run-v3 attribution export and post-mortem bundle round-trips
