@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 namespace compresso {
@@ -69,7 +70,10 @@ class BitWriter
     size_t byteSize() const { return (bits_ + 7) / 8; }
 
     /** Finished stream; trailing pad bits are zero. */
-    const std::vector<uint8_t> &bytes() const { return buf_; }
+    const std::vector<uint8_t> &bytes() const & { return buf_; }
+
+    /** The finished stream, handed over by a writer that is done. */
+    std::vector<uint8_t> bytes() && { return std::move(buf_); }
 
     void clear() { buf_.clear(); bits_ = 0; }
 

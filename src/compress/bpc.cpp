@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "prof/profiler.h"
 
@@ -23,86 +24,125 @@ struct Planes
     unsigned width;
 };
 
+// 128-bit vectors (GCC/Clang vector extensions): two 64-bit rows,
+// four 32-bit words or eight 16-bit plane lanes. A comparison yields
+// a signed vector of the same lane width, all ones where it holds.
+using U64x2 = uint64_t __attribute__((vector_size(16)));
+using U32x4 = uint32_t __attribute__((vector_size(16)));
+using U16x8 = uint16_t __attribute__((vector_size(16)));
+using I16x8 = int16_t __attribute__((vector_size(16)));
+
 /**
- * One Hacker's Delight (Sec. 7-3) transpose round on 16 rows: swap the
- * off-diagonal S x S blocks of every 2S x 2S block, M selecting the low
- * S bits of each 2S-bit group in all four 16-bit lanes of a row.
+ * One Hacker's Delight (Sec. 7-3) transpose step on rows a and b, S
+ * rows apart: swap the off-diagonal S x S blocks, @p m selecting the
+ * low S bits of each 2S-bit group in all four 16-bit lanes of a row.
  */
-template <unsigned S, uint64_t M>
 void
-transposeRound(uint64_t a[16])
+swapBlocks(U64x2 &a, U64x2 &b, unsigned s, uint64_t m)
 {
-    for (unsigned k = 0; k < 16; k += 2 * S) {
-        for (unsigned i = k; i < k + S; ++i) {
-            uint64_t t = ((a[i] >> S) ^ a[i + S]) & M;
-            a[i] ^= t << S;
-            a[i + S] ^= t;
-        }
-    }
+    U64x2 t = ((a >> s) ^ b) & m;
+    a ^= t << s;
+    b ^= t;
 }
 
 /**
  * Transpose the four 16 x 16 bit matrices held in the 16-bit lanes of
- * 16 rows, side by side (bit 0 is column 0): afterwards bit j of lane
- * l of a[k] is what bit k of lane l of a[j] was. Its own inverse.
+ * 16 rows, side by side (bit 0 is column 0), two rows per vector:
+ * afterwards bit j of lane l of row k is what bit k of lane l of row j
+ * was. Its own inverse.
  */
 void
-transposeLanes(uint64_t a[16])
+transposeLanes(U64x2 v[8])
 {
-    transposeRound<8, 0x00ff00ff00ff00ffull>(a);
-    transposeRound<4, 0x0f0f0f0f0f0f0f0full>(a);
-    transposeRound<2, 0x3333333333333333ull>(a);
-    transposeRound<1, 0x5555555555555555ull>(a);
+    // Rounds S = 8, 4 and 2 pair row i with row i + S, that is vector
+    // j with vector j + S / 2.
+    for (unsigned j = 0; j < 4; ++j)
+        swapBlocks(v[j], v[j + 4], 8, 0x00ff00ff00ff00ffull);
+    for (unsigned j : {0u, 1u, 4u, 5u})
+        swapBlocks(v[j], v[j + 2], 4, 0x0f0f0f0f0f0f0f0full);
+    for (unsigned j = 0; j < 8; j += 2)
+        swapBlocks(v[j], v[j + 1], 2, 0x3333333333333333ull);
+    // Round S = 1 pairs the two rows of a vector: the low row's t,
+    // taken against the swapped halves, goes back shifted into the low
+    // row and as is into the high one.
+    for (unsigned j = 0; j < 8; ++j) {
+        U64x2 t = ((v[j] >> 1) ^ __builtin_shufflevector(v[j], v[j], 1, 0)) &
+                  0x5555555555555555ull;
+        v[j] ^= __builtin_shufflevector(t << 1, t, 0, 2);
+    }
 }
 
 /**
  * The DBP planes of both modes from one transpose of the rows
- * delta_j | word_j << 32 (delta_15 = 0): lanes 0..3 of row k hold
- * transformed planes k and k + 16 and direct planes k and k + 16.
- * The transformed mode's plane 32, the signs of the 33-bit deltas, is
- * kept apart.
+ * delta_j | word_j << 32 (delta_15 = 0), as 16-bit lanes, rows 2j and
+ * 2j + 1 in row[j]: lane 4k + l of the rows holds transformed plane k
+ * (l = 0) and k + 16 (l = 1) and direct plane k (l = 2) and k + 16
+ * (l = 3). Lanes 0..3 of row[8] are the planes above row 15's:
+ * transformed plane 16, plane 32 (the signs of the 33-bit deltas),
+ * direct plane 16 and none (zero). So the plane above lane i is lane
+ * i + 4.
  */
 struct LinePlanes
 {
-    uint64_t row[16];
-    uint32_t sign;
+    U16x8 row[9];
     uint32_t base;
 };
+
+// Rows are built from pairs of 32-bit lanes and read as 16-bit lanes,
+// lane l being bits 16l..16l + 15.
+static_assert(std::endian::native == std::endian::little,
+              "BPC's lane views of a row assume little-endian lanes");
+
+/** Lanes 4..7 of @p a, then lanes 0..3 of @p b. */
+template <typename V>
+V
+straddle(V a, V b)
+{
+    return __builtin_shufflevector(a, b, 4, 5, 6, 7, 8, 9, 10, 11);
+}
 
 LinePlanes
 buildPlanes(const Line &line)
 {
-    LinePlanes lp;
-    uint32_t words[16];
-    for (size_t i = 0; i < 16; ++i)
-        words[i] = lineWord32(line, i);
-    lp.sign = 0;
-    for (unsigned j = 0; j < 16; ++j) {
-        uint32_t delta = 0;
-        if (j < kXformWidth) {
-            delta = words[j + 1] - words[j];
-            lp.sign |= uint32_t(words[j + 1] < words[j]) << j;
-        }
-        lp.row[j] = delta | uint64_t(words[j]) << 32;
+    // Words 16..19 repeat word 15, so delta 15 and its sign are zero.
+    U32x4 w[5];
+    std::memcpy(w, line.data(), kLineBytes);
+    w[4] = __builtin_shufflevector(w[3], w[3], 3, 3, 3, 3);
+    U64x2 rows[8];
+    U32x4 sign = {};
+    for (unsigned i = 0; i < 4; ++i) {
+        U32x4 next = __builtin_shufflevector(w[i], w[i + 1], 1, 2, 3, 4);
+        U32x4 delta = next - w[i];
+        sign |= U32x4(next < w[i]) & (U32x4{1, 2, 4, 8} << 4 * i);
+        rows[2 * i] = U64x2(__builtin_shufflevector(delta, w[i], 0, 4, 1, 5));
+        rows[2 * i + 1] =
+            U64x2(__builtin_shufflevector(delta, w[i], 2, 6, 3, 7));
     }
-    transposeLanes(lp.row);
-    lp.base = words[0];
+    transposeLanes(rows);
+    LinePlanes lp;
+    for (unsigned j = 0; j < 8; ++j)
+        lp.row[j] = U16x8(rows[j]);
+    sign |= __builtin_shufflevector(sign, sign, 2, 3, 0, 1);
+    U16x8 top = {0, uint16_t(sign[0] | sign[1])};
+    lp.row[8] =
+        __builtin_shufflevector(lp.row[0], top, 1, 9, 3, 8, 8, 8, 8, 8);
+    lp.base = w[0][0];
     return lp;
 }
 
-/** One mode's planes, taken from the shared rows. */
+/** One mode's planes, taken from the shared lanes. */
 Planes
 modePlanes(const LinePlanes &lp, bool direct)
 {
     Planes p;
-    unsigned shift = direct ? 32 : 0;
+    unsigned l = direct ? 2 : 0;
     for (unsigned k = 0; k < 16; ++k) {
-        p.dbp[k] = uint32_t(lp.row[k] >> shift) & 0xffffu;
-        p.dbp[k + 16] = uint32_t(lp.row[k] >> (shift + 16)) & 0xffffu;
+        p.dbp[k] = lp.row[k / 2][4 * (k % 2) + l];
+        p.dbp[k + 16] = lp.row[k / 2][4 * (k % 2) + l + 1];
     }
     p.count = direct ? kDirectPlanes : kXformPlanes;
     p.width = direct ? kDirectWidth : kXformWidth;
-    p.dbp[32] = direct ? 0 : lp.sign;
+    p.dbp[32] = direct ? 0 : lp.row[8][1];
     p.dbp[33] = 0;
     return p;
 }
@@ -199,17 +239,6 @@ encodePlanes(const Planes &p, BitWriter &out)
     }
 }
 
-/** Bit 0, and bit 15, of each 16-bit lane of a row. */
-constexpr uint64_t kLaneBit0 = 0x0001000100010001ull;
-constexpr uint64_t kLaneTop = kLaneBit0 << 15;
-
-/** Bit 15 of each 16-bit lane of @p x set iff that lane is non-zero. */
-uint64_t
-laneNonZero(uint64_t x)
-{
-    return (((x & ~kLaneTop) + ~kLaneTop) | x) & kLaneTop;
-}
-
 /** Stream sizes of both modes, mode bit included. */
 struct ModeBits
 {
@@ -217,62 +246,62 @@ struct ModeBits
 };
 
 /**
- * What encodePlanes would write for both modes, four planes per step:
- * the DBX planes of row k are row[k] ^ row[k + 1], and each symbol
- * class is counted per lane, in bit 15 of its lane. A zero plane costs
- * 7 bits if it starts a run (the plane above it is non-zero or absent)
- * and 3 if that run is one plane long; run neighbours cross the plane
- * 15/16 and 31/32 boundaries. The transformed plane 32 is sized on its
- * own.
+ * What encodePlanes would write for both modes, eight planes per step:
+ * with the lanes of row[] taken end to end, the DBX plane of lane i is
+ * lane i ^ lane i + 4, and each symbol's cost is summed per lane. A
+ * zero plane costs 7 bits if it starts a run (the plane above it is
+ * non-zero or absent) and 3 if that run is one plane long; run
+ * neighbours cross the plane 15/16 and 31/32 seams. The transformed
+ * plane 32 is sized on its own.
  */
 ModeBits
 sizeModes(const LinePlanes &lp)
 {
     // All-ones DBX planes are 15 bits wide in the transformed lanes 0
     // and 1 and 16 in the direct lanes 2 and 3, where a verbatim plane
-    // takes one bit more. Lanes 0 and 2 of row 15 continue in lanes 1
-    // and 3 of row 0.
-    constexpr uint64_t kOnes = 0xffffffff7fff7fffull;
-    constexpr uint64_t kDirectLanes = 0xffffffff00000000ull;
-    constexpr uint64_t kLowLanes = 0x0000ffff0000ffffull;
-    uint64_t zero[16], lanes = 0; // per-lane bit counts
-    for (unsigned k = 0; k < 16; ++k) {
-        uint64_t above = k < 15 ? lp.row[k + 1]
-                                : ((lp.row[0] >> 16) & kLowLanes) |
-                                      uint64_t(lp.sign) << 16;
-        uint64_t x = lp.row[k] ^ above;
-        uint64_t nz = laneNonZero(x);
-        uint64_t low = x & (((~x & ~kLaneTop) + kLaneBit0) ^ (~x & kLaneTop));
-        uint64_t rest = x ^ low;
+    // takes one bit more.
+    constexpr U16x8 kOnes = {0x7fff, 0x7fff, 0xffff, 0xffff,
+                             0x7fff, 0x7fff, 0xffff, 0xffff};
+    constexpr I16x8 kVerbatim = {16, 16, 17, 17, 16, 16, 17, 17};
+    // zero[j]: which DBX planes of row[j] are zero.
+    I16x8 zero[9];
+    I16x8 bits = {};
+    for (unsigned j = 0; j < 8; ++j) {
+        U16x8 p = lp.row[j];
+        U16x8 x = p ^ straddle(p, lp.row[j + 1]);
+        U16x8 low = x & -x, rest = x ^ low;
         // All ones or DBP == 0: 5 bits; one or two adjacent ones: 9.
-        uint64_t c5 = nz & ~(laneNonZero(x ^ kOnes) & laneNonZero(lp.row[k]));
-        uint64_t c9 = nz & ~c5 &
-                      ~(laneNonZero(rest) &
-                        laneNonZero(rest ^ ((low << 1) & ~kLaneBit0)));
-        uint64_t verb = (nz & ~c5 & ~c9) >> 15;
-        lanes += 5 * (c5 >> 15) + 9 * (c9 >> 15) + 16 * verb +
-                 (verb & kDirectLanes);
-        zero[k] = nz ^ kLaneTop;
+        I16x8 c5 = (x == kOnes) | (p == 0);
+        I16x8 c9 = ~c5 & ((rest == 0) | (rest == low << 1));
+        zero[j] = x == 0;
+        bits += ~zero[j] & ((c5 & 5) | (c9 & 9) | (~(c5 | c9) & kVerbatim));
     }
-    for (unsigned k = 0; k < 16; ++k) {
-        uint64_t up = k < 15 ? zero[k + 1]
-                             : ((zero[0] >> 16) & kLowLanes) |
-                                   uint64_t(lp.sign == 0) << 31;
-        uint64_t down = k > 0 ? zero[k - 1] : (zero[15] << 16) & ~kLowLanes;
-        uint64_t start = zero[k] & ~up;
-        lanes += 7 * (start >> 15) - 4 * ((start & ~down) >> 15);
+    // Across the seams: above row 15's planes, transformed plane 16,
+    // plane 32 and none; below row 0's, none, transformed plane 15,
+    // none and direct plane 15.
+    constexpr I16x8 kNone = {};
+    I16x8 sign_zero = {0, int16_t(-int16_t(lp.row[8][1] == 0))};
+    zero[8] =
+        __builtin_shufflevector(zero[0], sign_zero, 1, 9, 3, 8, 8, 8, 8, 8);
+    I16x8 below =
+        __builtin_shufflevector(zero[7], kNone, 8, 8, 8, 8, 8, 4, 8, 6);
+    for (unsigned j = 0; j < 8; ++j) {
+        I16x8 start = zero[j] & ~straddle(zero[j], zero[j + 1]);
+        bits += (start & 7) - (start & ~straddle(below, zero[j]) & 4);
+        below = zero[j];
     }
+    // Lanes 0 and 1 of each row are transformed, 2 and 3 direct.
+    bits += straddle(bits, bits);
+    size_t xf = size_t(bits[0] + bits[1]), dp = size_t(bits[2] + bits[3]);
 
     // Plane 32, where DBX == DBP.
-    uint32_t s = lp.sign, rest = s & (s - 1);
-    size_t top = s == 0 ? (zero[15] >> 31 & 1 ? 7 : 3)
+    uint32_t s = lp.row[8][1], rest = s & (s - 1);
+    size_t top = s == 0 ? (zero[7][5] ? 7 : 3)
                  : s == (1u << kXformWidth) - 1       ? 5
                  : rest == 0 || rest == (s & -s) << 1 ? 9
                                                       : 1 + kXformWidth;
     unsigned base = baseWidth(lp.base);
-    return {1 + (base == 32 ? 33 : 3 + base) + top + (lanes & 0xffff) +
-                (lanes >> 16 & 0xffff),
-            1 + (lanes >> 32 & 0xffff) + (lanes >> 48)};
+    return {1 + (base == 32 ? 33 : 3 + base) + top + xf, 1 + dp};
 }
 
 /**
@@ -395,16 +424,18 @@ BpcCompressor::decompress(BitReader &in, Line &out) const
 
     // The inverse of buildPlanes, with the direct half empty: bits 16..31
     // of a decoded plane are ignored.
-    uint64_t rows[16];
+    U64x2 rows[8];
     for (unsigned k = 0; k < 16; ++k)
-        rows[k] = (p.dbp[k] & 0xffffu) | (p.dbp[k + 16] & 0xffffu) << 16;
+        rows[k / 2][k % 2] =
+            (p.dbp[k] & 0xffffu) | (p.dbp[k + 16] & 0xffffu) << 16;
     transposeLanes(rows);
     // Transformed words are the base plus a running sum of the deltas.
     // Adding the sign-extended 33-bit delta wraps to the same 32-bit
     // word as adding its low 32 bits, so plane 32 is not needed.
     for (unsigned j = 0; j < 16; ++j) {
-        setLineWord32(out, j, direct ? uint32_t(rows[j]) : base);
-        base += uint32_t(rows[j]);
+        uint32_t word = uint32_t(rows[j / 2][j % 2]);
+        setLineWord32(out, j, direct ? word : base);
+        base += word;
     }
     return !in.overrun();
 }

@@ -237,7 +237,7 @@ class CompressedController : public MemoryController,
         enc.zero = isZeroLine(data);
         BitWriter w;
         codec_->compress(data, w);
-        enc.bytes = w.bytes();
+        enc.bytes = std::move(w).bytes();
         enc.bin = bins_->binFor(enc.bytes.size(), enc.zero);
         return enc;
     }

@@ -797,6 +797,48 @@ TEST(Bpc, LaneSizerMatchesSymbolWalk)
         EXPECT_GT(sign, 1000u);
 }
 
+TEST(Bpc, SizerTestLinesRoundTripInBothModes)
+{
+    // The sizer test's lines through the encoder and the decoder, with
+    // and without the adaptive mode: each stream is as long as the
+    // sizer says, its mode bit names the smaller mode (the transformed
+    // one on a tie), and it decodes to the line.
+    BpcCompressor adaptive, xform(false);
+    std::vector<Line> lines = bpcSizerTestLines(200000);
+    size_t direct_wins = 0, ties = 0;
+    for (size_t i = 0; i < lines.size(); ++i) {
+        const Line &line = lines[i];
+        size_t xf = xform.transformedBits(line);
+        size_t dp = adaptive.directBits(line);
+        bool direct = dp < xf;
+        direct_wins += direct;
+        ties += dp == xf;
+        for (const BpcCompressor *bpc : {&adaptive, &xform}) {
+            bool is_adaptive = bpc == &adaptive;
+            size_t want = is_adaptive ? adaptive.compressedBits(line)
+                                      : xform.transformedBits(line);
+            BitWriter w;
+            ASSERT_EQ(bpc->compress(line, w), want)
+                << bpc->name() << " line " << i;
+            ASSERT_EQ(w.bitSize(), want) << bpc->name() << " line " << i;
+            ASSERT_EQ(want, is_adaptive ? std::min(xf, dp) : xf)
+                << bpc->name() << " line " << i;
+            ASSERT_EQ(w.bytes()[0] >> 7, is_adaptive && direct)
+                << bpc->name() << " line " << i;
+            BitReader r(w.bytes().data(), w.bitSize());
+            Line out{};
+            ASSERT_TRUE(bpc->decompress(r, out))
+                << bpc->name() << " line " << i;
+            ASSERT_EQ(r.pos(), want) << bpc->name() << " line " << i;
+            ASSERT_EQ(out, line) << bpc->name() << " line " << i;
+        }
+    }
+    // Each mode wins on many lines, and some lines tie.
+    EXPECT_GT(direct_wins, 1000u);
+    EXPECT_GT(lines.size() - direct_wins, 1000u);
+    EXPECT_GT(ties, 100u);
+}
+
 TEST(Bdi, FirstFitIsSmallestShape)
 {
     // The smallest payload over every (base, delta) shape that fits,
