@@ -41,7 +41,7 @@ addCapJob(Campaign &campaign, McKind kind, bool unconstrained,
     std::string label = bench + "/cap/" +
                         (unconstrained ? "unconstrained"
                                        : mcKindName(kind));
-    return campaign.add(label, [=](const JobContext &) {
+    return campaign.add(label, [=](uint64_t) {
         CapacitySpec spec;
         spec.workloads = {bench};
         spec.kind = kind;

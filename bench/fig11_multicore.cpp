@@ -46,7 +46,7 @@ addCapJob(Campaign &campaign, McKind kind, bool unconstrained,
     std::string label = mix.name + "/cap/" +
                         (unconstrained ? "unconstrained"
                                        : mcKindName(kind));
-    return campaign.add(label, [=](const JobContext &) {
+    return campaign.add(label, [=](uint64_t) {
         CapacitySpec spec;
         spec.workloads = workloads;
         spec.kind = kind;

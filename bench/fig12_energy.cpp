@@ -25,19 +25,22 @@ struct Point
     double cycles;
 };
 
-Point
-run(McKind kind, const std::string &bench)
+uint32_t
+queue(Campaign &campaign, McKind kind, const std::string &bench)
 {
     RunSpec spec;
     spec.kind = kind;
     spec.workloads = {bench};
     spec.refs_per_core = budget(100000);
     spec.warmup_refs = budget(10000);
-    sink().apply(spec);
-    RunResult r = runSystem(spec);
-    r.label = bench + "/" + r.label;
-    sink().add(r);
+    return addRun(campaign, bench + "/" + mcKindName(kind),
+                  std::move(spec));
+}
 
+Point
+energyOf(const JobRecord &rec, McKind kind)
+{
+    const RunResult &r = rec.run();
     uint64_t compressions = 0;
     uint64_t md_accesses = 0;
     if (kind != McKind::kUncompressed) {
@@ -60,16 +63,38 @@ int
 main(int argc, char **argv)
 {
     sink().init(argc, argv, "fig12_energy");
+
+    // Queue every (benchmark, controller) run, then shard across --jobs.
+    Campaign campaign("fig12_energy");
+    struct Row
+    {
+        std::string bench;
+        uint32_t base, lcp, lcpa, cmp;
+    };
+    std::vector<Row> rows;
+    for (const auto &prof : allProfiles()) {
+        Row row;
+        row.bench = prof.name;
+        row.base = queue(campaign, McKind::kUncompressed, prof.name);
+        row.lcp = queue(campaign, McKind::kLcp, prof.name);
+        row.lcpa = queue(campaign, McKind::kLcpAlign, prof.name);
+        row.cmp = queue(campaign, McKind::kCompresso, prof.name);
+        rows.push_back(std::move(row));
+    }
+    CampaignResult res = runCampaign(campaign);
+    if (!res.allOk())
+        return 1;
+
     header("Fig. 12: energy relative to the uncompressed system");
     std::printf("%-12s %10s %10s %10s %10s\n", "benchmark", "dram(lcp)",
                 "dram(l+a)", "dram(cmp)", "core(cmp)");
 
     std::vector<double> d_l, d_a, d_c, c_c;
-    for (const auto &prof : allProfiles()) {
-        Point base = run(McKind::kUncompressed, prof.name);
-        Point lcp = run(McKind::kLcp, prof.name);
-        Point lcpa = run(McKind::kLcpAlign, prof.name);
-        Point cmp = run(McKind::kCompresso, prof.name);
+    for (const Row &row : rows) {
+        Point base = energyOf(res.records[row.base], McKind::kUncompressed);
+        Point lcp = energyOf(res.records[row.lcp], McKind::kLcp);
+        Point lcpa = energyOf(res.records[row.lcpa], McKind::kLcpAlign);
+        Point cmp = energyOf(res.records[row.cmp], McKind::kCompresso);
 
         double dl = lcp.energy.dram_nj / base.energy.dram_nj;
         double da = lcpa.energy.dram_nj / base.energy.dram_nj;
@@ -78,8 +103,7 @@ main(int argc, char **argv)
         double cc = cmp.energy.core_nj / base.energy.core_nj;
 
         std::printf("%-12s %10.2f %10.2f %10.2f %10.2f\n",
-                    prof.name.c_str(), dl, da, dc, cc);
-        std::fflush(stdout);
+                    row.bench.c_str(), dl, da, dc, cc);
         d_l.push_back(dl);
         d_a.push_back(da);
         d_c.push_back(dc);

@@ -33,7 +33,7 @@ addCapJob(Campaign &campaign, std::string label,
           std::vector<std::string> workloads, McKind kind,
           bool unconstrained, double frac, uint64_t touches)
 {
-    return campaign.add(std::move(label), [=](const JobContext &) {
+    return campaign.add(std::move(label), [=](uint64_t) {
         CapacitySpec spec;
         spec.workloads = workloads;
         spec.kind = kind;

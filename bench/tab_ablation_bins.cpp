@@ -24,6 +24,9 @@ namespace {
 const char *kSubset[] = {"gcc",  "astar",   "soplex",  "bzip2",
                          "milc", "sphinx3", "h264ref", "Graph500"};
 
+/** Full-budget references per run. */
+constexpr uint64_t kRefs = 120000;
+
 struct Numbers
 {
     double ratio;
@@ -32,27 +35,41 @@ struct Numbers
     double split_frac;     ///< split fills / fills
 };
 
-Numbers
-run(const std::string &bench, const SizeBins *bins, PageSizing sizing)
+RunSpec
+spec(const std::string &bench, const SizeBins *bins, PageSizing sizing)
 {
-    RunSpec spec;
-    spec.kind = McKind::kCompresso;
-    spec.workloads = {bench};
-    spec.refs_per_core = budget(120000);
-    spec.warmup_refs = budget(12000);
-    spec.compresso.line_bins = bins;
-    spec.compresso.page_sizing = sizing;
+    RunSpec s;
+    s.kind = McKind::kCompresso;
+    s.workloads = {bench};
+    s.refs_per_core = budget(kRefs);
+    s.warmup_refs = budget(12000);
+    s.compresso.line_bins = bins;
+    s.compresso.page_sizing = sizing;
     // Measure the raw trade-off without the mitigation machinery.
-    spec.compresso.overflow_prediction = false;
-    spec.compresso.dynamic_ir_expansion = false;
-    sink().apply(spec);
-    RunResult r = runSystem(spec);
-    r.label = bench + "/" + r.label;
-    sink().add(r);
+    s.compresso.overflow_prediction = false;
+    s.compresso.dynamic_ir_expansion = false;
+    return s;
+}
 
+/** Queue one configuration's run per subset benchmark; returns the
+ *  index of the first (the others follow in kSubset order). */
+uint32_t
+queue(Campaign &campaign, const SizeBins *bins, PageSizing sizing)
+{
+    uint32_t first = uint32_t(campaign.size());
+    for (const char *bench : kSubset)
+        addRun(campaign,
+               std::string(bench) + "/" + mcKindName(McKind::kCompresso),
+               spec(bench, bins, sizing));
+    return first;
+}
+
+Numbers
+numbersOf(const RunResult &r)
+{
     Numbers n;
     n.ratio = r.comp_ratio;
-    double k = double(spec.refs_per_core) / 1000.0;
+    double k = double(budget(kRefs)) / 1000.0;
     n.line_overflows = double(r.mc_stats.get("line_overflows")) / k;
     n.page_resizes = double(r.mc_stats.get("page_overflows")) / k;
     uint64_t fills = r.mc_stats.get("fills");
@@ -62,12 +79,12 @@ run(const std::string &bench, const SizeBins *bins, PageSizing sizing)
 }
 
 Numbers
-average(const SizeBins *bins, PageSizing sizing)
+average(const CampaignResult &res, uint32_t first)
 {
     Numbers avg{0, 0, 0, 0};
     size_t n = std::size(kSubset);
-    for (const char *bench : kSubset) {
-        Numbers x = run(bench, bins, sizing);
+    for (size_t i = 0; i < n; ++i) {
+        Numbers x = numbersOf(res.records[first + i].run());
         avg.ratio += x.ratio / double(n);
         avg.line_overflows += x.line_overflows / double(n);
         avg.page_resizes += x.page_resizes / double(n);
@@ -89,14 +106,29 @@ int
 main(int argc, char **argv)
 {
     sink().init(argc, argv, "tab_ablation_bins");
+
+    // Queue every (configuration, benchmark) run, then shard across
+    // --jobs.
+    Campaign campaign("tab_ablation_bins");
+    uint32_t j_four =
+        queue(campaign, &compressoBins(), PageSizing::kChunked512);
+    uint32_t j_eight = queue(campaign, &eightBins(), PageSizing::kChunked512);
+    uint32_t j_legacy =
+        queue(campaign, &legacyBins(), PageSizing::kChunked512);
+    uint32_t j_var4 =
+        queue(campaign, &compressoBins(), PageSizing::kVariable4);
+    CampaignResult res = runCampaign(campaign);
+    if (!res.allOk())
+        return 1;
+
     header("Sec. IV-A1/IV-B1: size-bin trade-off ablations");
     std::printf("%-26s %8s %12s %12s %10s\n", "configuration", "ratio",
                 "lineovf/1k", "pageresz/1k", "splits");
 
-    Numbers four = average(&compressoBins(), PageSizing::kChunked512);
-    Numbers eight = average(&eightBins(), PageSizing::kChunked512);
-    Numbers legacy = average(&legacyBins(), PageSizing::kChunked512);
-    Numbers var4 = average(&compressoBins(), PageSizing::kVariable4);
+    Numbers four = average(res, j_four);
+    Numbers eight = average(res, j_eight);
+    Numbers legacy = average(res, j_legacy);
+    Numbers var4 = average(res, j_var4);
 
     row("4 line bins (0/8/32/64)", four);
     row("8 line bins", eight);

@@ -1,11 +1,7 @@
 #include "exec/campaign.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <exception>
-#include <memory>
-#include <thread>
 
 #include "common/rng.h"
 #include "exec/thread_pool.h"
@@ -23,14 +19,6 @@ nowNs()
                         .count());
 }
 
-/** Per-job shared state between the worker and the watchdog. */
-struct JobSlot
-{
-    std::atomic<uint64_t> start_ns{0}; ///< nonzero while running
-    std::atomic<bool> cancel{false};
-    std::atomic<bool> timed_out{false};
-};
-
 } // namespace
 
 const char *
@@ -41,32 +29,8 @@ jobStatusName(JobStatus status)
         return "ok";
     case JobStatus::kFailed:
         return "failed";
-    case JobStatus::kTimeout:
-        return "timeout";
-    case JobStatus::kSkipped:
-        return "skipped";
     }
     return "?";
-}
-
-uint64_t
-retryBackoffNs(const CampaignPolicy &policy, uint64_t job_seed,
-               unsigned attempt)
-{
-    if (policy.backoff_base_ms == 0 || attempt == 0)
-        return 0;
-    double factor = policy.backoff_factor < 1.0 ? 1.0 : policy.backoff_factor;
-    double delay_ms = double(policy.backoff_base_ms) *
-                      std::pow(factor, double(attempt - 1));
-    delay_ms = std::min(delay_ms, double(policy.backoff_max_ms));
-    if (policy.backoff_jitter > 0) {
-        // Deterministic jitter: one fresh stream per (job, attempt),
-        // so the schedule is a pure function of the campaign seed.
-        Rng rng(Rng::combine(job_seed, attempt));
-        double u = double(rng.next() >> 11) * 0x1.0p-53; // [0,1)
-        delay_ms *= 1.0 + policy.backoff_jitter * u;
-    }
-    return uint64_t(delay_ms * 1e6);
 }
 
 uint32_t
@@ -103,115 +67,34 @@ Campaign::run(const CampaignPolicy &policy) const
     const size_t total = jobs_.size();
     res.records.resize(total);
 
-    const unsigned max_attempts =
-        policy.max_attempts == 0 ? 1 : policy.max_attempts;
-    auto slots = std::make_unique<JobSlot[]>(total);
-    std::atomic<bool> abort{false};
-    std::atomic<uint64_t> retries{0};
-
-    // The reporter thread doubles as the soft-timeout watchdog: once
-    // per period it sweeps the running slots and flags any job past
-    // its deadline (the flag also feeds JobContext::cancelled() so
-    // cooperative custom jobs can bail out early).
-    std::function<void()> watchdog;
-    if (policy.timeout_ms > 0) {
-        uint64_t limit_ns = policy.timeout_ms * 1000000ULL;
-        JobSlot *raw = slots.get();
-        watchdog = [raw, total, limit_ns] {
-            uint64_t now = nowNs();
-            for (size_t i = 0; i < total; ++i) {
-                uint64_t t0 =
-                    raw[i].start_ns.load(std::memory_order_acquire);
-                if (t0 != 0 && now - t0 > limit_ns) {
-                    raw[i].timed_out.store(true,
-                                           std::memory_order_release);
-                    raw[i].cancel.store(true,
-                                        std::memory_order_release);
-                }
-            }
-        };
-    }
-
     uint64_t t0 = nowNs();
     {
-        ProgressReporter reporter(name_, total, policy.progress,
-                                  std::move(watchdog));
+        ProgressReporter reporter(name_, total, policy.progress);
 
         auto runJob = [&](uint32_t i) {
             const Job &job = jobs_[i];
             JobRecord &rec = res.records[i];
-            JobSlot &slot = slots[i];
             rec.label = job.label;
             rec.index = i;
             rec.seed = Rng::combine(seed_, i);
-            if (abort.load(std::memory_order_relaxed)) {
-                rec.status = JobStatus::kSkipped;
-                rec.error = "skipped: fail-fast tripped";
-                reporter.jobSkipped();
-                return;
-            }
             reporter.jobStarted();
-            slot.start_ns.store(nowNs(), std::memory_order_release);
-
-            JobStatus status = JobStatus::kFailed;
-            for (unsigned attempt = 0; attempt < max_attempts;
-                 ++attempt) {
-                rec.attempts = attempt + 1;
-                if (attempt > 0) {
-                    retries.fetch_add(1, std::memory_order_relaxed);
-                    uint64_t wait_ns =
-                        retryBackoffNs(policy, rec.seed, attempt);
-                    if (wait_ns > 0)
-                        std::this_thread::sleep_for(
-                            std::chrono::nanoseconds(wait_ns));
+            uint64_t j0 = nowNs();
+            try {
+                if (job.is_run) {
+                    rec.payload.run = runSystem(job.spec);
+                    rec.payload.run.label = job.label;
+                    rec.payload.has_run = true;
+                } else {
+                    rec.payload = job.fn(rec.seed);
                 }
-                uint64_t a0 = nowNs();
-                try {
-                    JobContext ctx;
-                    ctx.index = i;
-                    ctx.seed = rec.seed;
-                    ctx.attempt = attempt;
-                    ctx.cancel = &slot.cancel;
-                    JobPayload payload;
-                    if (job.is_run) {
-                        RunSpec spec = job.spec;
-                        if (derive_run_seeds_)
-                            spec.seed = rec.seed;
-                        payload.run = runSystem(spec);
-                        payload.run.label = job.label;
-                        payload.has_run = true;
-                    } else {
-                        payload = job.fn(ctx);
-                    }
-                    rec.host_ns = nowNs() - a0;
-                    if (slot.timed_out.load(
-                            std::memory_order_acquire)) {
-                        // The result is late: discard it so a timed-out
-                        // job never contributes half-trusted telemetry.
-                        status = JobStatus::kTimeout;
-                        rec.error = "soft timeout exceeded";
-                    } else {
-                        rec.payload = std::move(payload);
-                        status = JobStatus::kOk;
-                    }
-                    break;
-                } catch (const std::exception &e) {
-                    rec.host_ns = nowNs() - a0;
-                    rec.error = e.what();
-                } catch (...) {
-                    rec.host_ns = nowNs() - a0;
-                    rec.error = "non-standard exception";
-                }
-                if (slot.timed_out.load(std::memory_order_acquire)) {
-                    status = JobStatus::kTimeout;
-                    break; // a deterministic overrun will not improve
-                }
+                rec.status = JobStatus::kOk;
+            } catch (const std::exception &e) {
+                rec.error = e.what();
+            } catch (...) {
+                rec.error = "non-standard exception";
             }
-            rec.status = status;
-            slot.start_ns.store(0, std::memory_order_release);
-            reporter.jobFinished(status == JobStatus::kOk, rec.host_ns);
-            if (status != JobStatus::kOk && policy.fail_fast)
-                abort.store(true, std::memory_order_relaxed);
+            rec.host_ns = nowNs() - j0;
+            reporter.jobFinished(rec.ok(), rec.host_ns);
         };
 
         if (pool_jobs == 1) {
@@ -228,24 +111,9 @@ Campaign::run(const CampaignPolicy &policy) const
         }
     } // reporter prints its final line here
     res.wall_ns = nowNs() - t0;
-    res.retries = retries.load(std::memory_order_relaxed);
 
-    for (const JobRecord &rec : res.records) {
-        switch (rec.status) {
-        case JobStatus::kOk:
-            ++res.ok;
-            break;
-        case JobStatus::kFailed:
-            ++res.failed;
-            break;
-        case JobStatus::kTimeout:
-            ++res.timeout;
-            break;
-        case JobStatus::kSkipped:
-            ++res.skipped;
-            break;
-        }
-    }
+    for (const JobRecord &rec : res.records)
+        ++(rec.ok() ? res.ok : res.failed);
 
     // Cross-job aggregates: per controller kind, checked merge with a
     // union fallback (a rare-path counter firing in only one job must
@@ -277,62 +145,6 @@ Campaign::run(const CampaignPolicy &policy) const
         }
     }
     return res;
-}
-
-// ---------------------------------------------------------------------
-// CampaignGrid
-// ---------------------------------------------------------------------
-
-void
-CampaignGrid::value(const std::string &axis_name, std::string value_name,
-                    std::function<void(RunSpec &)> apply)
-{
-    for (GridAxis &a : axes_) {
-        if (a.name == axis_name) {
-            a.values.push_back({std::move(value_name), std::move(apply)});
-            return;
-        }
-    }
-    axes_.push_back(
-        {axis_name, {{std::move(value_name), std::move(apply)}}});
-}
-
-size_t
-CampaignGrid::points() const
-{
-    size_t n = 1;
-    for (const GridAxis &a : axes_)
-        n *= a.values.size();
-    return n;
-}
-
-uint32_t
-CampaignGrid::addTo(Campaign &campaign) const
-{
-    uint32_t first = uint32_t(campaign.size());
-    size_t n = points();
-    for (size_t point = 0; point < n; ++point) {
-        RunSpec spec = base_;
-        std::string label;
-        // Row-major: the first axis varies slowest.
-        size_t stride = n;
-        for (const GridAxis &axis : axes_) {
-            stride /= axis.values.size();
-            const GridValue &v =
-                axis.values[(point / stride) % axis.values.size()];
-            if (v.apply)
-                v.apply(spec);
-            if (!v.name.empty()) {
-                if (!label.empty())
-                    label += '/';
-                label += v.name;
-            }
-        }
-        if (label.empty())
-            label = "base";
-        campaign.add(std::move(label), std::move(spec));
-    }
-    return first;
 }
 
 } // namespace compresso

@@ -14,28 +14,20 @@
  * and seed, never on scheduling, so `--jobs 1` and `--jobs N` produce
  * bit-identical per-job results (host-timing fields excepted). The
  * engine derives a per-job RNG stream seed via
- * Rng::combine(campaign_seed, job_index); custom jobs receive it in
- * their JobContext, and RunSpec jobs have their spec.seed overwritten
- * with it only when deriveRunSeeds(true) was requested — the figure
- * benches keep their historical per-spec seeds so the reproduced
- * tables do not move.
+ * Rng::combine(campaign_seed, job_index) and hands it to custom jobs;
+ * RunSpec jobs keep their own spec.seed, so the reproduced figures do
+ * not move.
  *
- * Failure policy: a job that throws is retried up to
- * CampaignPolicy::max_attempts times; exhausted retries (or a soft
- * timeout) mark the job failed in the CampaignResult — the campaign
- * itself always completes unless fail_fast is set, which skips all
- * jobs not yet started. Timeouts are soft: simulation jobs cannot be
- * interrupted mid-run, so an overdue job is flagged by the watchdog,
- * its eventual result is discarded, and its worker frees up when the
- * job returns. Custom jobs may poll JobContext::cancelled() to bail
- * out early.
+ * Failure policy: every job runs exactly once. Jobs are deterministic,
+ * so a rerun would only repeat the failure: a job that throws is
+ * recorded as failed with its what(), the campaign still completes,
+ * and the caller decides (via allOk()) whether that is fatal.
  */
 
 #ifndef COMPRESSO_EXEC_CAMPAIGN_H
 #define COMPRESSO_EXEC_CAMPAIGN_H
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -51,30 +43,10 @@ namespace compresso {
 enum class JobStatus
 {
     kOk,
-    kFailed,  ///< every attempt threw
-    kTimeout, ///< exceeded CampaignPolicy::timeout_ms (soft)
-    kSkipped, ///< never started: fail_fast tripped first
+    kFailed, ///< the job threw
 };
 
 const char *jobStatusName(JobStatus status);
-
-/** What a running job learns about itself. */
-struct JobContext
-{
-    uint32_t index = 0;  ///< submission index within the campaign
-    uint64_t seed = 0;   ///< Rng::combine(campaign_seed, index)
-    unsigned attempt = 0; ///< 0-based retry counter
-    /** Set when the job should stop early (fail-fast or timeout);
-     *  long custom jobs should poll this between phases. */
-    const std::atomic<bool> *cancel = nullptr;
-
-    bool
-    cancelled() const
-    {
-        return cancel != nullptr &&
-               cancel->load(std::memory_order_relaxed);
-    }
-};
 
 /** What a job produces. Run jobs fill `run`; custom jobs fill
  *  `values` (named scalars that land in the campaign document). */
@@ -85,18 +57,19 @@ struct JobPayload
     std::map<std::string, double> values;
 };
 
-using JobFn = std::function<JobPayload(const JobContext &)>;
+/** A custom job. Its argument is the job's derived stream seed,
+ *  Rng::combine(campaign_seed, index). */
+using JobFn = std::function<JobPayload(uint64_t seed)>;
 
-/** One finished (or skipped) job, in submission order. */
+/** One finished job, in submission order. */
 struct JobRecord
 {
     std::string label;
     uint32_t index = 0;
-    JobStatus status = JobStatus::kSkipped;
-    unsigned attempts = 0;
+    JobStatus status = JobStatus::kFailed;
     uint64_t seed = 0;    ///< the derived per-job stream seed
-    uint64_t host_ns = 0; ///< wall time of the final attempt
-    std::string error;    ///< what() of the last failure, if any
+    uint64_t host_ns = 0; ///< wall time of the job
+    std::string error;    ///< what() of the failure, if any
     JobPayload payload;
 
     bool ok() const { return status == JobStatus::kOk; }
@@ -108,35 +81,8 @@ struct CampaignPolicy
     /** Worker threads; 0 = ThreadPool::hardwareJobs(). `jobs == 1`
      *  runs inline on the calling thread — today's serial path. */
     unsigned jobs = 0;
-    /** Total tries per job (1 = no retry). */
-    unsigned max_attempts = 2;
-    /** Soft per-job timeout; 0 = unlimited. */
-    uint64_t timeout_ms = 0;
-    /** First failure skips every job not yet started. */
-    bool fail_fast = false;
-    /** Retry backoff: attempt k (1-based retry counter) waits
-     *  base * factor^(k-1), capped at backoff_max_ms, plus a
-     *  deterministic jitter fraction drawn from the job's seed stream
-     *  (see retryBackoffNs()). 0 = retry immediately (historical
-     *  behaviour, and the default). */
-    uint64_t backoff_base_ms = 0;
-    double backoff_factor = 2.0;
-    uint64_t backoff_max_ms = 2000;
-    /** Jitter as a fraction of the computed delay in [0, jitter). */
-    double backoff_jitter = 0.25;
     ProgressMode progress = ProgressMode::kAuto;
 };
-
-/**
- * Backoff delay before retry attempt @p attempt (1-based: the first
- * *retry* is attempt 1) of the job whose derived stream seed is
- * @p job_seed. Pure function of its arguments — the jitter comes from
- * Rng(Rng::combine(job_seed, attempt)), never from host entropy — so
- * retry schedules are bit-identical across runs and worker counts.
- * Returns 0 when backoff_base_ms is 0.
- */
-uint64_t retryBackoffNs(const CampaignPolicy &policy, uint64_t job_seed,
-                        unsigned attempt);
 
 struct CampaignResult
 {
@@ -144,7 +90,6 @@ struct CampaignResult
     uint64_t campaign_seed = 0;
     unsigned pool_jobs = 0; ///< resolved worker count
     uint64_t wall_ns = 0;   ///< whole-campaign host wall time
-    uint64_t retries = 0;   ///< extra attempts across all jobs
     uint64_t steals = 0;    ///< thread-pool steal count (0 when serial)
     std::vector<JobRecord> records; ///< submission order, always full
 
@@ -172,7 +117,7 @@ struct CampaignResult
     };
     std::map<std::string, Aggregate> aggregates;
 
-    size_t ok = 0, failed = 0, timeout = 0, skipped = 0;
+    size_t ok = 0, failed = 0;
 
     bool
     allOk() const
@@ -194,16 +139,11 @@ class Campaign
     /** Queue a custom job; returns its submission index. */
     uint32_t add(std::string label, JobFn fn);
 
-    /** Overwrite each RunSpec job's seed with its derived per-job
-     *  stream (off by default: converted benches keep their
-     *  historical seeds so reproduced figures do not move). */
-    void deriveRunSeeds(bool on) { derive_run_seeds_ = on; }
-
     size_t size() const { return jobs_.size(); }
     const std::string &name() const { return name_; }
     uint64_t seed() const { return seed_; }
 
-    /** Execute every queued job and merge the telemetry. */
+    /** Execute every queued job once and merge the telemetry. */
     CampaignResult run(const CampaignPolicy &policy = {}) const;
 
   private:
@@ -217,61 +157,7 @@ class Campaign
 
     std::string name_;
     uint64_t seed_;
-    bool derive_run_seeds_ = false;
     std::vector<Job> jobs_;
-};
-
-// ---------------------------------------------------------------------
-// Declarative grids: base RunSpec x per-axis overrides.
-// ---------------------------------------------------------------------
-
-/** One point on an axis: a display name plus the override it applies
- *  on top of the base spec (and any earlier axes'). */
-struct GridValue
-{
-    std::string name;
-    std::function<void(RunSpec &)> apply;
-};
-
-struct GridAxis
-{
-    std::string name;
-    std::vector<GridValue> values;
-};
-
-/**
- * Cross-product sweep builder. Axes expand row-major (the first axis
- * varies slowest), and each job is labelled with the value names
- * joined by '/' — e.g. axes (workload, sizing) yield "mcf/fixed",
- * "mcf/variable", "omnetpp/fixed", ...
- */
-class CampaignGrid
-{
-  public:
-    explicit CampaignGrid(RunSpec base) : base_(std::move(base)) {}
-
-    /** Append an axis; fill its .values (in order). */
-    GridAxis &
-    axis(std::string name)
-    {
-        axes_.push_back({std::move(name), {}});
-        return axes_.back();
-    }
-
-    /** Convenience: append one value to the named (existing) axis. */
-    void value(const std::string &axis_name, std::string value_name,
-               std::function<void(RunSpec &)> apply);
-
-    /** Number of jobs the grid expands to. */
-    size_t points() const;
-
-    /** Expand the cross product into @p campaign; returns the index
-     *  of the first added job (points() are contiguous from there). */
-    uint32_t addTo(Campaign &campaign) const;
-
-  private:
-    RunSpec base_;
-    std::vector<GridAxis> axes_;
 };
 
 } // namespace compresso

@@ -26,7 +26,6 @@ writeJob(JsonWriter &w, const JobRecord &rec)
     w.field("label", rec.label);
     w.field("index", uint64_t(rec.index));
     w.field("status", jobStatusName(rec.status));
-    w.field("attempts", uint64_t(rec.attempts));
     w.field("seed", rec.seed);
     w.field("host_ns", rec.host_ns);
     if (!rec.error.empty())
@@ -65,9 +64,6 @@ writeCampaignJson(std::ostream &os, const std::string &tool,
     w.field("total", uint64_t(res.records.size()));
     w.field("ok", uint64_t(res.ok));
     w.field("failed", uint64_t(res.failed));
-    w.field("timeout", uint64_t(res.timeout));
-    w.field("skipped", uint64_t(res.skipped));
-    w.field("retries", res.retries);
     w.field("steals", res.steals);
     w.endObject();
     w.key("jobs").beginArray();

@@ -1,14 +1,15 @@
 /**
  * @file
  * Campaign document export: serializes a CampaignResult into the
- * versioned "compresso-campaign-v1" JSON document. One document holds
+ * versioned "compresso-campaign-v2" JSON document. One document holds
  * the whole sweep — per-job results (run jobs embed the same object
  * shape as a run document's `results[]`; custom jobs embed their named
  * scalars), cross-job aggregates per controller kind, the scheduling
- * summary (ok/failed/timeout/skipped, retries, steals), and the
- * environment stamp. tools/obs_report.py reads this format alongside
- * the run/bench documents (`check` / `summary` / `diff`, and `gate`
- * for bench campaigns).
+ * summary (ok/failed, steals), and the environment stamp. v2 dropped
+ * v1's per-job `attempts` and the summary's `timeout`, `skipped` and
+ * `retries` once every job ran exactly once. tools/obs_report.py
+ * reads this format alongside the run/bench documents (`check` /
+ * `summary` / `diff`, and `gate` for bench campaigns).
  */
 
 #ifndef COMPRESSO_EXEC_CAMPAIGN_EXPORT_H

@@ -20,7 +20,7 @@ namespace compresso {
  * Run @p campaign for a binary built on RunSink. When
  * @p policy.jobs == 0 the worker count comes from sink.jobs() (the
  * --jobs flag, else COMPRESSO_JOBS, else hardware concurrency).
- * Failed/timed-out/skipped jobs are reported on stderr; callers decide
+ * Failed jobs are reported on stderr with their error; callers decide
  * whether a partial campaign is fatal (check .allOk()).
  */
 CampaignResult runCampaignWithSink(const Campaign &campaign,

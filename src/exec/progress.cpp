@@ -31,9 +31,8 @@ constexpr auto kPeriod = std::chrono::milliseconds(250);
 } // namespace
 
 ProgressReporter::ProgressReporter(std::string name, uint64_t total,
-                                   ProgressMode mode,
-                                   std::function<void()> tick)
-    : name_(std::move(name)), total_(total), tick_(std::move(tick))
+                                   ProgressMode mode)
+    : name_(std::move(name)), total_(total)
 {
     tty_ = CPR_ISATTY(CPR_FILENO(stderr)) != 0;
     // Read once at construction, before the reporter thread exists, so
@@ -42,34 +41,23 @@ ProgressReporter::ProgressReporter(std::string name, uint64_t total,
     const char *env = std::getenv("COMPRESSO_PROGRESS");
     bool env_on = env != nullptr && env[0] == '1';
     bool env_off = env != nullptr && env[0] == '0';
-    switch (mode) {
-    case ProgressMode::kOn:
-        display_ = !env_off;
-        break;
-    case ProgressMode::kOff:
-        display_ = false;
-        break;
-    case ProgressMode::kAuto:
-        display_ = (tty_ || env_on) && !env_off;
-        break;
-    }
+    display_ = mode == ProgressMode::kAuto && (tty_ || env_on) && !env_off;
     t0_ns_ = nowNs();
-    if (display_ || tick_)
+    if (display_)
         thread_ = std::thread([this] { loop(); });
 }
 
 ProgressReporter::~ProgressReporter()
 {
-    if (thread_.joinable()) {
-        {
-            MutexLock lk(mu_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        thread_.join();
+    if (!display_)
+        return;
+    {
+        MutexLock lk(mu_);
+        stop_ = true;
     }
-    if (display_)
-        render(/*final_line=*/true);
+    cv_.notify_all();
+    thread_.join();
+    render(/*final_line=*/true);
 }
 
 void
@@ -85,13 +73,10 @@ ProgressReporter::loop()
             if (stop_)
                 return;
         }
-        // Tick and render outside mu_: they touch only atomics and
+        // Render outside mu_: it touches only atomics and
         // constructor-set fields, and must not delay the destructor's
         // stop handshake.
-        if (tick_)
-            tick_();
-        if (display_)
-            render(/*final_line=*/false);
+        render(/*final_line=*/false);
     }
 }
 
@@ -101,29 +86,26 @@ ProgressReporter::render(bool final_line)
     uint64_t done = done_.load(std::memory_order_relaxed);
     uint64_t running = running_.load(std::memory_order_relaxed);
     uint64_t failed = failed_.load(std::memory_order_relaxed);
-    uint64_t skipped = skipped_.load(std::memory_order_relaxed);
     uint64_t busy = busy_ns_.load(std::memory_order_relaxed);
 
     char eta[32] = "--";
-    if (done > 0 && done + skipped < total_) {
+    if (done > 0 && done < total_) {
         // Remaining work at the average per-job cost, spread over the
         // lanes currently making progress.
         double per_job = double(busy) / double(done);
         double lanes = running > 0 ? double(running) : 1.0;
-        double eta_s =
-            per_job * double(total_ - done - skipped) / lanes / 1e9;
+        double eta_s = per_job * double(total_ - done) / lanes / 1e9;
         std::snprintf(eta, sizeof eta, "%.1fs", eta_s);
     }
     double elapsed_s = double(nowNs() - t0_ns_) / 1e9;
 
     std::fprintf(stderr,
-                 "%s[%s] %llu/%llu done, %llu running, %llu failed"
-                 "%s%llu skipped, elapsed %.1fs, ETA %s%s",
+                 "%s[%s] %llu/%llu done, %llu running, %llu failed, "
+                 "elapsed %.1fs, ETA %s%s",
                  tty_ ? "\r\033[K" : "", name_.c_str(),
                  (unsigned long long)done, (unsigned long long)total_,
                  (unsigned long long)running,
-                 (unsigned long long)failed, ", ",
-                 (unsigned long long)skipped, elapsed_s, eta,
+                 (unsigned long long)failed, elapsed_s, eta,
                  tty_ && !final_line ? "" : "\n");
     std::fflush(stderr);
 }

@@ -5,8 +5,8 @@
  * A reporter thread repaints at a fixed period; workers only bump
  * atomics, so reporting costs the jobs nothing. On a TTY the line
  * repaints in place (\r); piped to a file it prints at most one line
- * per period, so CI logs stay readable. The same thread doubles as
- * the campaign engine's timeout watchdog via an optional tick hook.
+ * per period, so CI logs stay readable. The thread only exists while
+ * the reporter displays.
  */
 
 #ifndef COMPRESSO_EXEC_PROGRESS_H
@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <thread>
 
@@ -29,7 +28,6 @@ enum class ProgressMode
 {
     kAuto, ///< on when stderr is a TTY or COMPRESSO_PROGRESS=1
     kOff,
-    kOn,
 };
 
 class ProgressReporter
@@ -39,12 +37,8 @@ class ProgressReporter
      * @param name   campaign name shown in every line
      * @param total  total job count
      * @param mode   see ProgressMode (kAuto consults isatty/stderr)
-     * @param tick   invoked once per repaint period from the reporter
-     *               thread even when display is off — the engine hangs
-     *               its timeout watchdog here (may be empty)
      */
-    ProgressReporter(std::string name, uint64_t total, ProgressMode mode,
-                     std::function<void()> tick = {});
+    ProgressReporter(std::string name, uint64_t total, ProgressMode mode);
     /** Stops the thread and, when displaying, prints the final line. */
     ~ProgressReporter();
     ProgressReporter(const ProgressReporter &) = delete;
@@ -62,8 +56,6 @@ class ProgressReporter
         busy_ns_ += host_ns;
     }
 
-    void jobSkipped() { ++skipped_; }
-
   private:
     void loop();
     void render(bool final_line);
@@ -71,12 +63,10 @@ class ProgressReporter
     std::string name_;
     uint64_t total_;
     bool display_ = false;
-    std::function<void()> tick_;
 
     std::atomic<uint64_t> done_{0};
     std::atomic<uint64_t> running_{0};
     std::atomic<uint64_t> failed_{0};
-    std::atomic<uint64_t> skipped_{0};
     std::atomic<uint64_t> busy_ns_{0}; ///< summed per-job host time
 
     uint64_t t0_ns_ = 0;

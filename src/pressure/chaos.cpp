@@ -1,7 +1,7 @@
 #include "pressure/chaos.h"
 
-#include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "compress/compressor.h"
@@ -120,7 +120,9 @@ makeController(const std::string &kind, const ChaosConfig &cfg)
         c.mdcache = md;
         return std::make_unique<LcpController>(c);
     }
-    assert(kind == "rmc" && "unknown controller kind");
+    if (kind != "rmc")
+        throw std::invalid_argument("unknown controller kind '" + kind +
+                                    "'");
     RmcConfig c;
     c.installed_bytes = cfg.installed_bytes;
     c.bst = md;
@@ -452,9 +454,9 @@ runSoak(const SoakConfig &cfg)
         // Each job writes its own pre-sized slot: no cross-job state,
         // so any worker count produces the identical SoakResult.
         camp.add("soak/" + kind,
-                 [&out, &cfg, kind, k](const JobContext &ctx) {
+                 [&out, &cfg, kind, k](uint64_t seed) {
                      ChaosConfig cc = cfg.chaos;
-                     cc.seed = ctx.seed; // Rng::combine(seed, index)
+                     cc.seed = seed; // Rng::combine(seed, index)
                      ChaosEngine engine(cc);
                      out.reports[k] = engine.run(kind);
                      const ChaosReport &r = out.reports[k];
@@ -474,9 +476,16 @@ runSoak(const SoakConfig &cfg)
 
     CampaignPolicy pol;
     pol.jobs = cfg.jobs;
-    pol.max_attempts = 1;
     pol.progress = ProgressMode::kOff;
-    camp.run(pol);
+    // A job that threw left its slot default: name the kind and the
+    // error so the soak fails with its reason.
+    for (const JobRecord &rec : camp.run(pol).records) {
+        if (rec.ok())
+            continue;
+        ChaosReport &r = out.reports[rec.index];
+        r.controller = kinds[rec.index];
+        r.fail_reason = rec.error;
+    }
     return out;
 }
 

@@ -61,7 +61,7 @@ void writeLatencyBreakdownJson(JsonWriter &w, const AttribSnapshot &a);
  *                       serial path). COMPRESSO_JOBS=<N> is the env
  *                       equivalent; the flag wins when both are set.
  *   --campaign-json <path>
- *                       write the merged compresso-campaign-v1
+ *                       write the merged compresso-campaign-v2
  *                       document (campaign-engine binaries only)
  *   --obs               attach the Observer to each run (digest lands
  *                       in the JSON `obs` object)

@@ -12,7 +12,8 @@
  * history lives with each exporter:
  *  - run:        src/sim/run_export.h        (v1 -> v2 host_profile,
  *                                             v3 latency_breakdown)
- *  - campaign:   src/exec/campaign_export.h
+ *  - campaign:   src/exec/campaign_export.h  (v2 run-once: no
+ *                                             attempts/retries)
  *  - soak:       src/pressure/soak_export.h
  *  - bench:      bench/bench_runner.cpp
  *  - postmortem: src/sim/postmortem_export.h (DESIGN.md §16)
@@ -30,7 +31,7 @@ inline constexpr const char *kRunJsonSchema = "compresso-run-v3";
 /** Merged campaign documents (`--campaign-json`,
  *  src/exec/campaign_export.h). */
 inline constexpr const char *kCampaignJsonSchema =
-    "compresso-campaign-v1";
+    "compresso-campaign-v2";
 
 /** Chaos/soak documents (`balloon_oom --soak --out`,
  *  src/pressure/soak_export.h). */

@@ -147,6 +147,23 @@ TEST(RunSoak, KindSubsetAndReportOrder)
     EXPECT_TRUE(res.allPassed());
 }
 
+TEST(RunSoak, UnknownKindFailsWithItsReason)
+{
+    // A job that throws must not leave a blank report behind: the
+    // soak names the kind and carries the job's error as its reason.
+    SoakConfig sc;
+    sc.chaos.refs_per_phase = 1000;
+    sc.chaos.phases = {ChaosScenario::kCalm};
+    sc.kinds = {"bogus"};
+    SoakResult res = runSoak(sc);
+    ASSERT_EQ(res.reports.size(), 1u);
+    EXPECT_EQ(res.reports[0].controller, "bogus");
+    EXPECT_FALSE(res.reports[0].passed);
+    EXPECT_NE(res.reports[0].fail_reason.find("bogus"), std::string::npos)
+        << res.reports[0].fail_reason;
+    EXPECT_FALSE(res.allPassed());
+}
+
 TEST(SoakExport, SchemaAndShape)
 {
     SoakConfig sc;

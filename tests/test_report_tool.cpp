@@ -149,18 +149,17 @@ campaignDoc()
     RunSpec spec = smallSpec();
     spec.refs_per_core = 2000;
     c.add("run/gcc", spec);
-    c.add("custom", [](const JobContext &) {
+    c.add("custom", [](uint64_t) {
         JobPayload p;
         p.values["speedup"] = 1.25;
         return p;
     });
-    c.add("broken", [](const JobContext &) -> JobPayload {
+    c.add("broken", [](uint64_t) -> JobPayload {
         throw std::runtime_error("nope");
     });
     CampaignPolicy policy;
     policy.jobs = 1;
     policy.progress = ProgressMode::kOff;
-    policy.max_attempts = 1;
     std::ostringstream os;
     writeCampaignJson(os, "test_report_tool", c.run(policy));
     return os.str();
@@ -309,6 +308,27 @@ TEST(ReportTool, GateFailsOnSimulatedDrift)
     std::string out;
     EXPECT_EQ(runTool("gate " + base + " " + drifted, &out), 1) << out;
     EXPECT_NE(out.find("simulated metrics moved"), std::string::npos)
+        << out;
+}
+
+TEST(ReportTool, DiffPairsRepeatedLabelsByOccurrence)
+{
+    // A bench may reuse a label across configurations; a difference
+    // in an earlier occurrence must not be hidden by a later one.
+    if (!havePython())
+        GTEST_SKIP() << "python3 unavailable";
+    RunResult r = runSystem(smallSpec());
+    RunResult moved = r;
+    moved.comp_ratio += 0.5;
+    std::ostringstream same, first_moved;
+    writeRunsJson(same, "test_report_tool", {r, r});
+    writeRunsJson(first_moved, "test_report_tool", {moved, r});
+    std::string a = writeFile("report_repeat_a.json", same.str());
+    std::string b = writeFile("report_repeat_b.json", first_moved.str());
+    std::string out;
+    EXPECT_EQ(runTool("diff " + a + " " + a, &out), 0) << out;
+    EXPECT_EQ(runTool("diff " + a + " " + b, &out), 1) << out;
+    EXPECT_NE(out.find("1/2 shared records differ"), std::string::npos)
         << out;
 }
 

@@ -65,7 +65,7 @@ EVENTS = (
     "op_throttled", "oom_rescue", "swap_full")
 # Pressure levels (pressureLevelName, src/pressure/governor.h).
 LEVELS = ("normal", "elevated", "critical", "emergency")
-JOB_STATUSES = ("ok", "failed", "timeout", "skipped")
+JOB_STATUSES = ("ok", "failed")
 SOAK_SCENARIOS = ("calm", "collapse_storm", "balloon_thrash",
                   "swap_storm", "metadata_pressure", "fault_burst")
 SOAK_OPS = ("repack", "relocation", "meta_rebuild", "inflation")
@@ -213,12 +213,12 @@ CAMPAIGN = {
     "schema": STR, "tool": STR, "campaign": STR,
     **ints("campaign_seed", "pool_jobs", "wall_ns"),
     "environment": OBJECT,
-    "summary": ints("total", *JOB_STATUSES, "retries", "steals"),
+    "summary": ints("total", *JOB_STATUSES, "steals"),
     "jobs": ListOf({
         "label": STR,
         "index": INT,
         "status": JOB_STATUSES,
-        **ints("attempts", "seed", "host_ns"),
+        **ints("seed", "host_ns"),
         "error?": STR,
         "result?": RESULT,
         "values?": MapOf(NUM),
@@ -544,9 +544,8 @@ def campaign_digest(doc):
     s = doc["summary"]
     print(f"campaign: {doc['campaign']}  workers: {doc['pool_jobs']}  "
           f"wall: {doc['wall_ns'] / 1e9:.1f}s  "
-          f"jobs: {s['ok']}/{s['total']} ok ({s['failed']} failed, "
-          f"{s['timeout']} timeout, {s['skipped']} skipped)  "
-          f"retries: {s['retries']}  steals: {s['steals']}")
+          f"jobs: {s['ok']}/{s['total']} ok ({s['failed']} failed)  "
+          f"steals: {s['steals']}")
     bad = [j for j in doc["jobs"] if j["status"] != "ok"]
     for j in bad[:8]:
         print(f"  {j['status']:8} {j['label']}: {j.get('error', '?')}")
@@ -644,14 +643,17 @@ def summarize_bundles(docs):
 
 def run_records(doc):
     """Diff fields per result: the run numbers plus every attribution
-    component's cycles."""
-    recs = {}
+    component's cycles. A label seen again (tab_ablation_bins repeats
+    its labels once per configuration) is keyed `label #n`, so every
+    result pairs with the same occurrence in the other document."""
+    recs, seen = {}, {}
     for _, r in run_results(doc):
         fields = {k: r[k] for k in RESULT_NUMBERS}
         comps = r["latency_breakdown"]["components"]
         for c in ATTRIB_COMPS:
             fields[f"cycles[{c}]"] = comps[c]["cycles"]
-        recs[r["label"]] = fields
+        n = seen[r["label"]] = seen.get(r["label"], 0) + 1
+        recs[r["label"] if n == 1 else f"{r['label']} #{n}"] = fields
     return recs
 
 
@@ -704,7 +706,7 @@ FAMILIES = {
         "run", RUN, attribution_rules(result_breakdowns),
         lambda doc: f"{doc['tool']}, {len(doc['results'])} results",
         summarize_runs, run_records),
-    "compresso-campaign-v1": Family(
+    "compresso-campaign-v2": Family(
         "campaign", CAMPAIGN,
         [job_records, summary_counts, *attribution_rules(result_breakdowns)],
         lambda doc: (f"{doc['tool']}, campaign {doc['campaign']!r}, " +
