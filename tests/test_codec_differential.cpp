@@ -9,14 +9,17 @@
  * leave the same pos() and overrun(), and, when the verdict is true,
  * produce the same line, on every valid stream of codecTestLines() and
  * on the single-bit flips, truncations and random tails that
- * CodecMutation decodes. The fault model hands corrupted streams to the
- * decoders, so a verdict that moved would move fault-campaign results.
+ * CodecMutation decodes. BDI decodes each shape with compile-time
+ * widths; its reference looks the widths up in a table at run time.
+ * The fault model hands corrupted streams to the decoders, so a verdict
+ * that moved would move fault-campaign results.
  * Every stream is decoded from a heap buffer of exactly ceil(bits / 8)
  * bytes, so that under the asan-ubsan preset a read past it is an error.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -249,6 +252,58 @@ refFpc(BitReader &in, Line &out)
     return !in.overrun();
 }
 
+/** BDI with the element and delta widths looked up in a table at run
+ *  time, and the deltas read in the 64-bit groups the encoder puts. */
+bool
+refBdi(BitReader &in, Line &out)
+{
+    // {selector, base bytes, delta bytes} of each (base, delta) shape.
+    constexpr unsigned kShapes[][3] = {{2, 8, 1}, {5, 4, 1}, {3, 8, 2},
+                                       {7, 2, 1}, {6, 4, 2}, {4, 8, 4}};
+    auto signExtend = [](uint64_t v, unsigned nbytes) {
+        unsigned shift = 64 - nbytes * 8;
+        return int64_t(v << shift) >> shift;
+    };
+    unsigned sel = unsigned(in.get(4));
+    if (in.overrun())
+        return false;
+    if (sel == 0) {
+        out.fill(0);
+        return true;
+    }
+    if (sel == 1) {
+        uint64_t v = in.get(64);
+        for (size_t i = 0; i < 8; ++i)
+            setLineWord64(out, i, v);
+        return !in.overrun();
+    }
+    if (sel == 15) {
+        for (size_t i = 0; i < 8; ++i)
+            setLineWord64(out, i, in.get(64));
+        return !in.overrun();
+    }
+    const unsigned *sh = nullptr;
+    for (const auto &s : kShapes)
+        if (s[0] == sel)
+            sh = s;
+    if (!sh)
+        return false;
+    unsigned b = sh[1], d = sh[2], n = unsigned(kLineBytes / b);
+    uint64_t base = in.get(b * 8);
+    uint32_t mask = uint32_t(in.get(n)); // element 0 in the MSB
+    unsigned width = d * 8;
+    for (unsigned i = 0; i < n;) {
+        uint64_t packed = in.get(64);
+        for (unsigned left = 64; left > 0; left -= width, ++i) {
+            uint64_t v = uint64_t(signExtend(packed >> (left - width), d));
+            if (!((mask >> (n - 1 - i)) & 1))
+                v += base;
+            std::memcpy(out.data() + i * b, &v, b); // little-endian host
+        }
+    }
+    return !in.overrun();
+}
+
 using RefDecoder = bool (*)(BitReader &, Line &);
 
 struct Case
@@ -266,7 +321,7 @@ PrintTo(const Case &c, std::ostream *os)
 
 const Case kCases[] = {
     {"bpc", refBpc},     {"bpc-xform", refBpc}, {"lz", refLz},
-    {"cpack", refCpack}, {"fpc", refFpc},
+    {"cpack", refCpack}, {"fpc", refFpc},       {"bdi", refBdi},
 };
 
 class DecoderDifferential : public ::testing::TestWithParam<Case>
