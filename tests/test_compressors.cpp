@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -49,6 +51,72 @@ expectRoundTrip(const Compressor &c, const Line &in, const char *what)
     Line out{};
     ASSERT_TRUE(c.decompress(r, out)) << c.name() << " on " << what;
     EXPECT_EQ(in, out) << c.name() << " on " << what;
+}
+
+/** BDI's (base, delta) shapes as {base bytes, delta bytes, selector},
+ *  in payload order, the order the first-fit rule breaks ties in. */
+constexpr unsigned kBdiShapes[][3] = {
+    {8, 1, 0b0010}, {4, 1, 0b0101}, {8, 2, 0b0011},
+    {2, 1, 0b0111}, {4, 2, 0b0110}, {8, 4, 0b0100},
+};
+
+/** A line's BDI encoding, found by encoding it under each shape's
+ *  rule: the smallest payload in bits (selector excluded), its
+ *  selector, and which of kBdiShapes fit. */
+struct BdiRef
+{
+    size_t bits;
+    unsigned sel;
+    bool fits[std::size(kBdiShapes)];
+};
+
+BdiRef
+bdiReference(const Line &l)
+{
+    BdiRef ref{kLineBytes * 8, 0b1111, {}};
+    auto sext = [](uint64_t x, unsigned nb) {
+        unsigned sh = 64 - nb * 8;
+        return int64_t(x << sh) >> sh;
+    };
+    auto fitsIn = [](int64_t x, unsigned nb) {
+        int64_t lim = int64_t(1) << (nb * 8 - 1);
+        return x >= -lim && x < lim;
+    };
+    for (size_t s = 0; s < std::size(kBdiShapes); ++s) {
+        auto [b, d, sel] = kBdiShapes[s];
+        size_t n = kLineBytes / b;
+        bool fits = true, have_base = false;
+        uint64_t base = 0;
+        for (size_t e = 0; e < n && fits; ++e) {
+            uint64_t v = 0;
+            std::memcpy(&v, l.data() + e * b, b);
+            if (fitsIn(sext(v, b), d))
+                continue;
+            if (!have_base) {
+                base = v;
+                have_base = true;
+            }
+            fits = fitsIn(sext(v - base, b), d);
+        }
+        ref.fits[s] = fits;
+        size_t bits = b * 8 + n + n * d * 8;
+        if (fits && bits < ref.bits) {
+            ref.bits = bits;
+            ref.sel = sel;
+        }
+    }
+    bool repeated = true;
+    for (size_t w = 1; w < 8; ++w)
+        repeated &= lineWord64(l, w) == lineWord64(l, 0);
+    if (repeated) {
+        ref.bits = 64;
+        ref.sel = 0b0001;
+    }
+    if (isZeroLine(l)) {
+        ref.bits = 0;
+        ref.sel = 0b0000;
+    }
+    return ref;
 }
 
 } // namespace
@@ -844,8 +912,6 @@ TEST(Bdi, FirstFitIsSmallestShape)
     // The smallest payload over every (base, delta) shape that fits,
     // found by encoding the line under each shape's rule, else raw.
     BdiCompressor bdi;
-    constexpr unsigned kShapes[][2] = {{8, 1}, {4, 1}, {8, 2},
-                                       {2, 1}, {4, 2}, {8, 4}};
     std::vector<Line> lines = codecTestLines();
     Rng rng(0xbd1);
     Line line;
@@ -861,44 +927,97 @@ TEST(Bdi, FirstFitIsSmallestShape)
         }
         lines.push_back(line);
     }
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const Line &l = lines[i];
-        bool repeated = true;
-        for (size_t w = 1; w < 8; ++w)
-            repeated &= lineWord64(l, w) == lineWord64(l, 0);
-        size_t want = kLineBytes * 8;
-        for (auto [b, d] : kShapes) {
-            size_t n = kLineBytes / b;
-            bool fits = true, have_base = false;
-            uint64_t base = 0;
-            for (size_t e = 0; e < n && fits; ++e) {
-                uint64_t v = 0;
-                std::memcpy(&v, l.data() + e * b, b);
-                auto sext = [](uint64_t x, unsigned nb) {
-                    unsigned sh = 64 - nb * 8;
-                    return int64_t(x << sh) >> sh;
-                };
-                auto fitsIn = [](int64_t x, unsigned nb) {
-                    int64_t lim = int64_t(1) << (nb * 8 - 1);
-                    return x >= -lim && x < lim;
-                };
-                if (fitsIn(sext(v, b), d))
-                    continue;
-                if (!have_base) {
-                    base = v;
-                    have_base = true;
+    for (size_t i = 0; i < lines.size(); ++i)
+        ASSERT_EQ(bdi.compressedBits(lines[i]), 4 + bdiReference(lines[i]).bits)
+            << "line " << i;
+}
+
+TEST(Bdi, ShapeBoundaries)
+{
+    // For each shape, lines whose one edge element sits on the delta
+    // range, or one past it, from the zero base and from the line base;
+    // with the line base first or taken from a later element, and far
+    // from zero or next to the signed limits, where base + delta wraps
+    // at the element width.
+    BdiCompressor bdi;
+    std::set<unsigned> sels;
+    auto check = [&](const Line &l) {
+        BdiRef ref = bdiReference(l);
+        EXPECT_EQ(bdi.compressedBits(l), 4 + ref.bits);
+        BitWriter w;
+        EXPECT_EQ(bdi.compress(l, w), 4 + ref.bits);
+        unsigned sel = w.bytes()[0] >> 4;
+        EXPECT_EQ(sel, ref.sel);
+        sels.insert(sel);
+        BitReader r(w.bytes().data(), w.bitSize());
+        Line out{};
+        EXPECT_TRUE(bdi.decompress(r, out));
+        EXPECT_EQ(r.pos(), w.bitSize());
+        EXPECT_EQ(out, l);
+        return ref;
+    };
+    for (size_t s = 0; s < std::size(kBdiShapes); ++s) {
+        auto [b, d, sel] = kBdiShapes[s];
+        unsigned n = unsigned(kLineBytes / b);
+        uint64_t smax = (uint64_t(1) << (8 * b - 1)) - 1; // signed max
+        int64_t lo = -(int64_t(1) << (8 * d - 1));
+        int64_t hi = (int64_t(1) << (8 * d - 1)) - 1;
+        for (uint64_t x : {uint64_t(0x5a3c96e1f0d2b487), smax - 5, smax + 6}) {
+            for (unsigned at : {0u, n - 2}) {
+                for (bool from_base : {false, true}) {
+                    for (int64_t edge : {lo, hi, lo - 1, hi + 1}) {
+                        // Small values before the base, then the base
+                        // x and values just above it, one replaced by
+                        // the edge element.
+                        Line l;
+                        for (unsigned i = 0; i < n; ++i) {
+                            uint64_t v = i < at ? i : x + (i - at);
+                            if (i == at + 1)
+                                v = from_base ? x + uint64_t(edge)
+                                              : uint64_t(edge);
+                            std::memcpy(l.data() + i * b, &v, b);
+                        }
+                        SCOPED_TRACE(::testing::Message()
+                                     << "B" << b << "D" << d << " base "
+                                     << std::hex << x << std::dec
+                                     << " at " << at << " edge " << edge
+                                     << (from_base ? " from base" : ""));
+                        BdiRef ref = check(l);
+                        bool in_range = edge == lo || edge == hi;
+                        EXPECT_EQ(ref.fits[s], in_range);
+                        // Far from zero, no smaller shape fits.
+                        if (in_range && x == 0x5a3c96e1f0d2b487) {
+                            EXPECT_EQ(ref.sel, sel);
+                        }
+                    }
                 }
-                fits = fitsIn(sext(v - base, b), d);
             }
-            if (fits)
-                want = std::min(want, b * 8 + n + n * d * 8);
         }
-        if (repeated)
-            want = 64;
-        if (isZeroLine(l))
-            want = 0;
-        ASSERT_EQ(bdi.compressedBits(l), 4 + want) << "line " << i;
     }
+
+    // B2D1 and B4D2 tie at 304 bits, and B2D1 comes first: 32-bit
+    // words that differ in their low halves by up to 2^14, so no
+    // one-byte delta fits them, while their 16-bit halves are near
+    // zero or near 0x4000.
+    Line tie;
+    for (unsigned k = 0; k < 16; ++k)
+        setLineWord32(tie, k, 0x40000000u + (k % 3 ? 0 : 0x4000u) + k);
+    BdiRef ref = check(tie);
+    EXPECT_EQ(ref.sel, 0b0111u);
+    EXPECT_TRUE(ref.fits[4]); // B4D2
+
+    Line zero{}, rep, raw;
+    Rng rng(0xb0b);
+    for (size_t i = 0; i < 8; ++i) {
+        setLineWord64(rep, i, 0x0123456789abcdefULL);
+        setLineWord64(raw, i, rng.next());
+    }
+    check(zero);
+    check(rep);
+    check(raw);
+    EXPECT_EQ(sels, (std::set<unsigned>{0b0000, 0b0001, 0b0010, 0b0011,
+                                        0b0100, 0b0101, 0b0110, 0b0111,
+                                        0b1111}));
 }
 
 TEST(Factory, KnownNames)
